@@ -9,6 +9,7 @@
 package cicero_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"cicero/internal/engine"
 	"cicero/internal/experiments"
 	"cicero/internal/fact"
+	"cicero/internal/pipeline"
 	"cicero/internal/relalg"
 	"cicero/internal/relation"
 	"cicero/internal/summarize"
@@ -68,9 +70,10 @@ func BenchmarkFigure3PreProcessing(b *testing.B) {
 		b.Run(string(alg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: alg,
-					Opts: summarize.Options{Timeout: 250 * time.Millisecond}}
-				if _, _, err := s.PreprocessProblems(problems); err != nil {
+				if _, _, err := pipeline.RunProblems(context.Background(), rel, cfg, problems, pipeline.Options{
+					Solver: string(alg),
+					Solve:  summarize.Options{Timeout: 250 * time.Millisecond},
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,8 +99,7 @@ func BenchmarkFigure4Scaling(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt}
-			if _, _, err := s.PreprocessProblems(problems); err != nil {
+			if _, _, err := pipeline.RunProblems(context.Background(), rel, cfg, problems, pipeline.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -197,8 +199,7 @@ func BenchmarkFigure10Latency(b *testing.B) {
 		Dataset: "flights", Targets: []string{"cancelled"},
 		MaxQueryLen: 1, MaxFactDims: 2, MaxFacts: 3, Prior: engine.PriorGlobalMean,
 	}
-	s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt}
-	store, _, err := s.Preprocess()
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func BenchmarkFigure10Latency(b *testing.B) {
 	b.Run("ours-lookup", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, ok := engine.Answer(store, q); !ok {
+			if _, ok := store.Lookup(q); !ok {
 				b.Fatal("lookup failed")
 			}
 		}
@@ -432,8 +433,7 @@ func BenchmarkVoicePipeline(b *testing.B) {
 		Dataset: "flights", Targets: []string{"cancelled"},
 		MaxQueryLen: 1, MaxFactDims: 2, MaxFacts: 3, Prior: engine.PriorGlobalMean,
 	}
-	s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt}
-	store, _, err := s.Preprocess()
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func BenchmarkVoicePipeline(b *testing.B) {
 		if c.Type != voice.SQuery {
 			b.Fatal("classification failed")
 		}
-		if _, _, ok := engine.Answer(store, c.Query); !ok {
+		if _, ok := store.Lookup(c.Query); !ok {
 			b.Fatal("no answer")
 		}
 	}

@@ -43,9 +43,9 @@
 //     computed against, so a hot swap invalidates them automatically),
 //     singleflight deduplication so concurrent identical queries execute
 //     the kernel once, admission control that sheds load with 503 under
-//     pressure, and per-route latency/hit-rate metrics — plus a
-//     load-generation harness that replays mixed zipf-skewed workloads
-//     and reports p50/p95/p99 latency, throughput, and hit rate;
+//     pressure, and per-route latency/hit-rate metrics (measured from
+//     outside by the benchmark under bench/, which replays the seeded
+//     workloads GenerateLoad synthesizes);
 //   - multi-dataset tenancy with persistent snapshots: a Registry hosts
 //     the Answerers of N named datasets behind one daemon — lazy
 //     loading, idle eviction, per-dataset hot swap, per-dataset HTTP
@@ -196,12 +196,6 @@ type (
 	Query = engine.Query
 	// NamedPredicate is a (column, value) equality predicate by name.
 	NamedPredicate = engine.NamedPredicate
-	// Summarizer executes batch pre-processing.
-	//
-	// Deprecated: use Preprocess (the streaming pipeline), which adds
-	// bounded memory, cancellation, checkpoint/resume, and pluggable
-	// solvers.
-	Summarizer = engine.Summarizer
 	// Store holds pre-generated speeches for run-time lookup.
 	Store = engine.Store
 	// StoreView is the read-only accessor surface the serving stack
@@ -213,8 +207,6 @@ type (
 	Template = engine.Template
 	// Algorithm selects a summarization method for pre-processing.
 	Algorithm = engine.Algorithm
-	// BatchStats summarizes a pre-processing run.
-	BatchStats = engine.BatchStats
 )
 
 // Pre-processing algorithms (the Figure 3 variants, plus the parallel
@@ -269,51 +261,6 @@ func Solvers() []string { return pipeline.Solvers() }
 // OpenCheckpoint opens (creating if absent) a pipeline checkpoint file.
 func OpenCheckpoint(path string, rel *Relation) (*Checkpoint, error) {
 	return pipeline.OpenCheckpoint(path, rel)
-}
-
-// Answer looks up the best pre-generated speech for a query and reports
-// the lookup latency.
-//
-// Deprecated: use Answerer.AnswerQuery, which serves every query kind
-// through one entry point and returns uniform answer metadata.
-func Answer(store *Store, q Query) (*StoredSpeech, bool) {
-	sp, _, ok := engine.Answer(store, q)
-	return sp, ok
-}
-
-// Extended query answering (extrema and comparisons — the unsupported
-// query types observed in the paper's deployment logs, implemented here
-// as run-time aggregations).
-type (
-	// ExtremumKind selects maxima or minima.
-	ExtremumKind = engine.ExtremumKind
-	// ExtremumAnswer is the result of an extremum query.
-	ExtremumAnswer = engine.ExtremumAnswer
-	// ComparisonAnswer is the result of a subset comparison.
-	ComparisonAnswer = engine.ComparisonAnswer
-)
-
-// Extremum kinds.
-const (
-	Max = engine.Max
-	Min = engine.Min
-)
-
-// AnswerExtremum finds the dimension value with the extremal target
-// average within a data subset.
-//
-// Deprecated: use Answerer.Answer, which recognizes extremum requests
-// from raw text and routes them to this aggregation automatically.
-func AnswerExtremum(rel *Relation, target, dim string, preds []Predicate, kind ExtremumKind, minRows int) (ExtremumAnswer, error) {
-	return engine.AnswerExtremum(rel, target, dim, preds, kind, minRows)
-}
-
-// AnswerComparison compares the target averages of two data subsets.
-//
-// Deprecated: use Answerer.Answer, which recognizes comparison requests
-// from raw text and routes them to this aggregation automatically.
-func AnswerComparison(rel *Relation, target string, predsA, predsB []Predicate) (ComparisonAnswer, error) {
-	return engine.AnswerComparison(rel, target, predsA, predsB)
 }
 
 // LoadStore reads a speech store previously written with Store.Save. The
@@ -457,8 +404,8 @@ func NewRegistry() *Registry { return serve.NewRegistry() }
 // Networked serving tier: the HTTP front end over an Answerer, with a
 // sharded LRU answer cache (invalidated automatically on store swaps),
 // singleflight deduplication of identical concurrent queries, admission
-// control, and per-route metrics — plus the load-generation harness
-// that measures it.
+// control, and per-route metrics — plus the seeded workload generator
+// the benchmark replays against it.
 type (
 	// HTTPServer serves POST /v1/answer, GET /v1/healthz, GET /v1/stats.
 	HTTPServer = httpserve.Server
@@ -472,8 +419,6 @@ type (
 	LoadOptions = load.Options
 	// LoadMix weighs the request kinds of a workload.
 	LoadMix = load.Mix
-	// LoadResult reports a load run (the BENCH_serve.json shape).
-	LoadResult = load.Result
 )
 
 // ErrOverloaded reports a request shed by admission control (HTTP 503).
@@ -523,13 +468,6 @@ func GenerateLoad(rel *Relation, opts LoadOptions) []string {
 	return load.Generate(rel, opts)
 }
 
-// RunLoad replays request texts against the HTTP tier at baseURL with
-// concurrent client workers and reports latency percentiles, throughput,
-// and cache hit rate. A nil client uses http.DefaultClient.
-func RunLoad(ctx context.Context, client *http.Client, baseURL string, texts []string, workers int) LoadResult {
-	return load.Run(ctx, client, baseURL, texts, workers)
-}
-
 // Fault-tolerant multi-node serving: a router tier consistent-hashes
 // datasets across N serve nodes with replication, probes replica
 // health, retries with backoff and fails over across replicas, opens a
@@ -551,12 +489,6 @@ type (
 	FaultInjector = cluster.FaultInjector
 	// FaultRule describes one node's injected failure behavior.
 	FaultRule = cluster.FaultRule
-	// ClusterLoadOptions paces the cluster load harness.
-	ClusterLoadOptions = load.ClusterOptions
-	// ClusterLoadResult reports a cluster load run (the
-	// BENCH_cluster.json shape: per-node balance, stale answers,
-	// error budget, failover gap).
-	ClusterLoadResult = load.ClusterResult
 )
 
 // NewClusterRouter builds the routing tier over the given nodes. Each
@@ -570,11 +502,4 @@ func NewClusterRouter(nodes []ClusterNode, datasets []string, opts ClusterOption
 // node ids (replicationFactor and virtualNodes zero take defaults).
 func NewClusterRing(nodes []string, replicationFactor, virtualNodes int) (*ClusterRing, error) {
 	return cluster.NewRing(nodes, replicationFactor, virtualNodes)
-}
-
-// RunClusterLoad replays request texts against a router at baseURL and
-// reports aggregate latency plus per-node balance, stale answers, and
-// the error budget. A nil client uses http.DefaultClient.
-func RunClusterLoad(ctx context.Context, client *http.Client, baseURL, dataset string, texts []string, opts ClusterLoadOptions) ClusterLoadResult {
-	return load.RunCluster(ctx, client, baseURL, dataset, texts, opts)
 }

@@ -1,7 +1,9 @@
 package cicero_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -75,9 +77,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	cfg.Dimensions = []string{"season"}
 	cfg.MaxQueryLen = 1
 
-	s := &cicero.Summarizer{Rel: rel, Config: cfg, Alg: cicero.AlgGreedyOpt,
-		Template: cicero.Template{Unit: "minutes"}}
-	store, stats, err := s.Preprocess()
+	store, stats, err := cicero.Preprocess(context.Background(), rel, cfg, cicero.PipelineOptions{
+		Template: cicero.Template{Unit: "minutes"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		{Phrase: "delays", Target: "delay"},
 	}, 1)
 	c := cicero.ClassifyRequest("delays in Winter", ex)
-	sp, ok := cicero.Answer(store, c.Query)
+	sp, ok := store.Lookup(c.Query)
 	if !ok {
 		t.Fatal("no answer for winter delays")
 	}
@@ -116,9 +117,8 @@ func TestPublicAPIServingLayer(t *testing.T) {
 	cfg := cicero.DefaultConfig(rel)
 	cfg.Targets = []string{"delay"}
 	cfg.MaxQueryLen = 1
-	s := &cicero.Summarizer{Rel: rel, Config: cfg, Alg: cicero.AlgGreedyOpt,
-		Template: cicero.Template{Unit: "minutes"}}
-	store, _, err := s.Preprocess()
+	store, _, err := cicero.Preprocess(context.Background(), rel, cfg, cicero.PipelineOptions{
+		Template: cicero.Template{Unit: "minutes"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,23 +155,29 @@ func TestPublicAPIServingLayer(t *testing.T) {
 }
 
 func TestPublicAPIExtendedQueries(t *testing.T) {
+	// Extrema and comparisons are run-time aggregations behind the same
+	// front door as the stored summaries.
 	rel := dataset.Flights(8000, 1)
-	a, err := cicero.AnswerExtremum(rel, "cancelled", "month", nil, cicero.Max, 20)
+	cfg := cicero.DefaultConfig(rel)
+	cfg.Targets = []string{"cancelled"}
+	cfg.Dimensions = []string{"month"}
+	cfg.MaxQueryLen = 1
+	store, _, err := cicero.Preprocess(context.Background(), rel, cfg, cicero.PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Value != "February" {
-		t.Errorf("extremum month = %q, want February", a.Value)
+	ex := cicero.NewVoiceExtractor(rel, []cicero.VoiceSample{
+		{Phrase: "cancellations", Target: "cancelled"},
+	}, 1)
+	a := cicero.NewAnswerer(rel, store, ex, cicero.ServeOptions{MinExtremumRows: 20})
+
+	ext := a.Answer("which month has the most cancellations")
+	if ext.Kind != cicero.KindExtremum || !ext.Answered || !strings.Contains(ext.Text, "is February") {
+		t.Errorf("extremum answer = %v %q, want February", ext.Kind, ext.Text)
 	}
-	feb, _ := rel.PredicateByName("month", "February")
-	jul, _ := rel.PredicateByName("month", "July")
-	cmp, err := cicero.AnswerComparison(rel, "cancelled",
-		[]cicero.Predicate{feb}, []cicero.Predicate{jul})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.MeanA <= cmp.MeanB {
-		t.Errorf("February %v should exceed July %v", cmp.MeanA, cmp.MeanB)
+	cmp := a.Answer("compare cancellations between February and July")
+	if cmp.Kind != cicero.KindComparison || !cmp.Answered || !strings.Contains(cmp.Text, "higher for February") {
+		t.Errorf("comparison answer = %v %q, want February above July", cmp.Kind, cmp.Text)
 	}
 }
 
@@ -204,9 +210,8 @@ func TestPublicAPIHTTPTier(t *testing.T) {
 	cfg := cicero.DefaultConfig(rel)
 	cfg.Targets = []string{"delay"}
 	cfg.MaxQueryLen = 1
-	s := &cicero.Summarizer{Rel: rel, Config: cfg, Alg: cicero.AlgGreedyOpt,
-		Template: cicero.Template{Unit: "minutes"}}
-	store, _, err := s.Preprocess()
+	store, _, err := cicero.Preprocess(context.Background(), rel, cfg, cicero.PipelineOptions{
+		Template: cicero.Template{Unit: "minutes"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,21 +223,31 @@ func TestPublicAPIHTTPTier(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// The load harness drives the HTTP API end to end through the
-	// facade: generate a workload, replay it, read the report.
+	// A seeded workload drives the HTTP API end to end through the
+	// facade: generate it, replay it over the wire, read the counters.
 	texts := cicero.GenerateLoad(rel, cicero.LoadOptions{
 		Requests: 120, Distinct: 12, Seed: 3,
 		TargetPhrases: map[string][]string{"delay": {"delays"}},
 	})
-	res := cicero.RunLoad(context.Background(), ts.Client(), ts.URL, texts, 4)
-	if res.Errors != 0 || res.Requests != 120 {
-		t.Fatalf("load result = %+v", res)
+	byKind := map[string]int{}
+	for _, text := range texts {
+		body, _ := json.Marshal(map[string]string{"text": text})
+		resp, err := ts.Client().Post(ts.URL+"/v1/answer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ans struct {
+			Kind string `json:"kind"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&ans)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%q: status %d, decode error %v", text, resp.StatusCode, err)
+		}
+		byKind[ans.Kind]++
 	}
-	if res.HitRate <= 0 || res.Latency.P99 <= 0 {
-		t.Errorf("load report incomplete: %+v", res)
-	}
-	if res.ByKind["summary"] == 0 {
-		t.Errorf("no summaries served: %v", res.ByKind)
+	if byKind["summary"] == 0 {
+		t.Errorf("no summaries served: %v", byKind)
 	}
 	if snap := srv.Stats(); snap.Cache.Hits == 0 || snap.Routes["answer"].Requests != 120 {
 		t.Errorf("server stats = %+v", snap)

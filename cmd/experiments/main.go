@@ -30,20 +30,8 @@ func main() {
 		workers   = flag.Int("workers", 1, "parallel solvers in the pre-processing pipeline")
 		kernelW   = flag.Int("kernel-workers", 0, "search goroutines per E-P exact solve (0 = divide cores across pipeline workers; <0 = all cores)")
 		warmStart = flag.Bool("warmstart", true, "seed the E-P exact search's pruning bound with the greedy incumbent")
-		benchFile = flag.String("bench-kernel", "", "run the summarization-kernel micro-benchmarks and write the JSON report to this path (e.g. BENCH_summarize.json), then exit")
 	)
 	flag.Parse()
-
-	if *benchFile != "" {
-		report, err := experiments.WriteKernelBench(*benchFile, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		report.Render(os.Stdout)
-		fmt.Printf("wrote %s\n", *benchFile)
-		return
-	}
 
 	params := experiments.DefaultScenarioParams()
 	params.Seed = *seed

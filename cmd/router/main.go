@@ -13,14 +13,6 @@
 //
 //	router -addr :8090 -nodes n1=http://10.0.0.1:8080,n2=http://10.0.0.2:8080,n3=http://10.0.0.3:8080 \
 //	    -datasets flights,acs -replication 2
-//
-// With -loadgen it drives a running router instead of serving: a
-// zipf-skewed workload is replayed against -target at -rate requests
-// per second, and the cluster report — aggregate p99, per-node
-// balance, stale answers, error budget, failover gap — is written to
-// -out (BENCH_cluster.json).
-//
-//	router -loadgen -target http://127.0.0.1:8090 -data flights -requests 4000 -rate 400
 package main
 
 import (
@@ -35,9 +27,6 @@ import (
 	"time"
 
 	"cicero/internal/cluster"
-	"cicero/internal/dataset"
-	"cicero/internal/load"
-	"cicero/internal/voice"
 )
 
 func main() {
@@ -57,29 +46,11 @@ func main() {
 		brkFailures    = flag.Int("breaker-failures", 5, "consecutive failures that open a node's circuit breaker")
 		brkCooldown    = flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker cooldown before a half-open probe")
 		seed           = flag.Int64("seed", 1, "backoff jitter seed")
-
-		loadgen  = flag.Bool("loadgen", false, "drive a router with the cluster load harness instead of serving")
-		target   = flag.String("target", "", "loadgen target router base URL")
-		data     = flag.String("data", "flights", "loadgen dataset")
-		requests = flag.Int("requests", 2000, "loadgen request count")
-		rate     = flag.Float64("rate", 0, "loadgen aggregate requests per second (0: as fast as possible)")
-		loadWork = flag.Int("load-workers", 16, "loadgen client workers")
-		distinct = flag.Int("distinct", 64, "loadgen distinct utterances per kind")
-		zipf     = flag.Float64("zipf", 1.3, "loadgen popularity skew (>1)")
-		loadSeed = flag.Int64("load-seed", 42, "loadgen workload seed")
-		out      = flag.String("out", "BENCH_cluster.json", "loadgen result artifact path")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *loadgen {
-		runLoadgen(ctx, *target, *data, load.Options{
-			Requests: *requests, Distinct: *distinct, Zipf: *zipf, Seed: *loadSeed,
-		}, load.ClusterOptions{Workers: *loadWork, RatePerSec: *rate}, *out)
-		return
-	}
 
 	members, err := parseNodes(*nodes)
 	if err != nil {
@@ -168,35 +139,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// runLoadgen replays a paced zipf workload against a running router
-// and writes the BENCH_cluster.json artifact.
-func runLoadgen(ctx context.Context, target, name string, opts load.Options, copts load.ClusterOptions, out string) {
-	if target == "" {
-		fatalf("-loadgen needs -target (the router's base URL)")
-	}
-	rel := dataset.ByName(name, 1)
-	if rel == nil {
-		fatalf("unknown data set %q", name)
-	}
-	opts.TargetPhrases = voice.SpokenTargetPhrases(voice.DefaultSamples(name))
-	texts := load.Generate(rel, opts)
-	fmt.Fprintf(os.Stderr, "generated %d requests (%d distinct, zipf %.2f, %.0f req/s)\n",
-		len(texts), opts.Distinct, opts.Zipf, copts.RatePerSec)
-
-	res := load.RunCluster(ctx, nil, target, name, texts, copts)
-	res.Zipf, res.Distinct = opts.Zipf, opts.Distinct
-	fmt.Print(res.ClusterSummary())
-	if out != "" {
-		if err := res.WriteFile(out); err != nil {
-			fatalf("write %s: %v", out, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-	}
-	if res.Errors == res.Requests {
-		fatalf("every request failed against %s", target)
-	}
 }
 
 func fatalf(format string, args ...any) {

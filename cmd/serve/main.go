@@ -23,38 +23,15 @@
 //	serve -datasets acs,flights -snapshot-dir snapshots -rebuild 10m
 //	serve -data flights -snapshot-dir snapshots -patch-dir patches
 //
-// With -loadgen it runs the load-generation harness instead: a mixed
-// zipf-skewed workload (summary/extremum/comparison/repeat) is replayed
-// against -target — or against an in-process server when -target is
-// empty — and the p50/p95/p99 latency, throughput, and cache hit rate
-// report is written to -out (BENCH_serve.json).
-//
-//	serve -data flights -loadgen -requests 5000 -load-workers 16 -zipf 1.3
-//	serve -loadgen -target http://summaries.internal:8080 -data flights
-//
-// With -loadgen -dialog the harness replays multi-turn dialogue
-// sessions instead — opening questions plus elliptical follow-ups
-// ("what about Texas", "and the lowest"), each dialogue under its own
-// session id — and reports the follow-up resolution rate alongside the
-// latency split (BENCH_dialog.json).
-//
-//	serve -data housing -maxlen 1 -loadgen -dialog -dialogues 200 -turns 4
-//	serve -loadgen -dialog -target http://summaries.internal:8080 -data housing
-//
-// With -snapshot-bench it measures the cold-start story instead of
-// serving: rebuild-from-raw time vs snapshot save + load time on the
-// first dataset, written as BENCH_snapshot.json.
-//
-//	serve -data acs -snapshot-bench BENCH_snapshot.json
+// The daemon only serves; load generation and every measurement of it
+// live in bench/ (bash bench/run.sh).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -69,7 +46,6 @@ import (
 	"cicero/internal/delta"
 	"cicero/internal/engine"
 	"cicero/internal/httpserve"
-	"cicero/internal/load"
 	"cicero/internal/pipeline"
 	"cicero/internal/relation"
 	"cicero/internal/serve"
@@ -80,7 +56,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		data     = flag.String("data", "flights", "single data set: acs, stackoverflow, flights, primaries, housing")
+		data     = flag.String("data", "flights", "single data set: "+strings.Join(dataset.Names(), ", "))
 		datasets = flag.String("datasets", "", "comma-separated data sets to mount (overrides -data); the first is the default")
 		seed     = flag.Int64("seed", 1, "data generation seed")
 		maxLen   = flag.Int("maxlen", 2, "maximal supported query length")
@@ -103,21 +79,6 @@ func main() {
 		cacheEntries = flag.Int("cache", 4096, "answer cache entries (negative disables)")
 		maxInFlight  = flag.Int("max-inflight", 256, "bound on concurrent kernel executions")
 		queueTimeout = flag.Duration("queue-timeout", 100*time.Millisecond, "admission queue timeout")
-
-		loadgen  = flag.Bool("loadgen", false, "run the load-generation harness instead of serving")
-		target   = flag.String("target", "", "loadgen target base URL (empty: in-process server)")
-		requests = flag.Int("requests", 2000, "loadgen request count")
-		loadWork = flag.Int("load-workers", 16, "loadgen client workers")
-		zipf     = flag.Float64("zipf", 1.3, "loadgen popularity skew (>1)")
-		distinct = flag.Int("distinct", 64, "loadgen distinct utterances per kind")
-		loadSeed = flag.Int64("load-seed", 42, "loadgen workload seed")
-		out      = flag.String("out", "BENCH_serve.json", "loadgen result artifact path")
-
-		dialog    = flag.Bool("dialog", false, "with -loadgen: replay multi-turn dialogue sessions instead of one-shot requests")
-		dialogues = flag.Int("dialogues", 200, "dialogue count (with -dialog)")
-		turns     = flag.Int("turns", 4, "maximal turns per dialogue including the opening (with -dialog)")
-
-		snapBench = flag.String("snapshot-bench", "", "measure rebuild vs snapshot cold start on the first dataset, write the report here, and exit")
 	)
 	flag.Parse()
 
@@ -182,36 +143,6 @@ func main() {
 		}
 	}
 
-	if *snapBench != "" {
-		runSnapshotBench(ctx, rels[defName], builder(defName), *snapBench)
-		return
-	}
-
-	loadOpts := load.Options{
-		Requests: *requests, Distinct: *distinct, Zipf: *zipf, Seed: *loadSeed,
-	}
-	dialogOpts := load.DialogOptions{
-		Dialogues: *dialogues, Turns: *turns, Distinct: *distinct, Zipf: *zipf, Seed: *loadSeed,
-	}
-	if *dialog && *out == "BENCH_serve.json" {
-		*out = "BENCH_dialog.json"
-	}
-	if *loadgen {
-		// Replaying against a remote server needs only the relation (for
-		// workload synthesis), not the expensive local pre-processing.
-		if *target != "" {
-			if *dialog {
-				runDialoggen(ctx, nil, rels[defName], defName, dialogOpts, *target, *loadWork, *out)
-			} else {
-				runLoadgen(ctx, nil, rels[defName], defName, loadOpts, *target, *loadWork, *out)
-			}
-			return
-		}
-		// The harness only ever replays against the default dataset, so
-		// mounting the rest would be wasted pre-processing.
-		names = names[:1]
-	}
-
 	// Mount every dataset: snapshot cold start when available, full
 	// pre-processing otherwise (writing the snapshot for the next boot).
 	reg := serve.NewRegistry()
@@ -237,14 +168,6 @@ func main() {
 		QueueTimeout: *queueTimeout,
 	})
 
-	if *loadgen {
-		if *dialog {
-			runDialoggen(ctx, srv, rels[defName], defName, dialogOpts, "", *loadWork, *out)
-		} else {
-			runLoadgen(ctx, srv, rels[defName], defName, loadOpts, "", *loadWork, *out)
-		}
-		return
-	}
 	runDaemon(ctx, srv, *addr, *rebuild, names, rels, *snapDir, fingerprint, builder,
 		serverTimeouts{read: *readTimeout, idle: *idleTimeout, request: *requestTimeout})
 }
@@ -496,297 +419,6 @@ func runDaemon(ctx context.Context, srv *httpserve.Server, addr string, rebuild 
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
 	}
-}
-
-// snapshotBenchResult is the BENCH_snapshot.json shape: the cold-start
-// comparison between re-summarizing a dataset from raw data, decoding
-// its snapshot into the heap, and mmapping the snapshot zero-copy.
-// Every *_load_ns column measures load → first answered query, so the
-// mmap column pays its page faults and index build, not just the map
-// call. Heap columns are GC-settled live-heap deltas attributable to
-// the loaded view; RSS columns are the process-level counterpart
-// (Linux only, 0 elsewhere).
-type snapshotBenchResult struct {
-	Benchmark     string        `json:"benchmark"`
-	Dataset       string        `json:"dataset"`
-	Speeches      int           `json:"speeches"`
-	SnapshotBytes int64         `json:"snapshot_bytes"`
-	RebuildNS     time.Duration `json:"rebuild_from_raw_ns"`
-	SaveNS        time.Duration `json:"snapshot_save_ns"`
-	ColdStartNS   time.Duration `json:"snapshot_load_ns"`
-	Speedup       float64       `json:"cold_start_speedup"`
-
-	MmapColdNS      time.Duration `json:"mmap_load_ns"`
-	MmapSpeedup     float64       `json:"mmap_vs_decode_speedup"`
-	MmapBacked      bool          `json:"mmap_backed"`
-	DecodeHeapBytes uint64        `json:"decode_heap_bytes"`
-	MmapHeapBytes   uint64        `json:"mmap_heap_bytes"`
-	DecodeRSSBytes  int64         `json:"decode_rss_bytes"`
-	MmapRSSBytes    int64         `json:"mmap_rss_bytes"`
-}
-
-// settledHeap returns the live heap after a forced GC settle.
-func settledHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
-}
-
-// processRSS reads the resident set size from /proc/self/statm; 0 when
-// the platform has no procfs.
-func processRSS() int64 {
-	b, err := os.ReadFile("/proc/self/statm")
-	if err != nil {
-		return 0
-	}
-	fields := strings.Fields(string(b))
-	if len(fields) < 2 {
-		return 0
-	}
-	var pages int64
-	if _, err := fmt.Sscan(fields[1], &pages); err != nil {
-		return 0
-	}
-	return pages * int64(os.Getpagesize())
-}
-
-// heapDelta returns a-b, clamped: GC noise can make the "after" sample
-// smaller than the baseline.
-func heapDelta(after, before uint64) uint64 {
-	if after < before {
-		return 0
-	}
-	return after - before
-}
-
-// runSnapshotBench measures rebuild-from-raw vs heap-decode vs mmap
-// cold starts on one dataset, verifies both loaded views answer
-// identically to the built store, and writes the report.
-func runSnapshotBench(ctx context.Context, rel *relation.Relation, build func(context.Context) (*engine.Store, error), out string) {
-	fmt.Fprintf(os.Stderr, "snapshot bench: pre-processing %s from raw data ...\n", rel.Name())
-	rebuildStart := time.Now()
-	store, err := build(ctx)
-	if err != nil {
-		fatalf("snapshot bench: %v", err)
-	}
-	rebuildTime := time.Since(rebuildStart)
-
-	dir, err := os.MkdirTemp("", "cicero-snap-bench-*")
-	if err != nil {
-		fatalf("snapshot bench: %v", err)
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, rel.Name()+".snap")
-
-	saveStart := time.Now()
-	if err := snapshot.WriteFile(path, store, rel); err != nil {
-		fatalf("snapshot bench: save: %v", err)
-	}
-	saveTime := time.Since(saveStart)
-
-	// The cold-start probe: the first query a booted daemon would serve.
-	store.Freeze()
-	probe := engine.Query{Target: rel.Schema().Targets[0]}
-	if sps := store.Speeches(); len(sps) > 0 {
-		probe = sps[0].Query
-	}
-
-	// Heap decode cold start: best of coldStartIters load+first-query
-	// runs (the artifact is in page cache either way on a freshly
-	// written file, matching a warm restart); the best-of discipline
-	// keeps the microsecond-scale numbers stable against scheduler
-	// noise.
-	const coldStartIters = 10
-	var loadTime time.Duration
-	var loaded *engine.Store
-	heapBase, rssBase := settledHeap(), processRSS()
-	for i := 0; i < coldStartIters; i++ {
-		loadStart := time.Now()
-		loaded, err = snapshot.ReadFile(path, rel)
-		if err != nil {
-			fatalf("snapshot bench: load: %v", err)
-		}
-		loaded.Freeze().Lookup(probe)
-		if d := time.Since(loadStart); i == 0 || d < loadTime {
-			loadTime = d
-		}
-	}
-	decodeHeap := heapDelta(settledHeap(), heapBase)
-	decodeRSS := processRSS() - rssBase
-	if loaded.Len() != store.Len() {
-		fatalf("snapshot bench: loaded %d speeches, built %d", loaded.Len(), store.Len())
-	}
-	for i, sp := range store.Speeches() {
-		got, ok := loaded.Exact(sp.Query)
-		if !ok || got.Text != sp.Text {
-			fatalf("snapshot bench: speech %d diverged after decode", i)
-		}
-	}
-	loaded = nil
-
-	// Mmap cold start: MapFile → first answered query, same best-of.
-	var mmapTime time.Duration
-	var mapped *snapshot.Map
-	heapBase, rssBase = settledHeap(), processRSS()
-	for i := 0; i < coldStartIters; i++ {
-		if mapped != nil {
-			mapped.Close() // no speeches escape between iterations
-		}
-		loadStart := time.Now()
-		mapped, err = snapshot.MapFile(path, rel)
-		if err != nil {
-			fatalf("snapshot bench: mmap: %v", err)
-		}
-		mapped.Lookup(probe)
-		if d := time.Since(loadStart); i == 0 || d < mmapTime {
-			mmapTime = d
-		}
-	}
-	mmapHeap := heapDelta(settledHeap(), heapBase)
-	mmapRSS := processRSS() - rssBase
-	if mapped.Len() != store.Len() {
-		fatalf("snapshot bench: mmapped %d speeches, built %d", mapped.Len(), store.Len())
-	}
-	for i, sp := range store.Speeches() {
-		got, ok := mapped.Exact(sp.Query)
-		if !ok || got.Text != sp.Text {
-			fatalf("snapshot bench: speech %d diverged under mmap", i)
-		}
-	}
-
-	info, err := snapshot.InfoFile(path)
-	if err != nil {
-		fatalf("snapshot bench: info: %v", err)
-	}
-	res := snapshotBenchResult{
-		Benchmark:       "snapshot_cold_start",
-		Dataset:         rel.Name(),
-		Speeches:        store.Len(),
-		SnapshotBytes:   info.Size,
-		RebuildNS:       rebuildTime,
-		SaveNS:          saveTime,
-		ColdStartNS:     loadTime,
-		MmapColdNS:      mmapTime,
-		MmapBacked:      mapped.Mapped(),
-		DecodeHeapBytes: decodeHeap,
-		MmapHeapBytes:   mmapHeap,
-		DecodeRSSBytes:  decodeRSS,
-		MmapRSSBytes:    mmapRSS,
-	}
-	if loadTime > 0 {
-		res.Speedup = float64(rebuildTime) / float64(loadTime)
-	}
-	if mmapTime > 0 {
-		res.MmapSpeedup = float64(loadTime) / float64(mmapTime)
-	}
-	fmt.Printf("dataset:          %s (%d speeches, %d snapshot bytes)\n", res.Dataset, res.Speeches, res.SnapshotBytes)
-	fmt.Printf("rebuild from raw: %v\n", rebuildTime.Round(time.Millisecond))
-	fmt.Printf("snapshot save:    %v\n", saveTime.Round(time.Microsecond))
-	fmt.Printf("snapshot decode:  %v (cold start, %.0fx vs rebuild; heap +%d KiB, rss %+d KiB)\n",
-		loadTime.Round(time.Microsecond), res.Speedup, decodeHeap/1024, decodeRSS/1024)
-	fmt.Printf("snapshot mmap:    %v (cold start, %.0fx vs decode; heap +%d KiB, rss %+d KiB, mapped=%v)\n",
-		mmapTime.Round(time.Microsecond), res.MmapSpeedup, mmapHeap/1024, mmapRSS/1024, res.MmapBacked)
-
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("snapshot bench: %v", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		fatalf("snapshot bench: write: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		fatalf("snapshot bench: close: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-// runLoadgen replays a synthesized workload against target — or, when
-// target is empty, against srv on an in-process loopback listener —
-// and writes the BENCH_serve.json artifact. srv may be nil with a
-// non-empty target. The workload addresses the named dataset through
-// its per-dataset route.
-func runLoadgen(ctx context.Context, srv *httpserve.Server, rel *relation.Relation, name string, opts load.Options, target string, workers int, out string) {
-	opts.TargetPhrases = voice.SpokenTargetPhrases(voice.DefaultSamples(name))
-	texts := load.Generate(rel, opts)
-	fmt.Fprintf(os.Stderr, "generated %d requests (%d distinct, zipf %.2f)\n",
-		len(texts), opts.Distinct, opts.Zipf)
-
-	if target == "" {
-		var close func()
-		target, close = loopbackServer(srv)
-		defer close()
-		fmt.Fprintf(os.Stderr, "replaying against in-process server at %s\n", target)
-	}
-
-	res := load.RunDataset(ctx, nil, target, name, texts, workers)
-	res.Zipf, res.Distinct = opts.Zipf, opts.Distinct
-	fmt.Print(res.Summary())
-	if out != "" {
-		if err := res.WriteFile(out); err != nil {
-			fatalf("write %s: %v", out, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-	}
-	if res.Errors == res.Requests {
-		fatalf("every request failed against %s", target)
-	}
-}
-
-// runDialoggen replays a synthesized multi-turn dialogue workload —
-// opening questions plus elliptical follow-ups, each dialogue under its
-// own session id — and writes the BENCH_dialog.json artifact. The
-// report's headline is the follow-up resolution rate: the fraction of
-// follow-up turns answered against the session context rather than
-// apologized away.
-func runDialoggen(ctx context.Context, srv *httpserve.Server, rel *relation.Relation, name string, opts load.DialogOptions, target string, workers int, out string) {
-	opts.TargetPhrases = voice.SpokenTargetPhrases(voice.DefaultSamples(name))
-	dialogues := load.GenerateDialogues(rel, opts)
-	turns := 0
-	for _, d := range dialogues {
-		turns += len(d.Turns)
-	}
-	fmt.Fprintf(os.Stderr, "generated %d dialogues, %d turns (%d distinct openings, zipf %.2f)\n",
-		len(dialogues), turns, opts.Distinct, opts.Zipf)
-
-	if target == "" {
-		var close func()
-		target, close = loopbackServer(srv)
-		defer close()
-		fmt.Fprintf(os.Stderr, "replaying against in-process server at %s\n", target)
-	}
-
-	res := load.RunDialog(ctx, nil, target, name, dialogues, workers)
-	res.Turns, res.Zipf, res.Distinct = opts.Turns, opts.Zipf, opts.Distinct
-	fmt.Print(res.Summary())
-	if out != "" {
-		if err := res.WriteFile(out); err != nil {
-			fatalf("write %s: %v", out, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-	}
-	if res.Errors == res.Requests {
-		fatalf("every request failed against %s", target)
-	}
-}
-
-// loopbackServer exposes srv on an ephemeral loopback listener for the
-// in-process harness runs.
-func loopbackServer(srv *httpserve.Server) (string, func()) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("loadgen listener: %v", err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "loadgen server: %v\n", err)
-		}
-	}()
-	return "http://" + ln.Addr().String(), func() { httpSrv.Close() }
 }
 
 func fatalf(format string, args ...any) {

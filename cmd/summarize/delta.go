@@ -1,11 +1,8 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
@@ -23,7 +20,6 @@ type deltaFlags struct {
 	synth    int    // -delta-synth: synthesize this many ops instead
 	basePath string // -delta-base: base snapshot to patch (empty: build in-process)
 	patchOut string // -patch-out: write the patch artifact here
-	benchOut string // -delta-bench: write BENCH_delta.json here
 	show     int
 }
 
@@ -31,8 +27,7 @@ type deltaFlags struct {
 // re-summarizing the whole data set it ingests a row delta, re-solves
 // only the problems the changed rows can influence, and emits the
 // patched store — optionally as a patch artifact (base fingerprint +
-// delta journal + upserts) that cmd/serve replays at cold start, and
-// optionally benchmarked against the from-scratch rebuild it replaces.
+// delta journal + upserts) that cmd/serve replays at cold start.
 func runDelta(ctx context.Context, rel *relation.Relation, cfg engine.Config, solverName string, seed int64, popts pipeline.Options, f deltaFlags) {
 	baseFP := pipeline.Fingerprint(seed, cfg, solverName)
 
@@ -103,10 +98,6 @@ func runDelta(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 		res.Solved, res.Retained, res.Removed, applyTime.Round(time.Millisecond))
 
 	p := delta.NewPatch(baseFP, pipeline.FingerprintDelta(seed, cfg, solverName, b.Tag()), b, res)
-	var patchBuf bytes.Buffer
-	if err := snapshot.WritePatch(&patchBuf, p); err != nil {
-		fail("encode patch: %v", err)
-	}
 	if f.patchOut != "" {
 		if err := os.MkdirAll(filepath.Dir(f.patchOut), 0o755); err != nil {
 			fail("patch-out: %v", err)
@@ -114,12 +105,12 @@ func runDelta(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 		if err := snapshot.WritePatchFile(f.patchOut, p); err != nil {
 			fail("patch-out: %v", err)
 		}
+		info, err := os.Stat(f.patchOut)
+		if err != nil {
+			fail("patch-out: %v", err)
+		}
 		fmt.Printf("patch artifact:  %s (%d bytes, %d upserts, %d removals)\n",
-			f.patchOut, patchBuf.Len(), len(p.Upserts), len(p.RemovedKeys))
-	}
-
-	if f.benchOut != "" {
-		writeDeltaBench(ctx, f.benchOut, rel, next, cfg, popts, seed, b, res, applyTime, patchBuf.Len())
+			f.patchOut, info.Size(), len(p.Upserts), len(p.RemovedKeys))
 	}
 
 	if f.show > 0 && len(res.Upserts) > 0 {
@@ -130,95 +121,6 @@ func runDelta(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 			}
 			fmt.Printf("  [%s]\n    %s\n", sp.Query.String(), sp.Text)
 		}
-	}
-}
-
-// deltaBench is the BENCH_delta.json shape: the incremental publish
-// measured against the full rebuild it replaces, with a bit-parity
-// verdict over sampled queries. CI diffs it against the committed
-// baseline: parity_ok must stay true and speedup must stay above the
-// incremental-ingestion bar.
-type deltaBench struct {
-	Benchmark     string  `json:"benchmark"`
-	Dataset       string  `json:"dataset"`
-	Rows          int     `json:"rows"`
-	Ops           int     `json:"ops"`
-	DirtyProblems int     `json:"dirty_problems"`
-	TotalProblems int     `json:"total_problems"`
-	Solved        int     `json:"solved"`
-	Retained      int     `json:"retained"`
-	Removed       int     `json:"removed"`
-	FullDirty     bool    `json:"full_dirty"`
-	ApplyNS       int64   `json:"apply_ns"`
-	RebuildNS     int64   `json:"rebuild_ns"`
-	Speedup       float64 `json:"speedup"`
-	ParityQueries int     `json:"parity_queries"`
-	ParityOK      bool    `json:"parity_ok"`
-	PatchBytes    int     `json:"patch_bytes"`
-}
-
-// writeDeltaBench re-summarizes the deltaed relation from scratch (the
-// path the incremental apply replaces), then verifies the patched store
-// answers bit-identically on up to 500 sampled queries — plus a
-// speech-count check so parity cannot pass by answering a subset.
-func writeDeltaBench(ctx context.Context, out string, baseRel, next *relation.Relation, cfg engine.Config, popts pipeline.Options, seed int64, b delta.Batch, res *delta.Result, applyTime time.Duration, patchBytes int) {
-	rebuildStart := time.Now()
-	oracle, _, err := pipeline.Run(ctx, next, cfg, popts)
-	if err != nil {
-		fail("delta-bench rebuild: %v", err)
-	}
-	rebuildTime := time.Since(rebuildStart)
-
-	const parityTarget = 500
-	speeches := oracle.Speeches()
-	parityOK := res.Store.Len() == oracle.Len()
-	rng := rand.New(rand.NewSource(seed))
-	queries := 0
-	for i := 0; i < parityTarget && len(speeches) > 0; i++ {
-		want := speeches[rng.Intn(len(speeches))]
-		queries++
-		got, ok := res.Store.Exact(want.Query)
-		if !ok || got.Text != want.Text || got.Utility != want.Utility {
-			parityOK = false
-			fmt.Fprintf(os.Stderr, "summarize: parity violation at [%s]: got %q want %q\n",
-				want.Query.String(), got.Text, want.Text)
-			break
-		}
-	}
-
-	bench := deltaBench{
-		Benchmark:     "delta_publish",
-		Dataset:       baseRel.Name(),
-		Rows:          next.NumRows(),
-		Ops:           len(b.Ops),
-		DirtyProblems: res.DirtyProblems,
-		TotalProblems: res.TotalProblems,
-		Solved:        res.Solved,
-		Retained:      res.Retained,
-		Removed:       res.Removed,
-		FullDirty:     res.FullDirty,
-		ApplyNS:       applyTime.Nanoseconds(),
-		RebuildNS:     rebuildTime.Nanoseconds(),
-		ParityQueries: queries,
-		ParityOK:      parityOK,
-		PatchBytes:    patchBytes,
-	}
-	if applyTime > 0 {
-		bench.Speedup = float64(rebuildTime) / float64(applyTime)
-	}
-	fmt.Printf("rebuild oracle:  %v (apply was %.1fx faster), parity %v over %d queries\n",
-		rebuildTime.Round(time.Millisecond), bench.Speedup, parityOK, queries)
-
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		fail("delta-bench: %v", err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fail("delta-bench: %v", err)
-	}
-	fmt.Printf("bench artifact:  %s\n", out)
-	if !parityOK {
-		fail("patched store diverged from the from-scratch rebuild")
 	}
 }
 

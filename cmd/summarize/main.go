@@ -2,15 +2,15 @@
 // system through the streaming pipeline: it generates speech answers for
 // every supported query of a data set and prints them (or a sample)
 // together with batch and per-stage statistics. The batch is
-// interruptible (ctrl-C) and, with a checkpoint file, resumable from the
-// last completed problem.
+// interruptible (ctrl-C or SIGTERM) and, with a checkpoint file,
+// resumable from the last completed problem.
 //
 // Usage:
 //
 //	summarize -data flights [-solver G-O] [-maxlen 2] [-facts 3] [-show 5]
 //	summarize -csv data.csv -config config.json [-solver E]
 //	summarize -data acs -checkpoint acs.ckpt            # first attempt
-//	summarize -data acs -checkpoint acs.ckpt -resume    # after a ctrl-C
+//	summarize -data acs -checkpoint acs.ckpt -resume    # after an interrupt
 //	summarize -data acs -snapshot-out snapshots/acs.snap
 //	  # emit the deployable binary artifact cmd/serve cold-starts from
 //
@@ -18,28 +18,28 @@
 // runs the incremental path instead: only the problems the changed rows
 // can influence are re-solved against the base store (-delta-base, or
 // built in-process), and -patch-out emits the patch artifact cmd/serve
-// replays over the base snapshot at cold start. -delta-bench measures
-// the incremental publish against the full rebuild it replaces and
-// verifies bit-parity (BENCH_delta.json).
+// replays over the base snapshot at cold start.
 //
-//	summarize -data acs -prior zero -delta-synth 8 -delta-bench BENCH_delta.json
+//	summarize -data acs -prior zero -delta-synth 8 -patch-out snapshots/acs.patch
 //	summarize -data acs -delta ops.json -delta-base snapshots/acs.snap -patch-out snapshots/acs.patch
+//
+// The batch and the incremental publish are measured by bench/
+// (preprocess_greedy, preprocess_exact, publish_under_read).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
-	"cicero/internal/experiments"
 	"cicero/internal/pipeline"
 	"cicero/internal/relation"
 	"cicero/internal/snapshot"
@@ -48,11 +48,10 @@ import (
 
 func main() {
 	var (
-		dataName   = flag.String("data", "flights", "built-in data set: acs, stackoverflow, flights, primaries")
+		dataName   = flag.String("data", "flights", "built-in data set: "+strings.Join(dataset.Names(), ", "))
 		csvPath    = flag.String("csv", "", "CSV file to summarize instead of a built-in data set")
 		configPath = flag.String("config", "", "JSON configuration file (required with -csv)")
 		solver     = flag.String("solver", "", "registered solver: "+strings.Join(pipeline.Solvers(), ", "))
-		alg        = flag.String("alg", "", "deprecated alias for -solver")
 		maxLen     = flag.Int("maxlen", 2, "maximal query length (predicates)")
 		maxFacts   = flag.Int("facts", 3, "facts per speech")
 		prior      = flag.String("prior", "", "error prior: zero or global-mean (default: config)")
@@ -67,13 +66,11 @@ func main() {
 		resume     = flag.Bool("resume", false, "resume from an existing checkpoint instead of refusing to reuse it")
 		out        = flag.String("out", "", "write the speech store to this JSON file")
 		snapOut    = flag.String("snapshot-out", "", "write the speech store as a binary snapshot (the deployable artifact cmd/serve cold-starts from)")
-		benchOut   = flag.String("bench-out", "", "write the batch statistics as a JSON benchmark artifact (BENCH_summarize.json)")
 
 		deltaFile  = flag.String("delta", "", "row-op journal (JSON) to ingest incrementally instead of a full batch")
 		deltaSynth = flag.Int("delta-synth", 0, "synthesize this many row updates and ingest them incrementally")
 		deltaBase  = flag.String("delta-base", "", "base snapshot the delta patches (empty: build the base in-process)")
 		patchOut   = flag.String("patch-out", "", "write the patch artifact (base fingerprint + delta journal) for cmd/serve cold-start replay")
-		deltaBench = flag.String("delta-bench", "", "benchmark the incremental publish against a full rebuild and verify parity (BENCH_delta.json)")
 	)
 	flag.Parse()
 
@@ -97,14 +94,11 @@ func main() {
 	}
 	solverName := *solver
 	if solverName == "" {
-		solverName = *alg
-	}
-	if solverName == "" {
 		solverName = string(engine.AlgGreedyOpt)
 	}
 
 	if *deltaFile != "" || *deltaSynth > 0 {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		popts := pipeline.Options{
 			Solver:  solverName,
@@ -116,7 +110,6 @@ func main() {
 			synth:    *deltaSynth,
 			basePath: *deltaBase,
 			patchOut: *patchOut,
-			benchOut: *deltaBench,
 			show:     *show,
 		})
 		return
@@ -131,9 +124,9 @@ func main() {
 		}
 	}
 
-	// ctrl-C cancels the batch; the pipeline returns within one
+	// ctrl-C or SIGTERM cancels the batch; the pipeline returns within one
 	// problem's solve time and the checkpoint keeps completed problems.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	opts := pipeline.Options{
@@ -220,14 +213,6 @@ func main() {
 		}
 	}
 
-	if *benchOut != "" {
-		if err := writeBenchArtifact(*benchOut, rel, solverName, cfg, stats); err != nil {
-			fmt.Fprintln(os.Stderr, "summarize: bench-out:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench artifact:  %s\n", *benchOut)
-	}
-
 	if *show > 0 {
 		fmt.Printf("\nsample speeches:\n")
 		for i, sp := range store.Speeches() {
@@ -237,59 +222,6 @@ func main() {
 			fmt.Printf("  [%s]\n    %s\n", sp.Query.String(), sp.Text)
 		}
 	}
-}
-
-// writeBenchArtifact records the batch statistics as a stable JSON
-// shape, so CI runs can be diffed against the committed
-// BENCH_summarize.json baseline. Besides the pipeline's batch numbers
-// it runs the exact-kernel probe (experiments.RunExactKernelProbe):
-// sequential-vs-parallel solve times and the warm-vs-cold incumbent
-// node counts on one deterministic instance, with the parallel worker
-// count pinned at 4 so the committed baseline is independent of the
-// builder's core count (timings are ratio-compared by CI, the node
-// counts exactly).
-func writeBenchArtifact(path string, rel *relation.Relation, solverName string, cfg engine.Config, stats pipeline.Stats) error {
-	kernel := experiments.RunExactKernelProbe(1, 4)
-	artifact := struct {
-		Dataset     string                       `json:"dataset"`
-		Rows        int                          `json:"rows"`
-		Solver      string                       `json:"solver"`
-		MaxQueryLen int                          `json:"max_query_len"`
-		Problems    int                          `json:"problems"`
-		Speeches    int                          `json:"speeches"`
-		ElapsedNS   int64                        `json:"elapsed_ns"`
-		PerQueryNS  int64                        `json:"per_query_ns"`
-		AvgUtility  float64                      `json:"avg_scaled_utility"`
-		EvaluateNS  int64                        `json:"stage_evaluate_ns"`
-		SolveNS     int64                        `json:"stage_solve_ns"`
-		RenderNS    int64                        `json:"stage_render_ns"`
-		SinkNS      int64                        `json:"stage_sink_ns"`
-		TimedOut    int                          `json:"timed_out"`
-		Failed      int                          `json:"failed"`
-		ExactKernel experiments.ExactKernelProbe `json:"exact_kernel"`
-	}{
-		Dataset:     rel.Name(),
-		Rows:        rel.NumRows(),
-		Solver:      solverName,
-		MaxQueryLen: cfg.MaxQueryLen,
-		Problems:    stats.Problems,
-		Speeches:    stats.Speeches,
-		ElapsedNS:   stats.Elapsed.Nanoseconds(),
-		PerQueryNS:  stats.PerQuery.Nanoseconds(),
-		AvgUtility:  stats.AvgScaledUtility(),
-		EvaluateNS:  stats.Stages.Evaluate.Nanoseconds(),
-		SolveNS:     stats.Stages.Solve.Nanoseconds(),
-		RenderNS:    stats.Stages.Render.Nanoseconds(),
-		SinkNS:      stats.Stages.Sink.Nanoseconds(),
-		TimedOut:    stats.TimedOut,
-		Failed:      stats.Failed,
-		ExactKernel: kernel,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // loadInput resolves the input relation and configuration. rows
@@ -318,18 +250,9 @@ func loadInput(dataName, csvPath, configPath string, seed int64, rows int) (*rel
 	if rows <= 0 {
 		rows = dataset.DefaultRows[name]
 	}
-	var rel *relation.Relation
-	switch name {
-	case "acs":
-		rel = dataset.ACS(rows, seed)
-	case "stackoverflow":
-		rel = dataset.StackOverflow(rows, seed)
-	case "flights":
-		rel = dataset.Flights(rows, seed)
-	case "primaries":
-		rel = dataset.Primaries(rows, seed)
-	default:
-		return nil, engine.Config{}, fmt.Errorf("unknown data set %q (want acs, stackoverflow, flights or primaries)", dataName)
+	rel := dataset.ByNameRows(name, rows, seed)
+	if rel == nil {
+		return nil, engine.Config{}, fmt.Errorf("unknown data set %q (want one of %s)", dataName, strings.Join(dataset.Names(), ", "))
 	}
 	return rel, engine.DefaultConfig(rel), nil
 }

@@ -13,7 +13,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -21,6 +23,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"cicero"
@@ -50,6 +54,61 @@ func preprocess(ctx context.Context, rel *relation.Relation, targets []string, m
 	fmt.Printf("pre-processed %s: %d speeches in %v (%v per query)\n",
 		rel.Name(), stats.Speeches, stats.Elapsed.Round(time.Millisecond), stats.PerQuery.Round(time.Microsecond))
 	return store
+}
+
+// replayReport is what one replay observed from the client side.
+type replayReport struct {
+	Requests, Errors, Cached int
+	Elapsed                  time.Duration
+}
+
+func (r replayReport) String() string {
+	return fmt.Sprintf("%d requests in %v (%.0f req/s), %d errors, %.1f%% cache hits",
+		r.Requests, r.Elapsed.Round(time.Millisecond), float64(r.Requests)/r.Elapsed.Seconds(),
+		r.Errors, 100*float64(r.Cached)/float64(r.Requests))
+}
+
+// replay posts texts to one dataset's answer route from the given
+// number of concurrent clients, counting failures and the answers the
+// server served from its cache.
+func replay(base, ds string, texts []string, workers int) replayReport {
+	// One pooled connection per worker, so the replay exercises the
+	// serving tier rather than TCP handshakes.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = workers
+	client := &http.Client{Transport: tr}
+	defer tr.CloseIdleConnections()
+
+	url := base + "/v1/" + ds + "/answer"
+	var errs, cached atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(texts); i += workers {
+				body, _ := json.Marshal(httpserve.AnswerRequest{Text: texts[i]})
+				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs.Add(1)
+					continue
+				}
+				var ans httpserve.AnswerResponse
+				if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&ans) != nil {
+					errs.Add(1)
+				} else if ans.Cached {
+					cached.Add(1)
+				}
+				resp.Body.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
+	return replayReport{
+		Requests: len(texts), Errors: int(errs.Load()), Cached: int(cached.Load()),
+		Elapsed: time.Since(start),
+	}
 }
 
 func main() {
@@ -137,10 +196,8 @@ func main() {
 		Requests: 1500, Distinct: 32, Zipf: 1.3, Seed: 43,
 		TargetPhrases: voice.SpokenTargetPhrases(voice.DefaultSamples("acs")),
 	})
-	flightsRep := load.RunDataset(ctx, nil, base, "flights", flightsTexts, 12)
-	fmt.Printf("flights workload: %s", flightsRep.Summary())
-	acsRep := load.RunDataset(ctx, nil, base, "acs", acsTexts, 8)
-	fmt.Printf("acs workload:     %s\n", acsRep.Summary())
+	fmt.Printf("flights workload: %v\n", replay(base, "flights", flightsTexts, 12))
+	fmt.Printf("acs workload:     %v\n\n", replay(base, "acs", acsTexts, 8))
 
 	// ── Per-dataset hot swap under fire: while both datasets serve
 	// load, the flights store is rebuilt with two-predicate coverage
@@ -148,10 +205,10 @@ func main() {
 	// is untouched: its cache must stay warm, and no request on either
 	// dataset may fail.
 	fmt.Println("rebuilding flights with two-predicate coverage while both datasets serve ...")
-	flightsDone := make(chan load.Result, 1)
-	acsDone := make(chan load.Result, 1)
-	go func() { flightsDone <- load.RunDataset(ctx, nil, base, "flights", flightsTexts, 8) }()
-	go func() { acsDone <- load.RunDataset(ctx, nil, base, "acs", acsTexts, 6) }()
+	flightsDone := make(chan replayReport, 1)
+	acsDone := make(chan replayReport, 1)
+	go func() { flightsDone <- replay(base, "flights", flightsTexts, 8) }()
+	go func() { acsDone <- replay(base, "acs", acsTexts, 6) }()
 
 	cfg2 := cicero.DefaultConfig(flightsRel)
 	cfg2.Targets = []string{"cancelled"}
@@ -169,10 +226,8 @@ func main() {
 	}
 	flightsDuring, acsDuring := <-flightsDone, <-acsDone
 
-	fmt.Printf("flights served %d requests during its swap (p99 %v, %d errors)\n",
-		flightsDuring.Requests, flightsDuring.Latency.P99, flightsDuring.Errors)
-	fmt.Printf("acs served %d requests during the flights swap (p99 %v, %d errors, %.1f%% cache hits)\n",
-		acsDuring.Requests, acsDuring.Latency.P99, acsDuring.Errors, 100*acsDuring.HitRate)
+	fmt.Printf("flights during its swap:    %v\n", flightsDuring)
+	fmt.Printf("acs during the flights swap: %v\n", acsDuring)
 	if flightsDuring.Errors != 0 || acsDuring.Errors != 0 {
 		panic(fmt.Sprintf("hot swap dropped requests: flights=%d acs=%d errors",
 			flightsDuring.Errors, acsDuring.Errors))

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"cicero"
@@ -50,9 +51,7 @@ func main() {
 	// answer voice requests through the unified serving layer.
 	cfg := cicero.DefaultConfig(rel)
 	cfg.MaxQueryLen = 1
-	s := &cicero.Summarizer{Rel: rel, Config: cfg, Alg: cicero.AlgGreedyOpt,
-		Template: tpl}
-	store, _, err := s.Preprocess()
+	store, _, err := cicero.Preprocess(context.Background(), rel, cfg, cicero.PipelineOptions{Template: tpl})
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/relation"
 	"cicero/internal/serve"
 	"cicero/internal/snapshot"
@@ -24,11 +25,9 @@ func buildFlightsSnapshot(t testing.TB, fingerprint string) (string, *relation.R
 	cfg.Targets = []string{"cancelled"}
 	cfg.Dimensions = []string{"season", "airline"}
 	cfg.MaxQueryLen = 1
-	sum := &engine.Summarizer{
-		Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
 		Template: engine.Template{TargetPhrase: "cancellation probability", Percent: true},
-	}
-	store, _, err := sum.Preprocess()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,9 @@ type FaultRule struct {
 // errInjected is the transport error injected by DropProb rules.
 type errInjected struct{ host string }
 
-func (e errInjected) Error() string { return fmt.Sprintf("cluster: injected connection error to %s", e.host) }
+func (e errInjected) Error() string {
+	return fmt.Sprintf("cluster: injected connection error to %s", e.host)
+}
 
 // FaultInjector is an http.RoundTripper that wraps a real transport
 // and injects per-host failures: drops, delays, corruption, synthetic

@@ -21,6 +21,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"cicero/internal/relation"
 )
@@ -404,7 +405,13 @@ func Housing(rows int, seed int64) *relation.Relation {
 // ByName generates a data set by its canonical name using DefaultRows and
 // the given seed. It returns nil for unknown names.
 func ByName(name string, seed int64) *relation.Relation {
-	rows := DefaultRows[name]
+	return ByNameRows(name, DefaultRows[name], seed)
+}
+
+// ByNameRows generates a data set by its canonical name with the given
+// row count; it is the one name → generator table, so every command
+// accepts the same names. It returns nil for unknown names.
+func ByNameRows(name string, rows int, seed int64) *relation.Relation {
 	switch name {
 	case "acs":
 		return ACS(rows, seed)
@@ -419,6 +426,16 @@ func ByName(name string, seed int64) *relation.Relation {
 	default:
 		return nil
 	}
+}
+
+// Names lists the built-in data set names (DefaultRows' keys), sorted.
+func Names() []string {
+	names := make([]string, 0, len(DefaultRows))
+	for name := range DefaultRows {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // All generates the four paper data sets in Table I order.

@@ -148,7 +148,7 @@ func TestPlantedEffectsPrimaries(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"acs", "stackoverflow", "flights", "primaries"} {
+	for _, name := range Names() {
 		rel := ByName(name, 1)
 		if rel == nil {
 			t.Fatalf("ByName(%q) = nil", name)
@@ -156,8 +156,11 @@ func TestByName(t *testing.T) {
 		if rel.NumRows() != DefaultRows[name] {
 			t.Errorf("%s rows = %d, want %d", name, rel.NumRows(), DefaultRows[name])
 		}
+		if sized := ByNameRows(name, 500, 1); sized == nil || sized.NumRows() != 500 {
+			t.Errorf("ByNameRows(%q, 500) did not generate 500 rows", name)
+		}
 	}
-	if ByName("nope", 1) != nil {
+	if ByName("nope", 1) != nil || ByNameRows("nope", 500, 1) != nil {
 		t.Error("unknown name should return nil")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -26,6 +27,30 @@ func smallConfig(rel *relation.Relation) Config {
 		MaxFacts:    3,
 		Prior:       PriorGlobalMean,
 	}
+}
+
+// buildStore is the in-package stand-in for the batch driver (package
+// pipeline imports engine, so these tests cannot use it): the plain
+// sequential batch — enumerate, solve with G-O, render, add.
+func buildStore(t testing.TB, rel *relation.Relation, cfg Config, tmpl Template) *Store {
+	t.Helper()
+	store := NewStore()
+	err := EachProblem(rel, cfg, func(p Problem) error {
+		sum, err := SolveProblem(context.Background(), AlgGreedyOpt, &p, cfg.MaxFactDims,
+			summarize.Options{MaxFacts: cfg.MaxFacts})
+		if err != nil {
+			return err
+		}
+		store.Add(&StoredSpeech{
+			Query: p.Query, Facts: sum.Facts, Utility: sum.Utility, PriorError: sum.PriorError,
+			Text: tmpl.Render(rel, p.Query, sum.Facts),
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.Freeze()
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -182,16 +207,21 @@ func TestProblemsMinSubsetRows(t *testing.T) {
 func TestPreprocessAndLookup(t *testing.T) {
 	rel := smallFlights(t)
 	cfg := smallConfig(rel)
-	s := &Summarizer{Rel: rel, Config: cfg, Alg: AlgGreedyOpt, Template: Template{Unit: "minutes"}}
-	store, stats, err := s.Preprocess()
-	if err != nil {
-		t.Fatal(err)
+	store := buildStore(t, rel, cfg, Template{Unit: "minutes"})
+	if n, err := CountProblems(rel, cfg); err != nil || store.Len() != n || n == 0 {
+		t.Fatalf("store holds %d speeches for %d problems (err %v)", store.Len(), n, err)
 	}
-	if store.Len() != stats.Speeches || stats.Speeches == 0 {
-		t.Fatalf("stats/store mismatch: %d vs %d", store.Len(), stats.Speeches)
+	improved := 0
+	for _, sp := range store.Speeches() {
+		if sp.Utility < 0 || sp.Utility > sp.PriorError*(1+1e-9) {
+			t.Errorf("speech %v: utility %v outside [0, prior error %v]", sp.Query, sp.Utility, sp.PriorError)
+		}
+		if sp.Utility > 0 {
+			improved++
+		}
 	}
-	if stats.AvgScaledUtility() <= 0 || stats.AvgScaledUtility() > 1+1e-9 {
-		t.Errorf("avg scaled utility = %v", stats.AvgScaledUtility())
+	if improved == 0 {
+		t.Error("no speech improves on the prior")
 	}
 
 	// Exact lookup.
@@ -209,19 +239,16 @@ func TestPreprocessAndLookup(t *testing.T) {
 	q2 := Query{Target: "delay", Predicates: []NamedPredicate{
 		{"season", "Winter"}, {"airline", "AA"},
 	}}
-	sp2, latency, ok := Answer(store, q2)
+	sp2, ok := store.Lookup(q2)
 	if !ok {
 		t.Fatal("fallback lookup failed")
 	}
 	if len(sp2.Query.Predicates) != 1 {
 		t.Errorf("fallback should use a 1-predicate speech, got %v", sp2.Query)
 	}
-	if latency <= 0 {
-		t.Error("latency must be measured")
-	}
 
 	// Query for an unknown target has no answer.
-	if _, _, ok := Answer(store, Query{Target: "nope"}); ok {
+	if _, ok := store.Lookup(Query{Target: "nope"}); ok {
 		t.Error("unknown target should not match")
 	}
 }
@@ -285,12 +312,14 @@ func TestAlgorithmsAgreeOnUtilityOrdering(t *testing.T) {
 	problems = problems[:3]
 	utilities := map[Algorithm]float64{}
 	for _, alg := range Algorithms() {
-		s := &Summarizer{Rel: rel, Config: cfg, Alg: alg}
-		_, stats, err := s.PreprocessProblems(problems)
-		if err != nil {
-			t.Fatal(err)
+		for i := range problems {
+			sum, err := SolveProblem(context.Background(), alg, &problems[i], cfg.MaxFactDims,
+				summarize.Options{MaxFacts: cfg.MaxFacts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			utilities[alg] += sum.ScaledUtility()
 		}
-		utilities[alg] = stats.SumScaledUtility
 	}
 	if math.Abs(utilities[AlgGreedyBase]-utilities[AlgGreedyPrune]) > 1e-9 ||
 		math.Abs(utilities[AlgGreedyBase]-utilities[AlgGreedyOpt]) > 1e-9 {
@@ -337,17 +366,16 @@ func TestSolveExactFallsBackToGreedyOnTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Summarizer{Rel: rel, Config: cfg, Alg: AlgExact,
-		Opts: summarize.Options{Timeout: 1}} // 1ns: immediate timeout
-	_, stats, err := s.PreprocessProblems(problems)
+	if len(problems) != 1 {
+		t.Fatalf("problems = %d", len(problems))
+	}
+	sum, err := SolveProblem(context.Background(), AlgExact, &problems[0], cfg.MaxFactDims,
+		summarize.Options{MaxFacts: cfg.MaxFacts, Timeout: 1}) // 1ns: immediate timeout
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Problems != 1 {
-		t.Fatalf("problems = %d", stats.Problems)
-	}
 	// Even with the timeout, the answer has the greedy quality.
-	if stats.AvgScaledUtility() <= 0 {
+	if sum.ScaledUtility() <= 0 {
 		t.Error("timed-out exact should fall back to greedy result")
 	}
 }

@@ -124,11 +124,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		Dimensions: []string{"season"}, MaxQueryLen: 1,
 		MaxFactDims: 2, MaxFacts: 3,
 	}
-	s := &Summarizer{Rel: rel, Config: cfg, Alg: AlgGreedyOpt, Template: Template{Unit: "minutes"}}
-	store, _, err := s.Preprocess()
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := buildStore(t, rel, cfg, Template{Unit: "minutes"})
 
 	var buf strings.Builder
 	if err := store.Save(&buf, rel); err != nil {
@@ -188,37 +184,6 @@ func TestLoadStoreDropsUnresolvableFacts(t *testing.T) {
 	}
 	if len(sp.Facts) != 1 {
 		t.Errorf("facts = %d, want 1 (unresolvable dropped)", len(sp.Facts))
-	}
-}
-
-func TestParallelPreprocessMatchesSequential(t *testing.T) {
-	rel := dataset.Flights(2000, 1)
-	cfg := Config{
-		Dataset: rel.Name(), Targets: []string{"delay"},
-		Dimensions: []string{"season", "airline"}, MaxQueryLen: 1,
-		MaxFactDims: 2, MaxFacts: 3,
-	}
-	seq := &Summarizer{Rel: rel, Config: cfg, Alg: AlgGreedyOpt}
-	seqStore, seqStats, err := seq.Preprocess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := &Summarizer{Rel: rel, Config: cfg, Alg: AlgGreedyOpt, Workers: 4}
-	parStore, parStats, err := par.Preprocess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqStats.Speeches != parStats.Speeches {
-		t.Fatalf("speech counts differ: %d vs %d", seqStats.Speeches, parStats.Speeches)
-	}
-	if diff := seqStats.SumScaledUtility - parStats.SumScaledUtility; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("utilities differ: %v vs %v", seqStats.SumScaledUtility, parStats.SumScaledUtility)
-	}
-	for _, sp := range seqStore.Speeches() {
-		got, ok := parStore.Exact(sp.Query)
-		if !ok || got.Text != sp.Text {
-			t.Fatalf("parallel result differs for %v", sp.Query)
-		}
 	}
 }
 

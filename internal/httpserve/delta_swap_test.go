@@ -97,9 +97,9 @@ func TestCacheFillRacingSwapsNotTaggedWrongGeneration(t *testing.T) {
 		done <- res
 	}()
 
-	<-entered          // fill captured (A, gen 1), kernel parked
-	b.swap(storeB)     // delta publish #1
-	close(gate)        // kernel resumes, computes against B
+	<-entered      // fill captured (A, gen 1), kernel parked
+	b.swap(storeB) // delta publish #1
+	close(gate)    // kernel resumes, computes against B
 	first := <-done
 	if first.Text != "computed on B" {
 		t.Fatalf("racing answer = %q, want the B-computed text", first.Text)

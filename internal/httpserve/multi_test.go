@@ -13,6 +13,7 @@ import (
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/relation"
 	"cicero/internal/serve"
 	"cicero/internal/voice"
@@ -26,9 +27,9 @@ func newACSAnswerer(t testing.TB) *serve.Answerer {
 	cfg := engine.DefaultConfig(rel)
 	cfg.Targets = []string{"hearing"}
 	cfg.MaxQueryLen = 1
-	s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
-		Template: engine.Template{TargetPhrase: "hearing impairment rate"}}
-	store, _, err := s.Preprocess()
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
+		Template: engine.Template{TargetPhrase: "hearing impairment rate"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

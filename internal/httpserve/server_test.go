@@ -13,6 +13,7 @@ import (
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/relation"
 	"cicero/internal/serve"
 	"cicero/internal/voice"
@@ -29,11 +30,9 @@ func buildFlightsStore(t testing.TB, rel *relation.Relation, maxLen int, phrase 
 	cfg.Targets = []string{"cancelled"}
 	cfg.Dimensions = []string{"season", "airline"}
 	cfg.MaxQueryLen = maxLen
-	s := &engine.Summarizer{
-		Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
 		Template: engine.Template{TargetPhrase: phrase, Percent: true},
-	}
-	store, _, err := s.Preprocess()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package httpserve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/serve"
 	"cicero/internal/voice"
 )
@@ -21,9 +23,9 @@ func newHousingAnswerer(t testing.TB) *serve.Answerer {
 	cfg := engine.DefaultConfig(rel)
 	cfg.Targets = []string{"rent"}
 	cfg.MaxQueryLen = 1
-	s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
-		Template: engine.Template{TargetPhrase: "monthly rent", Unit: "dollars"}}
-	store, _, err := s.Preprocess()
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
+		Template: engine.Template{TargetPhrase: "monthly rent", Unit: "dollars"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

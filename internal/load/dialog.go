@@ -1,39 +1,26 @@
 package load
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"os"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
-	"cicero/internal/httpserve"
 	"cicero/internal/relation"
-	"cicero/internal/stats"
 )
 
-// Dialogue workload: instead of independent one-shot requests, the
-// harness synthesizes multi-turn sessions — an opening question plus
-// elliptical follow-ups ("what about Texas", "and the lowest", "how
-// about the top three") — and replays each under its own session id.
-// Turns within a dialogue are strictly sequential (a follow-up only
-// makes sense after its predecessor's answer); dialogues run
-// concurrently against each other. The headline metric is the
-// resolution rate: the fraction of follow-up turns the server answered
-// against the session context rather than apologizing.
+// Dialogue workload: instead of independent one-shot requests, a
+// multi-turn session — an opening question plus elliptical follow-ups
+// ("what about Texas", "and the lowest", "how about the top three") —
+// to be replayed under its own session id. Turns within a dialogue are
+// strictly sequential (a follow-up only makes sense after its
+// predecessor's answer); dialogues may run concurrently against each
+// other.
 
 // Turn is one utterance of a dialogue.
 type Turn struct {
 	Text string `json:"text"`
 	// FollowUp marks a turn that only resolves against the dialogue's
-	// context; these are the turns the resolution rate is measured over.
+	// context; these are the turns a resolution rate is measured over.
 	FollowUp bool `json:"followup"`
 }
 
@@ -162,204 +149,4 @@ func GenerateDialogues(rel *relation.Relation, opts DialogOptions) []Dialogue {
 		dialogues = append(dialogues, d)
 	}
 	return dialogues
-}
-
-// DialogResult is the outcome of one dialogue run, JSON-shaped for
-// BENCH_dialog.json.
-type DialogResult struct {
-	Benchmark  string        `json:"benchmark"`
-	Target     string        `json:"target"`
-	Dataset    string        `json:"dataset,omitempty"`
-	Dialogues  int           `json:"dialogues"`
-	Requests   int           `json:"requests"`
-	Workers    int           `json:"workers"`
-	Errors     int           `json:"errors"`
-	DurationNS time.Duration `json:"duration_ns"`
-	Throughput float64       `json:"throughput_rps"`
-	Latency    LatencyReport `json:"latency"`
-	// FollowUps counts the turns that needed session context; Resolved
-	// counts those the server answered (with any kind but the follow-up
-	// apology); Resolution is their ratio.
-	FollowUps  int     `json:"followups"`
-	Resolved   int     `json:"resolved"`
-	Resolution float64 `json:"resolution_rate"`
-	// ByKind tallies answers per serving kind.
-	ByKind map[string]int `json:"by_kind"`
-	// Turns, Zipf, and Distinct echo the workload shape.
-	Turns    int     `json:"max_turns"`
-	Zipf     float64 `json:"zipf"`
-	Distinct int     `json:"distinct"`
-}
-
-// RunDialog replays dialogues against one named dataset of the server
-// at baseURL (the default dataset when empty). Each dialogue's turns
-// are sent sequentially under its session id; up to workers dialogues
-// are in flight concurrently. Per-request errors are counted, not
-// fatal.
-func RunDialog(ctx context.Context, client *http.Client, baseURL, dataset string, dialogues []Dialogue, workers int) DialogResult {
-	if workers < 1 {
-		workers = 1
-	}
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = workers
-		client = &http.Client{Transport: tr}
-	}
-	url := strings.TrimRight(baseURL, "/") + "/v1/answer"
-	if dataset != "" {
-		url = strings.TrimRight(baseURL, "/") + "/v1/" + dataset + "/answer"
-	}
-
-	// Pre-mark every turn failed, as in RunDataset: a turn the feed loop
-	// never dispatches must count as an error.
-	outcomes := make([][]outcome, len(dialogues))
-	for i, d := range dialogues {
-		outcomes[i] = make([]outcome, len(d.Turns))
-		for j := range outcomes[i] {
-			outcomes[i][j].err = true
-		}
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				d := dialogues[i]
-				for j, turn := range d.Turns {
-					outcomes[i][j] = answerInSession(ctx, client, url, turn.Text, d.Session)
-				}
-			}
-		}()
-	}
-feed:
-	for i := range dialogues {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := DialogResult{
-		Benchmark:  "dialog",
-		Target:     baseURL,
-		Dataset:    dataset,
-		Dialogues:  len(dialogues),
-		Workers:    workers,
-		DurationNS: elapsed,
-		ByKind:     map[string]int{},
-	}
-	var lats []time.Duration
-	var sum time.Duration
-	for i, d := range dialogues {
-		for j, turn := range d.Turns {
-			res.Requests++
-			o := outcomes[i][j]
-			if turn.FollowUp {
-				res.FollowUps++
-			}
-			if o.err {
-				res.Errors++
-				continue
-			}
-			lats = append(lats, o.lat)
-			sum += o.lat
-			if o.lat > res.Latency.Max {
-				res.Latency.Max = o.lat
-			}
-			res.ByKind[o.kind]++
-			if turn.FollowUp && o.answered && o.kind != "followup" {
-				res.Resolved++
-			}
-		}
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.Latency.P50 = stats.PercentileDuration(lats, 0.50)
-		res.Latency.P95 = stats.PercentileDuration(lats, 0.95)
-		res.Latency.P99 = stats.PercentileDuration(lats, 0.99)
-		res.Latency.Mean = sum / time.Duration(len(lats))
-	}
-	if res.FollowUps > 0 {
-		res.Resolution = float64(res.Resolved) / float64(res.FollowUps)
-	}
-	if elapsed > 0 {
-		res.Throughput = float64(res.Requests-res.Errors) / elapsed.Seconds()
-	}
-	return res
-}
-
-// answerInSession sends one dialogue turn under its session id.
-func answerInSession(ctx context.Context, client *http.Client, url, text, session string) (o outcome) {
-	body, _ := json.Marshal(httpserve.AnswerRequest{Text: text, Session: session})
-	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		o.err = true
-		return o
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		o.err = true
-		return o
-	}
-	defer resp.Body.Close()
-	var ans httpserve.AnswerResponse
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&ans) != nil {
-		io.Copy(io.Discard, resp.Body)
-		o.err = true
-		return o
-	}
-	o.lat = time.Since(start)
-	o.kind = ans.Kind
-	o.answered = ans.Answered
-	o.cached = ans.Cached
-	return o
-}
-
-// WriteJSON writes the result as indented JSON.
-func (r DialogResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes the result to path (the BENCH_dialog.json artifact).
-func (r DialogResult) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Summary renders a one-screen human report.
-func (r DialogResult) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "replayed %d dialogues (%d turns) with %d workers in %v (%.0f req/s, %d errors)\n",
-		r.Dialogues, r.Requests, r.Workers, r.DurationNS.Round(time.Millisecond), r.Throughput, r.Errors)
-	fmt.Fprintf(&b, "follow-up resolution %.1f%% (%d of %d)\n",
-		100*r.Resolution, r.Resolved, r.FollowUps)
-	fmt.Fprintf(&b, "latency p50 %v  p95 %v  p99 %v  max %v\n",
-		r.Latency.P50, r.Latency.P95, r.Latency.P99, r.Latency.Max)
-	kinds := make([]string, 0, len(r.ByKind))
-	for k := range r.ByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "  %-12s %d\n", k, r.ByKind[k])
-	}
-	return b.String()
 }

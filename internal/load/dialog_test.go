@@ -1,45 +1,10 @@
 package load
 
 import (
-	"context"
-	"encoding/json"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"cicero/internal/dataset"
-	"cicero/internal/engine"
-	"cicero/internal/httpserve"
-	"cicero/internal/relation"
-	"cicero/internal/serve"
-	"cicero/internal/voice"
 )
-
-// newDialogTarget stands up the housing tenant — the session-capable
-// time-series dataset the dialogue smoke run uses — behind the full
-// HTTP stack.
-func newDialogTarget(t testing.TB) (*httptest.Server, *httpserve.Server, *relation.Relation) {
-	t.Helper()
-	rel := dataset.Housing(6000, 1)
-	cfg := engine.DefaultConfig(rel)
-	cfg.Targets = []string{"rent"}
-	cfg.MaxQueryLen = 1
-	sum := &engine.Summarizer{
-		Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
-		Template: engine.Template{TargetPhrase: "monthly rent", Unit: "dollars"},
-	}
-	store, _, err := sum.Preprocess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := voice.NewExtractor(rel, voice.DefaultSamples("housing"), cfg.MaxQueryLen)
-	a := serve.New(rel, store, ex, serve.Options{})
-	srv := httpserve.New(a, httpserve.Options{})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv, rel
-}
 
 func TestGenerateDialoguesDeterministic(t *testing.T) {
 	rel := dataset.Housing(2000, 1)
@@ -80,85 +45,5 @@ func TestGenerateDialoguesDeterministic(t *testing.T) {
 	}
 	if followups == 0 {
 		t.Fatal("workload has no follow-up turns")
-	}
-}
-
-// TestRunDialogResolution is the harness's own acceptance bar: against
-// a live housing server, a generated dialogue workload must run
-// error-free and resolve (nearly) every follow-up through the session
-// context.
-func TestRunDialogResolution(t *testing.T) {
-	ts, srv, rel := newDialogTarget(t)
-	ds := GenerateDialogues(rel, DialogOptions{
-		Dialogues: 40, Turns: 4, Distinct: 16, Seed: 7,
-		TargetPhrases: voice.SpokenTargetPhrases(voice.DefaultSamples("housing")),
-	})
-	res := RunDialog(context.Background(), ts.Client(), ts.URL, "", ds, 8)
-
-	if res.Errors != 0 {
-		t.Fatalf("%d request errors", res.Errors)
-	}
-	if res.Dialogues != 40 || res.Requests < 80 {
-		t.Errorf("dialogues %d requests %d, want 40 dialogues of >= 2 turns", res.Dialogues, res.Requests)
-	}
-	if res.FollowUps == 0 {
-		t.Fatal("run measured no follow-ups")
-	}
-	if res.Resolution < 0.95 {
-		t.Errorf("resolution %.3f (%d of %d follow-ups), want >= 0.95; by kind %v",
-			res.Resolution, res.Resolved, res.FollowUps, res.ByKind)
-	}
-	// Follow-ups must have resolved into real extremum/ranking answers,
-	// not just echoed summaries.
-	if res.ByKind["extremum"] == 0 || res.ByKind["topk"] == 0 {
-		t.Errorf("dialogue answers missing ranked kinds: %v", res.ByKind)
-	}
-	if res.Latency.P50 <= 0 || res.Latency.P99 < res.Latency.P50 {
-		t.Errorf("implausible latency report %+v", res.Latency)
-	}
-	// Dialogues ran under one live session per dialogue on the server.
-	if n := srv.Sessions(); n != 40 {
-		t.Errorf("server tracked %d sessions, want 40", n)
-	}
-}
-
-func TestDialogResultJSONArtifact(t *testing.T) {
-	ts, _, rel := newDialogTarget(t)
-	ds := GenerateDialogues(rel, DialogOptions{Dialogues: 8, Turns: 3, Distinct: 8, Seed: 3})
-	res := RunDialog(context.Background(), ts.Client(), ts.URL, "", ds, 4)
-	res.Turns, res.Zipf, res.Distinct = 3, 1.3, 8
-
-	path := filepath.Join(t.TempDir(), "BENCH_dialog.json")
-	if err := res.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back DialogResult
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if back.Benchmark != "dialog" || back.Dialogues != 8 || back.Resolved != res.Resolved {
-		t.Errorf("artifact round-trip mismatch: %+v vs %+v", back, res)
-	}
-	if res.Summary() == "" {
-		t.Error("empty human summary")
-	}
-}
-
-func TestRunDialogCancelledCountsErrors(t *testing.T) {
-	ts, _, rel := newDialogTarget(t)
-	ds := GenerateDialogues(rel, DialogOptions{Dialogues: 10, Turns: 3, Seed: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res := RunDialog(ctx, ts.Client(), ts.URL, "", ds, 4)
-	if res.Errors != res.Requests || res.Requests == 0 {
-		t.Fatalf("errors = %d of %d requests, want all (unsent turns must not count as successes)",
-			res.Errors, res.Requests)
-	}
-	if res.Resolution != 0 || len(res.ByKind) != 0 {
-		t.Errorf("aborted run fabricated results: %+v", res)
 	}
 }

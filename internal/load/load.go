@@ -1,31 +1,19 @@
-// Package load is the load-generation harness that measures the serve
-// end of the generate → evaluate → solve → serve flow under realistic
-// pressure: it synthesizes a mixed voice-query workload over a
-// relation — summaries, extrema, comparisons, and repeat requests,
-// with configurable zipf popularity skew — replays it against a
-// server with N concurrent client workers (against one named dataset
-// of a multi-dataset daemon via RunDataset), and reports client-side
-// latency percentiles, throughput, and the answer-cache hit rate.
-// Results marshal to the BENCH_serve.json artifact CI archives.
+// Package load synthesizes the voice-query traffic the benchmark
+// (bench/) replays: Generate renders a mixed one-shot workload over a
+// relation — summaries, extrema, comparisons, and repeat requests, with
+// configurable zipf popularity skew — and GenerateDialogues renders
+// multi-turn sessions of an opening question plus elliptical
+// follow-ups. Both are deterministic in their seed, and golden digests
+// pin what they emit. The package only writes texts; sending them and
+// measuring the replies is bench/'s job.
 package load
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"os"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
-	"cicero/internal/httpserve"
 	"cicero/internal/relation"
-	"cicero/internal/stats"
 )
 
 // Mix weighs the request kinds of a synthesized workload. Zero-valued
@@ -214,233 +202,4 @@ func comparisonPool(rel *relation.Relation, rng *rand.Rand, opts Options) []stri
 		}
 	}
 	return pool
-}
-
-// LatencyReport is the client-observed latency split of one run.
-type LatencyReport struct {
-	P50  time.Duration `json:"p50_ns"`
-	P95  time.Duration `json:"p95_ns"`
-	P99  time.Duration `json:"p99_ns"`
-	Mean time.Duration `json:"mean_ns"`
-	Max  time.Duration `json:"max_ns"`
-}
-
-// Result is the outcome of one load run, JSON-shaped for
-// BENCH_serve.json.
-type Result struct {
-	Benchmark  string        `json:"benchmark"`
-	Target     string        `json:"target"`
-	Dataset    string        `json:"dataset,omitempty"`
-	Requests   int           `json:"requests"`
-	Workers    int           `json:"workers"`
-	Errors     int           `json:"errors"`
-	DurationNS time.Duration `json:"duration_ns"`
-	Throughput float64       `json:"throughput_rps"`
-	Latency    LatencyReport `json:"latency"`
-	// Cached counts answers the server served from its answer cache;
-	// HitRate is Cached over successful requests.
-	Cached  int     `json:"cached"`
-	HitRate float64 `json:"hit_rate"`
-	// Shared counts answers obtained by joining another request's
-	// in-flight computation (singleflight).
-	Shared int `json:"singleflight_shared"`
-	// ByKind tallies answers per serving kind.
-	ByKind map[string]int `json:"by_kind"`
-	// Zipf and Distinct echo the workload shape for reproducibility.
-	Zipf     float64 `json:"zipf"`
-	Distinct int     `json:"distinct"`
-}
-
-// Run replays texts against the server at baseURL with the given
-// number of concurrent workers, via POST /v1/answer single requests
-// (the server's default dataset). Per-request errors are counted, not
-// fatal; transport-level failure of every request surfaces as
-// Errors == Requests.
-func Run(ctx context.Context, client *http.Client, baseURL string, texts []string, workers int) Result {
-	return RunDataset(ctx, client, baseURL, "", texts, workers)
-}
-
-// RunDataset replays texts against one named dataset of a
-// multi-dataset server (POST /v1/{dataset}/answer); an empty dataset
-// targets the default route. See Run for the error contract.
-func RunDataset(ctx context.Context, client *http.Client, baseURL, dataset string, texts []string, workers int) Result {
-	if workers < 1 {
-		workers = 1
-	}
-	if client == nil {
-		// http.DefaultClient keeps only two idle connections per host, so
-		// most workers would pay a TCP handshake per request and the
-		// report would measure connection churn instead of serving
-		// latency. Pool one connection per worker.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = workers
-		client = &http.Client{Transport: tr}
-	}
-	url := strings.TrimRight(baseURL, "/") + "/v1/answer"
-	if dataset != "" {
-		url = strings.TrimRight(baseURL, "/") + "/v1/" + dataset + "/answer"
-	}
-
-	// Pre-mark every request failed: a request the feed loop never
-	// dispatches (ctx cancelled mid-run) must count as an error, not as
-	// a zero-latency success corrupting the percentiles.
-	outcomes := make([]outcome, len(texts))
-	for i := range outcomes {
-		outcomes[i].err = true
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				outcomes[i] = answerOnce(ctx, client, url, texts[i])
-			}
-		}()
-	}
-feed:
-	for i := range texts {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := Result{
-		Benchmark:  "serve",
-		Target:     baseURL,
-		Dataset:    dataset,
-		Requests:   len(texts),
-		Workers:    workers,
-		DurationNS: elapsed,
-		ByKind:     map[string]int{},
-	}
-	lats := make([]time.Duration, 0, len(texts))
-	var sum time.Duration
-	for _, o := range outcomes {
-		if o.err {
-			res.Errors++
-			continue
-		}
-		lats = append(lats, o.lat)
-		sum += o.lat
-		if o.lat > res.Latency.Max {
-			res.Latency.Max = o.lat
-		}
-		if o.cached {
-			res.Cached++
-		}
-		if o.shared {
-			res.Shared++
-		}
-		res.ByKind[o.kind]++
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.Latency.P50 = stats.PercentileDuration(lats, 0.50)
-		res.Latency.P95 = stats.PercentileDuration(lats, 0.95)
-		res.Latency.P99 = stats.PercentileDuration(lats, 0.99)
-		res.Latency.Mean = sum / time.Duration(len(lats))
-		res.HitRate = float64(res.Cached) / float64(len(lats))
-	}
-	if elapsed > 0 {
-		res.Throughput = float64(len(texts)-res.Errors) / elapsed.Seconds()
-	}
-	return res
-}
-
-// outcome is one request's client-side observation. node and stale are
-// populated only behind a cluster router (from the X-Cicero-Node
-// header and the stale marker); begin is the request's start offset
-// from the run start, for the cluster error timeline.
-type outcome struct {
-	lat      time.Duration
-	begin    time.Duration
-	kind     string
-	node     string
-	answered bool
-	cached   bool
-	shared   bool
-	stale    bool
-	err      bool
-}
-
-// answerOnce sends one request and parses the serving metadata.
-func answerOnce(ctx context.Context, client *http.Client, url, text string) (o outcome) {
-	body, _ := json.Marshal(httpserve.AnswerRequest{Text: text})
-	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		o.err = true
-		return o
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		o.err = true
-		return o
-	}
-	defer resp.Body.Close()
-	var ans struct {
-		httpserve.AnswerResponse
-		Stale bool `json:"stale"`
-	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&ans) != nil {
-		io.Copy(io.Discard, resp.Body)
-		o.err = true
-		return o
-	}
-	o.lat = time.Since(start)
-	o.kind = ans.Kind
-	o.cached = ans.Cached
-	o.shared = ans.Shared
-	o.stale = ans.Stale
-	o.node = resp.Header.Get("X-Cicero-Node")
-	return o
-}
-
-// WriteJSON writes the result as indented JSON.
-func (r Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes the result to path (the BENCH_serve.json artifact).
-func (r Result) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Summary renders a one-screen human report.
-func (r Result) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "replayed %d requests with %d workers in %v (%.0f req/s, %d errors)\n",
-		r.Requests, r.Workers, r.DurationNS.Round(time.Millisecond), r.Throughput, r.Errors)
-	fmt.Fprintf(&b, "latency p50 %v  p95 %v  p99 %v  max %v\n",
-		r.Latency.P50, r.Latency.P95, r.Latency.P99, r.Latency.Max)
-	fmt.Fprintf(&b, "cache hit rate %.1f%% (%d cached, %d singleflight-shared)\n",
-		100*r.HitRate, r.Cached, r.Shared)
-	kinds := make([]string, 0, len(r.ByKind))
-	for k := range r.ByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "  %-12s %d\n", k, r.ByKind[k])
-	}
-	return b.String()
 }

@@ -1,45 +1,12 @@
 package load
 
 import (
-	"context"
-	"encoding/json"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"cicero/internal/dataset"
-	"cicero/internal/engine"
-	"cicero/internal/httpserve"
 	"cicero/internal/relation"
-	"cicero/internal/serve"
 	"cicero/internal/voice"
 )
-
-// newLoadTarget stands up the full HTTP stack over a small flights
-// store for the harness to shoot at.
-func newLoadTarget(t testing.TB) (*httptest.Server, *httpserve.Server, *relation.Relation) {
-	t.Helper()
-	rel := dataset.Flights(2000, 1)
-	cfg := engine.DefaultConfig(rel)
-	cfg.Targets = []string{"cancelled"}
-	cfg.Dimensions = []string{"season", "airline"}
-	cfg.MaxQueryLen = 1
-	sum := &engine.Summarizer{
-		Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
-		Template: engine.Template{TargetPhrase: "cancellation probability", Percent: true},
-	}
-	store, _, err := sum.Preprocess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := voice.NewExtractor(rel, voice.DefaultSamples("flights"), 2)
-	a := serve.New(rel, store, ex, serve.Options{})
-	srv := httpserve.New(a, httpserve.Options{})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv, rel
-}
 
 func TestGenerateDeterministicMix(t *testing.T) {
 	rel := dataset.Flights(1000, 1)
@@ -68,93 +35,6 @@ func TestGenerateDeterministicMix(t *testing.T) {
 	}
 	if len(distinct) < 4 {
 		t.Errorf("workload too uniform: %d distinct", len(distinct))
-	}
-}
-
-func TestRunAgainstServer(t *testing.T) {
-	ts, srv, rel := newLoadTarget(t)
-	texts := Generate(rel, Options{
-		Requests: 300, Distinct: 24, Seed: 42,
-		TargetPhrases: voice.SpokenTargetPhrases(voice.DefaultSamples("flights")),
-	})
-	res := Run(context.Background(), ts.Client(), ts.URL, texts, 8)
-
-	if res.Errors != 0 {
-		t.Fatalf("%d request errors", res.Errors)
-	}
-	if res.Requests != 300 {
-		t.Errorf("requests = %d, want 300", res.Requests)
-	}
-	if res.Latency.P50 <= 0 || res.Latency.P99 < res.Latency.P50 {
-		t.Errorf("implausible latency report %+v", res.Latency)
-	}
-	if res.Throughput <= 0 {
-		t.Errorf("throughput = %v", res.Throughput)
-	}
-	// The zipf workload repeats itself, so the answer cache must see
-	// substantial hits — and the server's own counters must agree.
-	if res.HitRate <= 0.2 {
-		t.Errorf("hit rate = %v, want > 0.2 for a zipf workload", res.HitRate)
-	}
-	snap := srv.Stats()
-	if snap.Cache.Hits == 0 || int(snap.Cache.Hits) != res.Cached {
-		t.Errorf("server cache hits %d vs client-observed %d", snap.Cache.Hits, res.Cached)
-	}
-	// Every generated kind reaches the server: summaries dominate,
-	// extrema/comparisons/repeats all present.
-	for _, kind := range []string{"summary", "extremum", "comparison", "repeat"} {
-		if res.ByKind[kind] == 0 {
-			t.Errorf("workload produced no %s answers: %v", kind, res.ByKind)
-		}
-	}
-	if res.ByKind["summary"] <= res.ByKind["extremum"] {
-		t.Errorf("mix not summary-dominated: %v", res.ByKind)
-	}
-}
-
-func TestResultJSONArtifact(t *testing.T) {
-	ts, _, rel := newLoadTarget(t)
-	texts := Generate(rel, Options{
-		Requests: 60, Distinct: 8, Seed: 1,
-		TargetPhrases: voice.SpokenTargetPhrases(voice.DefaultSamples("flights")),
-	})
-	res := Run(context.Background(), ts.Client(), ts.URL, texts, 4)
-	res.Zipf, res.Distinct = 1.3, 8
-
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := res.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Result
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if back.Benchmark != "serve" || back.Requests != 60 || back.Latency.P50 != res.Latency.P50 {
-		t.Errorf("artifact round-trip mismatch: %+v vs %+v", back, res)
-	}
-	if back.Latency.P50 <= 0 || back.Zipf != 1.3 {
-		t.Errorf("artifact missing fields: %+v", back)
-	}
-	if res.Summary() == "" {
-		t.Error("empty human summary")
-	}
-}
-
-func TestRunCancelledCountsErrors(t *testing.T) {
-	ts, _, rel := newLoadTarget(t)
-	texts := Generate(rel, Options{Requests: 50, Distinct: 8, Seed: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // nothing may be dispatched
-	res := Run(ctx, ts.Client(), ts.URL, texts, 4)
-	if res.Errors != 50 {
-		t.Fatalf("errors = %d, want all 50 (unsent requests must not count as successes)", res.Errors)
-	}
-	if res.Latency.P50 != 0 || res.HitRate != 0 || len(res.ByKind) != 0 {
-		t.Errorf("aborted run fabricated results: %+v", res)
 	}
 }
 

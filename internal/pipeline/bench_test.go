@@ -31,10 +31,9 @@ func benchWorkload(b *testing.B) (*relation.Relation, engine.Config, []engine.Pr
 	return rel, cfg, problems
 }
 
-// BenchmarkPreprocess compares the streaming pipeline against the legacy
-// batch pre-processor on the same ~1e3-problem workload. The parallel
-// variant is the production shape; the single-worker variant isolates
-// the streaming overhead against the legacy sequential loop.
+// BenchmarkPreprocess runs the streaming pipeline on a ~1e3-problem
+// workload. The parallel variant is the production shape; the
+// single-worker variant isolates what the workers buy.
 func BenchmarkPreprocess(b *testing.B) {
 	rel, cfg, problems := benchWorkload(b)
 	b.Logf("workload: %d problems over %d rows", len(problems), rel.NumRows())
@@ -55,14 +54,6 @@ func BenchmarkPreprocess(b *testing.B) {
 				Solver: "G-O", Workers: 1,
 			})
 			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt}
-			if _, _, err := s.PreprocessProblems(problems); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,9 +16,9 @@
 // a registry that unifies the paper's optimizing algorithms (E, G-B,
 // G-P, G-O) with the evaluation's sampling and ML baselines.
 //
-// The legacy engine.Summarizer remains as a deprecated compatibility
-// wrapper over the same solving core (engine.Solve); new code should
-// call Run or RunProblems.
+// Run and RunProblems are the only batch drivers; the registry's
+// optimizing solvers call the per-problem core in package engine
+// (engine.Solve).
 package pipeline
 
 import (

@@ -26,16 +26,30 @@ func flightsConfig(rel *relation.Relation) engine.Config {
 	return cfg
 }
 
-// TestRunMatchesLegacySummarizer proves the compatibility contract: the
-// streaming pipeline and the legacy batch produce identical stores for a
-// deterministic solver.
-func TestRunMatchesLegacySummarizer(t *testing.T) {
+// TestRunMatchesSequentialLoop is the parallel ≡ sequential oracle of
+// the batch driver: Run with four solve workers must produce exactly
+// the store of the plainest possible batch — one problem at a time,
+// enumerate → solve → render → add — for a deterministic solver.
+func TestRunMatchesSequentialLoop(t *testing.T) {
 	rel := dataset.Flights(2000, 1)
 	cfg := flightsConfig(rel)
 	tmpl := engine.Template{TargetPhrase: "cancellation probability", Percent: true}
 
-	legacy := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt, Template: tmpl}
-	wantStore, wantStats, err := legacy.Preprocess()
+	wantStore := engine.NewStore()
+	wantUtility := 0.0
+	err := engine.EachProblem(rel, cfg, func(p engine.Problem) error {
+		sum, err := engine.SolveProblem(context.Background(), engine.AlgGreedyOpt, &p,
+			cfg.MaxFactDims, summarize.Options{MaxFacts: cfg.MaxFacts})
+		if err != nil {
+			return err
+		}
+		wantUtility += sum.ScaledUtility()
+		wantStore.Add(&engine.StoredSpeech{
+			Query: p.Query, Facts: sum.Facts, Utility: sum.Utility, PriorError: sum.PriorError,
+			Text: tmpl.Render(rel, p.Query, sum.Facts),
+		})
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +60,12 @@ func TestRunMatchesLegacySummarizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotStats.Problems != wantStats.Problems || gotStats.Speeches != wantStats.Speeches {
-		t.Fatalf("stats differ: pipeline %d/%d, legacy %d/%d",
-			gotStats.Problems, gotStats.Speeches, wantStats.Problems, wantStats.Speeches)
+	if gotStats.Problems != wantStore.Len() || gotStats.Speeches != wantStore.Len() {
+		t.Fatalf("stats differ: pipeline %d problems / %d speeches, sequential loop %d",
+			gotStats.Problems, gotStats.Speeches, wantStore.Len())
 	}
-	if d := gotStats.SumScaledUtility - wantStats.SumScaledUtility; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("utilities differ: %v vs %v", gotStats.SumScaledUtility, wantStats.SumScaledUtility)
+	if d := gotStats.SumScaledUtility - wantUtility; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("utilities differ: %v vs %v", gotStats.SumScaledUtility, wantUtility)
 	}
 	want := wantStore.Speeches()
 	got := gotStore.Speeches()
@@ -59,9 +73,9 @@ func TestRunMatchesLegacySummarizer(t *testing.T) {
 		t.Fatalf("store sizes differ: %d vs %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Query.Key() != want[i].Query.Key() || got[i].Text != want[i].Text {
-			t.Fatalf("speech %d differs:\n  pipeline %s: %q\n  legacy   %s: %q",
-				i, got[i].Query.Key(), got[i].Text, want[i].Query.Key(), want[i].Text)
+		if got[i].Query.Key() != want[i].Query.Key() || got[i].Text != want[i].Text || got[i].Utility != want[i].Utility {
+			t.Fatalf("speech %d differs:\n  pipeline   %s: %q (%v)\n  sequential %s: %q (%v)",
+				i, got[i].Query.Key(), got[i].Text, got[i].Utility, want[i].Query.Key(), want[i].Text, want[i].Utility)
 		}
 	}
 	if !gotStore.Frozen() {
@@ -138,17 +152,20 @@ func TestFailuresExceedWorkersNoDeadlock(t *testing.T) {
 	Register(failingSolver{fail: func(q engine.Query) bool { return len(q.Predicates) > 0 }})
 
 	type outcome struct {
-		store *engine.Store
-		stats Stats
-		err   error
+		store    *engine.Store
+		stats    Stats
+		err      error
+		progress []Progress
 	}
 	runMode := func(continueOnError bool) outcome {
 		ch := make(chan outcome, 1)
 		go func() {
+			var progress []Progress
 			store, stats, err := Run(context.Background(), rel, cfg, Options{
 				Solver: "failing-test-solver", Workers: 2, ContinueOnError: continueOnError,
+				Progress: func(p Progress) { progress = append(progress, p) },
 			})
-			ch <- outcome{store, stats, err}
+			ch <- outcome{store, stats, err, progress}
 		}()
 		select {
 		case o := <-ch:
@@ -181,6 +198,12 @@ func TestFailuresExceedWorkersNoDeadlock(t *testing.T) {
 	}
 	if o.store.Len() != o.stats.Problems {
 		t.Errorf("store holds %d speeches for %d solved problems", o.store.Len(), o.stats.Problems)
+	}
+	// Failures cannot starve the progress stream: every problem, failed
+	// or solved, bumps the done count exactly once.
+	if n := len(o.progress); n != o.stats.Problems+o.stats.Failed || o.progress[n-1].Failed != o.stats.Failed {
+		t.Errorf("%d progress calls for %d solved + %d failed problems (last %+v)",
+			n, o.stats.Problems, o.stats.Failed, o.progress[n-1])
 	}
 	for _, sp := range o.store.Speeches() {
 		if len(sp.Facts) == 0 && sp.Utility == 0 && sp.Text == "" {

@@ -12,6 +12,7 @@ import (
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/voice"
 )
 
@@ -22,8 +23,7 @@ func newSmallAnswerer(t testing.TB, seed int64) *Answerer {
 	cfg := engine.DefaultConfig(rel)
 	cfg.Targets = []string{"hearing"}
 	cfg.MaxQueryLen = 1
-	s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt}
-	store, _, err := s.Preprocess()
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

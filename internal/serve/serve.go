@@ -572,4 +572,3 @@ func (a *Answerer) answerComparison(c voice.Classification, text string) (Answer
 		Answered: true, Query: c.Query,
 	}, true
 }
-

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/voice"
 )
 
@@ -18,11 +20,9 @@ func newFlightsAnswerer(t testing.TB) *Answerer {
 	cfg := engine.DefaultConfig(rel)
 	cfg.Targets = []string{"cancelled"}
 	cfg.MaxQueryLen = 1
-	s := &engine.Summarizer{
-		Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
 		Template: engine.Template{TargetPhrase: "cancellation probability", Percent: true},
-	}
-	store, _, err := s.Preprocess()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

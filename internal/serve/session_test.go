@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/voice"
 )
 
@@ -18,11 +20,9 @@ func newHousingAnswerer(t testing.TB) *Answerer {
 	cfg := engine.DefaultConfig(rel)
 	cfg.Targets = []string{"rent"}
 	cfg.MaxQueryLen = 1
-	s := &engine.Summarizer{
-		Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
 		Template: engine.Template{TargetPhrase: "monthly rent", Unit: "dollars"},
-	}
-	store, _, err := s.Preprocess()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/pipeline"
 	"cicero/internal/voice"
 )
 
@@ -22,11 +23,9 @@ func swapFixture(t testing.TB) (a *Answerer, gen1, gen2 *engine.Store) {
 		cfg.Targets = []string{"cancelled"}
 		cfg.Dimensions = []string{"season", "airline"}
 		cfg.MaxQueryLen = maxLen
-		s := &engine.Summarizer{
-			Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
+		store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
 			Template: engine.Template{TargetPhrase: "cancellation probability", Percent: true},
-		}
-		store, _, err := s.Preprocess()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

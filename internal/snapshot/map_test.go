@@ -330,11 +330,7 @@ func BenchmarkColdStart(b *testing.B) {
 	rel := dataset.ACS(400, 1)
 	cfg := engine.DefaultConfig(rel)
 	cfg.MaxQueryLen = 2
-	s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt}
-	store, _, err := s.Preprocess()
-	if err != nil {
-		b.Fatal(err)
-	}
+	store := solveAll(b, rel, cfg, engine.Template{})
 	var buf bytes.Buffer
 	if err := Write(&buf, store, rel); err != nil {
 		b.Fatal(err)
@@ -379,14 +375,7 @@ func TestSwapStoreAcrossImplementationsRace(t *testing.T) {
 	cfg.Targets = []string{"cancelled"}
 	cfg.Dimensions = []string{"season", "airline"}
 	cfg.MaxQueryLen = 1
-	s := &engine.Summarizer{
-		Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt,
-		Template: engine.Template{TargetPhrase: "cancellation probability", Percent: true},
-	}
-	heap, _, err := s.Preprocess()
-	if err != nil {
-		t.Fatal(err)
-	}
+	heap := solveAll(t, rel, cfg, engine.Template{TargetPhrase: "cancellation probability", Percent: true})
 	path := filepath.Join(t.TempDir(), "flights.snap")
 	if err := WriteFile(path, heap, rel); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -14,23 +15,43 @@ import (
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
 	"cicero/internal/relation"
+	"cicero/internal/summarize"
 )
 
-// buildStore pre-processes a small store for rel. It uses the
-// engine-level summarizer rather than the pipeline to keep this
-// package's test dependencies acyclic (the pipeline itself writes
-// snapshots via Options.SnapshotPath).
+// solveAll pre-processes cfg's problems into a frozen store with the
+// plain sequential batch — enumerate, solve with G-O, render, add. The
+// real batch driver (package pipeline) writes snapshots via
+// Options.SnapshotPath and so imports this package; these in-package
+// tests cannot import it back.
+func solveAll(t testing.TB, rel *relation.Relation, cfg engine.Config, tmpl engine.Template) *engine.Store {
+	t.Helper()
+	store := engine.NewStore()
+	err := engine.EachProblem(rel, cfg, func(p engine.Problem) error {
+		sum, err := engine.SolveProblem(context.Background(), engine.AlgGreedyOpt, &p, cfg.MaxFactDims,
+			summarize.Options{MaxFacts: cfg.MaxFacts})
+		if err != nil {
+			return err
+		}
+		store.Add(&engine.StoredSpeech{
+			Query: p.Query, Facts: sum.Facts, Utility: sum.Utility, PriorError: sum.PriorError,
+			Text: tmpl.Render(rel, p.Query, sum.Facts),
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("pre-processing %s: %v", rel.Name(), err)
+	}
+	return store.Freeze()
+}
+
+// buildStore pre-processes a small default-configuration store for rel.
 func buildStore(t *testing.T, rel *relation.Relation, maxLen int) *engine.Store {
 	t.Helper()
 	cfg := engine.DefaultConfig(rel)
 	cfg.MaxQueryLen = maxLen
-	s := &engine.Summarizer{Rel: rel, Config: cfg, Alg: engine.AlgGreedyOpt}
-	store, _, err := s.Preprocess()
-	if err != nil {
-		t.Fatalf("Preprocess(%s): %v", rel.Name(), err)
-	}
+	store := solveAll(t, rel, cfg, engine.Template{})
 	if store.Len() == 0 {
-		t.Fatalf("Preprocess(%s): empty store", rel.Name())
+		t.Fatalf("pre-processing %s: empty store", rel.Name())
 	}
 	return store
 }
