@@ -31,9 +31,10 @@
 //     comparisons, canned conversational answers for help and repeat —
 //     returning a uniform answer with speech text, latency, and match
 //     metadata. The Answerer serves a frozen store lock-free from any
-//     number of goroutines and holds it behind an atomic pointer, so a
-//     freshly pre-processed store hot-swaps in with zero downtime
-//     (SwapStore/Rebuild); AnswerBatch replays whole query logs with N
+//     number of goroutines and holds it, with the relation it was
+//     summarized from, as one generation behind an atomic pointer, so a
+//     freshly pre-processed store is published with zero downtime
+//     (SwapData); AnswerBatch replays whole query logs with N
 //     workers and reports latency percentiles, and Session adds per-user
 //     conversational state;
 //   - a networked serving tier: an HTTP API (POST /v1/answer single and
@@ -361,8 +362,6 @@ type (
 	ServeSession = serve.Session
 	// BatchResult reports a concurrent query-log replay.
 	BatchResult = serve.BatchResult
-	// LatencyStats aggregates serving latency percentiles.
-	LatencyStats = serve.LatencyStats
 )
 
 // Answer kinds.
@@ -424,7 +423,8 @@ type (
 // ErrOverloaded reports a request shed by admission control (HTTP 503).
 var ErrOverloaded = httpserve.ErrOverloaded
 
-// NewServer builds the HTTP serving tier over an Answerer.
+// NewServer builds the HTTP serving tier over one Answerer, mounted as
+// the one tenant ("default") of a registry server.
 func NewServer(a *Answerer, opts HTTPOptions) *HTTPServer {
 	return httpserve.New(a, opts)
 }

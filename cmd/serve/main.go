@@ -10,8 +10,8 @@
 // binary snapshot (internal/snapshot) in milliseconds when one exists,
 // falling back to a full re-summarization — after which it writes the
 // snapshot so the next boot is fast. With -rebuild it re-runs
-// pre-processing per dataset on an interval, hot-swaps the fresh store
-// in with zero downtime, and refreshes the snapshot artifact.
+// pre-processing per dataset on an interval, publishes the fresh store
+// with zero downtime, and refreshes the snapshot artifact from it.
 //
 // With -patch-dir it additionally replays each dataset's patch artifact
 // (summarize -patch-out) over the base store at cold start: an
@@ -210,18 +210,6 @@ func splitList(s string) []string {
 // snapPath names a dataset's snapshot artifact inside dir.
 func snapPath(dir, name string) string { return filepath.Join(dir, name+".snap") }
 
-// asView adapts a concrete heap-store builder to the StoreView-typed
-// rebuild hooks, guarding against the typed-nil interface trap.
-func asView(b func(context.Context) (*engine.Store, error)) func(context.Context) (engine.StoreView, error) {
-	return func(ctx context.Context) (engine.StoreView, error) {
-		s, err := b(ctx)
-		if err != nil || s == nil {
-			return nil, err
-		}
-		return s, nil
-	}
-}
-
 // bootStore produces one dataset's store view: mmapped zero-copy from
 // its snapshot when a valid one exists (decoded into the heap with
 // -mmap=false), otherwise pre-processed from raw data (and snapshotted
@@ -345,8 +333,8 @@ type serverTimeouts struct {
 
 // runDaemon serves until the context is cancelled (SIGINT/SIGTERM),
 // then shuts down gracefully; the optional rebuild loop re-processes
-// every dataset on its interval, hot-swaps each with zero downtime,
-// and refreshes the snapshot artifacts.
+// every dataset on its interval — build, then publish with zero
+// downtime, then refresh the snapshot artifact from the store it built.
 func runDaemon(ctx context.Context, srv *httpserve.Server, addr string, rebuild time.Duration,
 	names []string, rels map[string]*relation.Relation, snapDir string,
 	fingerprint func(string) string,
@@ -376,26 +364,22 @@ func runDaemon(ctx context.Context, srv *httpserve.Server, addr string, rebuild 
 				}
 				for _, name := range names {
 					start := time.Now()
-					old, err := srv.RebuildFor(ctx, name, asView(builder(name)))
+					store, err := builder(name)(ctx)
+					var old engine.StoreView
+					if err == nil {
+						old, err = srv.SwapDataFor(ctx, name, rels[name], store)
+					}
 					if err != nil {
 						if ctx.Err() == nil {
 							fmt.Fprintf(os.Stderr, "%s: rebuild failed (serving continues on the old store): %v\n", name, err)
 						}
 						continue
 					}
-					stats, _ := srv.DatasetStats(name)
 					fmt.Fprintf(os.Stderr, "%s: rebuilt and hot-swapped in %v (%d -> %d speeches)\n",
-						name, time.Since(start).Round(time.Millisecond), old.Len(), stats.Speeches)
+						name, time.Since(start).Round(time.Millisecond), old.Len(), store.Len())
 					if snapDir != "" {
-						if a, ok := srv.DatasetAnswerer(name); ok {
-							// Rebuilds always swap in heap stores; an mmap view
-							// (possible only on the boot generation) carries no
-							// facts, and its artifact is on disk already.
-							if hs, ok := a.Store().(*engine.Store); ok {
-								if err := snapshot.WriteFileTagged(snapPath(snapDir, name), hs, rels[name], fingerprint(name)); err != nil {
-									fmt.Fprintf(os.Stderr, "%s: snapshot refresh failed: %v\n", name, err)
-								}
-							}
+						if err := snapshot.WriteFileTagged(snapPath(snapDir, name), store, rels[name], fingerprint(name)); err != nil {
+							fmt.Fprintf(os.Stderr, "%s: snapshot refresh failed: %v\n", name, err)
 						}
 					}
 				}

@@ -210,17 +210,8 @@ func main() {
 	go func() { flightsDone <- replay(base, "flights", flightsTexts, 8) }()
 	go func() { acsDone <- replay(base, "acs", acsTexts, 6) }()
 
-	cfg2 := cicero.DefaultConfig(flightsRel)
-	cfg2.Targets = []string{"cancelled"}
-	cfg2.MaxQueryLen = 2
-	old, err := srv.RebuildFor(ctx, "flights", func(ctx context.Context) (engine.StoreView, error) {
-		next, _, err := pipeline.Run(ctx, flightsRel, cfg2, pipeline.Options{
-			Solver:   string(engine.AlgGreedyOpt),
-			Workers:  runtime.GOMAXPROCS(0),
-			Template: flightsTmpl,
-		})
-		return next, err
-	})
+	next := preprocess(ctx, flightsRel, []string{"cancelled"}, 2, flightsTmpl)
+	old, err := srv.SwapDataFor(ctx, "flights", flightsRel, next)
 	if err != nil {
 		panic(err)
 	}
@@ -239,8 +230,7 @@ func main() {
 			acsDuring.Cached, acsDuring.Requests))
 	}
 	fmt.Println("zero errors during the per-dataset hot swap, acs cache fully warm ✓")
-	flightsA, _ := srv.DatasetAnswerer("flights")
-	fmt.Printf("flights store swapped: %d speeches -> %d speeches\n\n", old.Len(), flightsA.Store().Len())
+	fmt.Printf("flights store swapped: %d speeches -> %d speeches\n\n", old.Len(), next.Len())
 
 	// ── The serving tier's own view of the deployment.
 	for _, d := range srv.Datasets() {

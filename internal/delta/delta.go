@@ -4,9 +4,10 @@
 // query/fact-scope structure to the set of dirty problems, re-solves
 // only those on the pooled evaluators via the pipeline's one-problem
 // solver, and assembles a patched store that is bit-identical to a
-// from-scratch rebuild over the same post-delta rows — ready to publish
-// through the serving layer's zero-downtime swap (Registry.SwapData /
-// httpserve.SwapDataFor).
+// from-scratch rebuild over the same post-delta rows — ready to publish,
+// together with those rows, as one generation through the serving
+// layer's one zero-downtime primitive (SwapData on the Answerer, the
+// Registry, or httpserve's SwapDataFor).
 //
 // The correctness argument rests on two invariants. First, a problem is
 // clean exactly when no changed row image (the row as it was before the

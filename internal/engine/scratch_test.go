@@ -48,6 +48,12 @@ func wideStore(t *testing.T) (*Store, Query) {
 // the wide-query fallback: after the pooled scratch warms up, a posting
 // intersection allocates nothing per call.
 func TestLookupPostingAllocFree(t *testing.T) {
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a share of Puts, so the
+		// pooled scratch is re-allocated; CI runs this test in a non-race
+		// step of its own.
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
 	st, q := wideStore(t)
 	ti := st.byTarget[q.Target]
 	// Warm the pool outside the measured region.

@@ -15,13 +15,12 @@ import (
 // touching the kernel. Keys carry the dataset name, so identical
 // texts against different datasets occupy distinct entries. Entries
 // are tagged with the identity of the store they were computed
-// against; a hot swap (SwapStore/Rebuild) makes every old tag
-// mismatch the live store, so stale answers can never be served after
-// a swap — even when the swap happens behind the server's back,
-// directly on the Answerer or the registry. The server's own swap
-// paths additionally purge the swapped dataset's entries eagerly
-// (purgeDataset), freeing their memory without disturbing the cache
-// of any other dataset.
+// against; a publish (SwapData) makes every old tag mismatch the live
+// store, so stale answers can never be served after it — even when the
+// publish happens behind the server's back, directly on the Answerer
+// or the registry. The server's own publish path additionally purges
+// the dataset's entries eagerly (purgeDataset), freeing their memory
+// without disturbing the cache of any other dataset.
 
 // cacheEntry is one cached answer tagged with its dataset and store
 // generation.

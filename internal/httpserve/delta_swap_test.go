@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cicero/internal/engine"
 	"cicero/internal/serve"
@@ -33,12 +34,16 @@ type abaBackend struct {
 	// signals that the call is parked.
 	gate    chan struct{}
 	entered chan struct{}
+	// exitGate, while non-nil, parks the same call once more after it
+	// computed its answer; computed signals that it is parked there.
+	exitGate chan struct{}
+	computed chan struct{}
 }
 
 func (b *abaBackend) Answer(string) serve.Answer {
 	b.mu.Lock()
-	gate, entered := b.gate, b.entered
-	b.gate, b.entered = nil, nil
+	gate, entered, exitGate, computed := b.gate, b.entered, b.exitGate, b.computed
+	b.gate, b.entered, b.exitGate, b.computed = nil, nil, nil, nil
 	b.mu.Unlock()
 	if gate != nil {
 		close(entered)
@@ -47,6 +52,10 @@ func (b *abaBackend) Answer(string) serve.Answer {
 	b.mu.Lock()
 	text := b.text[b.store]
 	b.mu.Unlock()
+	if exitGate != nil {
+		close(computed)
+		<-exitGate
+	}
 	return serve.Answer{Kind: serve.Summary, Text: text, Answered: true}
 }
 
@@ -117,6 +126,58 @@ func TestCacheFillRacingSwapsNotTaggedWrongGeneration(t *testing.T) {
 	}
 	if res.Text != "computed on A" {
 		t.Fatalf("post-rollback answer = %q, want %q", res.Text, "computed on A")
+	}
+}
+
+// TestFlightNotJoinedAcrossReinstall is the singleflight side of the same
+// ABA: a flight that captured store A, computed against B and is still
+// in the air when A is re-installed must not be joined by a request of
+// the new generation — it would hand B's answer out as current. The
+// flight key carries the generation number, so the new request leads a
+// flight of its own.
+func TestFlightNotJoinedAcrossReinstall(t *testing.T) {
+	storeA, storeB := engine.NewStore(), engine.NewStore()
+	b := &abaBackend{
+		store:    storeA,
+		text:     map[engine.StoreView]string{storeA: "computed on A", storeB: "computed on B"},
+		gate:     make(chan struct{}),
+		entered:  make(chan struct{}),
+		exitGate: make(chan struct{}),
+		computed: make(chan struct{}),
+	}
+	gate, entered, exitGate, computed := b.gate, b.entered, b.exitGate, b.computed
+	s := NewWithBackend(b, Options{MaxInFlight: 4})
+
+	old := make(chan Result, 1)
+	go func() {
+		res, _ := s.Answer(context.Background(), "the racy question")
+		old <- res
+	}()
+	<-entered      // the old flight captured (A, gen 0), kernel parked
+	b.swap(storeB) // publish #1
+	close(gate)
+	<-computed     // it computed against B and is parked before returning
+	b.swap(storeA) // publish #2 re-installs A: same store, new number
+
+	fresh := make(chan Result, 1)
+	go func() {
+		res, err := s.Answer(context.Background(), "the racy question")
+		if err != nil {
+			t.Errorf("fresh answer failed: %v", err)
+		}
+		fresh <- res
+	}()
+	select {
+	case res := <-fresh:
+		if res.Shared || res.Text != "computed on A" {
+			t.Errorf("fresh answer = %q (shared=%v), want one computed on A by its own flight", res.Text, res.Shared)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("the new generation's request joined the superseded generation's flight")
+	}
+	close(exitGate)
+	if res := <-old; res.Text != "computed on B" {
+		t.Errorf("old flight answer = %q, want the B-computed text", res.Text)
 	}
 }
 

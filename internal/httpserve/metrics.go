@@ -64,18 +64,14 @@ type AdmissionSnapshot struct {
 
 // StoreSnapshot reports the live speech stores in aggregate: Speeches
 // sums the stores of the Loaded (resident) datasets out of Datasets
-// mounted; Swaps counts hot-swaps across all datasets.
+// mounted; Swaps is the sum of the mounted datasets' generation numbers
+// — every publish since boot, a reload after an eviction included, with
+// an evicted dataset counting the number it was evicted at.
 type StoreSnapshot struct {
 	Speeches int    `json:"speeches"`
 	Datasets int    `json:"datasets,omitempty"`
 	Loaded   int    `json:"loaded,omitempty"`
 	Swaps    uint64 `json:"swaps"`
-}
-
-// datasetMetrics aggregates one dataset's serving traffic.
-type datasetMetrics struct {
-	answers *routeMetrics
-	swaps   atomic.Uint64
 }
 
 // DatasetInfo is one row of the GET /v1/datasets listing.

@@ -19,27 +19,43 @@ type panicBackend struct{}
 func (panicBackend) Answer(text string) serve.Answer { panic("kaboom: " + text) }
 func (panicBackend) Store() engine.StoreView         { return engine.NewStore() }
 
+func (b panicBackend) StoreGen() (engine.StoreView, uint64) { return b.Store(), 0 }
+
 func TestRecoverMiddlewareContainsHandlerPanic(t *testing.T) {
-	s := NewWithBackend(panicBackend{}, Options{CacheEntries: -1})
+	// Two more panics per path than there are admission slots: a path
+	// that leaked its slot on a panic would shed the last two with 503.
+	const maxInFlight, perBody = 2, 4
+	s := NewWithBackend(panicBackend{}, Options{CacheEntries: -1,
+		MaxInFlight: maxInFlight, QueueTimeout: 20 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for i := 0; i < 3; i++ {
-		resp, err := ts.Client().Post(ts.URL+"/v1/answer", "application/json",
-			strings.NewReader(`{"text":"trigger"}`))
-		if err != nil {
-			t.Fatalf("request %d: the panic escaped the middleware: %v", i, err)
-		}
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d, want 500", i, resp.StatusCode)
-		}
-		resp.Body.Close()
+	bodies := []string{
+		`{"text":"trigger"}`,
+		// panicBackend has no dialogue support: the stateless session path.
+		`{"text":"trigger","session":"s"}`,
 	}
-	if got := s.Panics(); got != 3 {
-		t.Fatalf("panics counter = %d, want 3", got)
+	for _, body := range bodies {
+		for i := 0; i < perBody; i++ {
+			resp, err := ts.Client().Post(ts.URL+"/v1/answer", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s request %d: the panic escaped the middleware: %v", body, i, err)
+			}
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("%s request %d: status %d, want 500", body, i, resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
 	}
-	if got := s.Stats().Panics; got != 3 {
-		t.Fatalf("stats panics_total = %d, want 3", got)
+	const want = perBody * 2
+	if got := s.Panics(); got != want {
+		t.Fatalf("panics counter = %d, want %d", got, want)
+	}
+	if got := s.Stats().Panics; got != want {
+		t.Fatalf("stats panics_total = %d, want %d", got, want)
+	}
+	if got := s.Stats().Admission.InFlight; got != 0 {
+		t.Fatalf("admission.in_flight = %d after the panics, want 0: a slot leaked", got)
 	}
 
 	// The server still serves non-panicking routes afterwards.

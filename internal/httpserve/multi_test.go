@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -301,7 +300,7 @@ func TestMultiSwapPurgesOnlyOneDataset(t *testing.T) {
 	}
 
 	gen2 := buildFlightsStore(t, flightsRel(), 1, "chance of cancellation")
-	if _, err := s.SwapStoreFor(ctx, "flights", gen2); err != nil {
+	if _, err := s.SwapDataFor(ctx, "flights", flightsRel(), gen2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,69 +334,94 @@ func TestMultiSwapPurgesOnlyOneDataset(t *testing.T) {
 	}
 }
 
-// TestMultiRegistrySwapBehindServer swaps directly on the registry —
-// behind the server's back — and verifies store-identity tagging still
-// prevents stale answers.
-func TestMultiRegistrySwapBehindServer(t *testing.T) {
-	s, reg := newMultiServer(t, Options{})
+// TestPublishThroughEveryEntryPoint publishes through each of the three
+// entry points — the Answerer itself and the registry (both behind the
+// server's back), and the server — and checks what an operator and the
+// cluster router see: every reported swap count moves by exactly one
+// (a router tags stale answers with /v1/{dataset}/healthz's number, so
+// an unseen publish would let it serve a superseded answer as current),
+// the other dataset's does not move, and the dataset's cached answer is
+// never served again.
+func TestPublishThroughEveryEntryPoint(t *testing.T) {
 	ctx := context.Background()
-	q := "cancellations in Winter"
+	const q = "cancellations in Winter"
+	entryPoints := []struct {
+		name    string
+		publish func(s *Server, reg *serve.Registry, rel *relation.Relation, next engine.StoreView) error
+	}{
+		{"Answerer.SwapData", func(_ *Server, reg *serve.Registry, rel *relation.Relation, next engine.StoreView) error {
+			a, err := reg.Get(ctx, "flights")
+			if err == nil {
+				a.SwapData(rel, next)
+			}
+			return err
+		}},
+		{"Registry.SwapData", func(_ *Server, reg *serve.Registry, rel *relation.Relation, next engine.StoreView) error {
+			_, err := reg.SwapData(ctx, "flights", rel, next)
+			return err
+		}},
+		{"Server.SwapDataFor", func(s *Server, _ *serve.Registry, rel *relation.Relation, next engine.StoreView) error {
+			_, err := s.SwapDataFor(ctx, "flights", rel, next)
+			return err
+		}},
+	}
+	// swaps reads the four reported counts of one dataset over HTTP.
+	swaps := func(t *testing.T, h http.Handler, dataset string) [4]uint64 {
+		t.Helper()
+		var dsHealth, health HealthResponse
+		var dsStats DatasetSnapshot
+		var stats StatsSnapshot
+		for path, into := range map[string]any{
+			"/v1/" + dataset + "/healthz": &dsHealth, "/v1/healthz": &health,
+			"/v1/" + dataset + "/stats": &dsStats, "/v1/stats": &stats,
+		} {
+			rec := getFrom(t, h, path)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s = %d", path, rec.Code)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+		}
+		if stats.Datasets[dataset].Swaps != dsStats.Swaps {
+			t.Fatalf("/v1/stats lists %d swaps for %s, /v1/%s/stats %d",
+				stats.Datasets[dataset].Swaps, dataset, dataset, dsStats.Swaps)
+		}
+		return [4]uint64{dsHealth.Swaps, health.Swaps, dsStats.Swaps, stats.Store.Swaps}
+	}
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			s, reg := newMultiServer(t, Options{})
+			h := s.Handler()
+			if _, err := s.AnswerDataset(ctx, "flights", q); err != nil {
+				t.Fatal(err)
+			}
+			if hit, err := s.AnswerDataset(ctx, "flights", q); err != nil || !hit.Cached {
+				t.Fatalf("not cached: %+v, %v", hit, err)
+			}
+			before, acsBefore := swaps(t, h, "flights"), swaps(t, h, "acs")
 
-	if _, err := s.AnswerDataset(ctx, "flights", q); err != nil {
-		t.Fatal(err)
-	}
-	if hit, err := s.AnswerDataset(ctx, "flights", q); err != nil || !hit.Cached {
-		t.Fatalf("not cached: %+v, %v", hit, err)
-	}
-
-	gen2 := buildFlightsStore(t, flightsRel(), 1, "chance of cancellation")
-	if _, err := reg.SwapStore(ctx, "flights", gen2); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.AnswerDataset(ctx, "flights", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Cached || !strings.Contains(after.Text, "chance of cancellation") {
-		t.Fatalf("stale answer after behind-the-back swap: %+v", after)
-	}
-	// The registry's swap count surfaces in the dataset stats.
-	if stats, _ := s.DatasetStats("flights"); stats.Swaps != 1 {
-		t.Fatalf("swaps = %d, want 1 from registry view", stats.Swaps)
-	}
-}
-
-// TestMultiRebuildFor exercises the per-dataset rebuild path, including
-// the error case keeping the old store and cache.
-func TestMultiRebuildFor(t *testing.T) {
-	s, _ := newMultiServer(t, Options{})
-	ctx := context.Background()
-	q := "cancellations in Winter"
-
-	if _, err := s.AnswerDataset(ctx, "flights", q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RebuildFor(ctx, "flights", func(context.Context) (engine.StoreView, error) {
-		return nil, fmt.Errorf("build exploded")
-	}); err == nil {
-		t.Fatal("failed rebuild reported success")
-	}
-	if hit, err := s.AnswerDataset(ctx, "flights", q); err != nil || !hit.Cached {
-		t.Fatalf("failed rebuild purged the cache: %+v, %v", hit, err)
-	}
-
-	gen2 := buildFlightsStore(t, flightsRel(), 1, "chance of cancellation")
-	if _, err := s.RebuildFor(ctx, "flights", func(context.Context) (engine.StoreView, error) {
-		return gen2, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.AnswerDataset(ctx, "flights", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(after.Text, "chance of cancellation") {
-		t.Fatalf("rebuild did not take: %q", after.Text)
+			rel := flightsRel()
+			if err := ep.publish(s, reg, rel, buildFlightsStore(t, rel, 1, "chance of cancellation")); err != nil {
+				t.Fatal(err)
+			}
+			after, err := s.AnswerDataset(ctx, "flights", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Cached || !strings.Contains(after.Text, "chance of cancellation") {
+				t.Fatalf("superseded answer after the publish: %+v", after)
+			}
+			now := swaps(t, h, "flights")
+			for i, route := range []string{"/v1/flights/healthz", "/v1/healthz", "/v1/flights/stats", "/v1/stats"} {
+				if now[i] != before[i]+1 {
+					t.Errorf("%s: swaps %d -> %d, want +1", route, before[i], now[i])
+				}
+			}
+			if acsNow := swaps(t, h, "acs"); acsNow[0] != acsBefore[0] || acsNow[2] != acsBefore[2] {
+				t.Errorf("the flights publish moved acs: %v -> %v", acsBefore, acsNow)
+			}
+		})
 	}
 }
 

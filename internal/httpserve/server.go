@@ -8,11 +8,11 @@
 //   - a sharded LRU answer cache keyed by (dataset, canonicalized
 //     request text). Answers are deterministic per (store, text), so
 //     repeats are served without touching the kernel; entries are
-//     tagged with the store generation they were computed against and
-//     therefore invalidate themselves the moment a hot swap
-//     (SwapStore/Rebuild) replaces the store — no stale answer can
-//     survive a swap, and a swap on one dataset never disturbs another
-//     dataset's entries;
+//     tagged with the store they were computed against and therefore
+//     invalidate themselves the moment a publish (SwapData) replaces
+//     the dataset's generation — no stale answer can survive a publish,
+//     and a publish on one dataset never disturbs another dataset's
+//     entries;
 //   - singleflight deduplication, so a burst of identical
 //     cache-missing requests executes the kernel exactly once per
 //     (dataset, store generation);
@@ -54,31 +54,17 @@ import (
 type Backend interface {
 	// Answer serves one raw voice request.
 	Answer(text string) serve.Answer
-	// Store returns the live speech store; its identity defines the
-	// cache and singleflight generation.
+	// Store returns the live speech store.
 	Store() engine.StoreView
-}
-
-// generationBackend is the optional Backend extension a swap-generation
-// counter rides in on (*serve.Answerer implements it). Store identity
-// alone cannot order swaps: when a view is re-installed — a rollback,
-// or a delta publish that reuses the base store — the pointer repeats,
-// and a cache fill racing two swaps could tag an answer computed
-// against the intermediate store with the re-installed one (an ABA).
-// The generation is unique per publish, so "unchanged across the
-// kernel call" proves the answer was computed against the tagged store.
-type generationBackend interface {
+	// StoreGen returns the live store with the number of the publish
+	// that installed it, as one consistent pair. Store identity defines
+	// the cache and singleflight key but cannot order publishes: when a
+	// store is re-installed — a rollback, or a delta publish that reuses
+	// the base — the pointer repeats. The number is unique per publish,
+	// so "unchanged across the kernel call" proves an answer was
+	// computed against the store it is tagged with; it is also the
+	// dataset's reported swap count.
 	StoreGen() (engine.StoreView, uint64)
-}
-
-// storeGen loads the backend's live store, with its swap generation
-// when the backend exposes one (tracked == true).
-func storeGen(b Backend) (store engine.StoreView, gen uint64, tracked bool) {
-	if gb, ok := b.(generationBackend); ok {
-		store, gen = gb.StoreGen()
-		return store, gen, true
-	}
-	return b.Store(), 0, false
 }
 
 // DefaultDataset is the dataset name a single-tenant server mounts its
@@ -99,6 +85,9 @@ type tenantSet interface {
 	get(ctx context.Context, name string) (Backend, error)
 	// peek returns the backend only if it is currently resident.
 	peek(name string) (Backend, bool)
+	// generation returns the dataset's generation number without
+	// loading it (0 for unknown names).
+	generation(name string) uint64
 }
 
 // singleSet mounts one fixed backend under one name.
@@ -125,6 +114,14 @@ func (s singleSet) peek(name string) (Backend, bool) {
 	return s.b, true
 }
 
+func (s singleSet) generation(name string) uint64 {
+	if name != s.name {
+		return 0
+	}
+	_, gen := s.b.StoreGen()
+	return gen
+}
+
 // registrySet mounts every dataset of a serve.Registry.
 type registrySet struct{ reg *serve.Registry }
 
@@ -147,6 +144,8 @@ func (r registrySet) peek(name string) (Backend, bool) {
 	}
 	return a, true
 }
+
+func (r registrySet) generation(name string) uint64 { return r.reg.Generation(name) }
 
 // Options tunes the HTTP serving tier. The zero value gives production
 // defaults.
@@ -223,22 +222,20 @@ type Result struct {
 	Shared bool
 }
 
-// Server is the HTTP serving tier over one Backend or a multi-dataset
-// registry. Create with New (production, single dataset), NewMulti
-// (production, serve.Registry) or NewWithBackend (tests); it is safe
-// for concurrent use.
+// Server is the HTTP serving tier over a dataset registry or one
+// Backend. Create with NewMulti (serve.Registry), New (one Answerer, as
+// a one-tenant registry) or NewWithBackend (tests); it is safe for
+// concurrent use.
 type Server struct {
 	tenants  tenantSet
 	defName  string          // dataset the legacy /v1/* routes resolve to ("" = none)
-	answerer *serve.Answerer // non-nil iff single-tenant over a *serve.Answerer
-	registry *serve.Registry // non-nil iff built with NewMulti
+	registry *serve.Registry // nil iff built with NewWithBackend
 	opts     Options
 	cache    *answerCache  // nil when caching is disabled
 	sessions *sessionTable // nil when dialogue sessions are disabled
 	flights  *flightGroup
 	sem      chan struct{}
 	started  time.Time
-	swaps    atomic.Uint64
 	rejected atomic.Uint64
 	panics   atomic.Uint64
 	mux      *http.ServeMux
@@ -248,23 +245,25 @@ type Server struct {
 	mHealthz *routeMetrics
 	mStats   *routeMetrics
 
-	// Per-dataset answer metrics and swap counters, lazily created.
+	// Per-dataset answer metrics, lazily created.
 	dsMu sync.RWMutex
-	ds   map[string]*datasetMetrics
+	ds   map[string]*routeMetrics
 }
 
-// New builds the HTTP tier over a production Answerer mounted as the
-// default dataset; the Server's SwapStore/Rebuild delegate to it and
-// purge its cache entries eagerly.
+// New builds the HTTP tier over one production Answerer: a one-tenant
+// registry mounting it as DefaultDataset, served like any NewMulti
+// server.
 func New(a *serve.Answerer, opts Options) *Server {
-	s := NewWithBackend(a, opts)
-	s.answerer = a
-	return s
+	reg := serve.NewRegistry()
+	if err := reg.Add(DefaultDataset, a); err != nil {
+		panic("httpserve: " + err.Error())
+	}
+	return NewMulti(reg, DefaultDataset, opts)
 }
 
 // NewMulti builds the HTTP tier over a dataset registry: every
 // registered dataset is served under /v1/{dataset}/answer, with lazy
-// loading and per-dataset hot swap. defaultDataset names the tenant
+// loading and per-dataset publish. defaultDataset names the tenant
 // the legacy /v1/answer route resolves to; empty means the legacy
 // route answers 404 and clients must address datasets explicitly.
 func NewMulti(reg *serve.Registry, defaultDataset string, opts Options) *Server {
@@ -274,9 +273,9 @@ func NewMulti(reg *serve.Registry, defaultDataset string, opts Options) *Server 
 }
 
 // NewWithBackend builds the HTTP tier over any Backend, mounted as the
-// default dataset. SwapStore and Rebuild are unavailable (they need a
-// *serve.Answerer), but cache invalidation still tracks Store identity
-// automatically.
+// default dataset. SwapDataFor is unavailable (it publishes through a
+// registry), but cache invalidation still tracks the backend's own
+// publishes through StoreGen.
 func NewWithBackend(b Backend, opts Options) *Server {
 	return newServer(singleSet{name: DefaultDataset, b: b}, DefaultDataset, opts)
 }
@@ -294,7 +293,7 @@ func newServer(tenants tenantSet, defName string, opts Options) *Server {
 		mAnswer:  newRouteMetrics(opts.LatencyWindow),
 		mHealthz: newRouteMetrics(opts.LatencyWindow),
 		mStats:   newRouteMetrics(opts.LatencyWindow),
-		ds:       make(map[string]*datasetMetrics),
+		ds:       make(map[string]*routeMetrics),
 	}
 	if opts.CacheEntries > 0 {
 		s.cache = newAnswerCache(opts.CacheEntries, opts.CacheShards)
@@ -315,7 +314,7 @@ func newServer(tenants tenantSet, defName string, opts Options) *Server {
 }
 
 // dataset returns (creating if needed) the per-dataset metrics slot.
-func (s *Server) dataset(name string) *datasetMetrics {
+func (s *Server) dataset(name string) *routeMetrics {
 	s.dsMu.RLock()
 	m := s.ds[name]
 	s.dsMu.RUnlock()
@@ -325,7 +324,7 @@ func (s *Server) dataset(name string) *datasetMetrics {
 	s.dsMu.Lock()
 	defer s.dsMu.Unlock()
 	if m = s.ds[name]; m == nil {
-		m = &datasetMetrics{answers: newRouteMetrics(s.opts.LatencyWindow)}
+		m = newRouteMetrics(s.opts.LatencyWindow)
 		s.ds[name] = m
 	}
 	return m
@@ -367,7 +366,7 @@ func (s *Server) AnswerDataset(ctx context.Context, dataset, text string) (Resul
 		return Result{}, err
 	}
 	key := tenantKey(dataset, text)
-	store, gen, tracked := storeGen(b)
+	store, gen := b.StoreGen()
 	if s.cache != nil {
 		if ans, ok := s.cache.get(key, store); ok {
 			ans.Latency = time.Since(start)
@@ -380,27 +379,18 @@ func (s *Server) AnswerDataset(ctx context.Context, dataset, text string) (Resul
 	// wait stays bounded by the queue timeout, and the only shareable
 	// error is ErrOverloaded — a genuine system-wide condition. Joiners
 	// honor their own ctx inside do.
-	ans, shared, err := s.flights.do(ctx, flightKey{store: store, key: key}, func() (serve.Answer, error) {
+	ans, shared, err := s.flights.do(ctx, flightKey{store: store, gen: gen, key: key}, func() (serve.Answer, error) {
 		if err := s.acquire(); err != nil {
 			return serve.Answer{}, err
 		}
 		defer func() { <-s.sem }()
 		ans := b.Answer(text)
 		if s.cache != nil {
-			// Fill only when no swap landed during the kernel call. The
-			// backend loads its store inside Answer, after our capture: a
-			// swap in between means ans may have been computed against a
-			// store other than the one captured above, and tagging it with
-			// the captured identity would let a later re-install of that
-			// view (same pointer, new generation) serve the mismatched
-			// answer as current. Store identity cannot detect this — the
-			// generation can: it is unique per publish, so an unchanged
-			// generation proves the live store never moved. Backends
-			// without a generation (test fakes) keep the old best-effort
-			// fill; their stores are never re-installed.
-			if !tracked {
-				s.cache.put(key, dataset, store, ans)
-			} else if _, now, _ := storeGen(b); now == gen {
+			// Fill only when no publish landed during the kernel call:
+			// otherwise ans may come from a store other than the captured
+			// one, and a later re-install of that store would serve it as
+			// current.
+			if _, now := b.StoreGen(); now == gen {
 				s.cache.put(key, dataset, store, ans)
 			}
 		}
@@ -432,116 +422,26 @@ func (s *Server) acquire() error {
 	}
 }
 
-// SwapStore swaps the live store of the default dataset's Answerer and
-// purges that dataset's cache entries eagerly (entries would
-// self-invalidate by store identity anyway; purging frees their memory
-// now). Panics when the Server was built over a custom Backend; for a
-// multi-dataset server use SwapStoreFor.
-func (s *Server) SwapStore(next engine.StoreView) engine.StoreView {
-	if s.answerer == nil {
-		if s.registry != nil && s.defName != "" {
-			old, err := s.SwapStoreFor(context.Background(), s.defName, next)
-			if err != nil {
-				panic("httpserve: SwapStore on default dataset: " + err.Error())
-			}
-			return old
-		}
-		panic("httpserve: SwapStore requires a *serve.Answerer backend")
-	}
-	old := s.answerer.SwapStore(next)
-	s.afterSwap(s.defName)
-	return old
-}
-
-// SwapStoreFor hot-swaps the live store of one named dataset, loading
-// it first if necessary, and purges exactly that dataset's cache
-// entries — other datasets keep their cache. Requires a registry
-// server (NewMulti).
-func (s *Server) SwapStoreFor(ctx context.Context, dataset string, next engine.StoreView) (engine.StoreView, error) {
-	if s.registry == nil {
-		panic("httpserve: SwapStoreFor requires a registry server (NewMulti)")
-	}
-	old, err := s.registry.SwapStore(ctx, dataset, next)
-	if err != nil {
-		return nil, err
-	}
-	s.afterSwap(dataset)
-	return old, nil
-}
-
-// SwapDataFor publishes a post-delta generation — the patched store
-// plus the relation the rows now look like — for one named dataset,
-// purging exactly that dataset's cache entries. This is the HTTP-tier
-// seam the incremental ingestion path (internal/delta) publishes
-// through; it has the same zero-downtime semantics as SwapStoreFor.
-// Requires a registry server (NewMulti).
+// SwapDataFor publishes a new generation — next, and the relation it
+// was summarized from — for one named dataset, loading it first if
+// necessary, and frees exactly that dataset's cache entries (they
+// would self-invalidate by store identity anyway; purging frees their
+// memory now, and other datasets keep their cache). This is the
+// HTTP-tier publish seam for periodic re-summarization and the
+// incremental ingestion path (internal/delta) alike. Requires a
+// registry server (New or NewMulti).
 func (s *Server) SwapDataFor(ctx context.Context, dataset string, rel *relation.Relation, next engine.StoreView) (engine.StoreView, error) {
 	if s.registry == nil {
-		panic("httpserve: SwapDataFor requires a registry server (NewMulti)")
+		panic("httpserve: SwapDataFor requires a registry server (New or NewMulti)")
 	}
 	old, err := s.registry.SwapData(ctx, dataset, rel, next)
 	if err != nil {
 		return nil, err
 	}
-	s.afterSwap(dataset)
-	return old, nil
-}
-
-// Rebuild re-runs pre-processing through build and hot-swaps the
-// result into the default dataset with zero downtime, purging its
-// cache entries on success.
-func (s *Server) Rebuild(ctx context.Context, build func(context.Context) (engine.StoreView, error)) (engine.StoreView, error) {
-	if s.answerer == nil {
-		if s.registry != nil && s.defName != "" {
-			return s.RebuildFor(ctx, s.defName, build)
-		}
-		panic("httpserve: Rebuild requires a *serve.Answerer backend")
-	}
-	old, err := s.answerer.Rebuild(ctx, build)
-	if err != nil {
-		return nil, err
-	}
-	s.afterSwap(s.defName)
-	return old, nil
-}
-
-// RebuildFor re-runs pre-processing for one named dataset and
-// hot-swaps the result in with zero downtime; on error the dataset's
-// old store keeps serving and its cache survives. Requires a registry
-// server (NewMulti).
-func (s *Server) RebuildFor(ctx context.Context, dataset string, build func(context.Context) (engine.StoreView, error)) (engine.StoreView, error) {
-	if s.registry == nil {
-		panic("httpserve: RebuildFor requires a registry server (NewMulti)")
-	}
-	old, err := s.registry.Rebuild(ctx, dataset, build)
-	if err != nil {
-		return nil, err
-	}
-	s.afterSwap(dataset)
-	return old, nil
-}
-
-// afterSwap accounts one store swap on a dataset and frees exactly
-// that dataset's cache entries.
-func (s *Server) afterSwap(dataset string) {
-	s.swaps.Add(1)
-	s.dataset(dataset).swaps.Add(1)
 	if s.cache != nil {
 		s.cache.purgeDataset(dataset)
 	}
-}
-
-// DatasetAnswerer returns the production Answerer of a loaded dataset,
-// for callers needing direct store access — e.g. the daemon
-// snapshotting a freshly rebuilt store. It never triggers a load.
-func (s *Server) DatasetAnswerer(name string) (*serve.Answerer, bool) {
-	if s.registry != nil {
-		return s.registry.Peek(name)
-	}
-	if name == s.defName && s.answerer != nil {
-		return s.answerer, true
-	}
-	return nil, false
+	return old, nil
 }
 
 // Datasets lists the mounted datasets with residency and live store
@@ -567,19 +467,11 @@ func (s *Server) DatasetStats(dataset string) (DatasetSnapshot, error) {
 	if !s.tenants.has(dataset) {
 		return DatasetSnapshot{}, fmt.Errorf("%w: %q", serve.ErrUnknownDataset, dataset)
 	}
-	m := s.dataset(dataset)
 	snap := DatasetSnapshot{
 		Name:    dataset,
 		Default: dataset == s.defName,
-		Answers: m.answers.snapshot(),
-		Swaps:   m.swaps.Load(),
-	}
-	if s.registry != nil {
-		// Swaps performed directly on the registry (behind the server's
-		// back) still count; take the larger of the two views.
-		if rs := s.registry.Swaps(dataset); rs > snap.Swaps {
-			snap.Swaps = rs
-		}
+		Answers: s.dataset(dataset).snapshot(),
+		Swaps:   s.tenants.generation(dataset),
 	}
 	if b, ok := s.tenants.peek(dataset); ok {
 		snap.Loaded = true
@@ -588,16 +480,19 @@ func (s *Server) DatasetStats(dataset string) (DatasetSnapshot, error) {
 	return snap, nil
 }
 
-// loadedSpeeches sums the store sizes of the currently resident
-// datasets; lazy tenants are never loaded just to be counted.
-func (s *Server) loadedSpeeches() (speeches, loaded int) {
-	for _, name := range s.tenants.names() {
+// storeSnapshot aggregates the mounted datasets; lazy tenants are never
+// loaded just to be counted.
+func (s *Server) storeSnapshot() StoreSnapshot {
+	names := s.tenants.names()
+	snap := StoreSnapshot{Datasets: len(names)}
+	for _, name := range names {
+		snap.Swaps += s.tenants.generation(name)
 		if b, ok := s.tenants.peek(name); ok {
-			speeches += b.Store().Len()
-			loaded++
+			snap.Speeches += b.Store().Len()
+			snap.Loaded++
 		}
 	}
-	return speeches, loaded
+	return snap
 }
 
 // Stats snapshots the serving metrics (the GET /v1/stats payload).
@@ -617,9 +512,7 @@ func (s *Server) Stats() StatsSnapshot {
 			Rejected:    s.rejected.Load(),
 		},
 	}
-	snap.Store.Speeches, snap.Store.Loaded = s.loadedSpeeches()
-	snap.Store.Datasets = len(s.tenants.names())
-	snap.Store.Swaps = s.swaps.Load()
+	snap.Store = s.storeSnapshot()
 	snap.Datasets = make(map[string]DatasetSnapshot)
 	for _, name := range s.tenants.names() {
 		if ds, err := s.DatasetStats(name); err == nil {
@@ -742,7 +635,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", dataset))
 		return
 	}
-	dsMetrics = s.dataset(dataset).answers
+	dsMetrics = s.dataset(dataset)
 
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -874,14 +767,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	speeches, loaded := s.loadedSpeeches()
+	store := s.storeSnapshot()
 	failed = false
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
-		Speeches: speeches,
-		Datasets: len(s.tenants.names()),
-		Loaded:   loaded,
-		Swaps:    s.swaps.Load(),
+		Speeches: store.Speeches,
+		Datasets: store.Datasets,
+		Loaded:   store.Loaded,
+		Swaps:    store.Swaps,
 		UptimeNS: time.Since(s.started),
 	})
 }
@@ -905,7 +798,7 @@ func (s *Server) handleDatasetHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{
 		Status:   "ok",
 		Speeches: snap.Speeches,
-		Swaps:    snap.Swaps, // same reconciled view as /v1/{dataset}/stats
+		Swaps:    snap.Swaps,
 		UptimeNS: time.Since(s.started),
 	}
 	if snap.Loaded {

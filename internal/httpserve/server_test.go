@@ -251,6 +251,8 @@ func (b *blockingBackend) Answer(text string) serve.Answer {
 
 func (b *blockingBackend) Store() engine.StoreView { return b.store }
 
+func (b *blockingBackend) StoreGen() (engine.StoreView, uint64) { return b.store, 0 }
+
 func TestAdmissionControl(t *testing.T) {
 	b := &blockingBackend{
 		store:   engine.NewStore(),
@@ -334,8 +336,10 @@ func TestSwapInvalidatesCache(t *testing.T) {
 		t.Fatalf("gen1 answer %q misses gen1 phrase", before.Text)
 	}
 
-	// Swap through the server: the cache is purged eagerly.
-	s.SwapStore(gen2)
+	// Publish through the server: the cache is purged eagerly.
+	if _, err := s.SwapDataFor(ctx, DefaultDataset, rel, gen2); err != nil {
+		t.Fatal(err)
+	}
 	after, err := s.Answer(ctx, q)
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +359,7 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	if hit, err := s.Answer(ctx, q); err != nil || !hit.Cached {
 		t.Fatalf("warm gen2 answer not cached (err %v)", err)
 	}
-	a.SwapStore(gen1)
+	a.SwapData(rel, gen1)
 	sneaky, err := s.Answer(ctx, q)
 	if err != nil {
 		t.Fatal(err)
@@ -366,40 +370,8 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	if !strings.Contains(sneaky.Text, "cancellation probability") {
 		t.Errorf("behind-the-back swap answer %q misses gen1 phrase", sneaky.Text)
 	}
-}
-
-func TestServerRebuild(t *testing.T) {
-	rel := flightsRel()
-	gen2 := buildFlightsStore(t, rel, 1, "chance of cancellation")
-	s, _, _ := newTestServer(t, Options{})
-	ctx := context.Background()
-
-	if _, err := s.Answer(ctx, "cancellations in Winter"); err != nil {
-		t.Fatal(err)
-	}
-	old, err := s.Rebuild(ctx, func(context.Context) (engine.StoreView, error) {
-		return gen2, nil
-	})
-	if err != nil || old == nil {
-		t.Fatalf("rebuild: old=%v err=%v", old, err)
-	}
-	res, err := s.Answer(ctx, "cancellations in Winter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached || !strings.Contains(res.Text, "chance of cancellation") {
-		t.Errorf("post-rebuild answer = %+v, want fresh gen2 answer", res)
-	}
-
-	// A failing rebuild leaves the live store untouched.
-	if _, err := s.Rebuild(ctx, func(context.Context) (engine.StoreView, error) {
-		return nil, fmt.Errorf("boom")
-	}); err == nil {
-		t.Fatal("failing rebuild reported success")
-	}
-	if res, err := s.Answer(ctx, "cancellations in Winter"); err != nil ||
-		!strings.Contains(res.Text, "chance of cancellation") {
-		t.Errorf("store changed after failed rebuild: %+v err=%v", res, err)
+	if got := s.Stats().Store.Swaps; got != 2 {
+		t.Errorf("swaps = %d after the behind-the-back publish, want 2", got)
 	}
 }
 

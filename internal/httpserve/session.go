@@ -90,7 +90,7 @@ func (t *sessionTable) len() int {
 }
 
 // purgeDataset drops every dialogue of one dataset (used when a tenant
-// is torn down; a store swap deliberately keeps dialogues alive — the
+// is torn down; a publish deliberately keeps dialogues alive — the
 // context owns its strings and outlives store generations).
 func (t *sessionTable) purgeDataset(dataset string) {
 	prefix := dataset + "\x00"
@@ -125,8 +125,8 @@ func (s *Server) AnswerSession(ctx context.Context, dataset, session, text strin
 		if err := s.acquire(); err != nil {
 			return Result{}, err
 		}
+		defer func() { <-s.sem }()
 		ans := b.Answer(text)
-		<-s.sem
 		ans.Latency = time.Since(start)
 		return Result{Answer: ans}, nil
 	}

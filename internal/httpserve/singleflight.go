@@ -12,13 +12,15 @@ import (
 // Singleflight deduplication: when a burst of identical requests
 // misses the cache simultaneously, only the first one (the leader)
 // executes the kernel; the rest join the in-flight computation and
-// share its result. Flights are keyed by (store identity, canonical
-// text) so a request admitted after a hot swap can never join a flight
-// still computing against the previous store generation.
+// share its result. Flights are keyed by (store identity, generation
+// number, canonical text) so a request admitted after a publish can
+// never join a flight still computing against a previous generation —
+// not even one of the same store object, re-installed since.
 
 // flightKey identifies one deduplicated computation.
 type flightKey struct {
 	store engine.StoreView
+	gen   uint64
 	key   string
 }
 

@@ -29,6 +29,8 @@ func (b *gateBackend) Answer(text string) serve.Answer {
 
 func (b *gateBackend) Store() engine.StoreView { return b.store }
 
+func (b *gateBackend) StoreGen() (engine.StoreView, uint64) { return b.store, 0 }
+
 // TestSingleflightExactlyOnce releases a burst of identical requests
 // that all miss the cache at once: exactly one must reach the backend;
 // every caller gets the leader's answer.
@@ -102,6 +104,12 @@ func (b *genBackend) Answer(text string) serve.Answer {
 }
 
 func (b *genBackend) Store() engine.StoreView { return b.store.Load() }
+
+// StoreGen numbers a store by its index: every store is installed once.
+func (b *genBackend) StoreGen() (engine.StoreView, uint64) {
+	s := b.store.Load()
+	return s, uint64(b.gen[s])
+}
 
 func (b *genBackend) index(s engine.StoreView) int { return b.gen[s] }
 
@@ -194,7 +202,7 @@ func TestStressCacheDuringSwaps(t *testing.T) {
 
 // TestStressRealAnswererSwap drives the production stack — Answerer +
 // HTTP tier — with concurrent identical and distinct queries while
-// Server.SwapStore advances through real store generations whose speech
+// Server.SwapDataFor advances through real store generations whose speech
 // templates carry a unique generation marker. Every answer must carry
 // the marker of a generation that was live at some point during the
 // request — never one from before it started.
@@ -247,7 +255,9 @@ func TestStressRealAnswererSwap(t *testing.T) {
 
 	for i := 1; i < generations; i++ {
 		time.Sleep(3 * time.Millisecond)
-		s.SwapStore(stores[i])
+		if _, err := s.SwapDataFor(context.Background(), DefaultDataset, rel, stores[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	time.Sleep(3 * time.Millisecond)
 	close(stop)

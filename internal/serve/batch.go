@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"time"
+
+	"cicero/internal/stats"
 )
 
 // This file is the concurrent half of the serving layer: a batch mode
@@ -11,12 +12,6 @@ import (
 // the workload shape of the ROADMAP's heavy-multi-user north star. The
 // latency percentiles it reports are the serving-side counterpart of the
 // paper's Figure 10 lookup-latency measurement.
-
-// LatencyStats summarizes per-request serving latency.
-type LatencyStats struct {
-	P50, P95, P99 time.Duration
-	Mean, Max     time.Duration
-}
 
 // BatchResult is the outcome of replaying a request log.
 type BatchResult struct {
@@ -29,7 +24,7 @@ type BatchResult struct {
 	// Throughput is requests per second over the batch.
 	Throughput float64
 	// Latency aggregates the per-request serving latencies.
-	Latency LatencyStats
+	Latency stats.LatencySnapshot
 }
 
 // AnswerBatch replays texts against the Answerer with the given number of
@@ -65,42 +60,16 @@ func (a *Answerer) AnswerBatch(texts []string, workers int) BatchResult {
 		wg.Wait()
 	}
 	res := BatchResult{Answers: answers, Elapsed: time.Since(start)}
-	lats := make([]time.Duration, 0, len(answers))
-	var sum time.Duration
-	for _, ans := range answers {
+	lats := make([]time.Duration, len(answers))
+	for i, ans := range answers {
 		if ans.Answered {
 			res.Answered++
 		}
-		lats = append(lats, ans.Latency)
-		sum += ans.Latency
-		if ans.Latency > res.Latency.Max {
-			res.Latency.Max = ans.Latency
-		}
+		lats[i] = ans.Latency
 	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.Latency.P50 = percentile(lats, 0.50)
-		res.Latency.P95 = percentile(lats, 0.95)
-		res.Latency.P99 = percentile(lats, 0.99)
-		res.Latency.Mean = sum / time.Duration(len(lats))
-	}
+	res.Latency = stats.SummarizeLatencies(lats)
 	if res.Elapsed > 0 {
 		res.Throughput = float64(len(texts)) / res.Elapsed.Seconds()
 	}
 	return res
-}
-
-// percentile returns the nearest-rank percentile of sorted latencies.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(q*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

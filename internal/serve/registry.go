@@ -39,8 +39,13 @@ type tenant struct {
 
 	// lastUse is the unix-nano time of the last Get, for idle eviction.
 	lastUse atomic.Int64
-	// swaps counts per-dataset store hot-swaps.
-	swaps atomic.Uint64
+	// resumeGen, guarded by mu, carries the dataset's generation
+	// numbering across an eviction: 0 until the first one, then one past
+	// the number the evicted Answerer held. A reload publishes under it
+	// (a reload is a publish: the loader may hand back a different store),
+	// so the number a dataset reports never decreases and never names two
+	// stores within one process.
+	resumeGen uint64
 }
 
 // Registry hosts the Answerers of N named datasets behind one serving
@@ -48,9 +53,9 @@ type tenant struct {
 // eagerly (Add) or lazily (Register + Loader); Get resolves a name to
 // its live Answerer, loading it on first use; Evict drops a loaded
 // Answerer — freeing its store — while keeping the registration, so the
-// next Get reloads it. Each tenant's store hot-swaps independently
-// (SwapStore/Rebuild), so re-summarizing one dataset never disturbs the
-// others. All methods are safe for concurrent use.
+// next Get reloads it. Each tenant publishes independently (SwapData),
+// so re-summarizing one dataset never disturbs the others. All methods
+// are safe for concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -200,6 +205,9 @@ func (t *tenant) load(ctx context.Context, f *loadFlight) {
 		}
 		t.mu.Lock()
 		if f.err == nil && f.a != nil {
+			if t.resumeGen > 0 {
+				f.a.resumeAt(t.resumeGen)
+			}
 			t.loaded.Store(f.a)
 		}
 		t.inflight = nil
@@ -238,11 +246,22 @@ func (r *Registry) Evict(name string) bool {
 	if err != nil {
 		return false
 	}
-	// Under t.mu so an eviction cannot interleave with a swap's
-	// load-check-swap sequence (SwapStore) and orphan a fresh store.
+	// Under t.mu so an eviction cannot interleave with a publish's
+	// check-then-swap (SwapData) and orphan a fresh store.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.loaded.Swap(nil) != nil
+	return t.evict()
+}
+
+// evict drops the resident Answerer, if any, remembering where its
+// generation numbering stopped. The caller holds t.mu.
+func (t *tenant) evict() bool {
+	a := t.loaded.Swap(nil)
+	if a == nil {
+		return false
+	}
+	t.resumeGen = a.Generation() + 1
+	return true
 }
 
 // EvictIdle evicts every loaded dataset whose last Get is older than
@@ -262,7 +281,7 @@ func (r *Registry) EvictIdle(maxIdle time.Duration) []string {
 	for _, t := range tenants {
 		if t.loaded.Load() != nil && t.lastUse.Load() < cutoff {
 			t.mu.Lock()
-			ok := t.lastUse.Load() < cutoff && t.loaded.Swap(nil) != nil
+			ok := t.lastUse.Load() < cutoff && t.evict()
 			t.mu.Unlock()
 			if ok {
 				evicted = append(evicted, t.name)
@@ -273,90 +292,52 @@ func (r *Registry) EvictIdle(maxIdle time.Duration) []string {
 	return evicted
 }
 
-// Swaps returns the number of store hot-swaps performed on the dataset
-// through the registry.
-func (r *Registry) Swaps(name string) uint64 {
+// Generation returns the number of the dataset's live generation: how
+// many publishes it has seen, reloads after an eviction included. An
+// evicted dataset keeps reporting the number it was evicted at; a
+// dataset never loaded, or an unknown name, reports 0.
+func (r *Registry) Generation(name string) uint64 {
 	t, err := r.tenant(name)
 	if err != nil {
 		return 0
 	}
-	return t.swaps.Load()
-}
-
-// SwapStore hot-swaps the named dataset's live store, loading the
-// tenant first if needed, and returns the previous store. Other
-// datasets are untouched; in-flight answers on the swapped dataset
-// finish on the old store (see Answerer.SwapStore). A concurrent
-// eviction cannot orphan the new store: the swap lands in the live
-// Answerer, re-installing the tenant if an eviction raced it — the
-// freshly built store is the newest data, so resurrecting is correct.
-func (r *Registry) SwapStore(ctx context.Context, name string, next engine.StoreView) (engine.StoreView, error) {
-	a, err := r.Get(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	t, err := r.tenant(name)
-	if err != nil {
-		return nil, err
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cur := t.loaded.Load(); cur != nil {
-		// An eviction+reload may have replaced the Answerer we resolved;
-		// swap into whichever is live so the store is never lost.
-		a = cur
-	} else {
-		t.loaded.Store(a)
+	if a := t.loaded.Load(); a != nil {
+		return a.Generation()
 	}
-	old := a.SwapStore(next)
-	t.swaps.Add(1)
-	return old, nil
+	if t.resumeGen > 0 {
+		return t.resumeGen - 1
+	}
+	return 0
 }
 
-// SwapData publishes a post-delta generation — the new relation and its
-// re-summarized store — for one dataset, with the same load/eviction
-// semantics as SwapStore. This is the registry seam the incremental
-// ingestion path (internal/delta) publishes through.
+// SwapData publishes a new generation — next, and the relation it was
+// summarized from — for one dataset, loading the tenant first if
+// needed, and returns the replaced store. Other datasets are untouched;
+// in-flight answers on the published dataset finish on the generation
+// they loaded (see Answerer.SwapData). A concurrent eviction cannot
+// orphan the publish: it lands in the resident Answerer under the
+// tenant lock, and a tenant evicted in between is reloaded first.
 func (r *Registry) SwapData(ctx context.Context, name string, rel *relation.Relation, next engine.StoreView) (engine.StoreView, error) {
-	if rel == nil {
-		return nil, errors.New("serve: SwapData with nil relation")
-	}
-	a, err := r.Get(ctx, name)
-	if err != nil {
-		return nil, err
+	if rel == nil || next == nil {
+		return nil, errors.New("serve: SwapData with a nil relation or store")
 	}
 	t, err := r.tenant(name)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur := t.loaded.Load(); cur != nil {
-		a = cur
-	} else {
-		t.loaded.Store(a)
+	for {
+		a, err := r.Get(ctx, name)
+		if err != nil {
+			return nil, err
+		}
+		t.mu.Lock()
+		if t.loaded.Load() == a {
+			old := a.SwapData(rel, next)
+			t.mu.Unlock()
+			return old, nil
+		}
+		t.mu.Unlock()
 	}
-	old := a.SwapData(rel, next)
-	t.swaps.Add(1)
-	return old, nil
-}
-
-// Rebuild re-runs pre-processing for one dataset through build and
-// hot-swaps the result in with zero downtime; on error the old store
-// keeps serving. The per-dataset analogue of Answerer.Rebuild. Like
-// SwapStore, the result survives a concurrent eviction.
-func (r *Registry) Rebuild(ctx context.Context, name string, build func(context.Context) (engine.StoreView, error)) (engine.StoreView, error) {
-	// Resolve (and if needed load) the tenant first so an unknown name
-	// or failing loader surfaces before the expensive build.
-	if _, err := r.Get(ctx, name); err != nil {
-		return nil, err
-	}
-	next, err := build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if next == nil {
-		return nil, errors.New("serve: rebuild returned a nil store")
-	}
-	return r.SwapStore(ctx, name, next)
 }

@@ -193,13 +193,14 @@ func TestRegistryPerDatasetSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherStore := aOther.Store()
+	rel := aACS.live.Load().rel
 
 	next := engine.NewStore()
 	next.Add(&engine.StoredSpeech{
 		Query: engine.Query{Target: "hearing"},
 		Text:  "swapped-in speech",
 	})
-	old, err := reg.SwapStore(context.Background(), "acs", next)
+	old, err := reg.SwapData(context.Background(), "acs", rel, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,32 +210,24 @@ func TestRegistryPerDatasetSwap(t *testing.T) {
 	if aOther.Store() != otherStore {
 		t.Fatal("swapping acs disturbed the other dataset's store")
 	}
-	if reg.Swaps("acs") != 1 || reg.Swaps("other") != 0 {
-		t.Fatalf("swap counters: acs=%d other=%d", reg.Swaps("acs"), reg.Swaps("other"))
+	if reg.Generation("acs") != 1 || reg.Generation("other") != 0 {
+		t.Fatalf("generations: acs=%d other=%d", reg.Generation("acs"), reg.Generation("other"))
 	}
 
-	// Rebuild path: build failure keeps the old store and counters.
-	if _, err := reg.Rebuild(context.Background(), "acs", func(context.Context) (engine.StoreView, error) {
-		return nil, fmt.Errorf("build exploded")
-	}); err == nil {
-		t.Fatal("failed rebuild reported success")
-	}
-	if reg.Swaps("acs") != 1 {
-		t.Fatal("failed rebuild bumped the swap counter")
-	}
-	rebuilt := engine.NewStore()
-	rebuilt.Add(&engine.StoredSpeech{Query: engine.Query{Target: "hearing"}, Text: "rebuilt"})
-	if _, err := reg.Rebuild(context.Background(), "acs", func(context.Context) (engine.StoreView, error) {
-		return rebuilt, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Swaps("acs") != 2 {
-		t.Fatalf("Swaps(acs) = %d, want 2", reg.Swaps("acs"))
+	// A publish made on the Answerer itself is the same publish.
+	aACS.SwapData(rel, next)
+	if reg.Generation("acs") != 2 {
+		t.Fatalf("Generation(acs) = %d after an Answerer-level publish, want 2", reg.Generation("acs"))
 	}
 
-	if _, err := reg.SwapStore(context.Background(), "nope", next); !errors.Is(err, ErrUnknownDataset) {
-		t.Fatalf("SwapStore(nope) err = %v", err)
+	if _, err := reg.SwapData(context.Background(), "nope", rel, next); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("SwapData(nope) err = %v", err)
+	}
+	if _, err := reg.SwapData(context.Background(), "acs", rel, nil); err == nil {
+		t.Fatal("SwapData with a nil store reported success")
+	}
+	if reg.Generation("acs") != 2 || reg.Generation("nope") != 0 {
+		t.Fatalf("failed publishes moved a number: acs=%d nope=%d", reg.Generation("acs"), reg.Generation("nope"))
 	}
 }
 
@@ -279,16 +272,14 @@ func TestRegistryConcurrentGet(t *testing.T) {
 	}
 }
 
-// TestRegistryRebuildSurvivesEviction reproduces the rebuild/evict
-// race: a dataset is evicted while its rebuild is in flight. The
-// rebuilt store must land in the live tenant (resurrecting it), not
-// vanish into an orphaned Answerer.
-func TestRegistryRebuildSurvivesEviction(t *testing.T) {
+// TestRegistryPublishSurvivesEviction reproduces the build/evict race:
+// a dataset is evicted between the build of its next store and the
+// publish. A publish racing an eviction is never lost — it lands in
+// the resident tenant (reloading it), not in an orphaned Answerer.
+func TestRegistryPublishSurvivesEviction(t *testing.T) {
 	reg := NewRegistry()
-	var loads atomic.Int32
 	base := newSmallAnswerer(t, 1)
 	if err := reg.Register("acs", func(context.Context) (*Answerer, error) {
-		loads.Add(1)
 		return base, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -299,18 +290,16 @@ func TestRegistryRebuildSurvivesEviction(t *testing.T) {
 
 	rebuilt := engine.NewStore()
 	rebuilt.Add(&engine.StoredSpeech{Query: engine.Query{Target: "hearing"}, Text: "rebuilt mid-evict"})
-	if _, err := reg.Rebuild(context.Background(), "acs", func(context.Context) (engine.StoreView, error) {
-		// The janitor fires while the build is in flight.
-		if !reg.Evict("acs") {
-			t.Error("evict during build found nothing loaded")
-		}
-		return rebuilt, nil
-	}); err != nil {
+	// The janitor fires while the build is in flight.
+	if !reg.Evict("acs") {
+		t.Fatal("evict during build found nothing loaded")
+	}
+	if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().rel, rebuilt); err != nil {
 		t.Fatal(err)
 	}
 
 	if !reg.Loaded("acs") {
-		t.Fatal("tenant not resident after rebuild: the fresh store was orphaned")
+		t.Fatal("tenant not resident after the publish: the fresh store was orphaned")
 	}
 	a, err := reg.Get(context.Background(), "acs")
 	if err != nil {
@@ -320,8 +309,138 @@ func TestRegistryRebuildSurvivesEviction(t *testing.T) {
 	if !ok || sp.Text != "rebuilt mid-evict" {
 		t.Fatalf("live store does not carry the rebuilt speech (got %v, %v)", sp, ok)
 	}
-	if n := reg.Swaps("acs"); n != 1 {
-		t.Fatalf("Swaps = %d, want 1", n)
+	// Boot 0, reload 1, publish 2.
+	if n := reg.Generation("acs"); n != 2 {
+		t.Fatalf("Generation = %d, want 2", n)
+	}
+
+	// The same with the janitor evicting in a tight loop (run under
+	// -race): whichever side of a publish's check-then-swap an eviction
+	// falls on, the published store is the live one afterwards.
+	stop := make(chan struct{})
+	var janitor sync.WaitGroup
+	janitor.Add(1)
+	go func() {
+		defer janitor.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Evict("acs")
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		next := engine.NewStore()
+		if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().rel, next); err != nil {
+			t.Fatal(err)
+		}
+		if a, err := reg.Get(context.Background(), "acs"); err != nil || a.Store() != engine.StoreView(next) {
+			t.Fatalf("publish %d lost to an eviction (err %v)", i, err)
+		}
+	}
+	close(stop)
+	janitor.Wait()
+}
+
+// TestRegistryGenerationAcrossEviction is the eviction oracle: the
+// number a dataset reports never decreases and never names two stores
+// within one process, across publishes, evictions and reloads — both
+// for a loader that builds a fresh Answerer per load (a snapshot
+// tenant) and for one that hands the same Answerer back (Add). A
+// reload is a publish: the tenant carries the evicted number forward
+// and the reloaded Answerer resumes one past it. Run under -race
+// -count=10.
+func TestRegistryGenerationAcrossEviction(t *testing.T) {
+	fresh := func() *Answerer {
+		rel := dataset.ACS(50, 1)
+		return New(rel, engine.NewStore(), voice.NewExtractor(rel, nil, 1), Options{})
+	}
+	same := fresh()
+	loaders := map[string]Loader{
+		"fresh answerer per load":  func(context.Context) (*Answerer, error) { return fresh(), nil },
+		"same answerer every load": func(context.Context) (*Answerer, error) { return same, nil },
+	}
+	for name, loader := range loaders {
+		t.Run(name, func(t *testing.T) {
+			reg := NewRegistry()
+			if err := reg.Register("ds", loader); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if n := reg.Generation("ds"); n != 0 {
+				t.Fatalf("never-loaded dataset reports %d", n)
+			}
+
+			// A watcher polls the reported number, and the resident
+			// (store, number) pair, for the whole run.
+			var mu sync.Mutex
+			stores := map[uint64]engine.StoreView{}
+			observe := func(store engine.StoreView, gen uint64) {
+				mu.Lock()
+				defer mu.Unlock()
+				if prev, seen := stores[gen]; seen && prev != store {
+					t.Errorf("generation %d names two stores", gen)
+				}
+				stores[gen] = store
+			}
+			stop := make(chan struct{})
+			var watcher sync.WaitGroup
+			watcher.Add(1)
+			go func() {
+				defer watcher.Done()
+				var last uint64
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					n := reg.Generation("ds")
+					if n < last {
+						t.Errorf("reported generation went backwards: %d after %d", n, last)
+						return
+					}
+					last = n
+					if a, ok := reg.Peek("ds"); ok {
+						observe(a.StoreGen())
+					}
+				}
+			}()
+
+			want := uint64(0)
+			check := func(step string) {
+				t.Helper()
+				if n := reg.Generation("ds"); n != want {
+					t.Fatalf("%s: Generation = %d, want %d", step, n, want)
+				}
+			}
+			for round := 0; round < 20; round++ {
+				a, err := reg.Get(ctx, "ds")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if round > 0 {
+					want++ // the reload is a publish
+				}
+				check("reload")
+				observe(a.StoreGen())
+				rel := a.live.Load().rel
+				if _, err := reg.SwapData(ctx, "ds", rel, engine.NewStore()); err != nil {
+					t.Fatal(err)
+				}
+				want++
+				check("publish")
+				observe(a.StoreGen())
+				if !reg.Evict("ds") {
+					t.Fatal("nothing to evict")
+				}
+				check("evicted") // the tenant carries the number forward
+			}
+			close(stop)
+			watcher.Wait()
+		})
 	}
 }
 

@@ -11,24 +11,24 @@
 // The Answerer is stateless and safe for concurrent use; it serves from a
 // frozen engine.Store, so any number of goroutines — REPL readers, batch
 // workers, HTTP handlers — can answer in parallel without locks. The
-// store reference itself is an atomic pointer: SwapStore (or the Rebuild
-// hook) replaces the live store with a freshly pre-processed one without
-// pausing in-flight answers, making periodic re-summarization a zero
-// downtime operation. Per-user conversational state (the "repeat"
+// relation and the store summarized from it are published together as
+// one generation behind one atomic pointer: SwapData replaces the live
+// generation with a freshly pre-processed one without pausing in-flight
+// answers, making periodic re-summarization and incremental publish
+// zero-downtime operations. Per-user conversational state (the "repeat"
 // request) lives in Session.
 //
 // One daemon serves many scenarios through the Registry: it hosts the
 // Answerers of N named datasets with lazy loading (typically from an
 // internal/snapshot artifact), eviction of idle tenants, and
-// per-dataset hot swap, so re-summarizing one dataset never disturbs
+// per-dataset publish, so re-summarizing one dataset never disturbs
 // the others.
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -128,37 +128,36 @@ type Options struct {
 	MinExtremumRows int
 }
 
-// storeRef boxes the live StoreView so it can sit behind an
-// atomic.Pointer: the dynamic type may change across swaps (heap store
-// one generation, mmap-backed snapshot view the next), which rules out
-// atomic.Value (it panics on inconsistently typed stores). The swap
-// generation travels inside the ref, so a single Load observes a
-// (view, generation) pair that was published together — there is no
-// window in which a reader can pair the new view with the old counter.
-type storeRef struct {
-	v engine.StoreView
-	// gen is the swap generation of this ref: 0 for the store the
-	// Answerer was built with, then strictly increasing per SwapStore.
-	// Every published ref gets a fresh value — even when the same
-	// StoreView object is re-installed (a rollback), its new ref is
+// generation is one published state of a dataset: the relation and the
+// store summarized from it, immutable once built. Readers load the live
+// generation once per request, so the rows an answer aggregates over
+// and the speeches it matches always belong together. The store is an
+// interface because its dynamic type may change across publishes (heap
+// store one generation, mmap-backed snapshot view the next).
+type generation struct {
+	rel   *relation.Relation
+	store engine.StoreView
+	// gen numbers the publish: 0 for the pair the Answerer was built
+	// with, then strictly increasing. Every publish gets a fresh value —
+	// even one that re-installs a previously live store (a rollback) is
 	// distinguishable from the original installation. Cache layers key
 	// correctness on exactly that property (see httpserve).
 	gen uint64
 }
 
-// Answerer is the serving front door. Create one per (relation, store)
-// pair with New and share it freely across goroutines. The live store is
-// held behind an atomic pointer so SwapStore/Rebuild can replace it
-// while answers are being served — including across representation
-// changes, e.g. swapping a heap-decoded store for an mmap-backed
-// snapshot view.
+// Answerer is the serving front door. Create one per dataset with New
+// and share it freely across goroutines. The live generation is held
+// behind one atomic pointer so SwapData can replace it while answers
+// are being served — including across representation changes, e.g.
+// swapping a heap-decoded store for an mmap-backed snapshot view.
 type Answerer struct {
-	rel    atomic.Pointer[relation.Relation]
-	store  atomic.Pointer[storeRef]
-	genSeq atomic.Uint64
-	ex     *voice.Extractor
-	opts   Options
-	help   string
+	live atomic.Pointer[generation]
+	// pub serializes publishers, so generation numbers are read off the
+	// predecessor; readers never take it.
+	pub  sync.Mutex
+	ex   *voice.Extractor
+	opts Options
+	help string
 }
 
 // New builds an Answerer over any store view. A heap store is frozen as
@@ -175,102 +174,69 @@ func New(rel *relation.Relation, store engine.StoreView, ex *voice.Extractor, op
 			strings.Join(rel.Schema().Targets, ", "),
 			strings.Join(rel.Schema().Dimensions, ", ")),
 	}
-	a.rel.Store(rel)
-	a.store.Store(&storeRef{v: engine.Seal(store)})
+	a.live.Store(&generation{rel: rel, store: engine.Seal(store)})
 	return a
 }
 
 // Store returns the live store view (always sealed). The reference is
-// a snapshot: a concurrent SwapStore does not affect it.
+// a snapshot: a concurrent SwapData does not affect it.
 func (a *Answerer) Store() engine.StoreView {
-	return a.store.Load().v
+	return a.live.Load().store
 }
 
-// StoreGen returns the live store view together with its swap
-// generation, loaded from one atomic reference: the pair is always
-// consistent, even against concurrent swaps. The generation is 0 for
-// the store the Answerer was built with and strictly increases with
-// every SwapStore — including one that re-installs a previously live
-// view — so "generation unchanged across two loads" proves no swap
-// happened in between. That is the invariant caching layers need to
-// tag a computed answer with the store it was actually computed
-// against.
+// StoreGen returns the live store view together with its generation
+// number, loaded from one atomic reference: the pair is always
+// consistent, even against concurrent publishes. "Number unchanged
+// across two loads" proves no publish happened in between — the
+// invariant caching layers need to tag a computed answer with the store
+// it was actually computed against.
 func (a *Answerer) StoreGen() (engine.StoreView, uint64) {
-	ref := a.store.Load()
-	return ref.v, ref.gen
+	g := a.live.Load()
+	return g.store, g.gen
 }
 
-// Generation returns the swap generation of the live store.
+// Generation returns the number of the live generation: how many
+// publishes this dataset has seen.
 func (a *Answerer) Generation() uint64 {
-	return a.store.Load().gen
+	return a.live.Load().gen
 }
 
-// Rel returns the relation the run-time aggregation answers (extremum,
-// comparison) are computed over. Like the store, the reference is a
-// snapshot; SwapData replaces it when a row delta is published.
-func (a *Answerer) Rel() *relation.Relation {
-	return a.rel.Load()
-}
-
-// SwapStore atomically replaces the live store view with next and
-// returns the previous one. A heap store is frozen as a side effect;
-// in-flight answers keep serving from the view they loaded, new answers
-// see the replacement immediately — there is no pause and no lock. This
-// is the zero-downtime path for periodic re-summarization: pre-process a
-// fresh store in the background (the pipeline package), then swap it in.
-// When the replaced generation is an mmap-backed snapshot view, its
-// region stays mapped until the last in-flight answer's speeches become
-// unreachable (snapshot.Map's finalizer guard), so no answer can ever
-// touch unmapped memory.
-func (a *Answerer) SwapStore(next engine.StoreView) engine.StoreView {
-	if next == nil {
-		panic("serve: SwapStore with nil store")
-	}
-	// The generation is allocated from a separate counter rather than
-	// read off the previous ref: two racing swaps would otherwise both
-	// observe the same predecessor and publish duplicate generations.
-	ref := &storeRef{v: engine.Seal(next), gen: a.genSeq.Add(1)}
-	return a.store.Swap(ref).v
-}
-
-// SwapData publishes a post-delta generation: the relation the rows
-// now look like and the store re-summarized over those rows. The two
-// publishes are individually atomic (an in-flight answer pairs the
-// store or relation it loaded with itself, never with a torn half),
-// with the relation first so no answer computed against the new store
-// aggregates over the old rows.
+// SwapData publishes a new generation — next, and the relation it was
+// summarized from — and returns the replaced store. A heap store is
+// frozen as a side effect; in-flight answers finish on the generation
+// they loaded, new answers see the replacement immediately — readers
+// never pause or lock. This is the one zero-downtime publish path, for
+// periodic re-summarization and row deltas alike: pre-process in the
+// background (the pipeline or delta package), then publish. When the
+// replaced store is an mmap-backed snapshot view, its region stays
+// mapped until the last in-flight answer's speeches become unreachable
+// (snapshot.Map's finalizer guard), so no answer can ever touch
+// unmapped memory.
 func (a *Answerer) SwapData(rel *relation.Relation, next engine.StoreView) engine.StoreView {
-	if rel == nil {
-		panic("serve: SwapData with nil relation")
+	if rel == nil || next == nil {
+		panic("serve: SwapData with a nil relation or store")
 	}
-	a.rel.Store(rel)
-	return a.SwapStore(next)
+	a.pub.Lock()
+	defer a.pub.Unlock()
+	old := a.live.Load()
+	a.live.Store(&generation{rel: rel, store: engine.Seal(next), gen: old.gen + 1})
+	return old.store
 }
 
-// Rebuild re-runs pre-processing through the supplied build function and
-// swaps the resulting store in atomically, returning the replaced store.
-// Serving continues from the old store for the whole build; on error the
-// old store stays live. Typical use wires the pipeline in:
-//
-//	old, err := a.Rebuild(ctx, func(ctx context.Context) (engine.StoreView, error) {
-//		store, _, err := pipeline.Run(ctx, rel, cfg, opts)
-//		return store, err
-//	})
-func (a *Answerer) Rebuild(ctx context.Context, build func(context.Context) (engine.StoreView, error)) (engine.StoreView, error) {
-	next, err := build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if next == nil {
-		return nil, errors.New("serve: rebuild returned a nil store")
-	}
-	return a.SwapStore(next), nil
+// resumeAt republishes the live pair under a number no lower than gen.
+// The Registry calls it when a tenant is reloaded after an eviction, so
+// the dataset's numbering continues where the evicted Answerer stopped.
+func (a *Answerer) resumeAt(gen uint64) {
+	a.pub.Lock()
+	defer a.pub.Unlock()
+	cur := a.live.Load()
+	a.live.Store(&generation{rel: cur.rel, store: cur.store, gen: max(gen, cur.gen+1)})
 }
 
 // Answer classifies one voice request and routes it to the right backend.
 func (a *Answerer) Answer(text string) Answer {
 	start := time.Now()
-	ans := a.route(voice.Classify(text, a.ex), text)
+	ans := a.route(a.live.Load(), voice.Classify(text, a.ex), text)
 	ans.Latency = time.Since(start)
 	return ans
 }
@@ -279,14 +245,15 @@ func (a *Answerer) Answer(text string) Answer {
 // the speech store, bypassing text classification.
 func (a *Answerer) AnswerQuery(q engine.Query) Answer {
 	start := time.Now()
-	ans := a.answerSummary(q)
+	ans := answerSummary(a.live.Load(), q)
 	ans.Request = voice.SQuery
 	ans.Latency = time.Since(start)
 	return ans
 }
 
-// route dispatches one classified request.
-func (a *Answerer) route(c voice.Classification, text string) Answer {
+// route dispatches one classified request against the generation its
+// caller loaded, so one request never mixes two publishes.
+func (a *Answerer) route(g *generation, c voice.Classification, text string) Answer {
 	switch c.Type {
 	case voice.Help:
 		return Answer{Kind: Help, Request: c.Type, Text: a.help, Answered: true}
@@ -296,11 +263,11 @@ func (a *Answerer) route(c voice.Classification, text string) Answer {
 		return Answer{Kind: Repeat, Request: c.Type,
 			Text: "I have not said anything yet."}
 	case voice.SQuery:
-		ans := a.answerSummary(c.Query)
+		ans := answerSummary(g, c.Query)
 		ans.Request = c.Type
 		return ans
 	case voice.UQuery:
-		ans := a.answerUnsupported(c, text)
+		ans := a.answerUnsupported(g, c, text)
 		ans.Request = c.Type
 		return ans
 	case voice.FollowUp:
@@ -315,14 +282,11 @@ func (a *Answerer) route(c voice.Classification, text string) Answer {
 }
 
 // answerSummary serves a supported query from the indexed speech store.
-// The store pointer is loaded once per answer, so a concurrent swap can
-// never mix two stores within one request.
-func (a *Answerer) answerSummary(q engine.Query) Answer {
-	store := a.store.Load().v
-	sp, exact, ok := store.Match(q)
+func answerSummary(g *generation, q engine.Query) Answer {
+	sp, exact, ok := g.store.Match(q)
 	if !ok {
 		text := "I have no answer for that data subset."
-		if !store.HasTarget(q.Target) {
+		if !g.store.HasTarget(q.Target) {
 			text = fmt.Sprintf("I have no answers about %s.",
 				strings.ReplaceAll(q.Target, "_", " "))
 		}
@@ -338,7 +302,7 @@ func (a *Answerer) answerSummary(q engine.Query) Answer {
 // deployment logs (Section VIII-D) — extrema, comparisons, and the
 // dialogue-era shapes (top-k, trend, constrained) — by cheap run-time
 // aggregation, and apologizes for the rest.
-func (a *Answerer) answerUnsupported(c voice.Classification, text string) Answer {
+func (a *Answerer) answerUnsupported(g *generation, c voice.Classification, text string) Answer {
 	if c.Query.Target != "" {
 		switch c.Kind {
 		case voice.Extremum:
@@ -346,28 +310,28 @@ func (a *Answerer) answerUnsupported(c voice.Classification, text string) Answer
 				// "the city with the highest rent among cities with
 				// population over 500 thousand": the ranked path owns
 				// constraint filtering; with k=1 it reports the extremum.
-				if ans, ok := a.answerTopK(c); ok {
+				if ans, ok := a.answerTopK(g, c); ok {
 					return ans
 				}
 			}
-			if ans, ok := a.answerExtremum(c); ok {
+			if ans, ok := a.answerExtremum(g, c); ok {
 				return ans
 			}
 		case voice.TopK:
-			if ans, ok := a.answerTopK(c); ok {
+			if ans, ok := a.answerTopK(g, c); ok {
 				return ans
 			}
 		case voice.Trend:
-			if ans, ok := a.answerTrend(c); ok {
+			if ans, ok := a.answerTrend(g, c); ok {
 				return ans
 			}
 		case voice.Comparison:
-			if ans, ok := a.answerComparison(c, text); ok {
+			if ans, ok := a.answerComparison(g, c, text); ok {
 				return ans
 			}
 		case voice.Retrieval:
 			if c.Constraint != nil {
-				if ans, ok := a.answerConstrained(c); ok {
+				if ans, ok := a.answerConstrained(g, c); ok {
 					return ans
 				}
 				break
@@ -375,7 +339,7 @@ func (a *Answerer) answerUnsupported(c voice.Classification, text string) Answer
 			// A retrieval with more predicates than the store supports is
 			// exactly what the most-specific-match rule of Section III is
 			// for: serve the speech of the closest containing subset.
-			if ans := a.answerSummary(c.Query); ans.Answered {
+			if ans := answerSummary(g, c.Query); ans.Answered {
 				return ans
 			}
 		}
@@ -388,18 +352,15 @@ func (a *Answerer) answerUnsupported(c voice.Classification, text string) Answer
 	}
 }
 
-func (a *Answerer) answerExtremum(c voice.Classification) (Answer, bool) {
+func (a *Answerer) answerExtremum(g *generation, c voice.Classification) (Answer, bool) {
 	if c.Dim == "" {
 		return Answer{}, false
 	}
-	// One load per answer: resolution and aggregation must see the same
-	// relation generation even while a delta publish swaps it.
-	rel := a.rel.Load()
-	_, preds, err := c.Query.Resolve(rel)
+	_, preds, err := c.Query.Resolve(g.rel)
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerExtremum(rel, c.Query.Target, c.Dim, preds, c.Direction, a.opts.MinExtremumRows)
+	res, err := engine.AnswerExtremum(g.rel, c.Query.Target, c.Dim, preds, c.Direction, a.opts.MinExtremumRows)
 	if err != nil {
 		return Answer{}, false
 	}
@@ -409,7 +370,7 @@ func (a *Answerer) answerExtremum(c voice.Classification) (Answer, bool) {
 	}, true
 }
 
-func (a *Answerer) answerTopK(c voice.Classification) (Answer, bool) {
+func (a *Answerer) answerTopK(g *generation, c voice.Classification) (Answer, bool) {
 	if c.Dim == "" {
 		return Answer{}, false
 	}
@@ -417,12 +378,11 @@ func (a *Answerer) answerTopK(c voice.Classification) (Answer, bool) {
 	if k < 1 {
 		k = 1
 	}
-	rel := a.rel.Load()
-	_, preds, err := c.Query.Resolve(rel)
+	_, preds, err := c.Query.Resolve(g.rel)
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerTopK(rel, c.Query.Target, c.Dim, preds, c.Direction,
+	res, err := engine.AnswerTopK(g.rel, c.Query.Target, c.Dim, preds, c.Direction,
 		k, a.opts.MinExtremumRows, c.Constraint)
 	if err != nil {
 		return Answer{}, false
@@ -439,7 +399,7 @@ func (a *Answerer) answerTopK(c voice.Classification) (Answer, bool) {
 	}, true
 }
 
-func (a *Answerer) answerTrend(c voice.Classification) (Answer, bool) {
+func (a *Answerer) answerTrend(g *generation, c voice.Classification) (Answer, bool) {
 	timeDim, ok := a.ex.TimeDim()
 	if !ok {
 		return Answer{}, false
@@ -469,7 +429,6 @@ func (a *Answerer) answerTrend(c voice.Classification) (Answer, bool) {
 			to++
 		}
 	}
-	rel := a.rel.Load()
 	q := c.Query
 	// The window owns the time dimension: a stray predicate on it would
 	// collapse the trend to a single period.
@@ -480,11 +439,11 @@ func (a *Answerer) answerTrend(c voice.Classification) (Answer, bool) {
 		}
 	}
 	q.Predicates = kept
-	_, preds, err := q.Resolve(rel)
+	_, preds, err := q.Resolve(g.rel)
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerTrend(rel, q.Target, timeDim, periods[from:to+1], preds, a.opts.MinExtremumRows)
+	res, err := engine.AnswerTrend(g.rel, q.Target, timeDim, periods[from:to+1], preds, a.opts.MinExtremumRows)
 	if err != nil {
 		return Answer{}, false
 	}
@@ -494,23 +453,22 @@ func (a *Answerer) answerTrend(c voice.Classification) (Answer, bool) {
 	}, true
 }
 
-func (a *Answerer) answerConstrained(c voice.Classification) (Answer, bool) {
+func (a *Answerer) answerConstrained(g *generation, c voice.Classification) (Answer, bool) {
 	if c.Constraint == nil {
 		return Answer{}, false
 	}
-	rel := a.rel.Load()
 	dim := c.Dim
 	if dim == "" {
-		dim = entityDim(rel, c.Query.Predicates)
+		dim = entityDim(g.rel, c.Query.Predicates)
 	}
 	if dim == "" {
 		return Answer{}, false
 	}
-	_, preds, err := c.Query.Resolve(rel)
+	_, preds, err := c.Query.Resolve(g.rel)
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerConstrained(rel, c.Query.Target, dim, preds,
+	res, err := engine.AnswerConstrained(g.rel, c.Query.Target, dim, preds,
 		*c.Constraint, a.opts.MinExtremumRows)
 	if err != nil {
 		return Answer{}, false
@@ -542,7 +500,7 @@ func entityDim(rel *relation.Relation, preds []engine.NamedPredicate) string {
 	return best
 }
 
-func (a *Answerer) answerComparison(c voice.Classification, text string) (Answer, bool) {
+func (a *Answerer) answerComparison(g *generation, c voice.Classification, text string) (Answer, bool) {
 	vals := c.Values
 	if len(vals) < 2 {
 		// Merged follow-ups carry slots only; raw requests can still fall
@@ -553,16 +511,15 @@ func (a *Answerer) answerComparison(c voice.Classification, text string) (Answer
 		return Answer{}, false
 	}
 	va, vb := vals[0], vals[1]
-	rel := a.rel.Load()
-	pa, err := rel.PredicateByName(va.Column, va.Value)
+	pa, err := g.rel.PredicateByName(va.Column, va.Value)
 	if err != nil {
 		return Answer{}, false
 	}
-	pb, err := rel.PredicateByName(vb.Column, vb.Value)
+	pb, err := g.rel.PredicateByName(vb.Column, vb.Value)
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerComparison(rel, c.Query.Target,
+	res, err := engine.AnswerComparison(g.rel, c.Query.Target,
 		[]relation.Predicate{pa}, []relation.Predicate{pb})
 	if err != nil {
 		return Answer{}, false

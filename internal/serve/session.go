@@ -13,7 +13,7 @@ import (
 // slots a later elliptical follow-up ("what about Texas") merges into.
 // A context is immutable after construction: every string is cloned
 // into it (a summary answer's text can be a zero-copy view into an
-// mmapped snapshot that a later SwapStore unmaps once unreferenced),
+// mmapped snapshot that a later SwapData unmaps once unreferenced),
 // and holders only ever replace whole pointers, never fields. That
 // makes a *QueryContext safe to share across goroutines and across
 // store generations without locks.
@@ -215,6 +215,7 @@ func (a *Answerer) mergeFollowUp(prev *QueryContext, c voice.Classification) voi
 // publish it with a single pointer store.
 func (a *Answerer) AnswerContext(text string, prev *QueryContext) (Answer, *QueryContext) {
 	start := time.Now()
+	g := a.live.Load()
 	c := voice.Classify(text, a.ex)
 	next := prev
 	var ans Answer
@@ -233,7 +234,7 @@ func (a *Answerer) AnswerContext(text string, prev *QueryContext) (Answer, *Quer
 			break
 		}
 		merged := a.mergeFollowUp(prev, c)
-		ans = a.route(merged, text)
+		ans = a.route(g, merged, text)
 		// The request stays a follow-up even though the merged query
 		// routed as S/U-Query; the kind reports the resolving backend.
 		ans.Request = voice.FollowUp
@@ -241,7 +242,7 @@ func (a *Answerer) AnswerContext(text string, prev *QueryContext) (Answer, *Quer
 			next = contextFrom(merged, ans)
 		}
 	default:
-		ans = a.route(c, text)
+		ans = a.route(g, c, text)
 		if ans.Answered && followable(ans.Kind) {
 			next = contextFrom(c, ans)
 		}
@@ -259,7 +260,7 @@ func (a *Answerer) AnswerContext(text string, prev *QueryContext) (Answer, *Quer
 // immutable snapshot behind an atomic pointer, so every request
 // observes one coherent previous query — never a mix of two
 // generations — even while other goroutines answer on the same session
-// and SwapStore replaces the store underneath. Interleaved requests
+// and SwapData replaces the store underneath. Interleaved requests
 // still race conversationally (last writer wins), which is inherent to
 // talking over yourself.
 type Session struct {

@@ -196,14 +196,15 @@ func TestSessionFollowUpSwapRace(t *testing.T) {
 	swapper.Add(1)
 	go func() {
 		defer swapper.Done()
-		// Re-installing the live view still allocates a fresh generation,
+		// Re-installing the live pair still publishes a fresh generation,
 		// which is exactly the hostile schedule the context must survive.
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				a.SwapStore(a.Store())
+				g := a.live.Load()
+				a.SwapData(g.rel, g.store)
 			}
 		}
 	}()

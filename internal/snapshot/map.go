@@ -316,7 +316,7 @@ func newMap(data []byte, closer func() error, rel *relation.Relation) (*Map, err
 			// so its finalizer firing proves no speech (and hence no string
 			// view reached through one) is still reachable — only then is
 			// unmapping safe. The finalizer is NOT on m: the Map being
-			// dropped (e.g. after SwapStore) must not unmap under in-flight
+			// dropped (e.g. after SwapData) must not unmap under in-flight
 			// answers still holding speeches.
 			runtime.SetFinalizer(&speeches[0], func(*engine.StoredSpeech) { region.unmap() })
 		} else {
@@ -372,7 +372,7 @@ func (m *Map) Verify() error {
 
 // Close unmaps the region immediately. It is safe to call only when no
 // speech obtained from this Map is still in use — the serving path
-// never calls it (SwapStore relies on the finalizer instead); it
+// never calls it (SwapData relies on the finalizer instead); it
 // exists for tools and tests with bounded lifetimes. Close is
 // idempotent, and a no-op for non-mapped views.
 func (m *Map) Close() error {

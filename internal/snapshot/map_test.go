@@ -364,12 +364,12 @@ func BenchmarkColdStart(b *testing.B) {
 	})
 }
 
-// TestSwapStoreAcrossImplementationsRace hammers the answer path while
+// TestSwapDataAcrossImplementationsRace hammers the answer path while
 // the live store swaps heap→mmap and mmap→mmap. Run under -race (CI
 // does) this proves the generations are safely published and that an
 // mmap-backed generation serves concurrent voice answers mid-swap as
 // safely as the heap store it replaces.
-func TestSwapStoreAcrossImplementationsRace(t *testing.T) {
+func TestSwapDataAcrossImplementationsRace(t *testing.T) {
 	rel := dataset.Flights(2000, 1)
 	cfg := engine.DefaultConfig(rel)
 	cfg.Targets = []string{"cancelled"}
@@ -410,7 +410,7 @@ func TestSwapStoreAcrossImplementationsRace(t *testing.T) {
 				return
 			default:
 			}
-			a.SwapStore(gens[i%len(gens)])
+			a.SwapData(rel, gens[i%len(gens)])
 		}
 	}()
 	probe := heap.Speeches()[0].Query

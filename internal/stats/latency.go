@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -83,20 +83,32 @@ func (r *LatencyRecorder) Count() uint64 {
 func (r *LatencyRecorder) Snapshot() LatencySnapshot {
 	r.mu.Lock()
 	window := append([]time.Duration(nil), r.ring...)
-	snap := LatencySnapshot{Count: r.count, Window: len(window), Max: r.max}
+	count, max := r.count, r.max
 	r.mu.Unlock()
-	if len(window) == 0 {
+	snap := SummarizeLatencies(window)
+	// Count and Max cover every sample ever recorded, not just the window.
+	snap.Count, snap.Max = count, max
+	return snap
+}
+
+// SummarizeLatencies sorts ds in place and summarizes it as one window
+// holding every sample: the tree's one definition of p50/p95/p99
+// (nearest rank, ceiling), mean and max over a set of durations.
+func SummarizeLatencies(ds []time.Duration) LatencySnapshot {
+	snap := LatencySnapshot{Count: uint64(len(ds)), Window: len(ds)}
+	if len(ds) == 0 {
 		return snap
 	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
+	slices.Sort(ds)
 	var sum time.Duration
-	for _, d := range window {
+	for _, d := range ds {
 		sum += d
 	}
-	snap.P50 = PercentileDuration(window, 0.50)
-	snap.P95 = PercentileDuration(window, 0.95)
-	snap.P99 = PercentileDuration(window, 0.99)
-	snap.Mean = sum / time.Duration(len(window))
+	snap.P50 = PercentileDuration(ds, 0.50)
+	snap.P95 = PercentileDuration(ds, 0.95)
+	snap.P99 = PercentileDuration(ds, 0.99)
+	snap.Mean = sum / time.Duration(len(ds))
+	snap.Max = ds[len(ds)-1]
 	return snap
 }
 

@@ -102,3 +102,35 @@ func TestPercentileNearestRank(t *testing.T) {
 		t.Errorf("empty duration percentile = %v, want 0", got)
 	}
 }
+
+// TestSummarizeLatenciesNearestRank pins the one nearest-rank definition
+// (ceiling) every latency summary in the tree goes through. n = 31 is
+// the row a round-half-up rank gets wrong: 0.95·31 = 29.45 is index 29,
+// where int(29.45+0.5)-1 picked 28.
+func TestSummarizeLatenciesNearestRank(t *testing.T) {
+	cases := []struct{ n, p50, p95, p99 int }{ // expected indices into the sorted samples
+		{n: 1, p50: 0, p95: 0, p99: 0},
+		{n: 20, p50: 9, p95: 18, p99: 19},
+		{n: 31, p50: 15, p95: 29, p99: 30},
+		{n: 100, p50: 49, p95: 94, p99: 98},
+	}
+	for _, c := range cases {
+		ds := make([]time.Duration, c.n) // sample i is i+1 ms, handed over unsorted
+		for i := range ds {
+			ds[i] = time.Duration(c.n-i) * time.Millisecond
+		}
+		snap := SummarizeLatencies(ds)
+		at := func(index int) time.Duration { return time.Duration(index+1) * time.Millisecond }
+		if snap.P50 != at(c.p50) || snap.P95 != at(c.p95) || snap.P99 != at(c.p99) {
+			t.Errorf("n=%d: p50/p95/p99 = %v/%v/%v, want %v/%v/%v",
+				c.n, snap.P50, snap.P95, snap.P99, at(c.p50), at(c.p95), at(c.p99))
+		}
+		if snap.Count != uint64(c.n) || snap.Window != c.n || snap.Max != at(c.n-1) ||
+			snap.Mean != time.Duration(c.n+1)*time.Millisecond/2 {
+			t.Errorf("n=%d: count/window/max/mean = %d/%d/%v/%v", c.n, snap.Count, snap.Window, snap.Max, snap.Mean)
+		}
+	}
+	if snap := SummarizeLatencies(nil); snap != (LatencySnapshot{}) {
+		t.Errorf("empty summary = %+v, want zero", snap)
+	}
+}
