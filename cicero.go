@@ -442,24 +442,11 @@ func NewMultiServer(reg *Registry, defaultDataset string, opts HTTPOptions) *HTT
 // five seconds). It always returns a non-nil error; after a clean
 // shutdown that error is http.ErrServerClosed.
 func Serve(ctx context.Context, addr string, a *Answerer, opts HTTPOptions) error {
-	srv := &http.Server{
+	return httpserve.ListenAndServe(ctx, &http.Server{
 		Addr:              addr,
 		Handler:           httpserve.New(a, opts).Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	return <-errc
+	})
 }
 
 // GenerateLoad synthesizes a mixed, zipf-skewed voice-query workload

@@ -9,7 +9,7 @@
 // actively through the nodes' per-dataset healthz endpoints; when
 // every replica of a dataset is down the router serves the last known
 // good answer with an explicit staleness marker instead of an error,
-// and under overload it sheds with 503 + Retry-After.
+// and under overload it sheds with 503 and a retry hint.
 //
 //	router -addr :8090 -nodes n1=http://10.0.0.1:8080,n2=http://10.0.0.2:8080,n3=http://10.0.0.3:8080 \
 //	    -datasets flights,acs -replication 2
@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"cicero/internal/cluster"
+	"cicero/internal/httpserve"
 )
 
 func main() {
@@ -96,20 +98,14 @@ func main() {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "routing %s across %d nodes on %s (replication %d)\n",
 		strings.Join(names, ","), len(members), *addr, r.Ring().ReplicationFactor())
-
-	select {
-	case err := <-errc:
+	context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "shutting down ...") })
+	err = httpserve.ListenAndServe(ctx, httpSrv)
+	if ctx.Err() == nil {
 		fatalf("listen: %v", err)
-	case <-ctx.Done():
 	}
-	fmt.Fprintln(os.Stderr, "shutting down ...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+	if !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
 	}
 }

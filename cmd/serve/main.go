@@ -387,20 +387,14 @@ func runDaemon(ctx context.Context, srv *httpserve.Server, addr string, rebuild 
 		}()
 	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "serving %s on %s (POST /v1/{dataset}/answer, GET /v1/datasets, GET /v1/{dataset}/stats)\n",
 		strings.Join(names, ", "), addr)
-
-	select {
-	case err := <-errc:
+	context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "shutting down ...") })
+	err := httpserve.ListenAndServe(ctx, httpSrv)
+	if ctx.Err() == nil {
 		fatalf("listen: %v", err)
-	case <-ctx.Done():
 	}
-	fmt.Fprintln(os.Stderr, "shutting down ...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+	if !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
 	}
 }

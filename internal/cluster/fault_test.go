@@ -142,34 +142,3 @@ func TestFaultInjectorDeterministicUnderSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestStaleCacheLRUEviction(t *testing.T) {
-	c := newStaleCache(2)
-	now := time.Unix(0, 0)
-	c.put(staleEntry{key: "a", body: []byte("1"), storedAt: now})
-	c.put(staleEntry{key: "b", body: []byte("2"), storedAt: now})
-	if _, ok := c.get("a"); !ok { // touch a → b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.put(staleEntry{key: "c", body: []byte("3"), storedAt: now})
-	if _, ok := c.get("b"); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("recently used a was evicted")
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Fatal("new entry c missing")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len %d, want 2", c.len())
-	}
-	// Re-put updates in place rather than duplicating.
-	c.put(staleEntry{key: "c", body: []byte("3b"), storedAt: now})
-	if e, _ := c.get("c"); string(e.body) != "3b" {
-		t.Fatalf("re-put did not update: %q", e.body)
-	}
-	if c.len() != 2 {
-		t.Fatalf("len %d after re-put, want 2", c.len())
-	}
-}

@@ -47,19 +47,16 @@ type HealthChecker struct {
 }
 
 // NewHealthChecker tracks the given replica pairs. interval is the
-// sweep period for Run (default 1s); timeout bounds each probe
-// (default half the interval).
-func NewHealthChecker(probe ProbeFunc, ring *Ring, datasets []string, interval, timeout time.Duration) *HealthChecker {
+// sweep period for Run (default 1s); each probe is bounded by half of
+// it.
+func NewHealthChecker(probe ProbeFunc, ring *Ring, datasets []string, interval time.Duration) *HealthChecker {
 	if interval <= 0 {
 		interval = time.Second
-	}
-	if timeout <= 0 {
-		timeout = interval / 2
 	}
 	h := &HealthChecker{
 		probe:    probe,
 		interval: interval,
-		timeout:  timeout,
+		timeout:  interval / 2,
 		entries:  make(map[healthKey]*ReplicaHealth),
 	}
 	for _, ds := range datasets {
@@ -91,7 +88,13 @@ func (h *HealthChecker) Check(ctx context.Context) {
 			swaps, err := h.probe(pctx, k.node, k.dataset)
 			now := time.Now()
 			h.mu.Lock()
+			defer h.mu.Unlock()
 			e := h.entries[k]
+			if e == nil {
+				// RemoveDataset dropped the replica while it was being
+				// probed: there is no verdict left to record.
+				return
+			}
 			e.Checked = now
 			if err != nil {
 				e.Healthy = false
@@ -101,7 +104,6 @@ func (h *HealthChecker) Check(ctx context.Context) {
 				e.Error = ""
 				e.Swaps = swaps
 			}
-			h.mu.Unlock()
 		}(k)
 	}
 	wg.Wait()

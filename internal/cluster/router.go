@@ -11,9 +11,14 @@
 // replica of a dataset is down the router degrades gracefully: it
 // serves the last known good answer from a generation-tagged stale
 // cache with an explicit staleness marker instead of failing, and it
-// load-sheds with 503 + Retry-After under overload. The FaultInjector
-// transport hook reproduces each of those failure modes
+// load-sheds with 503 and a retry hint under overload. The
+// FaultInjector transport hook reproduces each of those failure modes
 // deterministically in tests.
+//
+// The router is built from the same parts as the node it fronts: the
+// stale cache is an internal/lru Cache, admission is an httpserve.Gate,
+// and every error leaves through httpserve's writers, so both tiers
+// answer failures in one wire shape.
 //
 // Replicas bootstrap from the snapshot artifacts of internal/snapshot:
 // Assignments tells a cluster-mode cmd/serve which datasets its node
@@ -38,6 +43,7 @@ import (
 	"time"
 
 	"cicero/internal/httpserve"
+	"cicero/internal/lru"
 	"cicero/internal/stats"
 )
 
@@ -71,13 +77,11 @@ type Options struct {
 	// Breaker tunes the per-node circuit breakers.
 	Breaker BreakerPolicy
 	// HealthInterval is the active health-check sweep period
-	// (default 1s).
+	// (default 1s); each probe is bounded by half of it.
 	HealthInterval time.Duration
-	// ProbeTimeout bounds each health probe (default HealthInterval/2).
-	ProbeTimeout time.Duration
 	// MaxInFlight bounds concurrently forwarded requests (default 512);
 	// beyond it requests queue up to QueueTimeout (default 100ms) and
-	// are then shed with 503 + Retry-After.
+	// are then shed with 503 and a retry hint.
 	MaxInFlight  int
 	QueueTimeout time.Duration
 	// MaxBodyBytes bounds the accepted request body (default 1 MiB).
@@ -85,8 +89,6 @@ type Options struct {
 	// StaleEntries bounds the last-good-answer cache (default 4096);
 	// negative disables stale serving.
 	StaleEntries int
-	// LatencyWindow is the forwarding latency sample window.
-	LatencyWindow int
 	// Transport overrides the forwarding transport — the FaultInjector
 	// hook. Nil uses a connection-pooled clone of the default.
 	Transport http.RoundTripper
@@ -111,9 +113,6 @@ func (o Options) withDefaults(nodes int) Options {
 	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.HealthInterval / 2
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 512
@@ -159,11 +158,11 @@ type Router struct {
 	defName  string
 	ring     *Ring
 	health   *HealthChecker
-	stale    *staleCache // nil when disabled
+	stale    *lru.Cache[staleEntry] // nil when disabled
 	opts     Options
 	clock    Clock
 	client   *http.Client
-	sem      chan struct{}
+	gate     *httpserve.Gate // admission: bounds concurrent forwards
 	mux      *http.ServeMux
 	started  time.Time
 
@@ -172,7 +171,6 @@ type Router struct {
 	retries     atomic.Uint64
 	failovers   atomic.Uint64
 	staleServed atomic.Uint64
-	shed        atomic.Uint64
 	failed      atomic.Uint64
 	lat         *stats.LatencyRecorder
 
@@ -223,13 +221,13 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 		opts:     opts,
 		clock:    opts.Clock,
 		client:   &http.Client{Transport: transport},
-		sem:      make(chan struct{}, opts.MaxInFlight),
+		gate:     httpserve.NewGate(opts.MaxInFlight, opts.QueueTimeout),
 		started:  time.Now(),
-		lat:      stats.NewLatencyRecorder(opts.LatencyWindow),
+		lat:      stats.NewLatencyRecorder(stats.DefaultLatencyWindow),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
 	if opts.StaleEntries > 0 {
-		r.stale = newStaleCache(opts.StaleEntries)
+		r.stale = lru.New[staleEntry](opts.StaleEntries, 1)
 	}
 	for _, n := range r.nodes {
 		r.byID[n.ID] = &nodeState{node: n, breaker: NewBreaker(opts.Breaker, r.clock)}
@@ -237,7 +235,7 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 	for _, ds := range r.datasets {
 		r.hosted[ds] = true
 	}
-	r.health = NewHealthChecker(r.probeReplica, ring, datasets, opts.HealthInterval, opts.ProbeTimeout)
+	r.health = NewHealthChecker(r.probeReplica, ring, datasets, opts.HealthInterval)
 
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("/v1/answer", r.handleAnswer)
@@ -288,7 +286,7 @@ func (r *Router) RemoveDataset(name string) bool {
 
 	r.health.RemoveDataset(name)
 	if r.stale != nil {
-		r.stale.purgeDataset(name)
+		r.stale.RemoveFunc(func(_ string, e staleEntry) bool { return e.dataset == name })
 	}
 	return true
 }
@@ -468,26 +466,6 @@ func (r *Router) tryNode(ctx context.Context, ns *nodeState, dataset string, bod
 	return &nodeReply{node: ns.node.ID, status: resp.StatusCode, body: reply}, nil
 }
 
-// acquire takes a forwarding slot, waiting at most the queue timeout.
-func (r *Router) acquire(ctx context.Context) error {
-	select {
-	case r.sem <- struct{}{}:
-		return nil
-	default:
-	}
-	timer := time.NewTimer(r.opts.QueueTimeout)
-	defer timer.Stop()
-	select {
-	case r.sem <- struct{}{}:
-		return nil
-	case <-timer.C:
-		r.shed.Add(1)
-		return httpserve.ErrOverloaded
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	r.forwards.Add(1)
@@ -498,49 +476,40 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 		dataset = r.defName
 	}
 	if !r.isHosted(dataset) {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown dataset %q", dataset)})
+		httpserve.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", dataset))
 		return
 	}
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
+	if !httpserve.AllowMethod(w, req, http.MethodPost) {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.opts.MaxBodyBytes))
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+		httpserve.WriteBodyError(w, err)
 		return
 	}
 	// Best-effort single-text extraction: the stale cache only covers
-	// single-answer requests (a batch is not one answer to remember).
+	// single-answer requests (a batch is not one answer to remember),
+	// and never a dialogue turn — its answer depends on the session's
+	// context, which a text-only key would hand to any other caller.
+	// staleKey stays empty when stale serving is disabled.
 	var parsed httpserve.AnswerRequest
 	staleKey := ""
-	if json.Unmarshal(body, &parsed) == nil && parsed.Text != "" && len(parsed.Texts) == 0 {
+	if r.stale != nil && json.Unmarshal(body, &parsed) == nil &&
+		parsed.Text != "" && len(parsed.Texts) == 0 && parsed.Session == "" {
 		staleKey = dataset + "\x00" + httpserve.CacheKey(parsed.Text)
 	}
 
-	if err := r.acquire(req.Context()); err != nil {
+	if err := r.gate.Acquire(req.Context()); err != nil {
 		r.failed.Add(1)
-		if errors.Is(err, httpserve.ErrOverloaded) {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-			return
-		}
-		writeJSON(w, 499, errorBody{Error: err.Error()})
+		httpserve.WriteError(w, httpserve.StatusFor(err), err.Error())
 		return
 	}
-	defer func() { <-r.sem }()
+	defer r.gate.Release()
 
 	reply, err := r.forward(req.Context(), dataset, body)
 	if err == nil {
-		if r.stale != nil && staleKey != "" && reply.status == http.StatusOK {
-			r.stale.put(staleEntry{
-				key:        staleKey,
+		if staleKey != "" && reply.status == http.StatusOK {
+			r.stale.Put(staleKey, staleEntry{
 				dataset:    dataset,
 				body:       reply.body,
 				node:       reply.node,
@@ -555,15 +524,16 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 		w.Write(reply.body)
 		return
 	}
-	if req.Context().Err() != nil {
+	if cerr := req.Context().Err(); cerr != nil {
 		r.failed.Add(1)
-		writeJSON(w, 499, errorBody{Error: req.Context().Err().Error()})
+		httpserve.WriteError(w, httpserve.StatusFor(cerr), cerr.Error())
 		return
 	}
 	// Every replica failed: graceful degradation — a stale answer with
 	// an explicit marker beats an error while the cluster heals.
-	if r.stale != nil && staleKey != "" {
-		if e, ok := r.stale.get(staleKey); ok {
+	unavailable := "is unavailable"
+	if staleKey != "" {
+		if e, ok := r.stale.Get(staleKey); ok {
 			// The entry is only servable if its generation still matches
 			// the answering replica's last observed store generation. A
 			// mismatch means the store moved on after capture — a delta
@@ -572,31 +542,23 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 			// good" would actually be "superseded": drop it and fail
 			// honestly rather than serve an answer the cluster already
 			// replaced.
-			if e.generation != r.health.Swaps(e.node, dataset) {
-				r.stale.remove(staleKey)
-				ok = false
-			}
-			if !ok {
-				r.failed.Add(1)
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable,
-					errorBody{Error: fmt.Sprintf("every replica of %q is unavailable and the cached answer is superseded: %v", dataset, err)})
+			if e.generation == r.health.Swaps(e.node, dataset) {
+				r.staleServed.Add(1)
+				age := r.clock.Now().Sub(e.storedAt)
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("X-Cicero-Node", e.node)
+				w.Header().Set("X-Cicero-Stale", "true")
+				w.WriteHeader(http.StatusOK)
+				w.Write(markStale(e.body, age, e.generation))
 				return
 			}
-			r.staleServed.Add(1)
-			age := r.clock.Now().Sub(e.storedAt)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Cicero-Node", e.node)
-			w.Header().Set("X-Cicero-Stale", "true")
-			w.WriteHeader(http.StatusOK)
-			w.Write(markStale(e.body, age, e.generation))
-			return
+			r.stale.Remove(staleKey)
+			unavailable = "is unavailable and the cached answer is superseded"
 		}
 	}
 	r.failed.Add(1)
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable,
-		errorBody{Error: fmt.Sprintf("every replica of %q is unavailable: %v", dataset, err)})
+	httpserve.WriteError(w, http.StatusServiceUnavailable,
+		fmt.Sprintf("every replica of %q %s: %v", dataset, unavailable, err))
 }
 
 // markStale stamps the staleness marker into a cached answer body:
@@ -618,16 +580,6 @@ func markStale(body []byte, age time.Duration, generation uint64) []byte {
 		return body
 	}
 	return out
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // NodeHealth is one node's row in the router healthz payload.
@@ -706,12 +658,10 @@ func (r *Router) HealthSnapshot() HealthResponse {
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
+	if !httpserve.AllowMethod(w, req, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, r.HealthSnapshot())
+	httpserve.WriteJSON(w, http.StatusOK, r.HealthSnapshot())
 }
 
 // NodeStats is one node's forwarding counters.
@@ -745,15 +695,15 @@ func (r *Router) Stats() StatsSnapshot {
 		Retries:     r.retries.Load(),
 		Failovers:   r.failovers.Load(),
 		StaleServed: r.staleServed.Load(),
-		Shed:        r.shed.Load(),
+		Shed:        r.gate.Shed(),
 		Failed:      r.failed.Load(),
 		Latency:     r.lat.Snapshot(),
 		Nodes:       make(map[string]NodeStats, len(r.nodes)),
 		MaxInFlight: r.opts.MaxInFlight,
-		InFlight:    len(r.sem),
+		InFlight:    r.gate.InFlight(),
 	}
 	if r.stale != nil {
-		snap.StaleSize = r.stale.len()
+		snap.StaleSize = r.stale.Len()
 	}
 	for id, ns := range r.byID {
 		snap.Nodes[id] = NodeStats{
@@ -766,12 +716,10 @@ func (r *Router) Stats() StatsSnapshot {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
+	if !httpserve.AllowMethod(w, req, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, r.Stats())
+	httpserve.WriteJSON(w, http.StatusOK, r.Stats())
 }
 
 // RoutedDataset is one row of the router's GET /v1/datasets payload.
@@ -782,9 +730,7 @@ type RoutedDataset struct {
 }
 
 func (r *Router) handleDatasets(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
+	if !httpserve.AllowMethod(w, req, http.MethodGet) {
 		return
 	}
 	out := struct {
@@ -797,5 +743,5 @@ func (r *Router) handleDatasets(w http.ResponseWriter, req *http.Request) {
 			Replicas: r.ring.Replicas(ds),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpserve.WriteJSON(w, http.StatusOK, out)
 }

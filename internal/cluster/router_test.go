@@ -53,7 +53,7 @@ func newFakeNode(t *testing.T, id string) *fakeNode {
 		}
 		var req httpserve.AnswerRequest
 		json.NewDecoder(r.Body).Decode(&req)
-		writeJSON(w, http.StatusOK, httpserve.AnswerResponse{
+		httpserve.WriteJSON(w, http.StatusOK, httpserve.AnswerResponse{
 			Kind:     "summary",
 			Request:  req.Text,
 			Text:     "answer from " + n.id + " to " + req.Text,
@@ -61,7 +61,7 @@ func newFakeNode(t *testing.T, id string) *fakeNode {
 		})
 	})
 	mux.HandleFunc("GET /v1/{dataset}/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, httpserve.HealthResponse{Status: "ok", Speeches: 1, Swaps: n.swaps.Load()})
+		httpserve.WriteJSON(w, http.StatusOK, httpserve.HealthResponse{Status: "ok", Speeches: 1, Swaps: n.swaps.Load()})
 	})
 	n.srv = httptest.NewServer(mux)
 	t.Cleanup(n.srv.Close)

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"container/list"
-	"sync"
-	"time"
-)
+import "time"
 
 // staleEntry is one remembered good answer: the raw response body of
 // the last successful forward for a (dataset, canonical text) key,
@@ -18,94 +14,15 @@ import (
 // longer matches the replica's current store (a delta published after
 // capture, or a node rebooted onto a fresh base) rejects the entry at
 // read time.
+//
+// Entries live in Router.stale, an exact (one-shard) LRU from
+// internal/lru: the cache sits behind a network hop, and lookups happen
+// only on the (rare) total-outage path plus one put per successful
+// single-text answer, so one lock is enough.
 type staleEntry struct {
-	key        string
 	dataset    string
 	body       []byte
 	node       string
 	generation uint64
 	storedAt   time.Time
-}
-
-// staleCache is a bounded LRU of last-good answers. A plain mutex is
-// fine here: the cache sits behind a network hop, and lookups happen
-// only on the (rare) total-outage path plus one put per successful
-// single-text answer.
-type staleCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List
-	byKey map[string]*list.Element
-}
-
-func newStaleCache(max int) *staleCache {
-	if max <= 0 {
-		max = 4096
-	}
-	return &staleCache{max: max, ll: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *staleCache) put(e staleEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[e.key]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.byKey[e.key] = c.ll.PushFront(e)
-	if c.ll.Len() > c.max {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.byKey, last.Value.(staleEntry).key)
-	}
-}
-
-func (c *staleCache) get(key string) (staleEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return staleEntry{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(staleEntry), true
-}
-
-// remove drops one entry; used when a read finds the entry invalid
-// (generation mismatch), so the dead answer does not linger at the
-// front of the LRU.
-func (c *staleCache) remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.Remove(el)
-		delete(c.byKey, key)
-	}
-}
-
-// purgeDataset drops every entry captured for the dataset. Without
-// this, removing a dataset from the router and later re-adding the
-// name would resurrect answers from the old data.
-func (c *staleCache) purgeDataset(dataset string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	purged := 0
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(staleEntry)
-		if e.dataset == dataset {
-			c.ll.Remove(el)
-			delete(c.byKey, e.key)
-			purged++
-		}
-	}
-	return purged
-}
-
-func (c *staleCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -19,8 +19,8 @@ type routeMetrics struct {
 	lat      *stats.LatencyRecorder
 }
 
-func newRouteMetrics(window int) *routeMetrics {
-	return &routeMetrics{lat: stats.NewLatencyRecorder(window)}
+func newRouteMetrics() *routeMetrics {
+	return &routeMetrics{lat: stats.NewLatencyRecorder(stats.DefaultLatencyWindow)}
 }
 
 // observe records one served request on the route.

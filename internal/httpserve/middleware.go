@@ -32,7 +32,7 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 			// Headers may already be out; in that case the connection is
 			// poisoned anyway and this write is a no-op on a hijacked or
 			// started response.
-			writeError(w, http.StatusInternalServerError, "internal error")
+			WriteError(w, http.StatusInternalServerError, "internal error")
 		}()
 		next.ServeHTTP(w, r)
 	})

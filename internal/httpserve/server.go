@@ -5,9 +5,10 @@
 // many-clients deployment the ROADMAP targets, and adds the layers a
 // network front end needs beyond the per-query kernel:
 //
-//   - a sharded LRU answer cache keyed by (dataset, canonicalized
-//     request text). Answers are deterministic per (store, text), so
-//     repeats are served without touching the kernel; entries are
+//   - a sharded LRU answer cache (internal/lru, the one LRU of the
+//     request path) keyed by (dataset, canonicalized request text).
+//     Answers are deterministic per (store, text), so repeats are
+//     served without touching the kernel; entries are
 //     tagged with the store they were computed against and therefore
 //     invalidate themselves the moment a publish (SwapData) replaces
 //     the dataset's generation — no stale answer can survive a publish,
@@ -17,9 +18,17 @@
 //     cache-missing requests executes the kernel exactly once per
 //     (dataset, store generation);
 //
-// plus admission control (a bounded in-flight limit with a queue
-// timeout, shedding load with 503 instead of collapsing) and per-route
-// and per-dataset latency/hit-rate metrics served on /v1/stats.
+// plus dialogue sessions (a second internal/lru cache, keyed by the
+// dataset and the client's opaque session id), admission control
+// (Gate: a bounded in-flight limit with a queue timeout, shedding load
+// with 503 instead of collapsing) and per-route and per-dataset
+// latency/hit-rate metrics served on /v1/stats.
+//
+// The package also owns the HTTP plumbing the cluster router shares
+// with it, so both tiers speak one wire shape: WriteJSON, WriteError
+// (the error body and the retry hint on 503), StatusFor,
+// WriteBodyError, AllowMethod and the daemons' ListenAndServe; the
+// router holds a Gate of its own.
 //
 // Routes:
 //
@@ -35,7 +44,6 @@ package httpserve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -43,6 +51,7 @@ import (
 	"time"
 
 	"cicero/internal/engine"
+	"cicero/internal/lru"
 	"cicero/internal/relation"
 	"cicero/internal/serve"
 	"cicero/internal/voice"
@@ -153,9 +162,6 @@ type Options struct {
 	// CacheEntries bounds the answer cache size across all shards
 	// (default 4096). Negative disables caching.
 	CacheEntries int
-	// CacheShards is the number of independently locked cache segments
-	// (default 16).
-	CacheShards int
 	// MaxInFlight bounds concurrent kernel executions (default 256).
 	MaxInFlight int
 	// QueueTimeout is how long an admitted request waits for an
@@ -166,12 +172,6 @@ type Options struct {
 	MaxBatch int
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
-	// LatencyWindow is the per-route latency sample window
-	// (default stats.DefaultLatencyWindow).
-	LatencyWindow int
-	// BatchWorkers bounds concurrent items within one batch request
-	// (default 8).
-	BatchWorkers int
 	// SessionEntries bounds the number of live dialogue sessions across
 	// all datasets (default 4096, LRU-evicted). Negative disables
 	// dialogue sessions; session requests are then served statelessly.
@@ -181,9 +181,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 4096
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 256
@@ -197,19 +194,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
 	}
-	if o.BatchWorkers <= 0 {
-		o.BatchWorkers = 8
-	}
 	if o.SessionEntries == 0 {
 		o.SessionEntries = 4096
 	}
 	return o
 }
-
-// ErrOverloaded is returned (and mapped to 503) when admission control
-// sheds a request: every in-flight slot stayed busy for the whole queue
-// timeout.
-var ErrOverloaded = errors.New("httpserve: server overloaded")
 
 // Result is one served answer plus serving-tier metadata.
 type Result struct {
@@ -231,12 +220,18 @@ type Server struct {
 	defName  string          // dataset the legacy /v1/* routes resolve to ("" = none)
 	registry *serve.Registry // nil iff built with NewWithBackend
 	opts     Options
-	cache    *answerCache  // nil when caching is disabled
-	sessions *sessionTable // nil when dialogue sessions are disabled
+	cache    *answerCache // nil when caching is disabled
+	// sessions is the dialogue table, an exact LRU keyed by sessionKey
+	// (nil when dialogue sessions are disabled). Session ids arrive from
+	// untrusted request bodies, so it must not grow with the id space:
+	// the least recently used dialogue is dropped at capacity, and its
+	// next follow-up simply fails to resolve. A publish keeps dialogues
+	// alive — the context owns its strings and outlives store
+	// generations.
+	sessions *lru.Cache[*sessionSlot]
 	flights  *flightGroup
-	sem      chan struct{}
+	gate     *Gate // admission: bounds concurrent kernel executions
 	started  time.Time
-	rejected atomic.Uint64
 	panics   atomic.Uint64
 	mux      *http.ServeMux
 	handler  http.Handler // mux wrapped in panic recovery
@@ -287,28 +282,34 @@ func newServer(tenants tenantSet, defName string, opts Options) *Server {
 		defName: defName,
 		opts:    opts,
 		flights: newFlightGroup(),
-		sem:     make(chan struct{}, opts.MaxInFlight),
+		gate:    NewGate(opts.MaxInFlight, opts.QueueTimeout),
 		started: time.Now(),
 
-		mAnswer:  newRouteMetrics(opts.LatencyWindow),
-		mHealthz: newRouteMetrics(opts.LatencyWindow),
-		mStats:   newRouteMetrics(opts.LatencyWindow),
+		mAnswer:  newRouteMetrics(),
+		mHealthz: newRouteMetrics(),
+		mStats:   newRouteMetrics(),
 		ds:       make(map[string]*routeMetrics),
 	}
 	if opts.CacheEntries > 0 {
-		s.cache = newAnswerCache(opts.CacheEntries, opts.CacheShards)
+		s.cache = &answerCache{lru: lru.New[cacheEntry](opts.CacheEntries, cacheShards)}
 	}
 	if opts.SessionEntries > 0 {
-		s.sessions = newSessionTable(opts.SessionEntries)
+		s.sessions = lru.New[*sessionSlot](opts.SessionEntries, 1)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/answer", s.handleAnswer)
-	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/datasets", s.handleDatasets)
+	s.mux.HandleFunc("/v1/healthz", getRoute(s.mHealthz, s.healthz))
+	s.mux.HandleFunc("/v1/stats", getRoute(s.mStats, func(*http.Request) (any, error) {
+		return s.Stats(), nil
+	}))
+	s.mux.HandleFunc("/v1/datasets", getRoute(s.mStats, func(*http.Request) (any, error) {
+		return DatasetsResponse{Datasets: s.Datasets()}, nil
+	}))
 	s.mux.HandleFunc("/v1/{dataset}/answer", s.handleAnswer)
-	s.mux.HandleFunc("/v1/{dataset}/stats", s.handleDatasetStats)
-	s.mux.HandleFunc("/v1/{dataset}/healthz", s.handleDatasetHealthz)
+	s.mux.HandleFunc("/v1/{dataset}/stats", getRoute(s.mStats, func(r *http.Request) (any, error) {
+		return s.DatasetStats(r.PathValue("dataset"))
+	}))
+	s.mux.HandleFunc("/v1/{dataset}/healthz", getRoute(s.mHealthz, s.datasetHealthz))
 	s.handler = s.recoverMiddleware(s.mux)
 	return s
 }
@@ -324,7 +325,7 @@ func (s *Server) dataset(name string) *routeMetrics {
 	s.dsMu.Lock()
 	defer s.dsMu.Unlock()
 	if m = s.ds[name]; m == nil {
-		m = newRouteMetrics(s.opts.LatencyWindow)
+		m = newRouteMetrics()
 		s.ds[name] = m
 	}
 	return m
@@ -373,17 +374,17 @@ func (s *Server) AnswerDataset(ctx context.Context, dataset, text string) (Resul
 			return Result{Answer: ans, Cached: true}, nil
 		}
 	}
-	// The leader's admission wait is detached from its client's context:
-	// joiners share the flight's result, so a leader whose client
-	// disconnects must not poison them with a cancellation error. The
-	// wait stays bounded by the queue timeout, and the only shareable
-	// error is ErrOverloaded — a genuine system-wide condition. Joiners
-	// honor their own ctx inside do.
+	// The leader's admission wait is detached from its client's context
+	// (Background, not ctx): joiners share the flight's result, so a
+	// leader whose client disconnects must not poison them with a
+	// cancellation error. The wait stays bounded by the queue timeout,
+	// and the only shareable error is ErrOverloaded — a genuine
+	// system-wide condition. Joiners honor their own ctx inside do.
 	ans, shared, err := s.flights.do(ctx, flightKey{store: store, gen: gen, key: key}, func() (serve.Answer, error) {
-		if err := s.acquire(); err != nil {
+		if err := s.gate.Acquire(context.Background()); err != nil {
 			return serve.Answer{}, err
 		}
-		defer func() { <-s.sem }()
+		defer s.gate.Release()
 		ans := b.Answer(text)
 		if s.cache != nil {
 			// Fill only when no publish landed during the kernel call:
@@ -401,25 +402,6 @@ func (s *Server) AnswerDataset(ctx context.Context, dataset, text string) (Resul
 	}
 	ans.Latency = time.Since(start)
 	return Result{Answer: ans, Shared: shared}, nil
-}
-
-// acquire takes an in-flight slot, waiting at most the queue timeout;
-// Admission.Rejected counts exactly the requests shed here.
-func (s *Server) acquire() error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	default:
-	}
-	timer := time.NewTimer(s.opts.QueueTimeout)
-	defer timer.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-timer.C:
-		s.rejected.Add(1)
-		return ErrOverloaded
-	}
 }
 
 // SwapDataFor publishes a new generation — next, and the relation it
@@ -508,8 +490,8 @@ func (s *Server) Stats() StatsSnapshot {
 		Deduped: s.flights.shared.Load(),
 		Admission: AdmissionSnapshot{
 			MaxInFlight: s.opts.MaxInFlight,
-			InFlight:    len(s.sem),
-			Rejected:    s.rejected.Load(),
+			InFlight:    s.gate.InFlight(),
+			Rejected:    s.gate.Shed(),
 		},
 	}
 	snap.Store = s.storeSnapshot()
@@ -521,7 +503,7 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 	if s.cache != nil {
 		hits, misses := s.cache.hits.Load(), s.cache.misses.Load()
-		snap.Cache = CacheSnapshot{Hits: hits, Misses: misses, Entries: s.cache.len()}
+		snap.Cache = CacheSnapshot{Hits: hits, Misses: misses, Entries: s.cache.lru.Len()}
 		if total := hits + misses; total > 0 {
 			snap.Cache.HitRate = float64(hits) / float64(total)
 		}
@@ -558,11 +540,6 @@ type BatchResponse struct {
 	Answers []AnswerResponse `json:"answers"`
 }
 
-// errorResponse is the uniform error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func toResponse(r Result) AnswerResponse {
 	resp := AnswerResponse{
 		Kind:      r.Kind.String(),
@@ -579,34 +556,6 @@ func toResponse(r Result) AnswerResponse {
 		resp.Query = &q
 	}
 	return resp
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, errorResponse{Error: msg})
-}
-
-// statusFor maps serving errors to HTTP statuses.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, serve.ErrUnknownDataset):
-		return http.StatusNotFound
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client went away or ran out of patience mid-queue.
-		return 499 // client closed request (nginx convention)
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
@@ -626,20 +575,18 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	dataset := r.PathValue("dataset")
 	if dataset == "" {
 		if dataset = s.defName; dataset == "" {
-			writeError(w, http.StatusNotFound,
+			WriteError(w, http.StatusNotFound,
 				"no default dataset mounted; address one explicitly via /v1/{dataset}/answer")
 			return
 		}
 	}
 	if !s.tenants.has(dataset) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", dataset))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", dataset))
 		return
 	}
 	dsMetrics = s.dataset(dataset)
 
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	if !AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req AnswerRequest
@@ -647,27 +594,22 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Sprintf("bad request body: %v", err))
+		WriteBodyError(w, err)
 		return
 	}
 	switch {
 	case req.Text != "" && len(req.Texts) > 0:
-		writeError(w, http.StatusBadRequest, `"text" and "texts" are mutually exclusive`)
+		WriteError(w, http.StatusBadRequest, `"text" and "texts" are mutually exclusive`)
 		return
 	case req.Text == "" && len(req.Texts) == 0:
-		writeError(w, http.StatusBadRequest, `one of "text" or "texts" is required`)
+		WriteError(w, http.StatusBadRequest, `one of "text" or "texts" is required`)
 		return
 	case len(req.Texts) > s.opts.MaxBatch:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Texts), s.opts.MaxBatch))
 		return
 	case req.Session != "" && len(req.Texts) > 0:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			`"session" requires a single "text": a dialogue is inherently ordered`)
 		return
 	}
@@ -681,22 +623,25 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 			res, err = s.AnswerDataset(r.Context(), dataset, req.Text)
 		}
 		if err != nil {
-			writeError(w, statusFor(err), err.Error())
+			WriteError(w, StatusFor(err), err.Error())
 			return
 		}
 		failed = false
-		writeJSON(w, http.StatusOK, toResponse(res))
+		WriteJSON(w, http.StatusOK, toResponse(res))
 		return
 	}
 
 	resp, err := s.answerBatch(r.Context(), dataset, req.Texts)
 	if err != nil {
-		writeError(w, statusFor(err), err.Error())
+		WriteError(w, StatusFor(err), err.Error())
 		return
 	}
 	failed = false
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
+
+// batchWorkers bounds concurrent items within one batch request.
+const batchWorkers = 8
 
 // answerBatch serves a batch against one dataset with bounded
 // intra-request concurrency. The first serving error fails the whole
@@ -704,10 +649,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 // admission pressure applies to every item equally.
 func (s *Server) answerBatch(ctx context.Context, dataset string, texts []string) (BatchResponse, error) {
 	resp := BatchResponse{Answers: make([]AnswerResponse, len(texts))}
-	workers := s.opts.BatchWorkers
-	if workers > len(texts) {
-		workers = len(texts)
-	}
+	workers := min(batchWorkers, len(texts))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	jobs := make(chan int)
@@ -758,42 +700,44 @@ type HealthResponse struct {
 	UptimeNS time.Duration `json:"uptime_ns"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	failed := true
-	defer func() { s.mHealthz.observe(time.Since(start), failed) }()
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+// getRoute serves one read-only route: GET only, observed on m, and
+// answering payload's value as JSON or its error in the uniform body.
+func getRoute(m *routeMetrics, payload func(r *http.Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		failed := true
+		defer func() { m.observe(time.Since(start), failed) }()
+		if !AllowMethod(w, r, http.MethodGet) {
+			return
+		}
+		v, err := payload(r)
+		if err != nil {
+			WriteError(w, StatusFor(err), err.Error())
+			return
+		}
+		failed = false
+		WriteJSON(w, http.StatusOK, v)
 	}
+}
+
+func (s *Server) healthz(*http.Request) (any, error) {
 	store := s.storeSnapshot()
-	failed = false
-	writeJSON(w, http.StatusOK, HealthResponse{
+	return HealthResponse{
 		Status:   "ok",
 		Speeches: store.Speeches,
 		Datasets: store.Datasets,
 		Loaded:   store.Loaded,
 		Swaps:    store.Swaps,
 		UptimeNS: time.Since(s.started),
-	})
+	}, nil
 }
 
-// handleDatasetHealthz reports one dataset's liveness: 200 with its
-// store size when mounted (loading is not triggered), 404 otherwise.
-func (s *Server) handleDatasetHealthz(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	failed := true
-	defer func() { s.mHealthz.observe(time.Since(start), failed) }()
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+// datasetHealthz reports one dataset's liveness: its store size when
+// mounted (loading is not triggered), 404 otherwise.
+func (s *Server) datasetHealthz(r *http.Request) (any, error) {
 	snap, err := s.DatasetStats(r.PathValue("dataset"))
 	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
+		return nil, err
 	}
 	resp := HealthResponse{
 		Status:   "ok",
@@ -804,55 +748,10 @@ func (s *Server) handleDatasetHealthz(w http.ResponseWriter, r *http.Request) {
 	if snap.Loaded {
 		resp.Loaded = 1
 	}
-	failed = false
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // DatasetsResponse is the GET /v1/datasets payload.
 type DatasetsResponse struct {
 	Datasets []DatasetInfo `json:"datasets"`
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	failed := true
-	defer func() { s.mStats.observe(time.Since(start), failed) }()
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	failed = false
-	writeJSON(w, http.StatusOK, DatasetsResponse{Datasets: s.Datasets()})
-}
-
-func (s *Server) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	failed := true
-	defer func() { s.mStats.observe(time.Since(start), failed) }()
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	snap, err := s.DatasetStats(r.PathValue("dataset"))
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	failed = false
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	failed := true
-	defer func() { s.mStats.observe(time.Since(start), failed) }()
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	failed = false
-	writeJSON(w, http.StatusOK, s.Stats())
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
@@ -191,24 +193,67 @@ func TestSessionStatelessFallback(t *testing.T) {
 	}
 }
 
-func TestSessionTableLRU(t *testing.T) {
-	tbl := newSessionTable(2)
-	a := tbl.slot("ds\x00a")
-	tbl.slot("ds\x00b")
-	if got := tbl.slot("ds\x00a"); got != a {
-		t.Fatalf("slot identity not stable across touches")
+// TestSessionIDsAreOpaque: a session id is the client's token and is
+// keyed byte for byte. Folding it through request-text normalization
+// merged ids differing only in case (any base64 scheme) and mapped
+// every id without an ASCII letter or digit to one shared dialogue.
+func TestSessionIDsAreOpaque(t *testing.T) {
+	s := newDialogueServer(t, Options{})
+	ctx := t.Context()
+	for _, ids := range [][2]string{{"dGVzdA", "DGVZDA"}, {"ключ", "鍵"}} {
+		owner, stranger := ids[0], ids[1]
+		seed, err := s.AnswerSession(ctx, "housing", owner, "which city has the highest rent")
+		if err != nil || !seed.Answered {
+			t.Fatalf("%q seed = %+v, %v", owner, seed, err)
+		}
+		// The stranger's first turn has no context of its own to resolve
+		// against: anything but the apology came from the owner's.
+		first, err := s.AnswerSession(ctx, "housing", stranger, "what about Texas")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Kind != serve.FollowUp || first.Answered {
+			t.Errorf("first turn of %q resolved against %q's dialogue: %+v", stranger, owner, first)
+		}
+		own, err := s.AnswerSession(ctx, "housing", owner, "what about Texas")
+		if err != nil || !own.Answered || !strings.Contains(own.Text, "Austin") {
+			t.Errorf("%q lost its own context: %+v, %v", owner, own, err)
+		}
 	}
-	// Capacity 2: adding c evicts b (least recently used), not a.
-	tbl.slot("ds\x00c")
-	if tbl.len() != 2 {
-		t.Fatalf("len = %d, want 2", tbl.len())
+	if n := s.Sessions(); n != 4 {
+		t.Errorf("live sessions = %d, want 4 distinct dialogues", n)
 	}
-	if got := tbl.slot("ds\x00a"); got != a {
-		t.Errorf("recently used slot was evicted")
+}
+
+// TestSessionWaitEndsWithItsClient: nobody shares a dialogue turn's
+// result, so — unlike a singleflight leader — a session request stops
+// queueing for an admission slot when its client goes away: 499 on the
+// wire, and not counted as shed.
+func TestSessionWaitEndsWithItsClient(t *testing.T) {
+	b := &blockingBackend{store: engine.NewStore(),
+		entered: make(chan string, 1), release: make(chan struct{})}
+	s := NewWithBackend(b, Options{CacheEntries: -1, MaxInFlight: 1, QueueTimeout: time.Hour})
+	held := make(chan error, 1)
+	go func() {
+		_, err := s.Answer(context.Background(), "occupy the slot")
+		held <- err
+	}()
+	<-b.entered
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/answer",
+		strings.NewReader(`{"text":"hello","session":"alice"}`)).WithContext(gone)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != 499 {
+		t.Errorf("status = %d, want 499: %s", rec.Code, rec.Body.String())
 	}
-	// b was evicted: asking again creates a fresh slot (c now evicted).
-	tbl.purgeDataset("ds")
-	if tbl.len() != 0 {
-		t.Errorf("purge left %d sessions", tbl.len())
+	if got := s.Stats().Admission.Rejected; got != 0 {
+		t.Errorf("admission.rejected = %d, want 0: the client left, the server was not overloaded", got)
+	}
+	close(b.release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
 }
