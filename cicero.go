@@ -15,7 +15,8 @@
 //     two pruning rules, a (1−1/e)-approximate greedy algorithm, and
 //     cost-optimized fact-group pruning;
 //   - the end-to-end engine: a problem generator that enumerates every
-//     supported query, an immutable index-backed speech store with
+//     supported query, an immutable speech store whose one index
+//     (engine.Index, shared with the snapshot reader) answers by
 //     near-constant-time most-specific-match lookup, and text templates;
 //   - a streaming pre-processing pipeline: problems flow through
 //     generate → evaluate → solve → render → sink stages with bounded
@@ -34,9 +35,7 @@
 //     number of goroutines and holds it, with the relation it was
 //     summarized from, as one generation behind an atomic pointer, so a
 //     freshly pre-processed store is published with zero downtime
-//     (SwapData); AnswerBatch replays whole query logs with N
-//     workers and reports latency percentiles, and Session adds per-user
-//     conversational state;
+//     (SwapData), and Session adds per-user conversational state;
 //   - a networked serving tier: an HTTP API (POST /v1/answer single and
 //     batch, GET /v1/healthz, GET /v1/stats) layered over the Answerer
 //     with a sharded LRU answer cache keyed by canonicalized request
@@ -54,8 +53,10 @@
 //     caching — and the binary snapshot format (versioned, checksummed,
 //     name-resolved; see internal/snapshot/FORMAT.md) turns a
 //     pre-processed store into a deployable artifact, so a restarted
-//     daemon cold-starts in milliseconds instead of re-summarizing for
-//     minutes (SaveSnapshot/LoadSnapshot/SnapshotInfo).
+//     daemon cold-starts in microseconds instead of re-summarizing for
+//     minutes (SaveSnapshot/MapSnapshot/SnapshotInfo; LoadSnapshot is
+//     the facts-complete heap decode for tools that re-write an
+//     artifact).
 //
 // This root package re-exports the public surface; see the example
 // programs under examples/ for end-to-end usage and internal/experiments
@@ -64,7 +65,6 @@ package cicero
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"time"
 
@@ -264,17 +264,10 @@ func OpenCheckpoint(path string, rel *Relation) (*Checkpoint, error) {
 	return pipeline.OpenCheckpoint(path, rel)
 }
 
-// LoadStore reads a speech store previously written with Store.Save. The
-// returned store is frozen for concurrent serving: lookups are safe from
-// any number of goroutines and Add panics.
-func LoadStore(r io.Reader, rel *Relation) (*Store, error) {
-	return engine.LoadStore(r, rel)
-}
-
 // Persistent store snapshots: the binary, versioned, checksummed
 // artifact of pre-processing (internal/snapshot, format documented in
-// internal/snapshot/FORMAT.md). A daemon cold-starts from a snapshot
-// in milliseconds instead of re-summarizing for minutes.
+// internal/snapshot/FORMAT.md). A daemon cold-starts by mapping a
+// snapshot (MapSnapshot) instead of re-summarizing for minutes.
 
 // SnapshotMeta describes a snapshot without loading its speeches.
 type SnapshotMeta = snapshot.Meta
@@ -297,8 +290,10 @@ func SaveSnapshot(path string, store *Store, rel *Relation) error {
 	return snapshot.WriteFile(path, store, rel)
 }
 
-// LoadSnapshot reads a snapshot and rebuilds the frozen store against
-// rel, verifying checksums, format version, and dataset provenance.
+// LoadSnapshot decodes a snapshot into a frozen heap store, facts
+// included, verifying checksums, format version, and dataset
+// provenance — for tools that re-write an artifact. Serving maps
+// instead (MapSnapshot); both accept exactly the same files.
 func LoadSnapshot(path string, rel *Relation) (*Store, error) {
 	return snapshot.ReadFile(path, rel)
 }
@@ -313,8 +308,8 @@ func SnapshotInfo(path string) (SnapshotMeta, error) {
 
 // SnapshotMap is the zero-copy snapshot reader: a StoreView served
 // directly out of the mapped snapshot bytes — O(page-fault) cold
-// start and near-zero steady-state heap, with answers bit-identical
-// to the heap store's. See snapshot.Map for the lifetime contract.
+// start and near-zero steady-state heap — over the same index as the
+// heap store. See snapshot.Map for the lifetime contract.
 type SnapshotMap = snapshot.Map
 
 // MapSnapshot maps the snapshot at path as a zero-copy serving view
@@ -360,8 +355,6 @@ type (
 	ServeOptions = serve.Options
 	// ServeSession adds per-user conversational state ("repeat").
 	ServeSession = serve.Session
-	// BatchResult reports a concurrent query-log replay.
-	BatchResult = serve.BatchResult
 )
 
 // Answer kinds.

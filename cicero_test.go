@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -98,17 +99,21 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("speech = %q", sp.Text)
 	}
 
-	// Persistence round trip through the facade.
-	var buf strings.Builder
-	if err := store.Save(&buf, rel); err != nil {
+	// Persistence round trip through the facade: the snapshot artifact,
+	// mapped back the way a daemon serves it.
+	path := filepath.Join(t.TempDir(), "flights.snap")
+	if err := cicero.SaveSnapshot(path, store, rel); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := cicero.LoadStore(strings.NewReader(buf.String()), rel)
+	mapped, err := cicero.MapSnapshot(path, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != store.Len() {
-		t.Errorf("loaded %d speeches, want %d", loaded.Len(), store.Len())
+	if mapped.Len() != store.Len() {
+		t.Errorf("mapped %d speeches, want %d", mapped.Len(), store.Len())
+	}
+	if got, ok := mapped.Lookup(c.Query); !ok || got.Text != sp.Text {
+		t.Errorf("mapped snapshot answers %+v, want %q", got, sp.Text)
 	}
 }
 
@@ -140,10 +145,11 @@ func TestPublicAPIServingLayer(t *testing.T) {
 	if rep := sess.Answer("say that again"); rep.Text != ans.Text || !rep.Answered {
 		t.Errorf("repeat = %+v", rep)
 	}
-	// Batch replay reports percentiles.
-	res := a.AnswerBatch([]string{"delays in Winter", "delays in Summer", "help"}, 2)
-	if res.Answered != 3 || res.Latency.P99 <= 0 {
-		t.Errorf("batch = %+v", res)
+	// The stateless front door answers a whole log.
+	for _, text := range []string{"delays in Winter", "delays in Summer", "help"} {
+		if ans := a.Answer(text); !ans.Answered || ans.Latency <= 0 {
+			t.Errorf("Answer(%q) = %+v", text, ans)
+		}
 	}
 	// A frozen store rejects further mutation.
 	defer func() {

@@ -65,7 +65,6 @@ func main() {
 		rebuild  = flag.Duration("rebuild", 0, "re-summarize and hot-swap each dataset on this interval (0 disables)")
 		snapDir  = flag.String("snapshot-dir", "", "cold-start datasets from <dir>/<name>.snap and keep the snapshots fresh")
 		patchDir = flag.String("patch-dir", "", "replay <dir>/<name>.patch (summarize -patch-out) over each base store at cold start; fingerprint-gated")
-		useMmap  = flag.Bool("mmap", true, "serve snapshots zero-copy from the mapped file (false: decode into the heap)")
 
 		node      = flag.String("node", "", "this node's ID on the cluster hash ring (cluster mode)")
 		clusterIs = flag.String("cluster-nodes", "", "comma-separated node IDs of the whole cluster; with -node, mount only this node's ring share")
@@ -147,7 +146,7 @@ func main() {
 	// pre-processing otherwise (writing the snapshot for the next boot).
 	reg := serve.NewRegistry()
 	for _, name := range names {
-		store, err := bootStore(ctx, name, rels[name], *snapDir, *useMmap, fingerprint(name), builder(name))
+		store, err := bootStore(ctx, name, rels[name], *snapDir, fingerprint(name), builder(name))
 		if err != nil {
 			fatalf("mounting %s: %v", name, err)
 		}
@@ -210,28 +209,24 @@ func splitList(s string) []string {
 // snapPath names a dataset's snapshot artifact inside dir.
 func snapPath(dir, name string) string { return filepath.Join(dir, name+".snap") }
 
-// bootStore produces one dataset's store view: mmapped zero-copy from
-// its snapshot when a valid one exists (decoded into the heap with
-// -mmap=false), otherwise pre-processed from raw data (and snapshotted
-// for the next boot when dir is set). A corrupt, version-skewed, or
+// bootStore produces one dataset's store view: mapped zero-copy from
+// its snapshot when a valid one exists, otherwise pre-processed from raw
+// data (and snapshotted for the next boot when dir is set). A corrupt, version-skewed, or
 // mismatched snapshot is reported and falls back to the rebuild — a
 // bad artifact must never take the daemon down. The snapshot's build
 // fingerprint must match this boot's flags (-seed/-maxlen/-solver): a
 // structurally valid artifact built under different parameters is
 // stale, not servable.
-func bootStore(ctx context.Context, name string, rel *relation.Relation, dir string, useMmap bool, fingerprint string, build func(context.Context) (*engine.Store, error)) (engine.StoreView, error) {
+func bootStore(ctx context.Context, name string, rel *relation.Relation, dir string, fingerprint string, build func(context.Context) (*engine.Store, error)) (engine.StoreView, error) {
 	if dir != "" {
 		path := snapPath(dir, name)
 		start := time.Now()
-		view, err := snapView(path, rel, useMmap, fingerprint)
+		view, err := snapView(path, rel, fingerprint)
 		switch {
 		case err == nil:
-			how := "decoded"
-			if m, ok := view.(*snapshot.Map); ok {
-				how = "read zero-copy"
-				if m.Mapped() {
-					how = "mmapped"
-				}
+			how := "read zero-copy"
+			if view.Mapped() {
+				how = "mmapped"
 			}
 			fmt.Fprintf(os.Stderr, "%s: cold start from %s — %d speeches %s in %v\n",
 				name, path, view.Len(), how, time.Since(start).Round(time.Microsecond))
@@ -305,9 +300,8 @@ func applyColdPatch(name string, rel *relation.Relation, view engine.StoreView, 
 // snapView opens a snapshot as a serving view only if its build
 // fingerprint matches what this process would build itself. The
 // fingerprint gate reads just the header and metadata pages (InfoFile);
-// the mmap path then maps the artifact without an O(file) checksum
-// scan, the heap path decodes it with full verification.
-func snapView(path string, rel *relation.Relation, useMmap bool, fingerprint string) (engine.StoreView, error) {
+// the artifact is then mapped without an O(file) checksum scan.
+func snapView(path string, rel *relation.Relation, fingerprint string) (*snapshot.Map, error) {
 	meta, err := snapshot.InfoFile(path)
 	if err != nil {
 		return nil, err
@@ -316,10 +310,7 @@ func snapView(path string, rel *relation.Relation, useMmap bool, fingerprint str
 		return nil, fmt.Errorf("snapshot built with different parameters (%q, this boot wants %q)",
 			meta.Fingerprint, fingerprint)
 	}
-	if useMmap {
-		return snapshot.MapFile(path, rel)
-	}
-	return snapshot.ReadFile(path, rel)
+	return snapshot.MapFile(path, rel)
 }
 
 // serverTimeouts carries the listener and handler deadlines into

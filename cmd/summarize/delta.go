@@ -47,8 +47,9 @@ func runDelta(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 	// The base store: the deployed artifact when -delta-base names one
 	// (its build fingerprint must match this run's flags — patching a
 	// store built under different parameters would splice two different
-	// problem spaces), otherwise built in-process.
-	var base *engine.Store
+	// problem spaces), otherwise built in-process. The artifact is mapped,
+	// not decoded: cutting a patch reads the base's keys, never its facts.
+	var base engine.StoreView
 	if f.basePath != "" {
 		meta, err := snapshot.InfoFile(f.basePath)
 		if err != nil {
@@ -57,7 +58,7 @@ func runDelta(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 		if meta.Fingerprint != baseFP {
 			fail("delta-base: snapshot built with different parameters (%q, this run wants %q)", meta.Fingerprint, baseFP)
 		}
-		if base, err = snapshot.ReadFile(f.basePath, rel); err != nil {
+		if base, err = snapshot.MapFile(f.basePath, rel); err != nil {
 			fail("delta-base: %v", err)
 		}
 		fmt.Printf("base store:      %s (%d speeches)\n", f.basePath, base.Len())

@@ -1,7 +1,7 @@
 // Command voicequery drives the serving layer: it pre-processes a data
 // set into a speech store, then either runs an interactive (typed) voice
 // REPL — the full run-time pipeline of the paper's Figure 2 minus the
-// actual microphone — or replays a query log concurrently and reports
+// actual microphone — or replays a query log and reports
 // serving-latency percentiles.
 //
 // The REPL is a dialogue session: after a followable answer, elliptical
@@ -13,7 +13,7 @@
 //	voicequery -data flights
 //	> cancellations in Winter?
 //
-//	voicequery -data flights -batch queries.txt -workers 8
+//	voicequery -data flights -batch queries.txt
 //
 // In batch mode the input file holds one request per line ("-" reads
 // stdin); the report gives per-kind counts, throughput, and p50/p95/p99
@@ -36,6 +36,7 @@ import (
 	"cicero/internal/engine"
 	"cicero/internal/pipeline"
 	"cicero/internal/serve"
+	"cicero/internal/stats"
 	"cicero/internal/voice"
 )
 
@@ -45,7 +46,6 @@ func main() {
 		maxLen    = flag.Int("maxlen", 2, "maximal query length")
 		seed      = flag.Int64("seed", 1, "data generation seed")
 		batchPath = flag.String("batch", "", "replay a request log (one per line, \"-\" for stdin) instead of the REPL")
-		workers   = flag.Int("workers", 4, "concurrent serving workers in batch mode")
 	)
 	flag.Parse()
 
@@ -87,7 +87,7 @@ func main() {
 	answerer := serve.New(rel, store, ex, serve.Options{})
 
 	if *batchPath != "" {
-		runBatch(answerer, batch, *workers)
+		runBatch(answerer, batch)
 		return
 	}
 	runREPL(answerer)
@@ -144,18 +144,25 @@ func runREPL(a *serve.Answerer) {
 	}
 }
 
-// runBatch replays a request log concurrently and prints the serving
-// report: per-kind counts, throughput, and latency percentiles.
-func runBatch(a *serve.Answerer, texts []string, workers int) {
-	res := a.AnswerBatch(texts, workers)
+// runBatch replays a request log and prints the serving report:
+// per-kind counts, throughput, and latency percentiles.
+func runBatch(a *serve.Answerer, texts []string) {
+	start := time.Now()
 	byKind := map[serve.Kind]int{}
-	for _, ans := range res.Answers {
+	answered := 0
+	lats := make([]time.Duration, len(texts))
+	for i, text := range texts {
+		ans := a.Answer(text)
 		byKind[ans.Kind]++
+		if ans.Answered {
+			answered++
+		}
+		lats[i] = ans.Latency
 	}
-	fmt.Printf("served %d requests with %d workers in %v (%.0f req/s)\n",
-		len(texts), workers, res.Elapsed.Round(time.Millisecond), res.Throughput)
-	fmt.Printf("answered: %d (%.0f%%)\n", res.Answered,
-		100*float64(res.Answered)/float64(len(texts)))
+	elapsed := time.Since(start)
+	fmt.Printf("served %d requests in %v (%.0f req/s)\n",
+		len(texts), elapsed.Round(time.Millisecond), float64(len(texts))/elapsed.Seconds())
+	fmt.Printf("answered: %d (%.0f%%)\n", answered, 100*float64(answered)/float64(len(texts)))
 	for _, k := range []serve.Kind{serve.Summary, serve.Extremum, serve.TopK,
 		serve.Trend, serve.Constrained, serve.Comparison, serve.Help, serve.Repeat,
 		serve.FollowUp, serve.Unsupported, serve.Unknown} {
@@ -163,6 +170,6 @@ func runBatch(a *serve.Answerer, texts []string, workers int) {
 			fmt.Printf("  %-12s %d\n", k.String(), byKind[k])
 		}
 	}
-	fmt.Printf("latency p50 %v  p95 %v  p99 %v  max %v\n",
-		res.Latency.P50, res.Latency.P95, res.Latency.P99, res.Latency.Max)
+	lat := stats.SummarizeLatencies(lats)
+	fmt.Printf("latency p50 %v  p95 %v  p99 %v  max %v\n", lat.P50, lat.P95, lat.P99, lat.Max)
 }

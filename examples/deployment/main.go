@@ -148,7 +148,7 @@ func main() {
 	}
 	if err := reg.Register("acs", func(context.Context) (*serve.Answerer, error) {
 		start := time.Now()
-		store, err := cicero.LoadSnapshot(acsSnap, acsRel)
+		store, err := cicero.MapSnapshot(acsSnap, acsRel)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"cicero/internal/engine"
 	"cicero/internal/relation"
 	"cicero/internal/serve"
 	"cicero/internal/snapshot"
@@ -18,13 +17,12 @@ import (
 // re-running pre-processing.
 
 // SnapshotLoader returns a serve.Registry loader that bootstraps one
-// replica from its snapshot artifact: zero-copy mmap when useMmap is
-// set, heap decode otherwise. A non-empty fingerprint must match the
-// artifact's build fingerprint — a replica must not serve answers
-// built under different parameters than its peers. The loader is the
+// replica by mapping its snapshot artifact. A non-empty fingerprint
+// must match the artifact's build fingerprint — a replica must not
+// serve answers built under different parameters than its peers. The loader is the
 // lazy half of cluster bootstrap; pair it with Assignments to decide
 // which datasets a node registers at all.
-func SnapshotLoader(path string, rel *relation.Relation, ex *voice.Extractor, useMmap bool, fingerprint string) serve.Loader {
+func SnapshotLoader(path string, rel *relation.Relation, ex *voice.Extractor, fingerprint string) serve.Loader {
 	return func(ctx context.Context) (*serve.Answerer, error) {
 		meta, err := snapshot.InfoFile(path)
 		if err != nil {
@@ -34,12 +32,7 @@ func SnapshotLoader(path string, rel *relation.Relation, ex *voice.Extractor, us
 			return nil, fmt.Errorf("cluster: snapshot %s built with different parameters (%q, replica wants %q)",
 				path, meta.Fingerprint, fingerprint)
 		}
-		var view engine.StoreView
-		if useMmap {
-			view, err = snapshot.MapFile(path, rel)
-		} else {
-			view, err = snapshot.ReadFile(path, rel)
-		}
+		view, err := snapshot.MapFile(path, rel)
 		if err != nil {
 			return nil, err
 		}

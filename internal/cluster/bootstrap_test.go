@@ -40,27 +40,28 @@ func buildFlightsSnapshot(t testing.TB, fingerprint string) (string, *relation.R
 }
 
 func TestSnapshotLoaderBootstrapsReplica(t *testing.T) {
-	for _, useMmap := range []bool{false, true} {
-		path, rel, ex := buildFlightsSnapshot(t, "fp-1")
-		reg := serve.NewRegistry()
-		if err := reg.Register("flights", SnapshotLoader(path, rel, ex, useMmap, "fp-1")); err != nil {
-			t.Fatal(err)
-		}
-		a, err := reg.Get(context.Background(), "flights")
-		if err != nil {
-			t.Fatalf("mmap=%v: %v", useMmap, err)
-		}
-		ans := a.Answer("what is the cancellation probability for winter")
-		if ans.Text == "" {
-			t.Fatalf("mmap=%v: empty answer from bootstrapped replica", useMmap)
-		}
+	path, rel, ex := buildFlightsSnapshot(t, "fp-1")
+	reg := serve.NewRegistry()
+	if err := reg.Register("flights", SnapshotLoader(path, rel, ex, "fp-1")); err != nil {
+		t.Fatal(err)
+	}
+	a, err := reg.Get(context.Background(), "flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.Store().(*snapshot.Map); !ok {
+		t.Fatalf("replica serves a %T, want the mapped snapshot", a.Store())
+	}
+	ans := a.Answer("what is the cancellation probability for winter")
+	if ans.Text == "" {
+		t.Fatal("empty answer from bootstrapped replica")
 	}
 }
 
 func TestSnapshotLoaderRejectsFingerprintMismatch(t *testing.T) {
 	path, rel, ex := buildFlightsSnapshot(t, "fp-old")
 	reg := serve.NewRegistry()
-	if err := reg.Register("flights", SnapshotLoader(path, rel, ex, false, "fp-new")); err != nil {
+	if err := reg.Register("flights", SnapshotLoader(path, rel, ex, "fp-new")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Get(context.Background(), "flights"); err == nil {
@@ -70,7 +71,7 @@ func TestSnapshotLoaderRejectsFingerprintMismatch(t *testing.T) {
 	}
 	// An empty expected fingerprint skips the gate.
 	reg2 := serve.NewRegistry()
-	if err := reg2.Register("flights", SnapshotLoader(path, rel, ex, false, "")); err != nil {
+	if err := reg2.Register("flights", SnapshotLoader(path, rel, ex, "")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg2.Get(context.Background(), "flights"); err != nil {

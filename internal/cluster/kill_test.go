@@ -30,7 +30,7 @@ func TestRouterSurvivesNodeKill(t *testing.T) {
 	backends := map[string]*httptest.Server{}
 	var nodes []Node
 	for _, id := range []string{"n1", "n2", "n3"} {
-		a, err := SnapshotLoader(path, rel, ex, true, "fp-1")(ctx)
+		a, err := SnapshotLoader(path, rel, ex, "fp-1")(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

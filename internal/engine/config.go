@@ -10,8 +10,8 @@
 // Template.Render turns solved fact sets into speech text, and the
 // immutable index-backed Store is the serve stage's lookup structure —
 // answering by exact match or most-specific generalization in
-// near-constant time, persistable as JSON (Save/LoadStore) or as the
-// binary snapshot artifact of internal/snapshot.
+// near-constant time, persisted as the binary snapshot artifact of
+// internal/snapshot.
 package engine
 
 import (

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -130,9 +131,18 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	if err := store.Save(&buf, rel); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadStore(strings.NewReader(buf.String()), rel)
-	if err != nil {
+	// Save has no loader: decode the dump by hand and restore each
+	// speech the way the checkpoint and patch readers do.
+	var dump persistedStore
+	if err := json.Unmarshal([]byte(buf.String()), &dump); err != nil {
 		t.Fatal(err)
+	}
+	if dump.Version != storeVersion || dump.Dataset != rel.Name() {
+		t.Fatalf("dump header = version %d dataset %q", dump.Version, dump.Dataset)
+	}
+	loaded := NewStore()
+	for _, ps := range dump.Speeches {
+		loaded.Add(ps.Restore(rel))
 	}
 	if loaded.Len() != store.Len() {
 		t.Fatalf("loaded %d speeches, want %d", loaded.Len(), store.Len())
@@ -156,31 +166,20 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadStoreRejectsBadInput(t *testing.T) {
+func TestRestoreDropsUnresolvableFacts(t *testing.T) {
 	rel := dataset.Flights(200, 1)
-	if _, err := LoadStore(strings.NewReader("not json"), rel); err == nil {
-		t.Error("garbage input should fail")
-	}
-	if _, err := LoadStore(strings.NewReader(`{"version": 99}`), rel); err == nil {
-		t.Error("wrong version should fail")
-	}
-}
-
-func TestLoadStoreDropsUnresolvableFacts(t *testing.T) {
-	rel := dataset.Flights(200, 1)
-	in := `{"version":1,"dataset":"flights","speeches":[
-		{"query":{"target":"delay"},
+	in := `{"query":{"target":"delay"},
 		 "facts":[{"columns":["season"],"values":["Winter"],"value":12},
 		          {"columns":["season"],"values":["Monsoon"],"value":99},
 		          {"columns":["bogus"],"values":["x"],"value":1}],
-		 "utility":5,"prior_error":10,"text":"t"}]}`
-	store, err := LoadStore(strings.NewReader(in), rel)
-	if err != nil {
+		 "utility":5,"prior_error":10,"text":"t"}`
+	var ps PersistedSpeech
+	if err := json.Unmarshal([]byte(in), &ps); err != nil {
 		t.Fatal(err)
 	}
-	sp, ok := store.Exact(Query{Target: "delay"})
-	if !ok {
-		t.Fatal("speech missing")
+	sp := ps.Restore(rel)
+	if sp.Text != "t" || sp.Query.Target != "delay" {
+		t.Fatalf("restored speech = %+v", sp)
 	}
 	if len(sp.Facts) != 1 {
 		t.Errorf("facts = %d, want 1 (unresolvable dropped)", len(sp.Facts))

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 
@@ -10,13 +9,14 @@ import (
 	"cicero/internal/relation"
 )
 
-// Speech stores are written to disk after pre-processing so the run-time
-// component (a voice endpoint) can serve them without redoing the batch.
-// Fact scopes are serialized with column and value names, not dictionary
-// codes, so a store survives re-ingestion of the data with different
-// code assignment. The same name-resolved form backs the pipeline's
-// checkpoint files, which append one PersistedSpeech per completed
-// problem.
+// The name-resolved form of a speech: fact scopes are serialized with
+// column and value names, not dictionary codes, so a speech survives
+// re-ingestion of the data with different code assignment. It backs the
+// pipeline's checkpoint files (one PersistedSpeech per completed
+// problem), the upserts of a delta patch, and Save's JSON dump of a whole
+// store — which is for reading by eye or with jq and has no loader: the
+// artifact a daemon serves from is the binary snapshot of
+// internal/snapshot.
 
 // PersistedFact is the serialized form of one fact.
 type PersistedFact struct {
@@ -34,7 +34,7 @@ type PersistedSpeech struct {
 	Text       string          `json:"text"`
 }
 
-// persistedStore is the on-disk store format.
+// persistedStore is the layout of Save's JSON dump.
 type persistedStore struct {
 	Version  int               `json:"version"`
 	Dataset  string            `json:"dataset"`
@@ -104,7 +104,8 @@ func (ps PersistedSpeech) Restore(rel *relation.Relation) *StoredSpeech {
 	return sp
 }
 
-// Save writes the store as JSON. rel resolves scope codes to names.
+// Save dumps the store as JSON for inspection. rel resolves scope codes
+// to names.
 func (s *Store) Save(w io.Writer, rel *relation.Relation) error {
 	out := persistedStore{Version: storeVersion, Dataset: rel.Name()}
 	for _, sp := range s.Speeches() {
@@ -114,7 +115,7 @@ func (s *Store) Save(w io.Writer, rel *relation.Relation) error {
 	return enc.Encode(out)
 }
 
-// SaveFile writes the store to a file path.
+// SaveFile dumps the store as JSON to a file path; see Save.
 func (s *Store) SaveFile(path string, rel *relation.Relation) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -122,36 +123,4 @@ func (s *Store) SaveFile(path string, rel *relation.Relation) error {
 	}
 	defer f.Close()
 	return s.Save(f, rel)
-}
-
-// LoadStore reads a store written by Save, re-resolving scope names
-// against the relation's current dictionaries. Facts whose values no
-// longer appear in the data are dropped from their speech (the speech
-// text is kept verbatim). The returned store is frozen, ready for
-// concurrent serving; Add panics on it. To extend a persisted store,
-// rebuild it with NewStore and Add from Speeches().
-func LoadStore(r io.Reader, rel *relation.Relation) (*Store, error) {
-	var in persistedStore
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("decode speech store: %w", err)
-	}
-	if in.Version != storeVersion {
-		return nil, fmt.Errorf("speech store version %d, want %d", in.Version, storeVersion)
-	}
-	store := NewStore()
-	for _, ps := range in.Speeches {
-		store.Add(ps.Restore(rel))
-	}
-	return store.Freeze(), nil
-}
-
-// LoadStoreFile reads a store from a file path.
-func LoadStoreFile(path string, rel *relation.Relation) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadStore(f, rel)
 }

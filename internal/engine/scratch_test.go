@@ -33,7 +33,7 @@ func wideStore(t *testing.T) (*Store, Query) {
 	}
 	q.Predicates = append(q.Predicates, NamedPredicate{"c00", "v0"})
 	q.Predicates = canonicalPreds(q.Predicates)
-	ti := st.byTarget["t"]
+	ti := st.index().targets["t"]
 	top := len(q.Predicates)
 	if ti.maxPreds < top {
 		top = ti.maxPreds
@@ -55,13 +55,15 @@ func TestLookupPostingAllocFree(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	st, q := wideStore(t)
-	ti := st.byTarget[q.Target]
-	// Warm the pool outside the measured region.
-	if _, ok := st.lookupPosting(ti, q.Predicates); !ok {
+	x := st.index()
+	ti := x.targets[q.Target]
+	// Warm the pool (and build the lazy posting lists) outside the
+	// measured region.
+	if _, ok := x.lookupPosting(ti, q.Predicates); !ok {
 		t.Fatal("posting lookup missed despite matching speech")
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		st.lookupPosting(ti, q.Predicates)
+		x.lookupPosting(ti, q.Predicates)
 	})
 	if avg > 0 {
 		t.Errorf("lookupPosting allocates %.2f objects/op in steady state, want 0", avg)

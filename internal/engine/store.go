@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"sort"
-	"strings"
-	"sync"
-
-	"cicero/internal/fact"
-)
+import "cicero/internal/fact"
 
 // StoredSpeech is one pre-generated speech answer.
 type StoredSpeech struct {
@@ -17,66 +11,28 @@ type StoredSpeech struct {
 	Text       string
 }
 
-// Store holds the pre-generated speeches and implements the run-time
-// matcher of Section III: an incoming query is answered by the speech for
-// exactly its data subset if one exists, otherwise by the speech
-// describing the most specific subset that contains the queried one
-// (predicates S ⊆ Q with |S| maximal; ties break to the lexicographically
-// smallest canonical key, so lookups are deterministic).
+// Store is the build-then-serve container of the pre-generated speeches.
+// Add interns each query into its canonical key, replacing any speech
+// already stored under it; Freeze sorts the speeches once, builds the
+// Index that answers every read, and seals the store. A frozen store is
+// immutable, so any number of goroutines may call Exact/Lookup/Speeches
+// concurrently — the property the serving layer relies on for lock-free
+// answering.
 //
-// The store is a build-then-serve structure: Add interns each query into
-// its canonical key and maintains a per-target generalization index, and
-// Freeze seals the store for serving. A frozen store is immutable, so any
-// number of goroutines may call Exact/Lookup/Speeches concurrently — the
-// property the serving layer relies on for lock-free answering.
-//
-// Lookup does not scan the speeches of a target. Because stored queries
-// have at most maxPreds predicates per target (bounded by the
-// configuration's MaxQueryLen), the most specific generalization is found
-// by probing the canonical keys of the incoming query's predicate subsets
-// of size ≤ maxPreds, largest first — O(C(|Q|, maxPreds)) map probes,
-// effectively constant for voice-sized queries. For adversarially wide
-// queries, where subset enumeration would exceed enumBudget probes,
-// Lookup switches to intersecting per-predicate posting lists instead;
-// both paths return the identical speech.
+// Reads on a store that is not frozen yet build the index on demand and
+// the next Add drops it, so a builder may interleave the two — from one
+// goroutine.
 type Store struct {
-	byKey    map[string]*StoredSpeech
-	byTarget map[string]*targetIndex
-	frozen   bool
-
-	// scratch pools the dense posting-intersection counters so the
-	// wide-query fallback allocates nothing per lookup.
-	scratch sync.Pool
+	// byKey holds the speeches while the store is being built; Freeze
+	// hands them to the index and drops the map.
+	byKey  map[string]*StoredSpeech
+	idx    *Index
+	frozen bool
 }
-
-// targetIndex is the per-target half of the generalization index.
-type targetIndex struct {
-	// speeches lists the target's speeches in insertion order; Add
-	// replaces entries in place so posting-list indices stay valid.
-	speeches []*StoredSpeech
-	// keys caches each speech's canonical key (computed once in Add) for
-	// tie-breaking without re-canonicalizing queries per candidate.
-	keys []string
-	// posting maps each predicate to the indices of the speeches whose
-	// query contains it.
-	posting map[NamedPredicate][]int32
-	// overall is the index of the zero-predicate speech, -1 if absent.
-	overall int32
-	// maxPreds is the widest stored predicate set for the target; lookup
-	// never probes subsets larger than this.
-	maxPreds int
-}
-
-// enumBudget bounds the candidate keys probed per lookup before Lookup
-// falls back from subset enumeration to posting-list intersection.
-const enumBudget = 4096
 
 // NewStore returns an empty speech store.
 func NewStore() *Store {
-	return &Store{
-		byKey:    make(map[string]*StoredSpeech),
-		byTarget: make(map[string]*targetIndex),
-	}
+	return &Store{byKey: make(map[string]*StoredSpeech)}
 }
 
 // Add inserts a speech, replacing any previous speech for the same query.
@@ -87,331 +43,63 @@ func (s *Store) Add(sp *StoredSpeech) {
 		panic("engine: Add on a frozen speech store")
 	}
 	sp.Query = sp.Query.Canonical()
-	key := sp.Query.Key()
-	ti := s.byTarget[sp.Query.Target]
-	if ti == nil {
-		ti = &targetIndex{posting: make(map[NamedPredicate][]int32), overall: -1}
-		s.byTarget[sp.Query.Target] = ti
-	}
-	if old, ok := s.byKey[key]; ok {
-		// Same canonical key means the same predicate set: swap the
-		// speech in place, posting lists keep pointing at its slot.
-		for i, e := range ti.speeches {
-			if e == old {
-				ti.speeches[i] = sp
-				break
-			}
-		}
-		s.byKey[key] = sp
-		return
-	}
-	idx := int32(len(ti.speeches))
-	ti.speeches = append(ti.speeches, sp)
-	ti.keys = append(ti.keys, key)
-	for _, p := range sp.Query.Predicates {
-		ti.posting[p] = append(ti.posting[p], idx)
-	}
-	if len(sp.Query.Predicates) == 0 {
-		ti.overall = idx
-	}
-	if len(sp.Query.Predicates) > ti.maxPreds {
-		ti.maxPreds = len(sp.Query.Predicates)
-	}
-	s.byKey[key] = sp
+	s.byKey[sp.Query.Key()] = sp
+	s.idx = nil
 }
 
 // Freeze seals the store: further Add calls panic, and concurrent lookups
-// are safe. Freeze returns the store for chaining.
+// are safe. Freezing a frozen store writes nothing, so the serving layer
+// may re-seal a store other goroutines are reading. Freeze returns the
+// store for chaining.
 func (s *Store) Freeze() *Store {
-	s.frozen = true
+	if !s.frozen {
+		s.index()
+		s.byKey = nil
+		s.frozen = true
+	}
 	return s
 }
 
 // Frozen reports whether the store has been sealed.
 func (s *Store) Frozen() bool { return s.frozen }
 
+// index returns the lookup structure over the speeches added so far.
+func (s *Store) index() *Index {
+	if s.idx == nil {
+		speeches := make([]*StoredSpeech, 0, len(s.byKey))
+		for _, sp := range s.byKey {
+			speeches = append(speeches, sp)
+		}
+		idx, err := NewIndex(speeches)
+		if err != nil {
+			panic("engine: " + err.Error()) // byKey cannot hold one key twice
+		}
+		s.idx = idx
+	}
+	return s.idx
+}
+
 // Len returns the number of stored speeches.
-func (s *Store) Len() int { return len(s.byKey) }
+func (s *Store) Len() int {
+	if s.frozen {
+		return s.idx.Len()
+	}
+	return len(s.byKey)
+}
 
 // HasTarget reports whether any speech exists for the target column.
-func (s *Store) HasTarget(target string) bool {
-	ti := s.byTarget[target]
-	return ti != nil && len(ti.speeches) > 0
-}
+func (s *Store) HasTarget(target string) bool { return s.index().HasTarget(target) }
 
 // Exact returns the speech pre-generated for precisely this query.
-func (s *Store) Exact(q Query) (*StoredSpeech, bool) {
-	sp, ok := s.byKey[q.Key()]
-	return sp, ok
-}
+func (s *Store) Exact(q Query) (*StoredSpeech, bool) { return s.index().Exact(q) }
 
-// Lookup returns the best speech for the query: the exact match when
-// available, otherwise the most specific generalization (maximal number
-// of shared predicates, ties broken by smallest canonical key). The
-// boolean reports whether an exact match or a containing generalization
-// was found — NOT merely whether any speech for the target exists; a
-// query whose predicates contradict everything stored for its target
-// returns false even though the target has speeches (use HasTarget for
-// that question).
-func (s *Store) Lookup(q Query) (*StoredSpeech, bool) {
-	sp, _, ok := s.Match(q)
-	return sp, ok
-}
+// Lookup returns the exact match or the most specific containing
+// generalization; see Index.Lookup for the contract.
+func (s *Store) Lookup(q Query) (*StoredSpeech, bool) { return s.index().Lookup(q) }
 
-// Match is Lookup plus match metadata: exact reports whether the served
-// speech describes the query's own data subset rather than a containing
-// generalization. The serving layer uses this to answer and annotate in
-// a single store probe.
-func (s *Store) Match(q Query) (sp *StoredSpeech, exact, ok bool) {
-	// One canonicalization serves the exact probe and both index paths;
-	// already-canonical input (the common serve re-probe) is not copied.
-	preds := canonicalPredsView(q.Predicates)
-	if sp, ok := s.byKey[predsKey(q.Target, preds)]; ok {
-		return sp, true, true
-	}
-	ti := s.byTarget[q.Target]
-	if ti == nil {
-		return nil, false, false
-	}
-	top := len(preds)
-	if ti.maxPreds < top {
-		top = ti.maxPreds
-	}
-	// Probe subsets largest-first; the first size with any hit holds the
-	// most specific generalization.
-	if enumFits(len(preds), top) {
-		sp, ok = s.lookupEnum(q.Target, preds, top)
-	} else {
-		sp, ok = s.lookupPosting(ti, preds)
-	}
-	return sp, false, ok
-}
+// Match is Lookup plus the exact flag; see Index.Match.
+func (s *Store) Match(q Query) (sp *StoredSpeech, exact, ok bool) { return s.index().Match(q) }
 
-// lookupEnum probes the canonical keys of all predicate subsets of size
-// k = top..0; the smallest key among the hits of the first non-empty size
-// is the deterministic winner.
-func (s *Store) lookupEnum(target string, preds []NamedPredicate, top int) (*StoredSpeech, bool) {
-	idx := make([]int, 0, top)
-	for k := top; k >= 0; k-- {
-		var best *StoredSpeech
-		bestKey := ""
-		var walk func(start int)
-		walk = func(start int) {
-			if len(idx) == k {
-				key := subsetKey(target, preds, idx)
-				if sp, ok := s.byKey[key]; ok {
-					if best == nil || key < bestKey {
-						best, bestKey = sp, key
-					}
-				}
-				return
-			}
-			for i := start; i <= len(preds)-(k-len(idx)); i++ {
-				idx = append(idx, i)
-				walk(i + 1)
-				idx = idx[:len(idx)-1]
-			}
-		}
-		walk(0)
-		if best != nil {
-			return best, true
-		}
-	}
-	return nil, false
-}
-
-// postScratch is the reusable state of one posting-intersection pass:
-// an epoch-stamped dense counter (bumping the epoch invalidates every
-// slot without clearing, the same trick as the summarization kernel's
-// scratch) plus the list of slots touched this pass, so the scan over
-// candidates visits only referenced speeches.
-type postScratch struct {
-	epoch   uint32
-	stamp   []uint32
-	count   []int32
-	touched []int32
-}
-
-// reset sizes the scratch for n speeches and opens a fresh epoch.
-func (sc *postScratch) reset(n int) {
-	if cap(sc.stamp) < n {
-		sc.stamp = make([]uint32, n)
-		sc.count = make([]int32, n)
-	}
-	sc.stamp = sc.stamp[:n]
-	sc.count = sc.count[:n]
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stale stamps could collide, clear once
-		clear(sc.stamp)
-		sc.epoch = 1
-	}
-	sc.touched = sc.touched[:0]
-}
-
-// lookupPosting finds the most specific generalization by counting, for
-// every speech referenced from the query predicates' posting lists, how
-// many of its predicates the query shares. A speech is a generalization
-// iff the count equals its own predicate count. The counters live in a
-// per-store pooled dense scratch, so the wide-query fallback is
-// allocation-free in steady state.
-func (s *Store) lookupPosting(ti *targetIndex, preds []NamedPredicate) (*StoredSpeech, bool) {
-	sc, _ := s.scratch.Get().(*postScratch)
-	if sc == nil {
-		sc = &postScratch{}
-	}
-	defer s.scratch.Put(sc)
-	sc.reset(len(ti.speeches))
-	for _, p := range preds {
-		for _, idx := range ti.posting[p] {
-			if sc.stamp[idx] != sc.epoch {
-				sc.stamp[idx] = sc.epoch
-				sc.count[idx] = 0
-				sc.touched = append(sc.touched, idx)
-			}
-			sc.count[idx]++
-		}
-	}
-	var best *StoredSpeech
-	bestShared, bestKey := -1, ""
-	for _, idx := range sc.touched {
-		sp := ti.speeches[idx]
-		n := int(sc.count[idx])
-		if n != len(sp.Query.Predicates) {
-			continue
-		}
-		if n > bestShared || (n == bestShared && ti.keys[idx] < bestKey) {
-			best, bestShared, bestKey = sp, n, ti.keys[idx]
-		}
-	}
-	if best == nil && ti.overall >= 0 {
-		best = ti.speeches[ti.overall]
-	}
-	if best == nil {
-		return nil, false
-	}
-	return best, true
-}
-
-// lookupScan is the pre-index linear matcher, kept as the benchmark
-// baseline (BenchmarkStoreLookup) and as a cross-check oracle in tests.
-// It applies the same tie-break as the indexed paths.
-func (s *Store) lookupScan(q Query) (*StoredSpeech, bool) {
-	if sp, ok := s.Exact(q); ok {
-		return sp, true
-	}
-	ti := s.byTarget[q.Target]
-	if ti == nil {
-		return nil, false
-	}
-	var best *StoredSpeech
-	bestShared, bestKey := -1, ""
-	for i, sp := range ti.speeches {
-		if !sp.Query.SubsetOf(q) {
-			continue
-		}
-		shared := len(sp.Query.Predicates)
-		if shared > bestShared || (shared == bestShared && ti.keys[i] < bestKey) {
-			best, bestShared, bestKey = sp, shared, ti.keys[i]
-		}
-	}
-	if best == nil {
-		return nil, false
-	}
-	return best, true
-}
-
-// Speeches returns all stored speeches in deterministic (key) order.
-func (s *Store) Speeches() []*StoredSpeech {
-	keys := make([]string, 0, len(s.byKey))
-	for k := range s.byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*StoredSpeech, len(keys))
-	for i, k := range keys {
-		out[i] = s.byKey[k]
-	}
-	return out
-}
-
-// canonicalPredsView returns the canonical form of preds, reusing the
-// input slice when it is already sorted and deduplicated — the common
-// case on the serve path, where queries arrive pre-canonicalized from
-// the extractor or a stored speech. Callers must not mutate the result.
-func canonicalPredsView(preds []NamedPredicate) []NamedPredicate {
-	for i := 1; i < len(preds); i++ {
-		a, b := preds[i-1], preds[i]
-		if a.Column > b.Column || (a.Column == b.Column && a.Value >= b.Value) {
-			return canonicalPreds(preds)
-		}
-	}
-	return preds
-}
-
-// canonicalPreds returns the predicates sorted by column then value and
-// deduplicated (generalization matching is over predicate sets), without
-// mutating the input.
-func canonicalPreds(preds []NamedPredicate) []NamedPredicate {
-	out := append([]NamedPredicate(nil), preds...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Column != out[j].Column {
-			return out[i].Column < out[j].Column
-		}
-		return out[i].Value < out[j].Value
-	})
-	w := 0
-	for i, p := range out {
-		if i == 0 || p != out[w-1] {
-			out[w] = p
-			w++
-		}
-	}
-	return out[:w]
-}
-
-// subsetKey builds the canonical key of the predicate subset selected by
-// idx (ascending positions into the canonically sorted preds).
-func subsetKey(target string, preds []NamedPredicate, idx []int) string {
-	var b strings.Builder
-	b.WriteString(target)
-	for _, i := range idx {
-		b.WriteByte('|')
-		b.WriteString(preds[i].Column)
-		b.WriteByte('=')
-		b.WriteString(preds[i].Value)
-	}
-	return b.String()
-}
-
-// predsKey builds the canonical key of canonically sorted predicates.
-func predsKey(target string, preds []NamedPredicate) string {
-	var b strings.Builder
-	b.WriteString(target)
-	for _, p := range preds {
-		b.WriteByte('|')
-		b.WriteString(p.Column)
-		b.WriteByte('=')
-		b.WriteString(p.Value)
-	}
-	return b.String()
-}
-
-// enumFits reports whether probing all predicate subsets of sizes top..0
-// over n predicates stays within enumBudget keys.
-func enumFits(n, top int) bool {
-	total := 0
-	for k := top; k >= 0; k-- {
-		c := 1
-		for i := 0; i < k; i++ {
-			c = c * (n - i) / (i + 1)
-			if c > enumBudget {
-				return false
-			}
-		}
-		total += c
-		if total > enumBudget {
-			return false
-		}
-	}
-	return true
-}
+// Speeches returns all stored speeches in canonical-key order; the slice
+// is shared and must be treated as read-only.
+func (s *Store) Speeches() []*StoredSpeech { return s.index().Speeches() }

@@ -51,10 +51,6 @@ func TestStoreIndexNearestGeneralizationTieBreak(t *testing.T) {
 	if !ok || sp.Text != "by-airline" {
 		t.Fatalf("tie-break Lookup = %+v, %v; want by-airline", sp, ok)
 	}
-	// The scan oracle applies the same tie-break.
-	if sc, ok := st.lookupScan(q); !ok || sc.Text != sp.Text {
-		t.Fatalf("scan disagrees: %+v", sc)
-	}
 }
 
 func TestStoreIndexMiss(t *testing.T) {
@@ -93,52 +89,6 @@ func TestStoreAddReplaceKeepsIndex(t *testing.T) {
 	sp, ok := st.Lookup(q)
 	if !ok || sp.Text != "second" {
 		t.Fatalf("Lookup after replace = %+v, %v; want second", sp, ok)
-	}
-}
-
-// TestStoreLookupMatchesScan cross-checks both indexed paths against the
-// linear-scan oracle on randomized stores and queries, including queries
-// wide enough to force the posting-list path.
-func TestStoreLookupMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cols := []string{"a", "b", "c", "d", "e", "f"}
-	randPreds := func(n int) []NamedPredicate {
-		perm := rng.Perm(len(cols))[:n]
-		preds := make([]NamedPredicate, n)
-		for i, ci := range perm {
-			preds[i] = NamedPredicate{cols[ci], fmt.Sprintf("v%d", rng.Intn(3))}
-		}
-		return preds
-	}
-	st := NewStore()
-	for i := 0; i < 300; i++ {
-		st.Add(mkSpeech("t", fmt.Sprintf("s%d", i), randPreds(rng.Intn(4))...))
-	}
-	st.Freeze()
-	for i := 0; i < 2000; i++ {
-		q := Query{Target: "t", Predicates: randPreds(1 + rng.Intn(5))}
-		got, gok := st.Lookup(q)
-		want, wok := st.lookupScan(q)
-		if gok != wok || (gok && got != want) {
-			t.Fatalf("query %v: indexed (%v,%v) != scan (%v,%v)", q, got, gok, want, wok)
-		}
-	}
-
-	// A very wide query exceeds the enumeration budget and exercises the
-	// posting-list path; both paths must agree with the scan.
-	wide := Query{Target: "t"}
-	for i := 0; i < 60; i++ {
-		wide.Predicates = append(wide.Predicates,
-			NamedPredicate{fmt.Sprintf("w%02d", i), "x"})
-	}
-	wide.Predicates = append(wide.Predicates, NamedPredicate{"a", "v1"})
-	if enumFits(len(canonicalPreds(wide.Predicates)), 3) {
-		t.Fatal("wide query unexpectedly within enumeration budget")
-	}
-	got, gok := st.Lookup(wide)
-	want, wok := st.lookupScan(wide)
-	if gok != wok || (gok && got != want) {
-		t.Fatalf("wide query: indexed (%v,%v) != scan (%v,%v)", got, gok, want, wok)
 	}
 }
 

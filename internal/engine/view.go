@@ -3,16 +3,15 @@ package engine
 // StoreView is the read-only accessor surface of a frozen speech store —
 // the contract the serving stack (serve.Answerer, the HTTP tier, the
 // facade) depends on, decoupling it from how the speeches are laid out
-// in memory. Two implementations exist: *Store, the mutable-then-frozen
-// heap structure built by pre-processing, and snapshot.Map, which
-// serves the same answers directly out of an mmapped snapshot artifact
-// without materializing a heap store.
+// in memory. Two containers implement it over the one Index: *Store,
+// the mutable-then-frozen heap structure built by pre-processing, and
+// snapshot.Map, whose speeches are zero-copy views into an mmapped
+// snapshot artifact. Both hand their speeches to NewIndex and delegate
+// every method here to it, so they cannot disagree on a match or a
+// tie-break.
 //
 // Every implementation must be safe for concurrent use once serving
-// begins, and all of them must agree bit-for-bit: same speeches, same
-// most-specific-generalization semantics, same lexicographic-key
-// tie-breaks. The cross-check oracle in internal/snapshot pins that
-// parity.
+// begins.
 type StoreView interface {
 	// Exact returns the speech pre-generated for precisely this query.
 	Exact(q Query) (*StoredSpeech, bool)
@@ -45,38 +44,4 @@ func Seal(v StoreView) StoreView {
 		s.Freeze()
 	}
 	return v
-}
-
-// The helpers below define the canonical key space every StoreView
-// implementation must match on. They are exported so an alternate
-// implementation (the mmap-backed snapshot reader) reproduces the heap
-// store's probing and tie-break semantics exactly instead of
-// re-deriving them.
-
-// CanonicalPreds returns the predicates sorted by column then value and
-// deduplicated. When the input is already canonical — the common case
-// on the serve path, which re-probes canonical queries — the input
-// slice is returned as is, without copying; callers must treat the
-// result as read-only.
-func CanonicalPreds(preds []NamedPredicate) []NamedPredicate {
-	return canonicalPredsView(preds)
-}
-
-// PredsKey builds the canonical store key of a target and canonically
-// sorted predicates.
-func PredsKey(target string, preds []NamedPredicate) string {
-	return predsKey(target, preds)
-}
-
-// SubsetPredsKey builds the canonical key of the predicate subset
-// selected by idx (ascending positions into canonically sorted preds).
-func SubsetPredsKey(target string, preds []NamedPredicate, idx []int) string {
-	return subsetKey(target, preds, idx)
-}
-
-// EnumFits reports whether probing all predicate subsets of sizes
-// top..0 over n predicates stays within the lookup enumeration budget;
-// beyond it, Match implementations switch to posting-list intersection.
-func EnumFits(n, top int) bool {
-	return enumFits(n, top)
 }

@@ -129,39 +129,3 @@ func TestSessionRepeat(t *testing.T) {
 		t.Errorf("repeat after help = %q, want %q", rep2.Text, ans.Text)
 	}
 }
-
-func TestAnswerBatchConcurrent(t *testing.T) {
-	a := newFlightsAnswerer(t)
-	texts := make([]string, 0, 200)
-	for i := 0; i < 50; i++ {
-		texts = append(texts,
-			"cancellations in Winter",
-			"cancellations with AA",
-			"which airline has the most cancellations",
-			"gibberish request",
-		)
-	}
-	seq := a.AnswerBatch(texts, 1)
-	con := a.AnswerBatch(texts, 8)
-	for _, res := range []BatchResult{seq, con} {
-		if len(res.Answers) != len(texts) {
-			t.Fatalf("got %d answers, want %d", len(res.Answers), len(texts))
-		}
-		if res.Answered != 150 {
-			t.Errorf("answered = %d, want 150", res.Answered)
-		}
-		if res.Latency.P50 <= 0 || res.Latency.P95 < res.Latency.P50 ||
-			res.Latency.P99 < res.Latency.P95 || res.Latency.Max < res.Latency.P99 {
-			t.Errorf("inconsistent percentiles: %+v", res.Latency)
-		}
-		if res.Throughput <= 0 {
-			t.Errorf("throughput = %v", res.Throughput)
-		}
-	}
-	// Order is preserved: answers line up with their inputs.
-	for i, ans := range con.Answers {
-		if seq.Answers[i].Kind != ans.Kind || seq.Answers[i].Text != ans.Text {
-			t.Fatalf("answer %d diverges between sequential and concurrent runs", i)
-		}
-	}
-}

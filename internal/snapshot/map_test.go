@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
+	"cicero/internal/relation"
 	"cicero/internal/serve"
 	"cicero/internal/voice"
 )
@@ -37,102 +39,59 @@ func sameSpeech(t *testing.T, ctx string, h, m *engine.StoredSpeech) {
 	}
 }
 
-// checkQueryParity runs one query through both implementations and
-// compares Exact, Match, and Lookup verbatim.
-func checkQueryParity(t *testing.T, heap *engine.Store, m *Map, q engine.Query) {
+// bothLoaders runs snapshot bytes through both entry points and fails
+// the test unless they agree on the verdict: Decode is the Map reader
+// with Verify run up front, so the two must accept exactly the same
+// files, and reject a file with one defect — truncated, version-skewed,
+// mounted on the wrong relation, or crafted and resealed — with the
+// same error class. It returns that verdict.
+func bothLoaders(t *testing.T, ctx string, data []byte, rel *relation.Relation) error {
 	t.Helper()
-	ctx := q.Key()
-	he, hok := heap.Exact(q)
-	me, mok := m.Exact(q)
-	if hok != mok {
-		t.Fatalf("Exact(%s): mmap ok=%v, heap ok=%v", ctx, mok, hok)
+	_, derr := Decode(data, rel)
+	m, merr := MapBytes(data, rel)
+	if merr == nil {
+		merr = m.Verify()
 	}
-	if hok {
-		sameSpeech(t, "Exact("+ctx+")", he, me)
+	for _, class := range []error{ErrCorrupt, ErrVersion, ErrDataset} {
+		if errors.Is(derr, class) != errors.Is(merr, class) {
+			t.Fatalf("%s: Decode says %v, MapBytes+Verify says %v", ctx, derr, merr)
+		}
 	}
-	hs, hexact, hok := heap.Match(q)
-	ms, mexact, mok := m.Match(q)
-	if hok != mok || hexact != mexact {
-		t.Fatalf("Match(%s): mmap (exact=%v ok=%v), heap (exact=%v ok=%v)", ctx, mexact, mok, hexact, hok)
+	if (derr == nil) != (merr == nil) {
+		t.Fatalf("%s: Decode says %v, MapBytes+Verify says %v", ctx, derr, merr)
 	}
-	if hok {
-		sameSpeech(t, "Match("+ctx+")", hs, ms)
-	}
-	hl, hok := heap.Lookup(q)
-	ml, mok := m.Lookup(q)
-	if hok != mok {
-		t.Fatalf("Lookup(%s): mmap ok=%v, heap ok=%v", ctx, mok, hok)
-	}
-	if hok {
-		sameSpeech(t, "Lookup("+ctx+")", hl, ml)
-	}
+	return derr
 }
 
-// TestMapParityOracle is the cross-check oracle for the zero-copy
-// reader: over both example datasets, the mmap-backed view must be
-// bit-identical to the heap store on every accessor — the full speech
-// enumeration, a directed exact probe per stored speech, 500 random
-// queries (most of which resolve through generalization with
-// tie-breaks), and adversarially wide queries that force the
-// posting-intersection path.
+// TestMapParityOracle: the two containers of one store — the heap store
+// pre-processing built and the Map over its snapshot bytes — enumerate
+// the same speeches in the same order. What they answer from those
+// speeches is the one index's business, pinned against the reference
+// scan by engine.TestStoreLookupMatchesScan on both containers.
 func TestMapParityOracle(t *testing.T) {
 	for _, tc := range exampleStores(t) {
 		t.Run(tc.rel.Name(), func(t *testing.T) {
-			data := encode(t, tc.store, tc.rel)
-			heap, err := Decode(data, tc.rel)
-			if err != nil {
-				t.Fatalf("Decode: %v", err)
-			}
-			m, err := MapBytes(data, tc.rel)
+			m, err := MapBytes(encode(t, tc.store, tc.rel), tc.rel)
 			if err != nil {
 				t.Fatalf("MapBytes: %v", err)
 			}
 			if m.Mapped() {
 				t.Error("MapBytes must not report a region mapping")
 			}
-			if m.Len() != heap.Len() {
-				t.Fatalf("Len = %d, want %d", m.Len(), heap.Len())
+			if m.Len() != tc.store.Len() {
+				t.Fatalf("Len = %d, want %d", m.Len(), tc.store.Len())
 			}
-			for _, target := range tc.rel.Schema().Targets {
-				if m.HasTarget(target) != heap.HasTarget(target) {
+			for _, target := range append([]string{"no-such-target"}, tc.rel.Schema().Targets...) {
+				if m.HasTarget(target) != tc.store.HasTarget(target) {
 					t.Fatalf("HasTarget(%q) diverges", target)
 				}
 			}
-			if m.HasTarget("no-such-target") {
-				t.Error("HasTarget(no-such-target) = true")
-			}
-
-			// Full enumeration, in the same deterministic order.
-			hsp, msp := heap.Speeches(), m.Speeches()
+			hsp, msp := tc.store.Speeches(), m.Speeches()
 			if len(hsp) != len(msp) {
 				t.Fatalf("Speeches: %d, want %d", len(msp), len(hsp))
 			}
 			for i := range hsp {
 				sameSpeech(t, fmt.Sprintf("speech %d", i), hsp[i], msp[i])
-			}
-
-			// Directed exact probes over every stored key exercise the
-			// whole binary-search key table.
-			for _, sp := range hsp {
-				checkQueryParity(t, heap, m, sp.Query)
-			}
-
-			// Random queries: 0-3 predicates over real dimension values, so
-			// exact hits, generalizations, ties, and misses all occur.
-			rng := rand.New(rand.NewSource(77))
-			for i := 0; i < 500; i++ {
-				checkQueryParity(t, heap, m, randomQuery(tc.rel, rng))
-			}
-
-			// Wide queries overflow the enumeration budget where the store's
-			// maxPreds allows, forcing the posting-intersection fallback.
-			for i := 0; i < 25; i++ {
-				q := randomQuery(tc.rel, rng)
-				for j := 0; j < 120; j++ {
-					q.Predicates = append(q.Predicates,
-						engine.NamedPredicate{Column: fmt.Sprintf("zz%03d", j), Value: "x"})
-				}
-				checkQueryParity(t, heap, m, q)
 			}
 		})
 	}
@@ -224,7 +183,7 @@ func TestMapDeferredPayloadVerify(t *testing.T) {
 
 // sectionSpan returns the absolute [start, end) range of a section's
 // bytes within the snapshot file image.
-func sectionSpan(t *testing.T, data []byte, id uint32) (int, int) {
+func sectionSpan(t testing.TB, data []byte, id uint32) (int, int) {
 	t.Helper()
 	payload := data[headerSize:]
 	for i := 0; i < int(le.Uint32(data[offSectionCount:])); i++ {
@@ -246,10 +205,89 @@ func reseal(data []byte) {
 	le.PutUint32(data[offHeaderCRC:], crc32.Checksum(data[:offHeaderCRC], castagnoli))
 }
 
-// predStarts parses the predicate CSR offsets from the file image.
-func predStarts(t *testing.T, data []byte) []uint32 {
+// swapFirstPredPair reorders the predicates of the first speech that
+// has two, in place, and reseals: a checksum-valid file that breaks the
+// canonical predicate order the writer always emits.
+func swapFirstPredPair(t testing.TB, data []byte) {
 	t.Helper()
-	lo, hi := sectionSpan(t, data, secPredStart)
+	starts := csrStarts(t, data, secPredStart)
+	predsLo, _ := sectionSpan(t, data, secPreds)
+	for i := 0; i+1 < len(starts); i++ {
+		if starts[i+1]-starts[i] >= 2 {
+			a := predsLo + 8*int(starts[i])
+			swapBytes(data, a, a+8, 8)
+			reseal(data)
+			return
+		}
+	}
+	t.Fatal("no two-predicate speech to reorder")
+}
+
+// forgeDuplicateKey clones one speech's identity (target id + predicate
+// pairs) onto another with as many predicates, in place, and reseals.
+func forgeDuplicateKey(t testing.TB, data []byte) {
+	t.Helper()
+	starts := csrStarts(t, data, secPredStart)
+	recsLo, _ := sectionSpan(t, data, secSpeeches)
+	predsLo, _ := sectionSpan(t, data, secPreds)
+	for i := 0; i+2 < len(starts); i++ {
+		for j := i + 1; j+1 < len(starts); j++ {
+			if starts[i+1]-starts[i] == starts[j+1]-starts[j] {
+				copy(data[recsLo+speechRecordSize*j:][:4], data[recsLo+speechRecordSize*i:][:4])
+				n := int(starts[i+1] - starts[i])
+				copy(data[predsLo+8*int(starts[j]):][:8*n], data[predsLo+8*int(starts[i]):][:8*n])
+				reseal(data)
+				return
+			}
+		}
+	}
+	t.Fatal("no two speeches with equal predicate counts to forge")
+}
+
+// rejectedEverywhere requires every entry point — Decode, MapBytes,
+// and the path-taking ReadFile and MapFile — to refuse data as corrupt.
+func rejectedEverywhere(t *testing.T, ctx string, data []byte, rel *relation.Relation) {
+	t.Helper()
+	if err := bothLoaders(t, ctx, data, rel); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: err = %v, want ErrCorrupt", ctx, err)
+	}
+	path := filepath.Join(t.TempDir(), "crafted.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path, rel); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: ReadFile err = %v, want ErrCorrupt", ctx, err)
+	}
+	if _, err := MapFile(path, rel); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: MapFile err = %v, want ErrCorrupt", ctx, err)
+	}
+}
+
+// TestMapRejectsNonCanonicalPredOrder: the index builds its keys
+// straight from file order, so a checksum-valid file whose predicates
+// are reordered must fail loudly — through every entry point, now that
+// Decode stands on Map (it used to re-canonicalize and accept).
+func TestMapRejectsNonCanonicalPredOrder(t *testing.T) {
+	tc := exampleStores(t)[0] // ACS: two-predicate speeches exist
+	data := encode(t, tc.store, tc.rel)
+	swapFirstPredPair(t, data)
+	rejectedEverywhere(t, "reordered predicates", data, tc.rel)
+}
+
+// TestMapRejectsDuplicateKey: two records under one canonical key are
+// rejected through every entry point (the heap decoder used to let the
+// last writer win).
+func TestMapRejectsDuplicateKey(t *testing.T) {
+	tc := exampleStores(t)[0]
+	data := encode(t, tc.store, tc.rel)
+	forgeDuplicateKey(t, data)
+	rejectedEverywhere(t, "duplicated key", data, tc.rel)
+}
+
+// csrStarts parses one CSR offset section from the file image.
+func csrStarts(t testing.TB, data []byte, id uint32) []uint32 {
+	t.Helper()
+	lo, hi := sectionSpan(t, data, id)
 	starts := make([]uint32, (hi-lo)/4)
 	for i := range starts {
 		starts[i] = le.Uint32(data[lo+4*i:])
@@ -257,68 +295,130 @@ func predStarts(t *testing.T, data []byte) []uint32 {
 	return starts
 }
 
-// TestMapRejectsNonCanonicalPredOrder: Map builds its canonical keys
-// straight from file order, so a checksum-valid file whose predicates
-// are reordered must fail loudly instead of silently diverging from
-// the heap loader (which re-canonicalizes on Add).
-func TestMapRejectsNonCanonicalPredOrder(t *testing.T) {
-	tc := exampleStores(t)[0] // ACS: two-predicate speeches exist
-	data := encode(t, tc.store, tc.rel)
-	starts := predStarts(t, data)
-	predsLo, _ := sectionSpan(t, data, secPreds)
-	swapped := false
-	for i := 0; i+1 < len(starts); i++ {
-		if starts[i+1]-starts[i] >= 2 {
-			a := predsLo + 8*int(starts[i])
-			var tmp [8]byte
-			copy(tmp[:], data[a:a+8])
-			copy(data[a:a+8], data[a+8:a+16])
-			copy(data[a+8:a+16], tmp[:])
-			swapped = true
-			break
-		}
-	}
-	if !swapped {
-		t.Fatal("no two-predicate speech to reorder")
-	}
-	reseal(data)
-	if _, err := Decode(data, tc.rel); err != nil {
-		t.Fatalf("heap loader re-canonicalizes, so Decode must accept: %v", err)
-	}
-	if _, err := MapBytes(data, tc.rel); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("MapBytes: err = %v, want ErrCorrupt", err)
-	}
+// swapBytes exchanges two equally long, disjoint ranges of data.
+func swapBytes(data []byte, a, b, n int) {
+	tmp := bytes.Clone(data[a : a+n])
+	copy(data[a:a+n], data[b:b+n])
+	copy(data[b:b+n], tmp)
 }
 
-// TestMapRejectsDuplicateKey: the heap loader would silently
-// last-writer-win a duplicated canonical key; the mmap reader rejects
-// it so both loaders always serve the same speech set.
-func TestMapRejectsDuplicateKey(t *testing.T) {
-	tc := exampleStores(t)[0]
-	data := encode(t, tc.store, tc.rel)
-	starts := predStarts(t, data)
+// permuteRecords swaps whole speeches — record, predicate pairs, fact
+// values and scope pairs — between pairs of same-shaped speeches, in
+// place, and reseals: the file stays valid but leaves key order, the
+// way a hand-written one might. It returns how many speeches moved.
+func permuteRecords(t testing.TB, data []byte) int {
+	t.Helper()
+	preds := csrStarts(t, data, secPredStart)
+	facts := csrStarts(t, data, secFactStart)
+	scopes := csrStarts(t, data, secScopeStart)
 	recsLo, _ := sectionSpan(t, data, secSpeeches)
 	predsLo, _ := sectionSpan(t, data, secPreds)
-	forged := false
-	for i := 0; i+2 < len(starts) && !forged; i++ {
-		for j := i + 1; j+1 < len(starts); j++ {
-			if starts[i+1]-starts[i] == starts[j+1]-starts[j] {
-				// Clone speech i's identity (target id + predicate pairs)
-				// onto speech j.
-				copy(data[recsLo+speechRecordSize*j:][:4], data[recsLo+speechRecordSize*i:][:4])
-				n := int(starts[i+1] - starts[i])
-				copy(data[predsLo+8*int(starts[j]):][:8*n], data[predsLo+8*int(starts[i]):][:8*n])
-				forged = true
-				break
-			}
+	valsLo, _ := sectionSpan(t, data, secFactValues)
+	scopeLo, _ := sectionSpan(t, data, secScopePairs)
+	n := len(preds) - 1
+	// shape is everything the CSR offsets say about a speech, so that
+	// swapping payload bytes alone keeps every offset valid.
+	shape := func(i int) string {
+		s := fmt.Sprint(preds[i+1]-preds[i], facts[i+1]-facts[i])
+		for f := facts[i]; f < facts[i+1]; f++ {
+			s += fmt.Sprint(",", scopes[f+1]-scopes[f])
 		}
+		return s
 	}
-	if !forged {
-		t.Fatal("no two speeches with equal predicate counts to forge")
+	waiting := map[string]int{} // shape -> a speech still unpaired
+	moved := 0
+	for j := 0; j < n; j++ {
+		i, ok := waiting[shape(j)]
+		if !ok {
+			waiting[shape(j)] = j
+			continue
+		}
+		delete(waiting, shape(j))
+		swapBytes(data, recsLo+speechRecordSize*i, recsLo+speechRecordSize*j, speechRecordSize)
+		swapBytes(data, predsLo+8*int(preds[i]), predsLo+8*int(preds[j]), 8*int(preds[i+1]-preds[i]))
+		swapBytes(data, valsLo+8*int(facts[i]), valsLo+8*int(facts[j]), 8*int(facts[i+1]-facts[i]))
+		si, sj := scopes[facts[i]], scopes[facts[j]]
+		swapBytes(data, scopeLo+8*int(si), scopeLo+8*int(sj), 8*int(scopes[facts[i+1]]-si))
+		moved += 2
 	}
 	reseal(data)
-	if _, err := MapBytes(data, tc.rel); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("MapBytes: err = %v, want ErrCorrupt", err)
+	return moved
+}
+
+// TestMapSortsPermutedRecords: key order is what the writer emits, not
+// a format requirement. A valid snapshot whose speeches sit in another
+// order maps, verifies, enumerates and answers exactly like the sorted
+// file, and decodes to the same speeches with the same facts.
+func TestMapSortsPermutedRecords(t *testing.T) {
+	tc := exampleStores(t)[0]
+	sorted := encode(t, tc.store, tc.rel)
+	permuted := bytes.Clone(sorted)
+	if moved := permuteRecords(t, permuted); moved < tc.store.Len()/2 {
+		t.Fatalf("only %d of %d speeches moved", moved, tc.store.Len())
+	}
+	if err := bothLoaders(t, "permuted records", permuted, tc.rel); err != nil {
+		t.Fatalf("permuted file rejected: %v", err)
+	}
+	want, err := MapBytes(sorted, tc.rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MapBytes(permuted, tc.rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsp, gsp := want.Speeches(), got.Speeches()
+	if len(wsp) != len(gsp) {
+		t.Fatalf("Speeches: %d, want %d", len(gsp), len(wsp))
+	}
+	for i := range wsp {
+		sameSpeech(t, fmt.Sprintf("speech %d", i), wsp[i], gsp[i])
+	}
+	rng := rand.New(rand.NewSource(77))
+	queries := make([]engine.Query, 0, len(wsp)+525)
+	for _, sp := range wsp {
+		queries = append(queries, sp.Query)
+	}
+	for i := 0; i < 525; i++ {
+		q := randomQuery(tc.rel, rng)
+		if i >= 500 { // wide enough for the posting path
+			for j := 0; j < 120; j++ {
+				q.Predicates = append(q.Predicates,
+					engine.NamedPredicate{Column: fmt.Sprintf("zz%03d", j), Value: "x"})
+			}
+		}
+		queries = append(queries, q)
+	}
+	for _, q := range queries {
+		ws, wexact, wok := want.Match(q)
+		gs, gexact, gok := got.Match(q)
+		if wok != gok || wexact != gexact {
+			t.Fatalf("Match(%s): permuted (exact=%v ok=%v), sorted (exact=%v ok=%v)", q.Key(), gexact, gok, wexact, wok)
+		}
+		if wok {
+			sameSpeech(t, "Match("+q.Key()+")", ws, gs)
+		}
+	}
+
+	wantStore, err := Decode(sorted, tc.rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotStore, err := Decode(permuted, tc.rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsp, gsp = wantStore.Speeches(), gotStore.Speeches()
+	for i := range wsp {
+		sameSpeech(t, fmt.Sprintf("decoded speech %d", i), wsp[i], gsp[i])
+		if len(wsp[i].Facts) != len(gsp[i].Facts) {
+			t.Fatalf("decoded speech %d: %d facts, want %d", i, len(gsp[i].Facts), len(wsp[i].Facts))
+		}
+		for j, f := range wsp[i].Facts {
+			if g := gsp[i].Facts[j]; !f.Scope.Equal(g.Scope) || math.Float64bits(f.Value) != math.Float64bits(g.Value) {
+				t.Fatalf("decoded speech %d fact %d differs", i, j)
+			}
+		}
 	}
 }
 

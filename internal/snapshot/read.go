@@ -3,10 +3,10 @@ package snapshot
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"slices"
+	"strings"
 	"time"
 
 	"cicero/internal/engine"
@@ -25,22 +25,7 @@ type reader struct {
 	strBlob []byte
 }
 
-// Read loads a snapshot and rebuilds the frozen speech store against
-// rel. It fails with ErrCorrupt on truncation or checksum mismatch,
-// ErrVersion on format-version skew, and ErrDataset when the snapshot
-// was written for a different dataset or schema. Facts whose scope
-// names no longer resolve against rel's dictionaries are dropped from
-// their speech (the speech text is kept verbatim), matching the JSON
-// store loader's semantics.
-func Read(r io.Reader, rel *relation.Relation) (*engine.Store, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data, rel)
-}
-
-// ReadFile loads a snapshot from path; see Read.
+// ReadFile loads the snapshot at path into a heap store; see Decode.
 func ReadFile(path string, rel *relation.Relation) (*engine.Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -49,17 +34,63 @@ func ReadFile(path string, rel *relation.Relation) (*engine.Store, error) {
 	return Decode(data, rel)
 }
 
-// Decode rebuilds the frozen store from in-memory snapshot bytes; see
-// Read for the error contract.
+// Decode rebuilds the frozen heap store, facts included, from in-memory
+// snapshot bytes: the facts-complete load for tools that re-write an
+// artifact (serving maps instead; see Map). It is the Map reader with
+// the deferred Verify run up front, plus a deep copy, so both entry
+// points accept exactly the same files. It fails with ErrCorrupt on
+// truncation, checksum mismatch, or a malformed section, ErrVersion on
+// format-version skew, and ErrDataset when the snapshot was written for
+// a different dataset or schema. Facts whose scope names no longer
+// resolve against rel's dictionaries are dropped from their speech (the
+// speech text is kept verbatim). The store shares no memory with data.
 func Decode(data []byte, rel *relation.Relation) (*engine.Store, error) {
-	rd, meta, err := open(data)
+	rd, meta, err := openStructural(data)
 	if err != nil {
 		return nil, err
 	}
-	if err := meta.check(rel); err != nil {
+	// Checksum before the payload is interpreted, so a flipped byte reads
+	// as corruption and not as whatever the damaged field now claims (a
+	// different dataset, say).
+	if err := verifyPayload(data); err != nil {
 		return nil, err
 	}
-	return rd.buildStore(meta, rel)
+	m, err := buildMap(data, rd, meta, nil, rel)
+	if err != nil {
+		return nil, err
+	}
+	factVals, scopePairs := rd.sections[secFactValues], rd.sections[secScopePairs]
+	factStart, scopeStart, err := rd.factSections(meta.Speeches)
+	if err != nil {
+		return nil, err
+	}
+	store := engine.NewStore()
+	// Map keeps the file's record order (only the index's pointers are
+	// sorted), so speech i owns facts factStart[i]..factStart[i+1].
+	for i := range m.speeches {
+		view := &m.speeches[i]
+		sp := &engine.StoredSpeech{
+			Query:      engine.Query{Target: strings.Clone(view.Query.Target)},
+			Utility:    view.Utility,
+			PriorError: view.PriorError,
+			Text:       strings.Clone(view.Text),
+		}
+		for _, p := range view.Query.Predicates {
+			sp.Query.Predicates = append(sp.Query.Predicates, engine.NamedPredicate{
+				Column: strings.Clone(p.Column), Value: strings.Clone(p.Value)})
+		}
+		for f := factStart[i]; f < factStart[i+1]; f++ {
+			fc, ok, err := rd.restoreFact(rel, scopeStart, scopePairs, f, factVals)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				sp.Facts = append(sp.Facts, fc)
+			}
+		}
+		store.Add(sp)
+	}
+	return store.Freeze(), nil
 }
 
 // Info returns the snapshot's metadata without rebuilding the store.
@@ -113,20 +144,6 @@ func (m Meta) check(rel *relation.Relation) error {
 			ErrDataset, m.Targets, rel.Schema().Targets)
 	}
 	return nil
-}
-
-// open verifies header, checksums (payload included), section table,
-// string table, and meta section, returning a reader positioned over
-// the sections — the full pre-decode verification.
-func open(data []byte) (*reader, Meta, error) {
-	rd, meta, err := openStructural(data)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if err := verifyPayload(data); err != nil {
-		return nil, Meta{}, err
-	}
-	return rd, meta, nil
 }
 
 // verifyPayload checks the payload checksum recorded in an
@@ -299,96 +316,27 @@ func (rd *reader) csr(id uint32, wantLen, flatLen int, what string) ([]uint32, e
 	return offs, nil
 }
 
-// checkFactSections validates the fact-side CSR sections without
-// materializing any fact — the structural half of the mmap view's
-// deferred Verify (the view itself never dereferences these sections).
-func (rd *reader) checkFactSections(n int) error {
+// factSections validates the fact-side CSR sections and returns their
+// offsets: per-speech fact ranges and per-fact scope-pair ranges. The
+// mmap view never dereferences these sections, so this is the
+// structural half of its deferred Verify; Decode walks the offsets.
+func (rd *reader) factSections(n int) (factStart, scopeStart []uint32, err error) {
 	factVals := rd.sections[secFactValues]
 	if len(factVals)%8 != 0 {
-		return corruptf("fact-value section of %d bytes is not 8-byte aligned", len(factVals))
+		return nil, nil, corruptf("fact-value section of %d bytes is not 8-byte aligned", len(factVals))
 	}
 	scopePairs := rd.sections[secScopePairs]
 	if len(scopePairs)%8 != 0 {
-		return corruptf("scope-pair section of %d bytes is not pair-aligned", len(scopePairs))
+		return nil, nil, corruptf("scope-pair section of %d bytes is not pair-aligned", len(scopePairs))
 	}
 	nFacts := len(factVals) / 8
-	if _, err := rd.csr(secFactStart, n+1, nFacts, "fact"); err != nil {
-		return err
+	if factStart, err = rd.csr(secFactStart, n+1, nFacts, "fact"); err != nil {
+		return nil, nil, err
 	}
-	_, err := rd.csr(secScopeStart, nFacts+1, len(scopePairs)/8, "scope")
-	return err
-}
-
-// buildStore reconstructs the frozen store from the validated sections.
-func (rd *reader) buildStore(meta Meta, rel *relation.Relation) (*engine.Store, error) {
-	n := meta.Speeches
-	recs := rd.sections[secSpeeches]
-	if len(recs) != speechRecordSize*n {
-		return nil, corruptf("speech section holds %d bytes for %d declared speeches", len(recs), n)
+	if scopeStart, err = rd.csr(secScopeStart, nFacts+1, len(scopePairs)/8, "scope"); err != nil {
+		return nil, nil, err
 	}
-	predPairs := rd.sections[secPreds]
-	if len(predPairs)%8 != 0 {
-		return nil, corruptf("predicate section of %d bytes is not pair-aligned", len(predPairs))
-	}
-	factVals := rd.sections[secFactValues]
-	if len(factVals)%8 != 0 {
-		return nil, corruptf("fact-value section of %d bytes is not 8-byte aligned", len(factVals))
-	}
-	scopePairs := rd.sections[secScopePairs]
-	if len(scopePairs)%8 != 0 {
-		return nil, corruptf("scope-pair section of %d bytes is not pair-aligned", len(scopePairs))
-	}
-	nFacts := len(factVals) / 8
-	predStart, err := rd.csr(secPredStart, n+1, len(predPairs)/8, "predicate")
-	if err != nil {
-		return nil, err
-	}
-	factStart, err := rd.csr(secFactStart, n+1, nFacts, "fact")
-	if err != nil {
-		return nil, err
-	}
-	scopeStart, err := rd.csr(secScopeStart, nFacts+1, len(scopePairs)/8, "scope")
-	if err != nil {
-		return nil, err
-	}
-
-	store := engine.NewStore()
-	for i := 0; i < n; i++ {
-		rec := recs[speechRecordSize*i:]
-		sp := &engine.StoredSpeech{
-			Utility:    math.Float64frombits(le.Uint64(rec[8:])),
-			PriorError: math.Float64frombits(le.Uint64(rec[16:])),
-		}
-		if sp.Query.Target, err = rd.str(le.Uint32(rec[0:])); err != nil {
-			return nil, err
-		}
-		if sp.Text, err = rd.str(le.Uint32(rec[4:])); err != nil {
-			return nil, err
-		}
-		for p := predStart[i]; p < predStart[i+1]; p++ {
-			col, err := rd.str(le.Uint32(predPairs[8*p:]))
-			if err != nil {
-				return nil, err
-			}
-			val, err := rd.str(le.Uint32(predPairs[8*p+4:]))
-			if err != nil {
-				return nil, err
-			}
-			sp.Query.Predicates = append(sp.Query.Predicates,
-				engine.NamedPredicate{Column: col, Value: val})
-		}
-		for f := factStart[i]; f < factStart[i+1]; f++ {
-			fc, ok, err := rd.restoreFact(rel, scopeStart, scopePairs, f, factVals)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				sp.Facts = append(sp.Facts, fc)
-			}
-		}
-		store.Add(sp)
-	}
-	return store.Freeze(), nil
+	return factStart, scopeStart, nil
 }
 
 // restoreFact resolves one fact's scope names back to dictionary codes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -74,7 +75,7 @@ func exampleStores(t *testing.T) []struct {
 	}
 }
 
-func encode(t *testing.T, store *engine.Store, rel *relation.Relation) []byte {
+func encode(t testing.TB, store *engine.Store, rel *relation.Relation) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, store, rel); err != nil {
@@ -238,8 +239,8 @@ func TestTruncation(t *testing.T) {
 	}
 	lengths = append(lengths, len(data)-1)
 	for _, n := range lengths {
-		if _, err := Decode(data[:n], rel); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Decode of %d/%d-byte prefix: err = %v, want ErrCorrupt", n, len(data), err)
+		if err := bothLoaders(t, fmt.Sprintf("%d-byte prefix", n), data[:n], rel); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d/%d-byte prefix: err = %v, want ErrCorrupt", n, len(data), err)
 		}
 	}
 }
@@ -266,6 +267,12 @@ func TestCorruption(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("byte flip at offset %d: err = %v, want ErrCorrupt", off, err)
 		}
+		// The mapping reader defers the checksum, so it may first trip
+		// over what the flipped byte now says (another dataset name);
+		// between MapBytes and Verify it must still refuse the file.
+		if m, err := MapBytes(mut, rel); err == nil && m.Verify() == nil {
+			t.Fatalf("MapBytes+Verify accepted a byte flip at offset %d", off)
+		}
 	}
 }
 
@@ -280,7 +287,7 @@ func TestVersionSkew(t *testing.T) {
 	mut := bytes.Clone(data)
 	le.PutUint32(mut[offVersion:], Version+3)
 	le.PutUint32(mut[offHeaderCRC:], crc32.Checksum(mut[:offHeaderCRC], castagnoli))
-	_, err := Decode(mut, rel)
+	err := bothLoaders(t, "future version", mut, rel)
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
@@ -297,7 +304,7 @@ func TestDatasetMismatch(t *testing.T) {
 	data := encode(t, store, rel)
 
 	other := dataset.Flights(200, 1)
-	if _, err := Decode(data, other); !errors.Is(err, ErrDataset) {
+	if err := bothLoaders(t, "wrong dataset", data, other); !errors.Is(err, ErrDataset) {
 		t.Fatalf("wrong dataset: err = %v, want ErrDataset", err)
 	}
 
@@ -308,7 +315,7 @@ func TestDatasetMismatch(t *testing.T) {
 	})
 	b.MustAddRow([]string{"Brooklyn"}, []float64{1})
 	skewed := b.Freeze()
-	if _, err := Decode(data, skewed); !errors.Is(err, ErrDataset) {
+	if err := bothLoaders(t, "schema skew", data, skewed); !errors.Is(err, ErrDataset) {
 		t.Fatalf("schema skew: err = %v, want ErrDataset", err)
 	}
 }
