@@ -448,11 +448,12 @@ func GenerateLoad(rel *Relation, opts LoadOptions) []string {
 	return load.Generate(rel, opts)
 }
 
-// Fault-tolerant multi-node serving: a router tier consistent-hashes
-// datasets across N serve nodes with replication, probes replica
-// health, retries with backoff and fails over across replicas, opens a
-// per-node circuit breaker, and degrades to explicit stale answers
-// when every replica of a dataset is down.
+// Fault-tolerant multi-node serving: a router tier places datasets on
+// N serve nodes by rendezvous hashing with replication, retries with
+// backoff and fails over across replicas, takes a replica out of
+// rotation after consecutive failed requests or health probes, and
+// degrades to explicit stale answers when every replica of a dataset
+// is down.
 type (
 	// ClusterNode identifies one serve node by id and base URL.
 	ClusterNode = cluster.Node
@@ -461,9 +462,6 @@ type (
 	// ClusterOptions tunes replication, timeouts, retries, health
 	// probing, admission, and graceful degradation.
 	ClusterOptions = cluster.Options
-	// ClusterRing is the consistent-hash placement shared by router
-	// and nodes.
-	ClusterRing = cluster.Ring
 	// FaultInjector is an http.RoundTripper that injects drops, delays,
 	// corruption, and blackholes per node for failure testing.
 	FaultInjector = cluster.FaultInjector
@@ -473,13 +471,7 @@ type (
 
 // NewClusterRouter builds the routing tier over the given nodes. Each
 // node must run cmd/serve with matching -node/-cluster-nodes/
-// -replication flags so it mounts exactly its ring share.
+// -replication flags so it mounts exactly its share.
 func NewClusterRouter(nodes []ClusterNode, datasets []string, opts ClusterOptions) (*ClusterRouter, error) {
 	return cluster.New(nodes, datasets, opts)
-}
-
-// NewClusterRing builds the consistent-hash placement for the given
-// node ids (replicationFactor and virtualNodes zero take defaults).
-func NewClusterRing(nodes []string, replicationFactor, virtualNodes int) (*ClusterRing, error) {
-	return cluster.NewRing(nodes, replicationFactor, virtualNodes)
 }

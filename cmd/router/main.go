@@ -1,18 +1,18 @@
 // Command router is the fault-tolerance tier of the system: it fronts
 // N cmd/serve nodes as one continuously available cluster. Datasets
-// are consistent-hashed across the nodes with a configurable
+// are placed on the nodes by rendezvous hashing with a configurable
 // replication factor — every node must be started with the matching
 // -node/-cluster-nodes/-replication flags so it mounts exactly its
-// ring share — and requests are forwarded with per-attempt timeouts,
-// capped exponential backoff with jitter, failover retries across
-// replicas, and a per-node circuit breaker. Replica health is probed
-// actively through the nodes' per-dataset healthz endpoints; when
+// share — and requests are forwarded with per-attempt timeouts, capped
+// exponential backoff with jitter and failover retries across
+// replicas. Failed requests and failed probes of the nodes' per-dataset
+// healthz endpoints alike take a replica out of rotation; when
 // every replica of a dataset is down the router serves the last known
 // good answer with an explicit staleness marker instead of an error,
 // and under overload it sheds with 503 and a retry hint.
 //
 //	router -addr :8090 -nodes n1=http://10.0.0.1:8080,n2=http://10.0.0.2:8080,n3=http://10.0.0.3:8080 \
-//	    -datasets flights,acs -replication 2
+//	    -datasets flights,stackoverflow -replication 2
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 		nodes    = flag.String("nodes", "", "comma-separated id=url cluster members, e.g. n1=http://10.0.0.1:8080,n2=http://10.0.0.2:8080")
 		datasets = flag.String("datasets", "flights", "comma-separated datasets to route; the first is the default")
 		replicas = flag.Int("replication", 2, "replicas per dataset (must match the nodes' -replication)")
-		vnodes   = flag.Int("vnodes", 0, "ring virtual nodes per node (0: default; must match the nodes)")
 
 		requestTimeout = flag.Duration("request-timeout", 2*time.Second, "per-attempt forwarding deadline")
 		maxAttempts    = flag.Int("max-attempts", 0, "total tries per request across replicas (0: 2x replication)")
@@ -45,8 +44,8 @@ func main() {
 		maxInFlight    = flag.Int("max-inflight", 512, "bound on concurrently forwarded requests")
 		queueTimeout   = flag.Duration("queue-timeout", 100*time.Millisecond, "admission queue timeout before shedding")
 		staleEntries   = flag.Int("stale", 4096, "stale-answer cache entries (negative disables graceful degradation)")
-		brkFailures    = flag.Int("breaker-failures", 5, "consecutive failures that open a node's circuit breaker")
-		brkCooldown    = flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker cooldown before a half-open probe")
+		brkFailures    = flag.Int("breaker-failures", 5, "consecutive failed requests or probes that take a replica down")
+		brkCooldown    = flag.Duration("breaker-cooldown", 2*time.Second, "how long a down replica is skipped before one trial request")
 		seed           = flag.Int64("seed", 1, "backoff jitter seed")
 	)
 	flag.Parse()
@@ -64,7 +63,6 @@ func main() {
 	}
 	r, err := cluster.New(members, names, cluster.Options{
 		Replication:    *replicas,
-		VirtualNodes:   *vnodes,
 		RequestTimeout: *requestTimeout,
 		MaxAttempts:    *maxAttempts,
 		HealthInterval: *healthEvery,
@@ -78,11 +76,20 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	for node, dss := range cluster.Assignments(r.Ring(), names) {
-		fmt.Fprintf(os.Stderr, "ring: %s hosts %s\n", node, strings.Join(dss, ","))
+	ids := make([]string, len(members))
+	for i, m := range members {
+		ids[i] = m.ID
+	}
+	hosts, err := cluster.Assignments(ids, names, *replicas)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	for _, id := range ids {
+		fmt.Fprintf(os.Stderr, "placement: %s hosts %s\n", id, strings.Join(hosts[id], ","))
 	}
 	r.CheckHealth(ctx)
-	for _, n := range r.HealthSnapshot().Nodes {
+	health := r.HealthSnapshot()
+	for _, n := range health.Nodes {
 		state := "healthy"
 		if !n.Healthy {
 			state = "UNREACHABLE"
@@ -99,7 +106,7 @@ func main() {
 		IdleTimeout:       120 * time.Second,
 	}
 	fmt.Fprintf(os.Stderr, "routing %s across %d nodes on %s (replication %d)\n",
-		strings.Join(names, ","), len(members), *addr, r.Ring().ReplicationFactor())
+		strings.Join(names, ","), len(members), *addr, health.Datasets[names[0]].Replication)
 	context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "shutting down ...") })
 	err = httpserve.ListenAndServe(ctx, httpSrv)
 	if ctx.Err() == nil {

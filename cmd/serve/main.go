@@ -66,10 +66,9 @@ func main() {
 		snapDir  = flag.String("snapshot-dir", "", "cold-start datasets from <dir>/<name>.snap and keep the snapshots fresh")
 		patchDir = flag.String("patch-dir", "", "replay <dir>/<name>.patch (summarize -patch-out) over each base store at cold start; fingerprint-gated")
 
-		node      = flag.String("node", "", "this node's ID on the cluster hash ring (cluster mode)")
-		clusterIs = flag.String("cluster-nodes", "", "comma-separated node IDs of the whole cluster; with -node, mount only this node's ring share")
+		node      = flag.String("node", "", "this node's ID in the cluster (cluster mode)")
+		clusterIs = flag.String("cluster-nodes", "", "comma-separated node IDs of the whole cluster; with -node, mount only this node's share")
 		replicas  = flag.Int("replication", 2, "cluster replication factor (with -cluster-nodes)")
-		vnodes    = flag.Int("vnodes", 0, "ring virtual nodes per node (0: default; must match the router)")
 
 		readTimeout    = flag.Duration("read-timeout", 30*time.Second, "full-request read deadline on the listener")
 		idleTimeout    = flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection deadline")
@@ -95,24 +94,23 @@ func main() {
 
 	names := datasetNames(*datasets, *data)
 	// Cluster mode: every node is started with the same -cluster-nodes /
-	// -replication / -vnodes flags, so each builds the same ring as the
+	// -replication flags, so each computes the same placement as the
 	// router and mounts exactly its share of the datasets — no
 	// coordination service involved.
 	if *clusterIs != "" {
 		ids := splitList(*clusterIs)
 		if *node == "" {
-			fatalf("-cluster-nodes needs -node (this node's ring ID)")
+			fatalf("-cluster-nodes needs -node (this node's ID)")
 		}
-		ring, err := cluster.NewRing(ids, *replicas, *vnodes)
+		owned, err := cluster.NodeDatasets(ids, *node, names, *replicas)
 		if err != nil {
-			fatalf("cluster ring: %v", err)
+			fatalf("cluster placement: %v", err)
 		}
-		owned := cluster.NodeDatasets(ring, *node, names)
 		if len(owned) == 0 {
-			fatalf("node %q owns none of %s on the ring (is -node in -cluster-nodes?)",
+			fatalf("node %q hosts none of %s (is -node in -cluster-nodes?)",
 				*node, strings.Join(names, ","))
 		}
-		fmt.Fprintf(os.Stderr, "cluster node %s: ring assigns %s (of %s)\n",
+		fmt.Fprintf(os.Stderr, "cluster node %s: placement assigns %s (of %s)\n",
 			*node, strings.Join(owned, ","), strings.Join(names, ","))
 		names = owned
 	}
@@ -195,7 +193,7 @@ func datasetNames(multi, single string) []string {
 }
 
 // splitList splits a comma-separated flag verbatim (node IDs are
-// case-sensitive ring keys, unlike dataset names).
+// case-sensitive placement keys, unlike dataset names).
 func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {

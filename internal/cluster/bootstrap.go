@@ -10,8 +10,8 @@ import (
 	"cicero/internal/voice"
 )
 
-// This file is the replica-bootstrap seam: it connects the ring's
-// placement plan to the snapshot artifacts of internal/snapshot and
+// This file is the replica-bootstrap seam: it connects the placement
+// plan to the snapshot artifacts of internal/snapshot and
 // the lazy loading of serve.Registry, so a node joins the cluster by
 // mmapping its assigned datasets' snapshots in microseconds instead of
 // re-running pre-processing.
@@ -20,7 +20,7 @@ import (
 // replica by mapping its snapshot artifact. A non-empty fingerprint
 // must match the artifact's build fingerprint — a replica must not
 // serve answers built under different parameters than its peers. The loader is the
-// lazy half of cluster bootstrap; pair it with Assignments to decide
+// lazy half of cluster bootstrap; pair it with NodeDatasets to decide
 // which datasets a node registers at all.
 func SnapshotLoader(path string, rel *relation.Relation, ex *voice.Extractor, fingerprint string) serve.Loader {
 	return func(ctx context.Context) (*serve.Answerer, error) {
@@ -38,17 +38,4 @@ func SnapshotLoader(path string, rel *relation.Relation, ex *voice.Extractor, fi
 		}
 		return serve.New(rel, view, ex, serve.Options{}), nil
 	}
-}
-
-// NodeDatasets filters datasets down to the ones the ring assigns to
-// node — the mount list a cluster-mode cmd/serve uses instead of
-// mounting everything. Order follows the input list.
-func NodeDatasets(r *Ring, node string, datasets []string) []string {
-	var out []string
-	for _, ds := range datasets {
-		if r.Owns(node, ds) {
-			out = append(out, ds)
-		}
-	}
-	return out
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Clock abstracts wall time for the cluster layer's state machines
-// (backoff sleeps, breaker cooldowns, health staleness), so retry and
-// breaker behavior is unit-testable with a FakeClock and zero real
+// (backoff sleeps, replica cooldowns, health staleness), so retry and
+// liveness behavior is unit-testable with a FakeClock and zero real
 // sleeps. The production implementation is RealClock.
 type Clock interface {
 	// Now returns the current time.

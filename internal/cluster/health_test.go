@@ -2,52 +2,115 @@ package cluster
 
 import (
 	"context"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestHealthCheckSkipsReplicaRemovedMidProbe: a sweep probes without
-// the lock, so RemoveDataset can drop a replica while its probe is in
-// flight. The verdict of such a probe has nowhere to go — recording it
-// anyway dereferenced a nil entry in a bare goroutine, which kills the
-// router process.
-func TestHealthCheckSkipsReplicaRemovedMidProbe(t *testing.T) {
-	ring, err := NewRing([]string{"a", "b"}, 2, 0)
+// roundTripFunc adapts a function to the router's Transport option, so
+// a test can hold chosen requests in flight.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// holdProbes builds a router over two fake nodes whose healthz probes
+// for dataset are announced on probing and held until release closes
+// (or the probe's context ends).
+func holdProbes(t *testing.T, datasets []string, dataset string) (r *Router, probing chan struct{}, release chan struct{}) {
+	t.Helper()
+	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b")}
+	for _, n := range nodes {
+		n.swaps.Store(5)
+	}
+	probing = make(chan struct{}, 2) // one send per held replica
+	release = make(chan struct{})
+	rnodes := make([]Node, len(nodes))
+	for i, n := range nodes {
+		rnodes[i] = Node{ID: n.id, URL: n.srv.URL}
+	}
+	r, err := New(rnodes, datasets, Options{
+		HealthInterval: time.Hour,
+		Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if strings.HasSuffix(req.URL.Path, "/"+dataset+"/healthz") {
+				probing <- struct{}{}
+				select {
+				case <-release:
+				case <-req.Context().Done():
+					return nil, req.Context().Err()
+				}
+			}
+			return http.DefaultTransport.RoundTrip(req)
+		}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probing := make(chan struct{}, 2) // one send per acs replica
-	release := make(chan struct{})
-	probe := func(_ context.Context, _, dataset string) (uint64, error) {
-		if dataset == "acs" {
-			probing <- struct{}{}
-			<-release
-		}
-		return 5, nil
-	}
-	h := NewHealthChecker(probe, ring, []string{"flights", "acs"}, time.Hour)
+	return r, probing, release
+}
+
+// TestHealthCheckSkipsReplicaRemovedMidProbe: a sweep probes without
+// the lock, so RemoveDataset can drop a replica while its probe is in
+// flight. The verdict of such a probe has nowhere to go — recording it
+// anyway once dereferenced a nil entry in a bare goroutine, which kills
+// the router process.
+func TestHealthCheckSkipsReplicaRemovedMidProbe(t *testing.T) {
+	r, probing, release := holdProbes(t, []string{"flights", "acs"}, "acs")
 
 	swept := make(chan struct{})
 	go func() {
-		h.Check(context.Background())
+		r.CheckHealth(context.Background())
 		close(swept)
 	}()
 	<-probing
 	<-probing
-	h.RemoveDataset("acs")
+	r.RemoveDataset("acs")
 	close(release)
 	<-swept
 
-	for _, node := range []string{"a", "b"} {
-		if !h.Healthy(node, "flights") || h.Swaps(node, "flights") != 5 {
-			t.Errorf("flights on %s: healthy %v, swaps %d — the surviving dataset's verdicts were lost",
-				node, h.Healthy(node, "flights"), h.Swaps(node, "flights"))
-		}
-		if h.Healthy(node, "acs") {
-			t.Errorf("acs on %s resurrected by the late probe", node)
+	snap := r.HealthSnapshot()
+	replicas := 0
+	for _, n := range snap.Nodes {
+		for _, rep := range n.Replicas {
+			replicas++
+			if rep.Dataset == "acs" {
+				t.Errorf("acs on %s resurrected by the late probe", n.ID)
+			}
+			if !rep.Healthy || rep.Swaps != 5 {
+				t.Errorf("flights on %s: healthy %v, swaps %d — the surviving dataset's verdicts were lost",
+					n.ID, rep.Healthy, rep.Swaps)
+			}
 		}
 	}
-	if got := len(h.Snapshot()); got != 2 {
-		t.Errorf("snapshot holds %d replicas, want the 2 of flights", got)
+	if replicas != 2 {
+		t.Errorf("snapshot holds %d replicas, want the 2 of flights", replicas)
+	}
+}
+
+// TestHealthSweepInterruptedByShutdownRecordsNoVerdict: a probe that
+// fails because the sweep's own context was cancelled — the router is
+// shutting down — says nothing about the replica. Booking it as a
+// failed observation would mark every replica suspect on the way out,
+// and take them down in threshold interrupted sweeps.
+func TestHealthSweepInterruptedByShutdownRecordsNoVerdict(t *testing.T) {
+	r, probing, _ := holdProbes(t, []string{"flights"}, "flights")
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		swept := make(chan struct{})
+		go func() {
+			r.CheckHealth(ctx)
+			close(swept)
+		}()
+		<-probing
+		<-probing
+		cancel()
+		<-swept
+	}
+	for _, n := range r.HealthSnapshot().Nodes {
+		for _, rep := range n.Replicas {
+			if rep.State != "up" || rep.Error != "" || !rep.Checked.IsZero() {
+				t.Errorf("%s on %s: %+v — a cancelled sweep left a verdict", rep.Dataset, n.ID, rep)
+			}
+		}
 	}
 }

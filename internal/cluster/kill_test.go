@@ -15,7 +15,7 @@ import (
 
 // TestRouterSurvivesNodeKill is the one check of the whole seam with no
 // fakes in it: three real httpserve nodes, each bootstrapped from the
-// same snapshot artifact, behind a real Router with its health checker
+// same snapshot artifact, behind a real Router with its health sweep
 // running, and one node's listener torn down in the middle of a paced
 // stream of requests. Failover retries must absorb the kill, and the
 // health view must catch up with it.
@@ -61,7 +61,7 @@ func TestRouterSurvivesNodeKill(t *testing.T) {
 
 	// Kill a replica of flights mid-run: the listener drops and every
 	// in-flight connection resets, like a SIGKILL'd process.
-	victim := r.Ring().Replicas("flights")[0]
+	victim := r.HealthSnapshot().Datasets["flights"].Nodes[0]
 	killed := make(chan struct{})
 	go func() {
 		time.Sleep(500 * time.Millisecond)

@@ -1,14 +1,12 @@
 package cluster
 
-// State-machine tests for the retry/backoff/breaker layer. Everything
-// here runs on the FakeClock: no real sleeps, deterministic under
-// -race.
+// Tests for the clock and the backoff schedule. Everything here runs
+// on the FakeClock: no real sleeps, deterministic under -race.
 
 import (
 	"context"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
@@ -95,110 +93,4 @@ func TestBackoffDeterministicUnderSeed(t *testing.T) {
 			t.Fatalf("attempt %d: %v != %v under the same seed", i, da, db)
 		}
 	}
-}
-
-func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
-	fc := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 3, Cooldown: time.Second}, fc)
-	for i := 0; i < 2; i++ {
-		if !b.Allow() {
-			t.Fatalf("closed breaker rejected request %d", i)
-		}
-		b.Failure()
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v after 2 failures, want closed", b.State())
-	}
-	// A success resets the consecutive count.
-	b.Success()
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("non-consecutive failures opened the breaker")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("state %v after 3 consecutive failures, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed a request inside the cooldown")
-	}
-}
-
-func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
-	fc := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 1, Cooldown: time.Second}, fc)
-	b.Failure()
-	if b.Allow() {
-		t.Fatal("open breaker allowed a request")
-	}
-	fc.Advance(time.Second)
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v after cooldown, want half-open", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("half-open breaker rejected the probe")
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker allowed a second concurrent probe")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v after probe success, want closed", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker rejected a request")
-	}
-}
-
-func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	fc := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 1, Cooldown: time.Second}, fc)
-	b.Failure()
-	fc.Advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("half-open breaker rejected the probe")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("state %v after probe failure, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("re-opened breaker allowed a request before the fresh cooldown")
-	}
-	// The re-open starts a fresh cooldown from the probe failure.
-	fc.Advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("breaker did not half-open after the second cooldown")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v, want closed", b.State())
-	}
-}
-
-func TestBreakerConcurrentUse(t *testing.T) {
-	fc := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 5, Cooldown: time.Second}, fc)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				if b.Allow() {
-					if (i+j)%3 == 0 {
-						b.Failure()
-					} else {
-						b.Success()
-					}
-				}
-				if j%50 == 0 {
-					fc.Advance(100 * time.Millisecond)
-				}
-				_ = b.State()
-			}
-		}(i)
-	}
-	wg.Wait()
 }

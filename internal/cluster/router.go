@@ -1,13 +1,16 @@
 // Package cluster is the fault-tolerance tier over the HTTP serving
 // layer: it turns N independent cmd/serve daemons into one
-// continuously available cluster. A Router consistent-hashes datasets
-// (Ring) across the nodes with a configurable replication factor,
-// actively health-checks every replica through the nodes' existing
-// per-dataset /v1/{dataset}/healthz endpoints (HealthChecker), and
-// forwards answer traffic with per-attempt timeouts, capped
-// exponential backoff with jitter (BackoffPolicy), failover retries to
-// the next replica on connection error / timeout / 5xx / corrupt
-// response, and a per-node circuit breaker (Breaker). When every
+// continuously available cluster. A Router places datasets on the
+// nodes by rendezvous hashing (Replicas) with a configurable
+// replication factor and forwards answer traffic with per-attempt
+// timeouts, capped exponential backoff with jitter (BackoffPolicy) and
+// failover retries to the next replica on connection error / timeout /
+// 5xx / corrupt response. Whether a replica may be tried is one state
+// per replica, fed by two kinds of observation: the outcome of every
+// forwarded request, and an active sweep of the nodes' existing
+// per-dataset /v1/{dataset}/healthz endpoints. Consecutive failures of
+// either kind take a replica out of rotation, and one trial request
+// after a cooldown (or a passing probe) brings it back. When every
 // replica of a dataset is down the router degrades gracefully: it
 // serves the last known good answer from a generation-tagged stale
 // cache with an explicit staleness marker instead of failing, and it
@@ -21,7 +24,7 @@
 // answer failures in one wire shape.
 //
 // Replicas bootstrap from the snapshot artifacts of internal/snapshot:
-// Assignments tells a cluster-mode cmd/serve which datasets its node
+// NodeDatasets tells a cluster-mode cmd/serve which datasets its node
 // must mount, and SnapshotLoader turns a snapshot path into the lazy
 // serve.Registry loader that cold-starts the replica in microseconds.
 package cluster
@@ -33,9 +36,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,9 +54,8 @@ import (
 
 // Node is one cmd/serve backend of the cluster.
 type Node struct {
-	// ID is the node's stable identity on the hash ring; it must match
-	// the -node flag the backend was started with when ring-scoped
-	// mounting is used.
+	// ID is the node's stable identity in placement; it must match the
+	// -node flag the backend was started with in cluster mode.
 	ID string `json:"id"`
 	// URL is the node's base URL (e.g. http://10.0.0.3:8080).
 	URL string `json:"url"`
@@ -63,9 +67,6 @@ type Options struct {
 	// Replication is the number of nodes hosting each dataset
 	// (default 2, clamped to the node count).
 	Replication int
-	// VirtualNodes is the ring's per-node virtual-node count
-	// (default DefaultVirtualNodes). Router and nodes must agree.
-	VirtualNodes int
 	// RequestTimeout bounds each forwarding attempt (default 2s): a
 	// hung node costs at most this before failover.
 	RequestTimeout time.Duration
@@ -74,7 +75,7 @@ type Options struct {
 	MaxAttempts int
 	// Backoff shapes the delay between retries.
 	Backoff BackoffPolicy
-	// Breaker tunes the per-node circuit breakers.
+	// Breaker tunes when a failing replica leaves the rotation.
 	Breaker BreakerPolicy
 	// HealthInterval is the active health-check sweep period
 	// (default 1s); each probe is bounded by half of it.
@@ -111,6 +112,12 @@ func (o Options) withDefaults(nodes int) Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 2 * o.Replication
 	}
+	if o.Breaker.FailureThreshold <= 0 {
+		o.Breaker.FailureThreshold = 5
+	}
+	if o.Breaker.Cooldown <= 0 {
+		o.Breaker.Cooldown = 2 * time.Second
+	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
 	}
@@ -136,28 +143,17 @@ func (o Options) withDefaults(nodes int) Options {
 // is treated like a corrupt one (failover, then 503).
 const maxReplyBytes = 64 << 20
 
-// nodeState is one node's runtime state on the router.
-type nodeState struct {
-	node    Node
-	breaker *Breaker
-	success atomic.Uint64
-	failure atomic.Uint64
-}
-
 // Router is the health-checked, failover-retrying HTTP front of a
 // snapshot-replicated cluster. Create with New, start the health loop
 // with Run (or call CheckHealth yourself), and serve Handler.
 type Router struct {
-	nodes []Node
-	byID  map[string]*nodeState
-	// dsMu guards datasets and hosted: handleAnswer reads them on every
-	// request, and RemoveDataset shrinks them at runtime.
+	nodes []*nodeState
+	// dsMu guards replicas: handleAnswer reads it on every request, and
+	// RemoveDataset shrinks it at runtime. The replica lists themselves
+	// are immutable, in placement order.
 	dsMu     sync.RWMutex
-	datasets []string
-	hosted   map[string]bool
+	replicas map[string][]*replica
 	defName  string
-	ring     *Ring
-	health   *HealthChecker
 	stale    *lru.Cache[staleEntry] // nil when disabled
 	opts     Options
 	clock    Clock
@@ -166,7 +162,7 @@ type Router struct {
 	mux      *http.ServeMux
 	started  time.Time
 
-	rr          atomic.Uint64 // round-robin cursor over healthy replicas
+	rr          atomic.Uint64 // round-robin cursor over the rotation
 	forwards    atomic.Uint64
 	retries     atomic.Uint64
 	failovers   atomic.Uint64
@@ -187,7 +183,10 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 	if len(datasets) == 0 {
 		return nil, errors.New("cluster: router needs at least one dataset")
 	}
+	opts = opts.withDefaults(len(nodes))
 	ids := make([]string, len(nodes))
+	byID := make(map[string]*nodeState, len(nodes))
+	states := make([]*nodeState, len(nodes))
 	for i, n := range nodes {
 		if n.ID == "" || n.URL == "" {
 			return nil, fmt.Errorf("cluster: node %d needs both an ID and a URL", i)
@@ -196,13 +195,22 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: node %s: invalid URL %q", n.ID, n.URL)
 		}
-		nodes[i].URL = strings.TrimRight(n.URL, "/")
+		n.URL = strings.TrimRight(n.URL, "/")
 		ids[i] = n.ID
+		states[i] = &nodeState{Node: n}
+		byID[n.ID] = states[i]
 	}
-	opts = opts.withDefaults(len(nodes))
-	ring, err := NewRing(ids, opts.Replication, opts.VirtualNodes)
-	if err != nil {
-		return nil, err
+	replicas := make(map[string][]*replica, len(datasets))
+	for _, ds := range datasets {
+		placed, err := Replicas(ids, ds, opts.Replication)
+		if err != nil {
+			return nil, err
+		}
+		reps := make([]*replica, len(placed))
+		for i, id := range placed {
+			reps[i] = &replica{node: byID[id], dataset: ds, policy: opts.Breaker, clock: opts.Clock}
+		}
+		replicas[ds] = reps
 	}
 
 	transport := opts.Transport
@@ -212,12 +220,9 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 		transport = tr
 	}
 	r := &Router{
-		nodes:    append([]Node(nil), nodes...),
-		byID:     make(map[string]*nodeState, len(nodes)),
-		datasets: append([]string(nil), datasets...),
-		hosted:   make(map[string]bool, len(datasets)),
+		nodes:    states,
+		replicas: replicas,
 		defName:  datasets[0],
-		ring:     ring,
 		opts:     opts,
 		clock:    opts.Clock,
 		client:   &http.Client{Transport: transport},
@@ -229,13 +234,6 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 	if opts.StaleEntries > 0 {
 		r.stale = lru.New[staleEntry](opts.StaleEntries, 1)
 	}
-	for _, n := range r.nodes {
-		r.byID[n.ID] = &nodeState{node: n, breaker: NewBreaker(opts.Breaker, r.clock)}
-	}
-	for _, ds := range r.datasets {
-		r.hosted[ds] = true
-	}
-	r.health = NewHealthChecker(r.probeReplica, ring, datasets, opts.HealthInterval)
 
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("/v1/answer", r.handleAnswer)
@@ -249,18 +247,24 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 // Handler returns the router's route multiplexer.
 func (r *Router) Handler() http.Handler { return r.mux }
 
-// isHosted reports whether the router currently routes the dataset.
-func (r *Router) isHosted(dataset string) bool {
+// replicasOf returns the dataset's replicas in placement order, nil
+// when the router does not route it.
+func (r *Router) replicasOf(dataset string) []*replica {
 	r.dsMu.RLock()
 	defer r.dsMu.RUnlock()
-	return r.hosted[dataset]
+	return r.replicas[dataset]
 }
 
-// datasetList copies the currently routed dataset names.
-func (r *Router) datasetList() []string {
+// routed lists every replica the router currently routes, by dataset
+// name and then placement order.
+func (r *Router) routed() []*replica {
 	r.dsMu.RLock()
 	defer r.dsMu.RUnlock()
-	return append([]string(nil), r.datasets...)
+	var out []*replica
+	for _, ds := range slices.Sorted(maps.Keys(r.replicas)) {
+		out = append(out, r.replicas[ds]...)
+	}
+	return out
 }
 
 // RemoveDataset stops routing a dataset: requests for it 404, health
@@ -270,47 +274,63 @@ func (r *Router) datasetList() []string {
 // It reports whether the dataset was routed.
 func (r *Router) RemoveDataset(name string) bool {
 	r.dsMu.Lock()
-	if !r.hosted[name] {
-		r.dsMu.Unlock()
+	_, ok := r.replicas[name]
+	delete(r.replicas, name)
+	r.dsMu.Unlock()
+	if !ok {
 		return false
 	}
-	delete(r.hosted, name)
-	kept := r.datasets[:0]
-	for _, ds := range r.datasets {
-		if ds != name {
-			kept = append(kept, ds)
-		}
-	}
-	r.datasets = kept
-	r.dsMu.Unlock()
-
-	r.health.RemoveDataset(name)
 	if r.stale != nil {
 		r.stale.RemoveFunc(func(_ string, e staleEntry) bool { return e.dataset == name })
 	}
 	return true
 }
 
-// Ring exposes the router's placement ring (cmd/router prints it).
-func (r *Router) Ring() *Ring { return r.ring }
-
-// Health exposes the router's health checker.
-func (r *Router) Health() *HealthChecker { return r.health }
-
 // Run sweeps health checks on the configured interval until ctx is
-// done; the first sweep completes before traffic-worthy verdicts are
-// needed. Call it from a goroutine next to the HTTP server.
-func (r *Router) Run(ctx context.Context) { r.health.Run(ctx) }
+// done; the first sweep runs immediately. Call it from a goroutine next
+// to the HTTP server.
+func (r *Router) Run(ctx context.Context) {
+	r.CheckHealth(ctx)
+	ticker := time.NewTicker(r.opts.HealthInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+			r.CheckHealth(ctx)
+		}
+	}
+}
 
-// CheckHealth runs one synchronous health sweep (boot and tests).
-func (r *Router) CheckHealth(ctx context.Context) { r.health.Check(ctx) }
+// CheckHealth runs one synchronous health sweep (boot and tests): every
+// routed replica is probed in parallel, each probe bounded by half the
+// health interval. A sweep that ctx interrupts — the router is shutting
+// down — records no verdict: the probes failed because of the caller,
+// not the replicas. RemoveDataset may drop a replica while its probe is
+// in flight; the verdict then lands on a replica nothing lists any more.
+func (r *Router) CheckHealth(ctx context.Context) {
+	var wg sync.WaitGroup
+	for _, p := range r.routed() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pctx, cancel := context.WithTimeout(ctx, r.opts.HealthInterval/2)
+			defer cancel()
+			swaps, err := r.probe(pctx, p)
+			if ctx.Err() == nil {
+				p.probed(swaps, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
 
-// probeReplica is the health checker's ProbeFunc: one GET of the
-// node's per-dataset healthz, returning the dataset's swap count.
-func (r *Router) probeReplica(ctx context.Context, node, dataset string) (uint64, error) {
-	ns := r.byID[node]
+// probe is one GET of the replica's per-dataset healthz on its node,
+// returning the dataset's swap count (its store generation).
+func (r *Router) probe(ctx context.Context, p *replica) (uint64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		ns.node.URL+"/v1/"+url.PathEscape(dataset)+"/healthz", nil)
+		p.node.URL+"/v1/"+url.PathEscape(p.dataset)+"/healthz", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -333,26 +353,27 @@ func (r *Router) probeReplica(ctx context.Context, node, dataset string) (uint64
 	return h.Swaps, nil
 }
 
-// candidates orders a dataset's replicas for forwarding: healthy
-// replicas first — rotated by a round-robin cursor so load spreads
-// across them — then unhealthy ones as a last resort (health can lag
-// a recovery; the breaker still gates the actual attempt).
-func (r *Router) candidates(dataset string) []string {
-	replicas := r.ring.Replicas(dataset)
-	healthy := make([]string, 0, len(replicas))
-	var down []string
-	for _, n := range replicas {
-		if r.health.Healthy(n, dataset) {
-			healthy = append(healthy, n)
-		} else {
-			down = append(down, n)
+// candidates orders the replicas that may be tried now: those whose
+// last observation succeeded first — rotated by a round-robin cursor so
+// load spreads across them — then those whose last observation failed,
+// as a last resort. Down replicas, and one whose trial is already
+// taken, are left out.
+func (r *Router) candidates(reps []*replica) []*replica {
+	now := r.clock.Now()
+	first := make([]*replica, 0, len(reps))
+	var last []*replica
+	for _, p := range reps {
+		if ok, preferred := p.standing(now); preferred && ok {
+			first = append(first, p)
+		} else if ok {
+			last = append(last, p)
 		}
 	}
-	if len(healthy) > 1 {
-		rot := int(r.rr.Add(1)) % len(healthy)
-		healthy = append(healthy[rot:], healthy[:rot]...)
+	if n := len(first); n > 1 {
+		rot := int(r.rr.Add(1) % uint64(n))
+		first = append(first[rot:], first[:rot]...)
 	}
-	return append(healthy, down...)
+	return append(first, last...)
 }
 
 // backoffDelay draws a jittered delay for the given retry index.
@@ -364,73 +385,69 @@ func (r *Router) backoffDelay(retry int) time.Duration {
 
 // nodeReply is one successfully relayed node response.
 type nodeReply struct {
-	node     string
-	status   int
-	body     []byte
-	attempts int
+	from       *replica
+	status     int
+	body       []byte
+	attempts   int
+	generation uint64 // from's last probed store generation
 }
-
-// errAllBreakersOpen reports a forward that could not attempt any
-// replica because every breaker rejected it.
-var errAllBreakersOpen = errors.New("cluster: every replica's circuit breaker is open")
 
 // forward sends body to the dataset's replicas until one yields a
 // coherent response: per-attempt timeout, backoff between attempts,
 // failover to the next candidate on connection error, timeout, 5xx, or
 // a corrupt (non-JSON) body. Client errors (4xx) are coherent answers
 // and are relayed, not retried.
-func (r *Router) forward(ctx context.Context, dataset string, body []byte) (*nodeReply, error) {
-	cands := r.candidates(dataset)
-	attempts := 0
+func (r *Router) forward(ctx context.Context, reps []*replica, body []byte) (*nodeReply, error) {
+	attempts, backedOff := 0, 0
 	var lastErr error
 	for attempts < r.opts.MaxAttempts {
 		tried := false
-		for _, id := range cands {
-			if attempts >= r.opts.MaxAttempts || ctx.Err() != nil {
+		for _, p := range r.candidates(reps) {
+			if attempts >= r.opts.MaxAttempts {
 				break
 			}
-			ns := r.byID[id]
-			if !ns.breaker.Allow() {
-				continue
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			if attempts > 0 {
+			// One backoff per retry, slept before the replica is claimed: a
+			// caller that gives up while waiting holds nothing to give back.
+			if backedOff < attempts {
 				r.retries.Add(1)
 				if err := r.clock.Sleep(ctx, r.backoffDelay(attempts-1)); err != nil {
 					return nil, err
 				}
+				backedOff = attempts
+			}
+			trial, ok := p.begin()
+			if !ok {
+				continue
 			}
 			tried = true
 			attempts++
-			reply, err := r.tryNode(ctx, ns, dataset, body)
+			reply, err := r.tryNode(ctx, p, body)
+			abandoned := err != nil && ctx.Err() != nil
+			generation := p.finish(trial, err, abandoned)
+			if abandoned {
+				return nil, ctx.Err()
+			}
 			if err != nil {
-				ns.breaker.Failure()
-				ns.failure.Add(1)
-				r.health.MarkUnhealthy(id, dataset, err)
 				lastErr = err
 				continue
 			}
-			ns.breaker.Success()
-			ns.success.Add(1)
-			reply.attempts = attempts
+			reply.attempts, reply.generation = attempts, generation
 			if attempts > 1 {
 				r.failovers.Add(1)
 			}
 			return reply, nil
 		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 		if !tried {
-			// Every breaker rejected the pass: the dataset is effectively
+			// Nothing was admissible this pass: the dataset is effectively
 			// down right now; don't spin until MaxAttempts.
 			if lastErr == nil {
-				lastErr = errAllBreakersOpen
+				lastErr = errors.New("cluster: every replica is down")
 			}
 			break
 		}
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cluster: no replica available")
 	}
 	return nil, lastErr
 }
@@ -439,11 +456,11 @@ func (r *Router) forward(ctx context.Context, dataset string, body []byte) (*nod
 // A reply is an error — triggering failover — on transport failure,
 // timeout, 5xx, or a body that is not valid JSON (a corrupt node must
 // not have its garbage relayed as an answer).
-func (r *Router) tryNode(ctx context.Context, ns *nodeState, dataset string, body []byte) (*nodeReply, error) {
+func (r *Router) tryNode(ctx context.Context, p *replica, body []byte) (*nodeReply, error) {
 	actx, cancel := context.WithTimeout(ctx, r.opts.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost,
-		ns.node.URL+"/v1/"+url.PathEscape(dataset)+"/answer", bytes.NewReader(body))
+		p.node.URL+"/v1/"+url.PathEscape(p.dataset)+"/answer", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -458,12 +475,12 @@ func (r *Router) tryNode(ctx context.Context, ns *nodeState, dataset string, bod
 		return nil, err
 	}
 	if resp.StatusCode >= 500 {
-		return nil, fmt.Errorf("node %s: status %d", ns.node.ID, resp.StatusCode)
+		return nil, fmt.Errorf("node %s: status %d", p.node.ID, resp.StatusCode)
 	}
 	if !json.Valid(reply) {
-		return nil, fmt.Errorf("node %s: corrupt response body", ns.node.ID)
+		return nil, fmt.Errorf("node %s: corrupt response body", p.node.ID)
 	}
-	return &nodeReply{node: ns.node.ID, status: resp.StatusCode, body: reply}, nil
+	return &nodeReply{from: p, status: resp.StatusCode, body: reply}, nil
 }
 
 func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
@@ -475,7 +492,8 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 	if dataset == "" {
 		dataset = r.defName
 	}
-	if !r.isHosted(dataset) {
+	reps := r.replicasOf(dataset)
+	if reps == nil {
 		httpserve.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", dataset))
 		return
 	}
@@ -506,19 +524,19 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 	}
 	defer r.gate.Release()
 
-	reply, err := r.forward(req.Context(), dataset, body)
+	reply, err := r.forward(req.Context(), reps, body)
 	if err == nil {
 		if staleKey != "" && reply.status == http.StatusOK {
 			r.stale.Put(staleKey, staleEntry{
 				dataset:    dataset,
 				body:       reply.body,
-				node:       reply.node,
-				generation: r.health.Swaps(reply.node, dataset),
+				from:       reply.from,
+				generation: reply.generation,
 				storedAt:   r.clock.Now(),
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cicero-Node", reply.node)
+		w.Header().Set("X-Cicero-Node", reply.from.node.ID)
 		w.Header().Set("X-Cicero-Attempts", strconv.Itoa(reply.attempts))
 		w.WriteHeader(reply.status)
 		w.Write(reply.body)
@@ -535,18 +553,18 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 	if staleKey != "" {
 		if e, ok := r.stale.Get(staleKey); ok {
 			// The entry is only servable if its generation still matches
-			// the answering replica's last observed store generation. A
+			// the answering replica's last probed store generation. A
 			// mismatch means the store moved on after capture — a delta
 			// published a newer generation, or the node rebooted onto a
 			// fresh base and its swap counter reset — and "last known
 			// good" would actually be "superseded": drop it and fail
 			// honestly rather than serve an answer the cluster already
 			// replaced.
-			if e.generation == r.health.Swaps(e.node, dataset) {
+			if e.generation == e.from.health().Swaps {
 				r.staleServed.Add(1)
 				age := r.clock.Now().Sub(e.storedAt)
 				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("X-Cicero-Node", e.node)
+				w.Header().Set("X-Cicero-Node", e.from.node.ID)
 				w.Header().Set("X-Cicero-Stale", "true")
 				w.WriteHeader(http.StatusOK)
 				w.Write(markStale(e.body, age, e.generation))
@@ -586,11 +604,9 @@ func markStale(body []byte, age time.Duration, generation uint64) []byte {
 type NodeHealth struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
-	// Healthy reports every replica hosted on the node healthy.
+	// Healthy reports every replica hosted on the node up.
 	Healthy bool `json:"healthy"`
-	// Breaker is the node's circuit-breaker state.
-	Breaker string `json:"breaker"`
-	// Replicas are the node's per-dataset probe verdicts.
+	// Replicas are the node's per-dataset states.
 	Replicas []ReplicaHealth `json:"replicas"`
 }
 
@@ -615,24 +631,25 @@ type HealthResponse struct {
 
 // HealthSnapshot assembles the router healthz payload.
 func (r *Router) HealthSnapshot() HealthResponse {
-	byNode := make(map[string][]ReplicaHealth)
-	for _, rep := range r.health.Snapshot() {
-		byNode[rep.Node] = append(byNode[rep.Node], rep)
-	}
-	datasets := r.datasetList()
 	resp := HealthResponse{
 		Status:   "ok",
-		Datasets: make(map[string]DatasetHealth, len(datasets)),
+		Datasets: make(map[string]DatasetHealth),
 		UptimeNS: time.Since(r.started),
 	}
-	for _, n := range r.nodes {
-		nh := NodeHealth{
-			ID:       n.ID,
-			URL:      n.URL,
-			Healthy:  true,
-			Breaker:  r.byID[n.ID].breaker.State().String(),
-			Replicas: byNode[n.ID],
+	byNode := make(map[string][]ReplicaHealth, len(r.nodes))
+	for _, p := range r.routed() {
+		h := p.health()
+		byNode[h.Node] = append(byNode[h.Node], h)
+		dh := resp.Datasets[h.Dataset]
+		dh.Replication++
+		dh.Nodes = append(dh.Nodes, h.Node)
+		if h.Healthy {
+			dh.Available++
 		}
+		resp.Datasets[h.Dataset] = dh
+	}
+	for _, n := range r.nodes {
+		nh := NodeHealth{ID: n.ID, URL: n.URL, Healthy: true, Replicas: byNode[n.ID]}
 		for _, rep := range nh.Replicas {
 			if !rep.Healthy {
 				nh.Healthy = false
@@ -640,14 +657,7 @@ func (r *Router) HealthSnapshot() HealthResponse {
 		}
 		resp.Nodes = append(resp.Nodes, nh)
 	}
-	for _, ds := range datasets {
-		dh := DatasetHealth{Replication: r.ring.ReplicationFactor(), Nodes: r.ring.Replicas(ds)}
-		for _, n := range dh.Nodes {
-			if r.health.Healthy(n, ds) {
-				dh.Available++
-			}
-		}
-		resp.Datasets[ds] = dh
+	for _, dh := range resp.Datasets {
 		if dh.Available == 0 {
 			resp.Status = "down"
 		} else if dh.Available < dh.Replication && resp.Status == "ok" {
@@ -664,11 +674,12 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	httpserve.WriteJSON(w, http.StatusOK, r.HealthSnapshot())
 }
 
-// NodeStats is one node's forwarding counters.
+// NodeStats is one node's forwarding counters and the state of each
+// replica it hosts, by dataset.
 type NodeStats struct {
-	Success uint64 `json:"success"`
-	Failure uint64 `json:"failure"`
-	Breaker string `json:"breaker"`
+	Success  uint64            `json:"success"`
+	Failure  uint64            `json:"failure"`
+	Replicas map[string]string `json:"replicas"`
 }
 
 // StatsSnapshot is the router's GET /v1/stats payload.
@@ -705,12 +716,16 @@ func (r *Router) Stats() StatsSnapshot {
 	if r.stale != nil {
 		snap.StaleSize = r.stale.Len()
 	}
-	for id, ns := range r.byID {
-		snap.Nodes[id] = NodeStats{
-			Success: ns.success.Load(),
-			Failure: ns.failure.Load(),
-			Breaker: ns.breaker.State().String(),
+	for _, n := range r.nodes {
+		snap.Nodes[n.ID] = NodeStats{
+			Success:  n.success.Load(),
+			Failure:  n.failure.Load(),
+			Replicas: make(map[string]string),
 		}
+	}
+	for _, p := range r.routed() {
+		h := p.health()
+		snap.Nodes[h.Node].Replicas[h.Dataset] = h.State
 	}
 	return snap
 }
@@ -736,12 +751,12 @@ func (r *Router) handleDatasets(w http.ResponseWriter, req *http.Request) {
 	out := struct {
 		Datasets []RoutedDataset `json:"datasets"`
 	}{}
-	for _, ds := range r.datasetList() {
-		out.Datasets = append(out.Datasets, RoutedDataset{
-			Name:     ds,
-			Default:  ds == r.defName,
-			Replicas: r.ring.Replicas(ds),
-		})
+	for _, p := range r.routed() {
+		if n := len(out.Datasets); n == 0 || out.Datasets[n-1].Name != p.dataset {
+			out.Datasets = append(out.Datasets, RoutedDataset{Name: p.dataset, Default: p.dataset == r.defName})
+		}
+		last := &out.Datasets[len(out.Datasets)-1]
+		last.Replicas = append(last.Replicas, p.node.ID)
 	}
 	httpserve.WriteJSON(w, http.StatusOK, out)
 }

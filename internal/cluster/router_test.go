@@ -2,9 +2,9 @@ package cluster
 
 // End-to-end fault-injection suite for the router: every failure mode
 // the tentpole promises — timeout, 5xx, connection error, corrupt
-// body, all-replicas-down staleness, breaker trips, load shedding —
-// reproduced deterministically through the FaultInjector transport
-// hook against fake nodes.
+// body, all-replicas-down staleness, replicas going down and coming
+// back through a trial, load shedding — reproduced deterministically
+// through the FaultInjector transport hook against fake nodes.
 
 import (
 	"context"
@@ -27,6 +27,7 @@ type fakeNode struct {
 	id     string
 	srv    *httptest.Server
 	hits   atomic.Int64
+	probes atomic.Int64
 	swaps  atomic.Uint64
 	gate   chan struct{} // nil = answer immediately
 	gated  atomic.Bool
@@ -61,6 +62,7 @@ func newFakeNode(t *testing.T, id string) *fakeNode {
 		})
 	})
 	mux.HandleFunc("GET /v1/{dataset}/healthz", func(w http.ResponseWriter, r *http.Request) {
+		n.probes.Add(1)
 		httpserve.WriteJSON(w, http.StatusOK, httpserve.HealthResponse{Status: "ok", Speeches: 1, Swaps: n.swaps.Load()})
 	})
 	n.srv = httptest.NewServer(mux)
@@ -248,27 +250,27 @@ func TestRouterBreakerOpensThenRecovers(t *testing.T) {
 	inj.Set(nodes[1].host(), FaultRule{DropProb: 1})
 
 	// Each request attempts both replicas; after enough failures every
-	// breaker opens.
+	// replica is down.
 	for i := 0; i < 3; i++ {
 		postAnswer(t, r.Handler(), "flights", fmt.Sprintf("q%d", i))
 	}
 	st := r.Stats()
-	if st.Nodes["a"].Breaker != "open" || st.Nodes["b"].Breaker != "open" {
-		t.Fatalf("breakers %q/%q, want open/open", st.Nodes["a"].Breaker, st.Nodes["b"].Breaker)
+	if a, b := st.Nodes["a"].Replicas["flights"], st.Nodes["b"].Replicas["flights"]; a != "down" || b != "down" {
+		t.Fatalf("replicas %q/%q, want down/down", a, b)
 	}
 
-	// Open breakers fast-fail: no node sees traffic.
+	// Down replicas fast-fail: no node sees traffic.
 	before := nodes[0].hits.Load() + nodes[1].hits.Load()
 	w := postAnswer(t, r.Handler(), "flights", "while open")
 	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker request: status %d, want 503", w.Code)
+		t.Fatalf("request while down: status %d, want 503", w.Code)
 	}
 	if got := nodes[0].hits.Load() + nodes[1].hits.Load(); got != before {
-		t.Fatalf("open breakers let %d requests through", got-before)
+		t.Fatalf("down replicas let %d requests through", got-before)
 	}
 
-	// Heal the nodes, elapse the cooldown: half-open probes succeed and
-	// the breakers close again.
+	// Heal the nodes, elapse the cooldown: the trial request succeeds
+	// and its replica is up again.
 	inj.Clear(nodes[0].host())
 	inj.Clear(nodes[1].host())
 	fc.Advance(time.Hour)
@@ -277,9 +279,8 @@ func TestRouterBreakerOpensThenRecovers(t *testing.T) {
 		t.Fatalf("post-cooldown request: status %d: %s", w.Code, w.Body.String())
 	}
 	st = r.Stats()
-	probed := st.Nodes[w.Header().Get("X-Cicero-Node")]
-	if probed.Breaker != "closed" {
-		t.Fatalf("probed node's breaker %q, want closed", probed.Breaker)
+	if got := st.Nodes[w.Header().Get("X-Cicero-Node")].Replicas["flights"]; got != "up" {
+		t.Fatalf("the replica that passed its trial is %q, want up", got)
 	}
 }
 

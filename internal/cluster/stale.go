@@ -4,8 +4,8 @@ import "time"
 
 // staleEntry is one remembered good answer: the raw response body of
 // the last successful forward for a (dataset, canonical text) key,
-// tagged with the dataset it belongs to, the node that answered, and
-// the generation (store swap count) its store was at. The router
+// tagged with the dataset it belongs to, the replica that answered,
+// and the generation (store swap count) its store was at. The router
 // serves it — explicitly marked stale — when every replica of the
 // dataset is down, trading freshness for availability instead of
 // failing. The dataset and generation tags exist so the entry can be
@@ -22,7 +22,7 @@ import "time"
 type staleEntry struct {
 	dataset    string
 	body       []byte
-	node       string
+	from       *replica
 	generation uint64
 	storedAt   time.Time
 }

@@ -113,13 +113,26 @@ func TestRouterRemoveDatasetPurgesState(t *testing.T) {
 	if got := r.Stats().StaleSize; got != 1 {
 		t.Fatalf("stale entries after removal = %d, want 1 (flights only)", got)
 	}
-	for _, n := range nodes {
-		if r.Health().Healthy(n.id, "acs") {
-			t.Fatalf("removed dataset still probed healthy on %s", n.id)
+	h := r.HealthSnapshot()
+	for _, n := range h.Nodes {
+		for _, rep := range n.Replicas {
+			if rep.Dataset == "acs" {
+				t.Fatalf("removed dataset still tracked on %s: %+v", n.ID, rep)
+			}
 		}
 	}
-	if h := r.HealthSnapshot(); h.Datasets["acs"].Replication != 0 {
+	if h.Datasets["acs"].Replication != 0 {
 		t.Fatalf("healthz still reports the removed dataset: %+v", h.Datasets)
+	}
+	for id, ns := range r.Stats().Nodes {
+		if _, ok := ns.Replicas["acs"]; ok {
+			t.Fatalf("stats still report the removed dataset on %s: %+v", id, ns)
+		}
+	}
+	before := nodes[0].probes.Load() + nodes[1].probes.Load()
+	r.CheckHealth(context.Background())
+	if got := nodes[0].probes.Load() + nodes[1].probes.Load() - before; got != 2 {
+		t.Fatalf("a sweep after the removal sent %d probes, want the 2 of flights", got)
 	}
 
 	// The surviving dataset still serves, including its stale fallback.
