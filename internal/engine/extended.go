@@ -67,8 +67,7 @@ func AnswerExtremum(rel *relation.Relation, target string, dim string, preds []r
 	if di < 0 {
 		return ExtremumAnswer{}, fmt.Errorf("extremum: no dimension column %q", dim)
 	}
-	view := rel.FullView().Select(preds)
-	groups := view.GroupBy([]int{di}, ti)
+	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
 	type entry struct {
 		value string
 		mean  float64

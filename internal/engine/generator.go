@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"cicero/internal/fact"
 	"cicero/internal/relation"
@@ -69,28 +71,50 @@ func EachProblem(rel *relation.Relation, cfg Config, fn func(Problem) error) err
 
 // LazyProblem is one enumerated problem before its data subset is
 // materialized: the query, the subset's row count, and a Materialize
-// hook that runs the deferred selection scan. Enumeration itself costs
-// one grouped counting pass per query shape; each Materialize costs the
-// O(rows) selection EachProblem pays per problem. The incremental path
+// hook that hands out the subset. Enumeration itself costs one grouped
+// counting pass per query shape (a set of predicate columns); the first
+// Materialize of a shape partitions the relation by that shape's columns
+// in one more pass, and every problem of the shape — under every target
+// — is a sub-slice of that one row array. The incremental path
 // (internal/delta) walks the whole problem space this way and
-// materializes only the dirty sliver it re-solves.
+// materializes only the dirty sliver it re-solves, paying at most one
+// pass per shape that has a dirty problem.
 type LazyProblem struct {
 	Query Query
 	// Rows is the subset row count, equal to Materialize().View.NumRows().
 	Rows int
 
-	full       *relation.View
-	preds      []relation.Predicate
+	shape      *queryShape
+	part       int // index of the problem's combination among the shape's groups
 	target     int
-	freeDims   []int
 	prior      fact.Prior
 	subsetMean bool
 }
 
-// Materialize selects the problem's data subset and completes the
-// Problem exactly as EachProblem would have built it.
+// queryShape is what the problems over one set of predicate columns
+// share: the free fact dimensions, the groups of the counting pass, and
+// the partition of the relation their views are cut from.
+type queryShape struct {
+	full     *relation.View
+	dims     []int
+	freeDims []int
+	groups   []relation.Group
+
+	once  sync.Once
+	parts []*relation.View
+}
+
+// view returns the rows of the shape's i-th combination, ascending, as
+// Select would leave them.
+func (sh *queryShape) view(i int) *relation.View {
+	sh.once.Do(func() { sh.parts = sh.full.Partition(sh.dims) })
+	return sh.parts[i]
+}
+
+// Materialize completes the Problem exactly as EachProblem builds it.
+// It is safe to call from several goroutines.
 func (lp *LazyProblem) Materialize() Problem {
-	view := lp.full.Select(lp.preds)
+	view := lp.shape.view(lp.part)
 	prior := lp.prior
 	if lp.subsetMean {
 		prior = fact.MeanPrior(view, lp.target)
@@ -99,7 +123,7 @@ func (lp *LazyProblem) Materialize() Problem {
 		Query:    lp.Query,
 		View:     view,
 		Target:   lp.target,
-		FreeDims: lp.freeDims,
+		FreeDims: lp.shape.freeDims,
 		Prior:    prior,
 	}
 }
@@ -107,9 +131,9 @@ func (lp *LazyProblem) Materialize() Problem {
 // EachProblemLazy streams the same problems as EachProblem, in the same
 // order, without materializing their views: subset row counts come from
 // one group-by pass per query shape, so consumers that skip most
-// problems (internal/delta retains clean speeches by key alone) avoid
-// the per-problem selection scans entirely. The error contract matches
-// EachProblem.
+// problems (internal/delta retains clean speeches by key alone) never
+// touch the rows of a shape they skip entirely. The error contract
+// matches EachProblem.
 func EachProblemLazy(rel *relation.Relation, cfg Config, fn func(LazyProblem) error) error {
 	if err := cfg.Validate(rel); err != nil {
 		return err
@@ -124,6 +148,20 @@ func EachProblemLazy(rel *relation.Relation, cfg Config, fn func(LazyProblem) er
 	}
 	full := rel.FullView()
 
+	querySets := fact.DimSubsets(dimIdx, cfg.MaxQueryLen)
+	shapes := make([]queryShape, len(querySets))
+	for i, querySet := range querySets {
+		free := make([]int, 0, len(factDimIdx))
+		for _, d := range factDimIdx {
+			if !slices.Contains(querySet, d) {
+				free = append(free, d)
+			}
+		}
+		// One counting pass covers every combination of this query
+		// shape; Partition cuts its parts in the same order.
+		shapes[i] = queryShape{full: full, dims: querySet, freeDims: free, groups: full.GroupBy(querySet, -1)}
+	}
+
 	for _, target := range cfg.Targets {
 		ti := rel.Schema().TargetIndex(target)
 		var prior fact.Prior
@@ -133,40 +171,25 @@ func EachProblemLazy(rel *relation.Relation, cfg Config, fn func(LazyProblem) er
 		case PriorGlobalMean:
 			prior = fact.MeanPrior(full, ti)
 		}
-		for _, querySet := range fact.DimSubsets(dimIdx, cfg.MaxQueryLen) {
-			inQuery := make(map[int]bool, len(querySet))
-			for _, d := range querySet {
-				inQuery[d] = true
-			}
-			free := make([]int, 0, len(factDimIdx))
-			for _, d := range factDimIdx {
-				if !inQuery[d] {
-					free = append(free, d)
-				}
-			}
-			// One counting pass covers every combination of this query
-			// shape; GroupBy's order is DistinctCombinations's order.
-			for _, g := range full.GroupBy(querySet, -1) {
+		for si := range shapes {
+			sh := &shapes[si]
+			for part, g := range sh.groups {
 				if g.Count < cfg.MinSubsetRows {
 					continue
 				}
-				combo := g.Key.Codes
-				preds := make([]relation.Predicate, len(querySet))
-				named := make([]NamedPredicate, len(querySet))
-				for i, d := range querySet {
-					preds[i] = relation.Predicate{Dim: d, Code: combo[i]}
+				named := make([]NamedPredicate, len(sh.dims))
+				for i, d := range sh.dims {
 					named[i] = NamedPredicate{
 						Column: rel.Schema().Dimensions[d],
-						Value:  rel.Dim(d).Value(combo[i]),
+						Value:  rel.Dim(d).Value(g.Key.Codes[i]),
 					}
 				}
 				err := fn(LazyProblem{
 					Query:      Query{Target: target, Predicates: named},
 					Rows:       g.Count,
-					full:       full,
-					preds:      preds,
+					shape:      sh,
+					part:       part,
 					target:     ti,
-					freeDims:   free,
 					prior:      prior,
 					subsetMean: cfg.Prior == PriorSubsetMean,
 				})

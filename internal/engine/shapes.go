@@ -201,7 +201,7 @@ func AnswerTopK(rel *relation.Relation, target, dim string, preds []relation.Pre
 			return TopKAnswer{}, err
 		}
 	}
-	groups := rel.FullView().Select(preds).GroupBy([]int{di}, ti)
+	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
 	var entries []TopKEntry
 	for _, g := range groups {
 		if g.Count < minRows {
@@ -302,7 +302,7 @@ func AnswerTrend(rel *relation.Relation, target, timeDim string, periods []strin
 	if len(periods) < 2 {
 		return TrendAnswer{}, fmt.Errorf("trend: need at least 2 periods, got %d", len(periods))
 	}
-	groups := rel.FullView().Select(preds).GroupBy([]int{di}, ti)
+	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
 	byPeriod := make(map[string]TrendPoint, len(groups))
 	col := rel.Dim(di)
 	for _, g := range groups {
@@ -387,7 +387,7 @@ func AnswerConstrained(rel *relation.Relation, target, entityDim string, preds [
 	if err != nil {
 		return ConstrainedAnswer{}, err
 	}
-	groups := rel.FullView().Select(preds).GroupBy([]int{di}, ti)
+	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
 	a := ConstrainedAnswer{Target: target, Dimension: entityDim}
 	var sum float64
 	col := rel.Dim(di)

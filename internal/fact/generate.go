@@ -1,6 +1,8 @@
 package fact
 
 import (
+	"slices"
+
 	"cicero/internal/relation"
 )
 
@@ -72,7 +74,14 @@ func combinations(dims []int, k int) [][]int {
 // value combination appearing in the view, with the typical value set to
 // the average target value within scope (Section III). The empty scope
 // yields the single "overall" fact. Facts are returned grouped in
-// deterministic order.
+// deterministic order: fact groups in DimSubsets order, and within a
+// group in GroupBy's key order.
+//
+// The facts of one group share one Dims slice and cut their Codes from
+// the group-by's single backing array, so a candidate set costs a few
+// allocations per group rather than two per fact. Callers that keep a
+// fact beyond the candidate set copy it (Fact.Clone) so that it does not
+// pin the arrays of the facts that were not chosen.
 func Generate(v *relation.View, target int, opts GenerateOptions) []Fact {
 	free := opts.FreeDims
 	if free == nil {
@@ -81,16 +90,32 @@ func Generate(v *relation.View, target int, opts GenerateOptions) []Fact {
 			free[i] = i
 		}
 	}
-	var out []Fact
-	for _, dims := range DimSubsets(free, opts.MaxDims) {
-		for _, g := range v.GroupBy(dims, target) {
+	subsets := DimSubsets(free, opts.MaxDims)
+	grouped := make([][]relation.Group, len(subsets))
+	total := 0
+	for i, dims := range subsets {
+		grouped[i] = v.GroupBy(dims, target)
+		total += len(grouped[i])
+	}
+	out := make([]Fact, 0, total)
+	for i, dims := range subsets {
+		// A scope's dimensions ascend. When dims already does — always,
+		// unless FreeDims came unsorted — the group's facts share it and
+		// take the group-by's codes as they are; otherwise NewScope sorts
+		// a copy per fact.
+		shared := slices.IsSorted(dims)
+		if shared {
+			checkDistinct(dims)
+		}
+		for _, g := range grouped[i] {
 			if g.Count < opts.MinRows || g.Count == 0 {
 				continue
 			}
-			out = append(out, Fact{
-				Scope: NewScope(dims, g.Key.Codes),
-				Value: g.Mean(),
-			})
+			scope := Scope{Dims: dims, Codes: g.Key.Codes}
+			if !shared {
+				scope = NewScope(dims, g.Key.Codes)
+			}
+			out = append(out, Fact{Scope: scope, Value: g.Mean()})
 		}
 	}
 	return out

@@ -12,6 +12,7 @@ package fact
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,9 +28,10 @@ type Scope struct {
 	Codes []int32
 }
 
-// NewScope builds a scope from parallel dim/code slices, normalizing to
-// ascending dimension order. It panics if the slices differ in length or a
-// dimension repeats, since that indicates a programming error.
+// NewScope builds a scope from parallel dim/code slices, copying both and
+// normalizing to ascending dimension order. It panics if the slices
+// differ in length or a dimension repeats, since that indicates a
+// programming error.
 func NewScope(dims []int, codes []int32) Scope {
 	if len(dims) != len(codes) {
 		panic(fmt.Sprintf("fact: scope with %d dims but %d codes", len(dims), len(codes)))
@@ -38,13 +40,20 @@ func NewScope(dims []int, codes []int32) Scope {
 		Dims:  append([]int(nil), dims...),
 		Codes: append([]int32(nil), codes...),
 	}
-	sort.Sort(scopeSorter{&s})
-	for i := 1; i < len(s.Dims); i++ {
-		if s.Dims[i] == s.Dims[i-1] {
-			panic(fmt.Sprintf("fact: scope restricts dimension %d twice", s.Dims[i]))
+	if !slices.IsSorted(s.Dims) {
+		sort.Sort(scopeSorter{&s})
+	}
+	checkDistinct(s.Dims)
+	return s
+}
+
+// checkDistinct panics if an ascending dimension list repeats an entry.
+func checkDistinct(dims []int) {
+	for i := 1; i < len(dims); i++ {
+		if dims[i] == dims[i-1] {
+			panic(fmt.Sprintf("fact: scope restricts dimension %d twice", dims[i]))
 		}
 	}
-	return s
 }
 
 type scopeSorter struct{ s *Scope }

@@ -59,3 +59,26 @@ func BenchmarkPreprocess(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBatch runs pipeline.Run at the two configurations the
+// benchmark's pre-processing workloads use (see digestConfigs); it is
+// the command behind PROFILE.md:
+//
+//	go test ./internal/pipeline -run '^$' -bench 'BenchmarkBatch/preprocess_greedy' \
+//	    -benchtime 10x -cpuprofile cpu.out -memprofile mem.out
+func BenchmarkBatch(b *testing.B) {
+	for _, dc := range digestConfigs()[:2] {
+		b.Run(dc.name, func(b *testing.B) {
+			rel, cfg, opts := dc.build()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, stats, err := Run(context.Background(), rel, cfg, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(stats.Problems)/stats.Elapsed.Seconds(), "problems/s")
+			}
+		})
+	}
+}

@@ -1,0 +1,164 @@
+package pipeline
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"math"
+	"os"
+	"testing"
+	"time"
+
+	"cicero/internal/dataset"
+	"cicero/internal/engine"
+	"cicero/internal/relation"
+)
+
+// This file pins what a whole batch writes: for the four pipeline.Run
+// configurations the benchmark pre-processes (bench/workloads.go), a
+// SHA-256 over every stored speech — canonical key, fact dims and codes,
+// the bits of each value, utility and prior error, and the text — plus
+// the sums of the kernel's work counters. The golden file was generated
+// at the commit before the evaluate stage went hash-free (d848d12 with
+// only the counter fields added), so a digest that still matches is the
+// proof that the rewrite changed no decision and no bit of any store.
+//
+// Regenerate (only when a change is meant to alter stored speeches) with:
+//
+//	DIGEST_UPDATE=1 go test ./internal/pipeline/ -run TestStoreDigest
+
+const digestGoldenPath = "testdata/store_digest.json"
+
+type digestConfig struct {
+	name        string
+	rel         func() *relation.Relation
+	maxQueryLen int
+	maxFacts    int
+	solver      string
+	prior       engine.PriorMode
+}
+
+func digestConfigs() []digestConfig {
+	return []digestConfig{
+		{"preprocess_greedy", func() *relation.Relation { return dataset.Flights(12000, 1) }, 2, 3, "G-O", engine.PriorGlobalMean},
+		{"preprocess_exact", func() *relation.Relation { return dataset.Flights(12000, 1) }, 1, 4, "E", engine.PriorGlobalMean},
+		{"dialog_scan", func() *relation.Relation { return dataset.Housing(60000, 1) }, 2, 3, "G-O", engine.PriorGlobalMean},
+		{"publish_under_read", func() *relation.Relation { return dataset.Flights(5000, 1) }, 2, 3, "G-O", engine.PriorZero},
+	}
+}
+
+// storeDigest is one configuration's golden record.
+type storeDigest struct {
+	SHA256         string
+	Speeches       int
+	JoinedRows     int64
+	FactsEvaluated int
+	GroupsPruned   int
+	BoundsComputed int
+	NodesExpanded  int64
+}
+
+// build generates the configuration's relation and the arguments the
+// benchmark hands pipeline.Run for it (bench/deploy.go).
+func (dc digestConfig) build() (*relation.Relation, engine.Config, Options) {
+	rel := dc.rel()
+	cfg := engine.DefaultConfig(rel)
+	cfg.MaxQueryLen = dc.maxQueryLen
+	cfg.MaxFacts = dc.maxFacts
+	cfg.Prior = dc.prior
+	opts := Options{Solver: dc.solver, Workers: 2}
+	opts.Solve.Timeout = 10 * time.Second
+	return rel, cfg, opts
+}
+
+func digestOf(t *testing.T, dc digestConfig) storeDigest {
+	t.Helper()
+	rel, cfg, opts := dc.build()
+	store, stats, err := Run(context.Background(), rel, cfg, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", dc.name, err)
+	}
+	if stats.TimedOut > 0 {
+		t.Fatalf("%s: %d problems timed out; the digest of a truncated search means nothing", dc.name, stats.TimedOut)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	u64 := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		u64(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	for _, sp := range store.Speeches() {
+		str(sp.Query.Canonical().Key())
+		u64(uint64(len(sp.Facts)))
+		for _, f := range sp.Facts {
+			u64(uint64(len(f.Scope.Dims)))
+			for i, d := range f.Scope.Dims {
+				u64(uint64(d))
+				u64(uint64(f.Scope.Codes[i]))
+			}
+			u64(math.Float64bits(f.Value))
+		}
+		u64(math.Float64bits(sp.Utility))
+		u64(math.Float64bits(sp.PriorError))
+		str(sp.Text)
+	}
+	return storeDigest{
+		SHA256:         hex.EncodeToString(h.Sum(nil)),
+		Speeches:       stats.Speeches,
+		JoinedRows:     stats.JoinedRows,
+		FactsEvaluated: stats.FactsEvaluated,
+		GroupsPruned:   stats.GroupsPruned,
+		BoundsComputed: stats.BoundsComputed,
+		NodesExpanded:  stats.NodesExpanded,
+	}
+}
+
+func TestStoreDigest(t *testing.T) {
+	update := os.Getenv("DIGEST_UPDATE") != ""
+	golden := map[string]storeDigest{}
+	if !update {
+		raw, err := os.ReadFile(digestGoldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dc := range digestConfigs() {
+		if raceEnabled && dc.solver == "E" {
+			// Ten times slower under the race detector, the exact search
+			// would run into its own per-problem timeout; the plain test
+			// step covers this configuration.
+			continue
+		}
+		got := digestOf(t, dc)
+		if update {
+			golden[dc.name] = got
+			continue
+		}
+		if want, ok := golden[dc.name]; !ok {
+			t.Errorf("%s: no golden record", dc.name)
+		} else if got != want {
+			t.Errorf("%s: store digest moved\n got  %+v\n want %+v", dc.name, got, want)
+		}
+	}
+	if update {
+		raw, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestGoldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -159,10 +160,21 @@ type Stats struct {
 	Resumed int
 	// TotalFacts accumulates candidate fact counts across solved problems.
 	TotalFacts int
-	// SumScaledUtility accumulates scaled utilities for averaging.
+	// SumScaledUtility sums the scaled utilities for averaging. The terms
+	// are added in enumeration order, not in the order the workers finish,
+	// so the sum repeats bit for bit at any worker count.
 	SumScaledUtility float64
 	// TimedOut counts problems where the exact algorithm hit its timeout.
 	TimedOut int
+	// JoinedRows, FactsEvaluated, GroupsPruned, BoundsComputed and
+	// NodesExpanded sum the kernel's work counters (summarize.RunStats)
+	// over the solved problems: the paper's processing-cost metric
+	// (Figures 3/4), which repeats exactly where the stage times do not.
+	JoinedRows     int64
+	FactsEvaluated int
+	GroupsPruned   int
+	BoundsComputed int
+	NodesExpanded  int64
 	// Elapsed is the wall-clock time of the run; PerQuery divides it by
 	// the number of problems solved.
 	Elapsed  time.Duration
@@ -228,8 +240,15 @@ func RunProblems(ctx context.Context, rel *relation.Relation, cfg engine.Config,
 	return run(ctx, rel, cfg, source, len(problems), opts)
 }
 
+// job is one enumerated problem and its position in the enumeration.
+type job struct {
+	seq     int
+	problem engine.Problem
+}
+
 // result carries one problem's outcome from a solve worker to the sink.
 type result struct {
+	seq     int
 	problem engine.Problem
 	key     string
 	summary summarize.Summary
@@ -238,6 +257,12 @@ type result struct {
 	err     error
 	// stage timings measured by the worker
 	evalTime, solveTime, renderTime time.Duration
+}
+
+// scoredProblem is a solved problem's term of Stats.SumScaledUtility.
+type scoredProblem struct {
+	seq           int
+	scaledUtility float64
 }
 
 // run wires the stages together: one producer streaming problems, N
@@ -285,7 +310,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobs := make(chan engine.Problem, buffer)
+	jobs := make(chan job, buffer)
 	results := make(chan result, buffer)
 
 	// Stage 1: the producer streams problems from the generator. It
@@ -294,9 +319,11 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	var sourceErr error
 	go func() {
 		defer close(jobs)
+		seq := 0
 		sourceErr = source(func(p engine.Problem) error {
 			select {
-			case jobs <- p:
+			case jobs <- job{seq: seq, problem: p}:
+				seq++
 				return nil
 			case <-runCtx.Done():
 				return engine.ErrStopEnumeration
@@ -310,8 +337,10 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { workersDone <- struct{}{} }()
-			for p := range jobs {
-				results <- solveOne(runCtx, rel, cfg, solver, baseOpts, opts, p)
+			for j := range jobs {
+				res := solveOne(runCtx, rel, cfg, solver, baseOpts, opts, j.problem)
+				res.seq = j.seq
+				results <- res
 			}
 		}()
 	}
@@ -328,6 +357,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	store := engine.NewStore()
 	var stats Stats
 	var fatalErr error
+	var utilities []scoredProblem
 	if opts.Checkpoint != nil {
 		for _, sp := range opts.Checkpoint.Resumed() {
 			store.Add(sp)
@@ -394,16 +424,25 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 			}
 			stats.Problems++
 			stats.TotalFacts += len(res.summary.Facts)
-			stats.SumScaledUtility += res.summary.ScaledUtility()
+			utilities = append(utilities, scoredProblem{res.seq, res.summary.ScaledUtility()})
 			if res.summary.Stats.TimedOut {
 				stats.TimedOut++
 			}
+			stats.JoinedRows += res.summary.Stats.JoinedRows
+			stats.FactsEvaluated += res.summary.Stats.FactsEvaluated
+			stats.GroupsPruned += res.summary.Stats.GroupsPruned
+			stats.BoundsComputed += res.summary.Stats.BoundsComputed
+			stats.NodesExpanded += res.summary.Stats.NodesExpanded
 			stats.Stages.Sink += time.Since(sinkStart)
 			done++
 			report()
 		}
 	}
 
+	slices.SortFunc(utilities, func(a, b scoredProblem) int { return a.seq - b.seq })
+	for _, u := range utilities {
+		stats.SumScaledUtility += u.scaledUtility
+	}
 	stats.Elapsed = time.Since(start)
 	if stats.Problems > 0 {
 		stats.PerQuery = stats.Elapsed / time.Duration(stats.Problems)

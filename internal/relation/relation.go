@@ -10,6 +10,19 @@
 //
 // A Relation is immutable after Freeze; concurrent reads are safe.
 //
+// Grouping is one keyed kernel (groupby.go) behind GroupBy, GroupByWhere
+// and Partition. It numbers value combinations as mixed-radix keys
+// (KeySpace) and indexes flat count and sum arrays by key when the key
+// space is small against the view, and sorts rows by their code tuples
+// when it is not or when the key space overflows an int64; which of the
+// two runs depends only on those two sizes and never shows in a result.
+// The guarantees every caller may rely on, and the tests pin bit for
+// bit: views hold their rows in ascending order; groups and parts come
+// in ascending key order (codes compared from the last grouped column
+// to the first); a group's sum adds its rows' values in ascending row
+// order starting from zero; part i of Partition holds the rows Select of
+// the i-th group's combination returns, in that order.
+//
 // Every stage of the generate → evaluate → solve → serve flow stands
 // on this substrate: the generate stage enumerates queries over its
 // dimension dictionaries, evaluate and solve aggregate its views, and
@@ -17,10 +30,7 @@
 // directly.
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NoValue marks an unrestricted dimension inside scopes and predicates.
 // Dictionary codes are always non-negative, so -1 is never a valid value.
@@ -267,8 +277,9 @@ func (r *Relation) PredicateByName(column, value string) (Predicate, error) {
 	return Predicate{Dim: di, Code: code}, nil
 }
 
-// View is a subset of relation rows (the data subset a query refers to).
-// A nil rows slice denotes the full relation.
+// View is a subset of relation rows (the data subset a query refers to),
+// held in ascending row order: FullView, Select and Partition all leave
+// rows that way, and GroupBy's sums and Partition's parts depend on it.
 type View struct {
 	Rel  *Relation
 	rows []int32
@@ -294,18 +305,6 @@ func (v *View) Row(i int) int32 {
 		return int32(i)
 	}
 	return v.rows[i]
-}
-
-// Rows returns the relation row indices of the view. For a full view the
-// slice is materialized on first call.
-func (v *View) Rows() []int32 {
-	if v.full && v.rows == nil {
-		v.rows = make([]int32, v.Rel.rows)
-		for i := range v.rows {
-			v.rows[i] = int32(i)
-		}
-	}
-	return v.rows
 }
 
 // Select returns the sub-view of rows satisfying the conjunction of
@@ -388,74 +387,4 @@ func (g Group) Mean() float64 {
 		return 0
 	}
 	return g.Sum / float64(g.Count)
-}
-
-// GroupBy aggregates a target column grouped by the given dimension
-// columns (the relational Γ operator with SUM/COUNT, from which AVG is
-// derived). A negative target index counts rows without aggregating a sum.
-// Groups are returned in deterministic order (sorted by codes).
-func (v *View) GroupBy(dims []int, target int) []Group {
-	type agg struct {
-		count int
-		sum   float64
-	}
-	// Mixed-radix key: combine codes using column cardinalities.
-	radix := make([]int64, len(dims))
-	stride := int64(1)
-	for i, d := range dims {
-		radix[i] = stride
-		stride *= int64(v.Rel.dims[d].Cardinality()) + 1
-	}
-	m := make(map[int64]*agg)
-	var data []float64
-	if target >= 0 {
-		data = v.Rel.targets[target].data
-	}
-	n := v.NumRows()
-	for i := 0; i < n; i++ {
-		row := v.Row(i)
-		key := int64(0)
-		for j, d := range dims {
-			key += int64(v.Rel.dims[d].data[row]) * radix[j]
-		}
-		a := m[key]
-		if a == nil {
-			a = &agg{}
-			m[key] = a
-		}
-		a.count++
-		if data != nil {
-			a.sum += data[row]
-		}
-	}
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Group, 0, len(keys))
-	for _, k := range keys {
-		codes := make([]int32, len(dims))
-		rem := k
-		for j := len(dims) - 1; j >= 0; j-- {
-			codes[j] = int32(rem / radix[j])
-			rem %= radix[j]
-		}
-		a := m[k]
-		out = append(out, Group{Key: GroupKey{Codes: codes}, Count: a.count, Sum: a.sum})
-	}
-	return out
-}
-
-// DistinctCombinations returns the distinct value-code combinations of the
-// given dimension columns that appear in the view, in deterministic order.
-// This drives fact enumeration: the paper considers equality predicates
-// "for all value combinations that appear in the data set".
-func (v *View) DistinctCombinations(dims []int) [][]int32 {
-	groups := v.GroupBy(dims, -1)
-	out := make([][]int32, len(groups))
-	for i, g := range groups {
-		out[i] = g.Key.Codes
-	}
-	return out
 }

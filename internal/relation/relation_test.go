@@ -229,15 +229,14 @@ func TestDistinctCombinations(t *testing.T) {
 func TestViewRows(t *testing.T) {
 	r := buildFlights(t)
 	v := r.FullView()
-	rows := v.Rows()
-	if len(rows) != 16 || rows[0] != 0 || rows[15] != 15 {
-		t.Errorf("full view rows wrong: %v", rows)
+	if v.NumRows() != 16 || v.Row(0) != 0 || v.Row(15) != 15 {
+		t.Errorf("full view rows wrong: %d rows, first %d, last %d", v.NumRows(), v.Row(0), v.Row(15))
 	}
 	winter, _ := r.PredicateByName("season", "Winter")
 	sub := r.FullView().Select([]Predicate{winter})
-	for i, row := range sub.Rows() {
-		if sub.Row(i) != row {
-			t.Errorf("Row(%d) mismatch", i)
+	for i := 0; i < sub.NumRows(); i++ {
+		if r.Dim(1).CodeAt(int(sub.Row(i))) != winter.Code {
+			t.Errorf("Row(%d) = %d is not a Winter row", i, sub.Row(i))
 		}
 	}
 }

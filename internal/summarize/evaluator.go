@@ -14,8 +14,8 @@ package summarize
 
 import (
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 
 	"cicero/internal/fact"
 	"cicero/internal/relation"
@@ -32,8 +32,9 @@ import (
 //
 //   - posting lists live in one CSR backing array (postRows + postStart),
 //     so a problem's entire join output is a single allocation;
-//   - per-group combo keys are resolved once at build into dense per-row
-//     slot ids, so GroupBound is a pure array scan with zero hashing;
+//   - per-group value combinations are resolved once at build into dense
+//     per-row slot ids — through a flat table indexed by the combination's
+//     mixed-radix key, no hash map — so GroupBound is a pure array scan;
 //   - speech evaluation uses an epoch-stamped dense scratch instead of a
 //     per-call map, and the exact algorithm's DFS maintains per-row
 //     deviations incrementally with an undo log;
@@ -94,15 +95,13 @@ type Evaluator struct {
 	domBuilt bool
 
 	// Reusable build + solve scratch.
-	byMask     map[uint64]int32 // dim-set mask → group (NumDims ≤ 64)
-	byKeyStr   map[string]int32 // fallback group key (NumDims > 64)
-	keyBuf     []byte
-	byCombo    map[int64]int32 // combo key → slot, reused per group
-	slotFact   []int32         // slot → fact (or −1), flattened per group
-	radixBuf   []int64
-	gfStart    []int32 // CSR offsets of groupFacts
-	groupFacts []int32 // per-group fact lists, one backing array
-	factGroup  []int32 // fact → group
+	keys       relation.KeySpace // the group being slotted
+	slotOf     []int32           // combo key → slot+1, all zero between groups
+	comboBuf   []int32           // one row's codes, for the sorted slotting
+	slotFact   []int32           // slot → fact (or −1), flattened per group
+	gfStart    []int32           // CSR offsets of groupFacts
+	groupFacts []int32           // per-group fact lists, one backing array
+	factGroup  []int32           // fact → group
 	fillCursor []int32
 	utilsBuf   []float64
 	orderBuf   []int32
@@ -132,29 +131,6 @@ type FactGroup struct {
 	slotsOff int
 	numSlots int
 	slotBase int // offset of this group's slot→fact entries in slotFact
-}
-
-// dimsMask packs an ascending dim-index set into a bitmask key. The
-// second result is false when an index does not fit in 64 bits.
-func dimsMask(dims []int) (uint64, bool) {
-	var m uint64
-	for _, d := range dims {
-		if d >= 64 {
-			return 0, false
-		}
-		m |= 1 << uint(d)
-	}
-	return m, true
-}
-
-// appendDimsKey renders the fallback group key for relations with more
-// than 64 dimension columns, reusing the caller's buffer.
-func appendDimsKey(buf []byte, dims []int) []byte {
-	for _, d := range dims {
-		buf = strconv.AppendInt(buf, int64(d), 10)
-		buf = append(buf, ',')
-	}
-	return buf
 }
 
 // dimsSubset reports whether a ⊆ b for ascending dim slices.
@@ -248,6 +224,7 @@ func (e *Evaluator) Reset(view *relation.View, target int, facts []fact.Fact, pr
 // detach drops the problem references so a pooled evaluator never pins a
 // relation, fact slice, or prior beyond its solve.
 func (e *Evaluator) detach() {
+	e.keys.Reset(nil, nil)
 	e.view = nil
 	e.facts = nil
 	e.prior = nil
@@ -258,38 +235,18 @@ func (e *Evaluator) detach() {
 	e.groups = e.groups[:0]
 }
 
-// comboRadixInto fills mixed-radix multipliers that map a value-code
-// combination over the given dimensions to a unique int64 key, reusing
-// the evaluator's radix buffer.
-func (e *Evaluator) comboRadixInto(dims []int) []int64 {
-	if cap(e.radixBuf) < len(dims) {
-		e.radixBuf = make([]int64, len(dims))
+// groupOf returns the index of the fact group restricting exactly dims,
+// adding it if it is new. Generated facts arrive group by group, so the
+// last group is tried first; a fact list in any other order costs a scan
+// of the (few) groups per fact.
+func (e *Evaluator) groupOf(dims []int) int32 {
+	for gi := len(e.groups) - 1; gi >= 0; gi-- {
+		if slices.Equal(e.groups[gi].Dims, dims) {
+			return int32(gi)
+		}
 	}
-	radix := e.radixBuf[:len(dims)]
-	stride := int64(1)
-	for i, d := range dims {
-		radix[i] = stride
-		stride *= int64(e.view.Rel.Dim(d).Cardinality()) + 1
-	}
-	return radix
-}
-
-// comboKey maps a code combination to its int64 key under radix.
-func comboKey(codes []int32, radix []int64) int64 {
-	key := int64(0)
-	for i, c := range codes {
-		key += int64(c) * radix[i]
-	}
-	return key
-}
-
-// rowComboKey computes the combo key of a relation row for dims.
-func (e *Evaluator) rowComboKey(row int32, dims []int, radix []int64) int64 {
-	key := int64(0)
-	for j, d := range dims {
-		key += int64(e.view.Rel.Dim(d).CodeAt(int(row))) * radix[j]
-	}
-	return key
+	e.groups = append(e.groups, FactGroup{Dims: dims})
+	return int32(len(e.groups) - 1)
 }
 
 // buildGroupsAndPostings groups facts by restricted dimension set and
@@ -300,49 +257,20 @@ func (e *Evaluator) rowComboKey(row int32, dims []int, radix []int64) int64 {
 // The same per-group row pass resolves each row's value combination to a
 // dense slot id, stored for the lifetime of the problem: GroupBound
 // re-reads those slots on every greedy iteration instead of recomputing
-// radix keys, and the postings land in one shared CSR backing array.
+// keys, and the postings land in one shared CSR backing array. Rows
+// reach their slot without hashing — through a flat table indexed by the
+// combination's mixed-radix key (relation.KeySpace, the keying GroupBy
+// uses) when the key space is small against the view, and by binary
+// search among the view's sorted combinations when it is not.
 func (e *Evaluator) buildGroupsAndPostings() {
 	n := e.view.NumRows()
 	nf := len(e.facts)
 
-	// 1) Assign facts to groups, keyed by the packed dim-set mask (or the
-	// string fallback for >64 dimension columns).
+	// 1) Assign facts to groups by their restricted dimension set.
 	e.factGroup = growI32(e.factGroup, nf)
 	e.groups = e.groups[:0]
-	if e.view.Rel.NumDims() <= 64 {
-		if e.byMask == nil {
-			e.byMask = make(map[uint64]int32)
-		} else {
-			clear(e.byMask)
-		}
-		for fi := range e.facts {
-			dims := e.facts[fi].Scope.Dims
-			m, _ := dimsMask(dims)
-			gi, ok := e.byMask[m]
-			if !ok {
-				gi = int32(len(e.groups))
-				e.byMask[m] = gi
-				e.groups = append(e.groups, FactGroup{Dims: dims})
-			}
-			e.factGroup[fi] = gi
-		}
-	} else {
-		if e.byKeyStr == nil {
-			e.byKeyStr = make(map[string]int32)
-		} else {
-			clear(e.byKeyStr)
-		}
-		for fi := range e.facts {
-			dims := e.facts[fi].Scope.Dims
-			e.keyBuf = appendDimsKey(e.keyBuf[:0], dims)
-			gi, ok := e.byKeyStr[string(e.keyBuf)]
-			if !ok {
-				gi = int32(len(e.groups))
-				e.byKeyStr[string(e.keyBuf)] = gi
-				e.groups = append(e.groups, FactGroup{Dims: dims})
-			}
-			e.factGroup[fi] = gi
-		}
+	for fi := range e.facts {
+		e.factGroup[fi] = e.groupOf(e.facts[fi].Scope.Dims)
 	}
 	ng := len(e.groups)
 
@@ -384,9 +312,6 @@ func (e *Evaluator) buildGroupsAndPostings() {
 		}
 	}
 	e.rowSlots = growI32(e.rowSlots, boundGroups*n)
-	if e.byCombo == nil {
-		e.byCombo = make(map[int64]int32)
-	}
 	e.slotFact = e.slotFact[:0]
 	maxSlots := 0
 	off := 0
@@ -400,23 +325,15 @@ func (e *Evaluator) buildGroupsAndPostings() {
 			grp.slotsOff, grp.numSlots, grp.slotBase = -1, 0, -1
 			continue
 		}
-		radix := e.comboRadixInto(grp.Dims)
-		clear(e.byCombo)
 		grp.slotBase = len(e.slotFact)
-		for _, fi := range grp.Facts {
-			e.byCombo[comboKey(e.facts[fi].Scope.Codes, radix)] = int32(len(e.slotFact) - grp.slotBase)
-			e.slotFact = append(e.slotFact, fi)
-		}
 		rs := e.rowSlots[off : off+n]
-		for i := 0; i < n; i++ {
-			key := e.rowComboKey(e.view.Row(i), grp.Dims, radix)
-			slot, ok := e.byCombo[key]
-			if !ok {
-				slot = int32(len(e.slotFact) - grp.slotBase)
-				e.byCombo[key] = slot
-				e.slotFact = append(e.slotFact, -1)
-			}
-			rs[i] = slot
+		e.keys.Reset(e.view.Rel, grp.Dims)
+		if size, ok := e.keys.Dense(n); ok {
+			e.slotRowsDense(grp, rs, size)
+		} else {
+			e.slotRowsSorted(grp, rs)
+		}
+		for _, slot := range rs {
 			if fi := e.slotFact[grp.slotBase+int(slot)]; fi >= 0 {
 				ps[fi+1]++
 			}
@@ -459,6 +376,68 @@ func (e *Evaluator) buildGroupsAndPostings() {
 		}
 	}
 	e.JoinedRows += int64(ps[nf])
+}
+
+// slotRowsDense writes each view row's slot for the group into rs
+// through the flat key → slot table: the group's facts take the first
+// slots in fact order, combinations no fact covers take the following
+// ones in order of first appearance. e.keys is set to the group's
+// dimensions and size is its key count.
+func (e *Evaluator) slotRowsDense(grp *FactGroup, rs []int32, size int) {
+	if cap(e.slotOf) < size {
+		e.slotOf = make([]int32, size)
+	}
+	slotOf := e.slotOf[:size]
+	next := int32(0)
+	for _, fi := range grp.Facts {
+		// A fact whose codes lie outside the dictionaries matches no row
+		// and gets a slot no row maps to. Of two facts with one scope the
+		// later takes the rows.
+		if key, ok := e.keys.Key(e.facts[fi].Scope.Codes); ok {
+			slotOf[key] = next + 1
+		}
+		e.slotFact = append(e.slotFact, fi)
+		next++
+	}
+	for i := range rs {
+		key := e.keys.RowKey(e.view.Row(i))
+		slot := slotOf[key]
+		if slot == 0 {
+			e.slotFact = append(e.slotFact, -1)
+			next++
+			slot = next
+			slotOf[key] = slot
+		}
+		rs[i] = slot - 1
+	}
+	clear(slotOf)
+}
+
+// slotRowsSorted is slotRowsDense for a key space too large to index: a
+// slot per combination appearing in the view, in GroupBy's order, found
+// by binary search.
+func (e *Evaluator) slotRowsSorted(grp *FactGroup, rs []int32) {
+	combos := e.view.DistinctCombinations(grp.Dims)
+	slotOf := func(codes []int32) (int, bool) {
+		return sort.Find(len(combos), func(j int) int { return relation.CompareCombos(codes, combos[j]) })
+	}
+	for range combos {
+		e.slotFact = append(e.slotFact, -1)
+	}
+	for _, fi := range grp.Facts {
+		if slot, ok := slotOf(e.facts[fi].Scope.Codes); ok {
+			e.slotFact[grp.slotBase+slot] = fi
+		}
+	}
+	e.comboBuf = growI32(e.comboBuf, len(grp.Dims))
+	for i := range rs {
+		row := int(e.view.Row(i))
+		for j, d := range grp.Dims {
+			e.comboBuf[j] = e.view.Rel.Dim(d).CodeAt(row)
+		}
+		slot, _ := slotOf(e.comboBuf)
+		rs[i] = int32(slot)
+	}
 }
 
 // posting returns fact fi's slice of the CSR join output.

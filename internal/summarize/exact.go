@@ -191,7 +191,7 @@ func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 		ResidualError: residual,
 	}
 	for _, fi := range best {
-		out.Facts = append(out.Facts, e.Facts()[fi])
+		out.Facts = append(out.Facts, e.Facts()[fi].Clone())
 	}
 	stats.TimedOut = timedOut
 	stats.Cancelled = cancelled

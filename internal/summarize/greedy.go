@@ -211,7 +211,7 @@ func GreedyCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 	residual := e.CurrentError()
 	facts := make([]fact.Fact, len(chosen))
 	for i, fi := range chosen {
-		facts[i] = e.Facts()[fi]
+		facts[i] = e.Facts()[fi].Clone()
 	}
 	stats.Elapsed = time.Since(start)
 	stats.JoinedRows = e.JoinedRows - joined0

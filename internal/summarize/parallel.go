@@ -166,7 +166,7 @@ func ExactParallelCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 		ResidualError: residual,
 	}
 	for _, fi := range best {
-		out.Facts = append(out.Facts, e.Facts()[fi])
+		out.Facts = append(out.Facts, e.Facts()[fi].Clone())
 	}
 	stats.Elapsed = time.Since(start)
 	stats.JoinedRows = e.JoinedRows - joined0

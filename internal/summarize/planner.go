@@ -1,7 +1,9 @@
 package summarize
 
 import (
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 
 	"cicero/internal/stats"
 )
@@ -15,176 +17,198 @@ type Plan struct {
 	Targets []int // group indices to try pruning, in order
 }
 
-// planContext caches the per-group statistics the cost model needs:
-// M(g), the number of facts per group (the paper estimates it from query
-// optimizer statistics; our engine knows it exactly, which only makes
-// the estimate of the same quantity sharper).
+// planContext holds what the plan search of one problem reads: M(g), the
+// number of facts per group (the paper estimates it from query optimizer
+// statistics; our engine knows it exactly, which only makes the estimate
+// of the same quantity sharper), and — since the search asks the same
+// few questions of the same few groups over and over — their answers
+// tabulated: the two per-group cost terms, Pr(P_{s→t}) per pair of
+// groups, and per group the set of groups it generalizes.
 type planContext struct {
-	e     *Evaluator
-	opts  Options
-	m     []int   // M(g) per group
-	byM   []int   // group indices sorted by ascending M(g)
-	nRows float64 // rows in the view
+	m   []int // M(g) per group
+	byM []int // group indices sorted by ascending M(g)
+
+	sigma float64
+	cu    []float64 // CU(g), the cost of a utility scan of the group
+	cb    []float64 // CD(g), the cost of the group's bound computation
+	beats []float64 // Pr(P_{s→t}) at [s*len(m)+t]; negative until first asked for
+
+	// spec holds one bitset of words words per group: bit g of group t's
+	// set says t generalizes g (t's dimensions are a subset of g's), so
+	// pruning t removes g.
+	words int
+	spec  []uint64
 }
 
 func newPlanContext(e *Evaluator, opts Options) *planContext {
 	groups := e.Groups()
-	ctx := &planContext{e: e, opts: opts, nRows: float64(e.NumRows())}
-	ctx.m = make([]int, len(groups))
+	ng := len(groups)
+	nRows := float64(e.NumRows())
+	ctx := &planContext{
+		m:     make([]int, ng),
+		byM:   make([]int, ng),
+		sigma: opts.Sigma,
+		cu:    make([]float64, ng),
+		cb:    make([]float64, ng),
+		beats: make([]float64, ng*ng),
+		words: (ng + 63) / 64,
+	}
 	for i := range groups {
 		ctx.m[i] = len(groups[i].Facts)
-	}
-	ctx.byM = make([]int, len(groups))
-	for i := range ctx.byM {
 		ctx.byM[i] = i
+		// CU(g) is a join pairing rows with in-scope facts, CD(g) the
+		// deviation group-by that produces the group's pruning bound.
+		ctx.cu[i] = opts.JoinCost * (nRows + float64(ctx.m[i]))
+		ctx.cb[i] = opts.GroupCost * (nRows + float64(ctx.m[i]))
 	}
-	sort.SliceStable(ctx.byM, func(a, b int) bool {
-		return ctx.m[ctx.byM[a]] < ctx.m[ctx.byM[b]]
-	})
+	slices.SortStableFunc(ctx.byM, func(a, b int) int { return ctx.m[a] - ctx.m[b] })
+	for i := range ctx.beats {
+		ctx.beats[i] = -1
+	}
+	ctx.spec = make([]uint64, ng*ctx.words)
+	for t := range groups {
+		set := ctx.specializations(t)
+		for g := range groups {
+			if dimsSubset(groups[t].Dims, groups[g].Dims) {
+				set[g/64] |= 1 << (g % 64)
+			}
+		}
+	}
 	return ctx
 }
 
-// costUtility is CU(g): the estimated cost of computing utility for every
-// fact of group g, a join pairing rows with in-scope facts.
-func (ctx *planContext) costUtility(gi int) float64 {
-	return ctx.opts.JoinCost * (ctx.nRows + float64(ctx.m[gi]))
+// specializations returns the bitset of groups that group t generalizes.
+func (ctx *planContext) specializations(t int) []uint64 {
+	return ctx.spec[t*ctx.words : (t+1)*ctx.words]
 }
 
-// costBound is CD(g): the estimated cost of the deviation group-by that
-// produces the group's pruning bound.
-func (ctx *planContext) costBound(gi int) float64 {
-	return ctx.opts.GroupCost * (ctx.nRows + float64(ctx.m[gi]))
-}
-
-// probSourceBeatsTarget is Pr(P_{s→t}): the probability that the maximal
-// source gain exceeds the target bound. Per-fact utility is modeled as a
-// sum of i.i.d. per-row contributions; with rows spread uniformly over
-// value combinations, the per-fact mean is inversely proportional to the
+// beat is Pr(P_{s→t}): the probability that the maximal source gain
+// exceeds the target bound. Per-fact utility is modeled as a sum of
+// i.i.d. per-row contributions; with rows spread uniformly over value
+// combinations, the per-fact mean is inversely proportional to the
 // group's fact count, and both sides share variance σ² (Section VI-C).
-func (ctx *planContext) probSourceBeatsTarget(si, ti int) float64 {
-	muS := 1 / float64(max(1, ctx.m[si]))
-	muT := 1 / float64(max(1, ctx.m[ti]))
-	return stats.ProbGreater(muS, muT, ctx.opts.Sigma)
+func (ctx *planContext) beat(si, ti int) float64 {
+	p := &ctx.beats[si*len(ctx.m)+ti]
+	if *p < 0 {
+		muS := 1 / float64(max(1, ctx.m[si]))
+		muT := 1 / float64(max(1, ctx.m[ti]))
+		*p = stats.ProbGreater(muS, muT, ctx.sigma)
+	}
+	return *p
 }
 
-// probPruned is Pr(P_t) for a target given the source set: one minus the
-// probability that no source dominates it (independence assumption).
-func (ctx *planContext) probPruned(source []int, ti int) float64 {
-	notPruned := 1.0
-	for _, si := range source {
-		notPruned *= 1 - ctx.probSourceBeatsTarget(si, ti)
-	}
-	return 1 - notPruned
-}
-
-// probSurvives is Pr(¬P_g): the probability that group g survives all
-// pruning attempts, i.e. no chosen target that generalizes g is pruned.
-func (ctx *planContext) probSurvives(plan Plan, gi int) float64 {
-	groups := ctx.e.Groups()
-	p := 1.0
-	for _, ti := range plan.Targets {
-		if !dimsSubset(groups[ti].Dims, groups[gi].Dims) {
-			continue
-		}
-		for _, si := range plan.Source {
-			p *= 1 - ctx.probSourceBeatsTarget(si, ti)
-		}
-	}
-	return p
-}
-
-// planCost estimates the total data-processing cost of a pruning plan
-// per the Section VI-C model: source utility scans, target bound
-// computations, and the expected cost of scanning unpruned groups.
-func (ctx *planContext) planCost(plan Plan) float64 {
-	inSource := make(map[int]bool, len(plan.Source))
-	cost := 0.0
-	for _, si := range plan.Source {
-		cost += ctx.costUtility(si)
-		inSource[si] = true
-	}
-	for _, ti := range plan.Targets {
-		cost += ctx.costBound(ti)
-	}
-	for gi := range ctx.e.Groups() {
-		if inSource[gi] {
-			continue
-		}
-		cost += ctx.probSurvives(plan, gi) * ctx.costUtility(gi)
-	}
-	return cost
-}
-
-// heuristicValue is H(t, S, L): the expected number of fact groups
-// removed by pruning target t — its pruning probability times the number
-// of groups in L it generalizes (Section VI-D).
-func (ctx *planContext) heuristicValue(ti int, source []int, left map[int]bool) float64 {
-	groups := ctx.e.Groups()
-	covered := 0
-	for gi := range left {
-		if dimsSubset(groups[ti].Dims, groups[gi].Dims) {
-			covered++
-		}
-	}
-	return ctx.probPruned(source, ti) * float64(covered)
-}
-
-// candidatePlans implements Algorithm 4. Pruning sources are prefixes of
-// the groups sorted by ascending fact count (groups with few facts have
-// the highest expected per-fact utility); for each source, targets are
-// added greedily by the H heuristic, with every intermediate target set
-// emitted as a candidate. The full-scan plan (all groups as source, no
-// targets) is always a candidate, so the optimizer can fall back to base
+// candidates walks Algorithm 4's candidate plans in its order and hands
+// each, with its estimated cost, to visit, until visit returns false.
+// Pruning sources are prefixes of the groups sorted by ascending fact
+// count (groups with few facts have the highest expected per-fact
+// utility); for each source, targets are added greedily by the H
+// heuristic — H(t, S, L), the expected number of fact groups removed by
+// pruning target t: its pruning probability times the number of groups
+// in L it generalizes (Section VI-D) — with every intermediate target
+// set a candidate. The full-scan plan (all groups as source, no targets)
+// is always the last candidate, so the optimizer can fall back to base
 // greedy when pruning cannot pay off.
-func candidatePlans(ctx *planContext) []Plan {
-	groups := ctx.e.Groups()
-	var plans []Plan
-	for prefix := 1; prefix <= len(ctx.byM); prefix++ {
-		source := append([]int(nil), ctx.byM[:prefix]...)
-		if prefix == len(ctx.byM) {
-			plans = append(plans, Plan{Source: source})
-			break
+//
+// The cost is the Section VI-C estimate: source utility scans, target
+// bound computations, and for every other group its utility scan
+// weighted by Pr(¬P_g), the probability that no chosen target that
+// generalizes it is pruned (independence assumption). Consecutive
+// candidates differ by one source or one target, so the products and
+// sums behind H and the cost are carried from one candidate to the next
+// — each extended by exactly the factors a from-scratch evaluation would
+// multiply in next, in the same order, so no estimate moves by a bit.
+//
+// The plan handed to visit aliases the walk's buffers; copy what is kept.
+func (ctx *planContext) candidates(visit func(p Plan, cost float64) bool) {
+	ng := len(ctx.m)
+	notPruned := make([]float64, ng) // Π over the source of 1 − Pr(P_{s→t}), per target t
+	survives := make([]float64, ng)  // Pr(¬P_g) under the current plan
+	inSource := make([]bool, ng)
+	left := make([]uint64, ctx.words)
+	targets := make([]int, 0, ng)
+	for i := range notPruned {
+		notPruned[i] = 1
+	}
+	sourceCost := 0.0
+	for prefix := 1; prefix <= ng; prefix++ {
+		source := ctx.byM[:prefix]
+		s := source[prefix-1]
+		inSource[s] = true
+		sourceCost += ctx.cu[s]
+		if prefix == ng {
+			visit(Plan{Source: source}, sourceCost)
+			return
 		}
-		left := make(map[int]bool)
+		clear(left)
 		for _, gi := range ctx.byM[prefix:] {
-			left[gi] = true
+			notPruned[gi] *= 1 - ctx.beat(s, gi)
+			left[gi/64] |= 1 << (gi % 64)
 		}
-		var targets []int
-		for len(left) > 0 {
+		for i := range survives {
+			survives[i] = 1
+		}
+		targets = targets[:0]
+		boundCost := sourceCost
+		for {
+			// Ascending index order with a strict comparison breaks ties
+			// of H toward the smallest group index.
 			bestT, bestH := -1, -1.0
-			for gi := range left {
-				if h := ctx.heuristicValue(gi, source, left); h > bestH || (h == bestH && (bestT < 0 || gi < bestT)) {
-					bestH, bestT = h, gi
+			for w, word := range left {
+				for ; word != 0; word &= word - 1 {
+					gi := w*64 + bits.TrailingZeros64(word)
+					covered := 0
+					for k, sw := range ctx.specializations(gi) {
+						covered += bits.OnesCount64(sw & left[k])
+					}
+					if h := (1 - notPruned[gi]) * float64(covered); h > bestH {
+						bestH, bestT = h, gi
+					}
 				}
+			}
+			if bestT < 0 {
+				break
 			}
 			targets = append(targets, bestT)
-			plans = append(plans, Plan{
-				Source:  source,
-				Targets: append([]int(nil), targets...),
-			})
-			for gi := range left {
-				if dimsSubset(groups[bestT].Dims, groups[gi].Dims) {
-					delete(left, gi)
+			boundCost += ctx.cb[bestT]
+			for w, word := range ctx.specializations(bestT) {
+				left[w] &^= word
+				for ; word != 0; word &= word - 1 {
+					gi := w*64 + bits.TrailingZeros64(word)
+					for _, si := range source {
+						survives[gi] *= 1 - ctx.beat(si, bestT)
+					}
 				}
+			}
+			cost := boundCost
+			for gi, p := range survives {
+				if !inSource[gi] {
+					cost += p * ctx.cu[gi]
+				}
+			}
+			if !visit(Plan{Source: source, Targets: targets}, cost) {
+				return
 			}
 		}
 	}
-	return plans
+}
+
+// clonePlan copies a plan out of the walk's buffers.
+func clonePlan(p Plan) Plan {
+	return Plan{Source: slices.Clone(p.Source), Targets: slices.Clone(p.Targets)}
 }
 
 // OptPrune selects the minimum-cost pruning plan among Algorithm 4's
-// candidates (the OPT_PRUNE function of Algorithm 3). This is the G-O
-// strategy of the paper's experiments.
+// candidates (the OPT_PRUNE function of Algorithm 3), the first of them
+// on a tie. This is the G-O strategy of the paper's experiments.
 func OptPrune(e *Evaluator, opts Options) Plan {
-	ctx := newPlanContext(e, opts)
-	plans := candidatePlans(ctx)
-	best := plans[0]
-	bestCost := ctx.planCost(best)
-	for _, p := range plans[1:] {
-		if c := ctx.planCost(p); c < bestCost {
-			best, bestCost = p, c
+	var best Plan
+	bestCost := math.Inf(1)
+	newPlanContext(e, opts).candidates(func(p Plan, cost float64) bool {
+		if cost < bestCost {
+			best, bestCost = clonePlan(p), cost
 		}
-	}
+		return true
+	})
 	return best
 }
 
@@ -193,30 +217,13 @@ func OptPrune(e *Evaluator, opts Options) Plan {
 // in the order Algorithm 4 considers them. No cost-based selection
 // happens, which the paper shows can even increase overheads.
 func NaivePlan(e *Evaluator, opts Options) Plan {
-	ctx := newPlanContext(e, opts)
-	if len(ctx.byM) == 0 {
-		return Plan{}
-	}
-	source := []int{ctx.byM[0]}
-	left := make(map[int]bool)
-	for _, gi := range ctx.byM[1:] {
-		left[gi] = true
-	}
-	var targets []int
-	groups := e.Groups()
-	for len(left) > 0 {
-		bestT, bestH := -1, -1.0
-		for gi := range left {
-			if h := ctx.heuristicValue(gi, source, left); h > bestH || (h == bestH && (bestT < 0 || gi < bestT)) {
-				bestH, bestT = h, gi
-			}
+	var last Plan
+	newPlanContext(e, opts).candidates(func(p Plan, _ float64) bool {
+		if len(p.Source) > 1 {
+			return false
 		}
-		targets = append(targets, bestT)
-		for gi := range left {
-			if dimsSubset(groups[bestT].Dims, groups[gi].Dims) {
-				delete(left, gi)
-			}
-		}
-	}
-	return Plan{Source: source, Targets: targets}
+		last = clonePlan(p)
+		return true
+	})
+	return last
 }

@@ -414,13 +414,18 @@ func TestPlannerProducesValidPlans(t *testing.T) {
 	e := NewEvaluator(view, 0, facts, fact.MeanPrior(view, 0))
 	opts := Options{}.withDefaults()
 
-	ctx := newPlanContext(e, opts)
-	plans := candidatePlans(ctx)
+	var plans []Plan
+	var costs []float64
+	newPlanContext(e, opts).candidates(func(p Plan, cost float64) bool {
+		plans = append(plans, clonePlan(p))
+		costs = append(costs, cost)
+		return true
+	})
 	if len(plans) == 0 {
 		t.Fatal("no candidate plans")
 	}
 	nGroups := len(e.Groups())
-	for _, p := range plans {
+	for i, p := range plans {
 		seen := map[int]bool{}
 		for _, s := range p.Source {
 			if s < 0 || s >= nGroups || seen[s] {
@@ -433,8 +438,8 @@ func TestPlannerProducesValidPlans(t *testing.T) {
 				t.Fatalf("target %d overlaps source or invalid in %+v", tg, p)
 			}
 		}
-		if c := ctx.planCost(p); c <= 0 {
-			t.Fatalf("plan cost %v must be positive", c)
+		if costs[i] <= 0 {
+			t.Fatalf("plan cost %v must be positive", costs[i])
 		}
 	}
 	// The full-scan plan must be among the candidates (sources = all).
