@@ -2,10 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"cicero/internal/dataset"
+	"cicero/internal/fact"
 	"cicero/internal/relation"
 	"cicero/internal/summarize"
 )
@@ -52,6 +55,99 @@ func TestProblemViewsMatchSelect(t *testing.T) {
 		if problems == 0 {
 			t.Errorf("%s: no problems enumerated", name)
 		}
+	}
+}
+
+// TestSubsetsMatchProblems pins the batch's work item: on every query
+// shape of all five built-in data sets, EachSubset hands out each of
+// EachProblem's problems exactly once, at the position Seqs names and
+// grouped with the other targets of its data subset; and the subset's one
+// multi-target fact enumeration is, target by target, what GenerateFacts
+// returns for each problem alone — the same facts in the same order with
+// the same value bits, the targets sharing each scope's arrays — through
+// the dense and the sorted group-by alike.
+func TestSubsetsMatchProblems(t *testing.T) {
+	dense, sorted := 0, 0
+	for _, name := range dataset.Names() {
+		rel := dataset.ByNameRows(name, 1500, 1)
+		cfg := DefaultConfig(rel)
+		cfg.MaxQueryLen = 2
+		// Three-column fact groups over the smallest subsets are where a
+		// key space outgrows the view and the sorted group-by runs.
+		cfg.MaxFactDims = 3
+		if err := cfg.Validate(rel); err != nil {
+			t.Fatal(err)
+		}
+		problems, err := Problems(rel, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]bool, len(problems))
+		var ks relation.KeySpace
+		err = EachSubset(rel, cfg, func(s Subset) error {
+			if len(s.Problems) != len(cfg.Targets) || len(s.Seqs) != len(s.Problems) {
+				return fmt.Errorf("%s: a subset of %d problems at %v for %d targets", name, len(s.Problems), s.Seqs, len(cfg.Targets))
+			}
+			view, free := s.Problems[0].View, s.Problems[0].FreeDims
+			targets := make([]int, len(s.Problems))
+			for k, p := range s.Problems {
+				seq := s.Seqs[k]
+				if seq < 0 || seq >= len(problems) || seen[seq] {
+					return fmt.Errorf("%s %s: position %d out of range or handed out twice", name, p.Query.Key(), seq)
+				}
+				seen[seq] = true
+				want := problems[seq]
+				if p.Query.Key() != want.Query.Key() || p.Target != want.Target || !slices.Equal(p.FreeDims, want.FreeDims) ||
+					p.View != view || !slices.Equal(p.FreeDims, free) || p.View.NumRows() != want.View.NumRows() {
+					return fmt.Errorf("%s: subset problem %s is not EachProblem's %s at %d", name, p.Query.Key(), want.Query.Key(), seq)
+				}
+				for i := 0; i < view.NumRows(); i++ {
+					if view.Row(i) != want.View.Row(i) {
+						return fmt.Errorf("%s %s: row %d differs", name, p.Query.Key(), i)
+					}
+				}
+				if row := view.Row(0); math.Float64bits(p.Prior.At(row)) != math.Float64bits(want.Prior.At(row)) {
+					return fmt.Errorf("%s %s: prior differs", name, p.Query.Key())
+				}
+				targets[k] = p.Target
+			}
+			for _, dims := range fact.DimSubsets(free, cfg.MaxFactDims) {
+				ks.Reset(rel, dims)
+				if _, ok := ks.Dense(view.NumRows()); ok {
+					dense++
+				} else {
+					sorted++
+				}
+			}
+			sets := fact.GenerateTargets(view, targets, fact.GenerateOptions{MaxDims: cfg.MaxFactDims, FreeDims: free})
+			for k, p := range s.Problems {
+				want := p.GenerateFacts(cfg.MaxFactDims)
+				if len(sets[k]) != len(want) {
+					return fmt.Errorf("%s %s: %d facts, alone %d", name, p.Query.Key(), len(sets[k]), len(want))
+				}
+				for i, f := range sets[k] {
+					if !f.Scope.Equal(want[i].Scope) || math.Float64bits(f.Value) != math.Float64bits(want[i].Value) {
+						return fmt.Errorf("%s %s fact %d: %v, alone %v", name, p.Query.Key(), i, f, want[i])
+					}
+					if f0 := sets[0][i].Scope; len(f.Scope.Codes) > 0 &&
+						(&f.Scope.Codes[0] != &f0.Codes[0] || &f.Scope.Dims[0] != &f0.Dims[0]) {
+						return fmt.Errorf("%s %s fact %d: the targets' scopes do not share their arrays", name, p.Query.Key(), i)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq, ok := range seen {
+			if !ok {
+				t.Fatalf("%s: EachSubset never handed out %s", name, problems[seq].Query.Key())
+			}
+		}
+	}
+	if dense == 0 || sorted == 0 {
+		t.Fatalf("the fact groups took the dense group-by %d times and the sorted one %d times; the sweep must cover both", dense, sorted)
 	}
 }
 

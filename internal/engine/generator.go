@@ -135,8 +135,88 @@ func (lp *LazyProblem) Materialize() Problem {
 // touch the rows of a shape they skip entirely. The error contract
 // matches EachProblem.
 func EachProblemLazy(rel *relation.Relation, cfg Config, fn func(LazyProblem) error) error {
-	if err := cfg.Validate(rel); err != nil {
+	ps, err := newProblemSpace(rel, cfg)
+	if err != nil {
 		return err
+	}
+	for ti := range ps.targets {
+		err := ps.eachPart(func(sh *queryShape, part int) error {
+			return fn(ps.problem(ti, sh, part))
+		})
+		if errors.Is(err, ErrStopEnumeration) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Subset is one data subset of the enumeration with its problem under
+// every configured target, in target order: the problems share one View
+// and one FreeDims. Seqs[k] is Problems[k]'s position in EachProblem's
+// order.
+type Subset struct {
+	Problems []Problem
+	Seqs     []int
+}
+
+// EachSubset streams the problems of EachProblem grouped by data subset
+// — query shape by query shape, part by part, every target of a part
+// together — so a consumer can do the target-independent work of a
+// subset (candidate-fact scopes, the evaluator's layout) once for all of
+// its targets. Each problem is exactly the one EachProblem yields at
+// position Seqs[k]. The error contract matches EachProblem.
+func EachSubset(rel *relation.Relation, cfg Config, fn func(Subset) error) error {
+	ps, err := newProblemSpace(rel, cfg)
+	if err != nil {
+		return err
+	}
+	perTarget := 0
+	_ = ps.eachPart(func(*queryShape, int) error {
+		perTarget++
+		return nil
+	})
+	pos := 0
+	err = ps.eachPart(func(sh *queryShape, part int) error {
+		sub := Subset{Problems: make([]Problem, len(ps.targets)), Seqs: make([]int, len(ps.targets))}
+		for ti := range ps.targets {
+			lp := ps.problem(ti, sh, part)
+			sub.Problems[ti] = lp.Materialize()
+			sub.Seqs[ti] = ti*perTarget + pos
+		}
+		pos++
+		return fn(sub)
+	})
+	if errors.Is(err, ErrStopEnumeration) {
+		return nil
+	}
+	return err
+}
+
+// problemSpace is what both walks of the enumeration read: every query
+// shape with its counting pass, and every target with its prior.
+type problemSpace struct {
+	rel     *relation.Relation
+	cfg     Config
+	shapes  []queryShape
+	targets []targetSpec
+}
+
+// targetSpec is one configured target column and the prior its problems
+// use (nil under PriorSubsetMean, whose prior depends on the subset).
+type targetSpec struct {
+	name  string
+	index int
+	prior fact.Prior
+}
+
+// newProblemSpace validates cfg and runs one counting pass per query
+// shape.
+func newProblemSpace(rel *relation.Relation, cfg Config) (*problemSpace, error) {
+	if err := cfg.Validate(rel); err != nil {
+		return nil, err
 	}
 	dimIdx := make([]int, len(cfg.Dimensions))
 	for i, d := range cfg.Dimensions {
@@ -149,7 +229,7 @@ func EachProblemLazy(rel *relation.Relation, cfg Config, fn func(LazyProblem) er
 	full := rel.FullView()
 
 	querySets := fact.DimSubsets(dimIdx, cfg.MaxQueryLen)
-	shapes := make([]queryShape, len(querySets))
+	ps := &problemSpace{rel: rel, cfg: cfg, shapes: make([]queryShape, len(querySets))}
 	for i, querySet := range querySets {
 		free := make([]int, 0, len(factDimIdx))
 		for _, d := range factDimIdx {
@@ -159,50 +239,58 @@ func EachProblemLazy(rel *relation.Relation, cfg Config, fn func(LazyProblem) er
 		}
 		// One counting pass covers every combination of this query
 		// shape; Partition cuts its parts in the same order.
-		shapes[i] = queryShape{full: full, dims: querySet, freeDims: free, groups: full.GroupBy(querySet, -1)}
+		ps.shapes[i] = queryShape{full: full, dims: querySet, freeDims: free, groups: full.GroupBy(querySet, -1)}
 	}
-
 	for _, target := range cfg.Targets {
-		ti := rel.Schema().TargetIndex(target)
-		var prior fact.Prior
+		ts := targetSpec{name: target, index: rel.Schema().TargetIndex(target)}
 		switch cfg.Prior {
 		case PriorZero:
-			prior = fact.ConstantPrior(0)
+			ts.prior = fact.ConstantPrior(0)
 		case PriorGlobalMean:
-			prior = fact.MeanPrior(full, ti)
+			ts.prior = fact.MeanPrior(full, ts.index)
 		}
-		for si := range shapes {
-			sh := &shapes[si]
-			for part, g := range sh.groups {
-				if g.Count < cfg.MinSubsetRows {
-					continue
-				}
-				named := make([]NamedPredicate, len(sh.dims))
-				for i, d := range sh.dims {
-					named[i] = NamedPredicate{
-						Column: rel.Schema().Dimensions[d],
-						Value:  rel.Dim(d).Value(g.Key.Codes[i]),
-					}
-				}
-				err := fn(LazyProblem{
-					Query:      Query{Target: target, Predicates: named},
-					Rows:       g.Count,
-					shape:      sh,
-					part:       part,
-					target:     ti,
-					prior:      prior,
-					subsetMean: cfg.Prior == PriorSubsetMean,
-				})
-				if errors.Is(err, ErrStopEnumeration) {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
+		ps.targets = append(ps.targets, ts)
+	}
+	return ps, nil
+}
+
+// eachPart calls fn for every part of every query shape with at least
+// MinSubsetRows rows, in enumeration order, until fn returns an error.
+func (ps *problemSpace) eachPart(fn func(sh *queryShape, part int) error) error {
+	for si := range ps.shapes {
+		sh := &ps.shapes[si]
+		for part, g := range sh.groups {
+			if g.Count < ps.cfg.MinSubsetRows {
+				continue
+			}
+			if err := fn(sh, part); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// problem returns the problem of the ti-th target over a shape's part.
+func (ps *problemSpace) problem(ti int, sh *queryShape, part int) LazyProblem {
+	g := sh.groups[part]
+	named := make([]NamedPredicate, len(sh.dims))
+	for i, d := range sh.dims {
+		named[i] = NamedPredicate{
+			Column: ps.rel.Schema().Dimensions[d],
+			Value:  ps.rel.Dim(d).Value(g.Key.Codes[i]),
+		}
+	}
+	ts := &ps.targets[ti]
+	return LazyProblem{
+		Query:      Query{Target: ts.name, Predicates: named},
+		Rows:       g.Count,
+		shape:      sh,
+		part:       part,
+		target:     ts.index,
+		prior:      ts.prior,
+		subsetMean: ps.cfg.Prior == PriorSubsetMean,
+	}
 }
 
 // CountProblems returns the number of problems Problems would generate,

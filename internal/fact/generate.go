@@ -24,49 +24,57 @@ type GenerateOptions struct {
 // DimSubsets enumerates all subsets of dims with size in [0, maxSize], in
 // deterministic order (by size, then lexicographic). This is the fact
 // group lattice of Section VI-B: each subset identifies one fact group.
+//
+// The subsets are cut from one backing array, so the whole lattice costs
+// three allocations however many subsets it has.
 func DimSubsets(dims []int, maxSize int) [][]int {
-	if maxSize > len(dims) {
-		maxSize = len(dims)
+	maxSize = min(maxSize, len(dims))
+	if maxSize < 0 {
+		return nil
 	}
-	var out [][]int
-	for size := 0; size <= maxSize; size++ {
-		out = append(out, combinations(dims, size)...)
+	count, width := 0, 0
+	for k := 0; k <= maxSize; k++ {
+		c := binomial(len(dims), k)
+		count += c
+		width += k * c
+	}
+	out := make([][]int, 0, count)
+	flat := make([]int, 0, width)
+	idx := make([]int, maxSize)
+	for k := 0; k <= maxSize; k++ {
+		// The size-k subsets in lexicographic order of their positions.
+		for i := range idx[:k] {
+			idx[i] = i
+		}
+		for {
+			start := len(flat)
+			for _, j := range idx[:k] {
+				flat = append(flat, dims[j])
+			}
+			out = append(out, flat[start:len(flat):len(flat)])
+			i := k - 1
+			for i >= 0 && idx[i] == len(dims)-k+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			idx[i]++
+			for j := i + 1; j < k; j++ {
+				idx[j] = idx[j-1] + 1
+			}
+		}
 	}
 	return out
 }
 
-// combinations returns all size-k subsets of dims in lexicographic order.
-func combinations(dims []int, k int) [][]int {
-	if k == 0 {
-		return [][]int{{}}
+// binomial returns n choose k.
+func binomial(n, k int) int {
+	c := 1
+	for i := 0; i < k; i++ {
+		c = c * (n - i) / (i + 1)
 	}
-	if k > len(dims) {
-		return nil
-	}
-	var out [][]int
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		combo := make([]int, k)
-		for i, j := range idx {
-			combo[i] = dims[j]
-		}
-		out = append(out, combo)
-		// Advance to the next combination.
-		i := k - 1
-		for i >= 0 && idx[i] == len(dims)-k+i {
-			i--
-		}
-		if i < 0 {
-			return out
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
+	return c
 }
 
 // Generate enumerates the candidate facts for summarizing the view: one
@@ -82,7 +90,20 @@ func combinations(dims []int, k int) [][]int {
 // allocations per group rather than two per fact. Callers that keep a
 // fact beyond the candidate set copy it (Fact.Clone) so that it does not
 // pin the arrays of the facts that were not chosen.
+//
+// Generate is the one-target case of GenerateTargets.
 func Generate(v *relation.View, target int, opts GenerateOptions) []Fact {
+	return GenerateTargets(v, []int{target}, opts)[0]
+}
+
+// GenerateTargets enumerates the candidate facts of one view for several
+// target columns at once: out[k] is exactly Generate(v, targets[k],
+// opts), fact for fact and bit for bit. One group-by pass per fact group
+// serves every target (a group's rows do not depend on the target), and
+// the k-th target's facts share each group's Dims and Codes arrays with
+// every other target's, so their scopes are equal position by position —
+// what summarize.Evaluator.Retarget keeps its layout for.
+func GenerateTargets(v *relation.View, targets []int, opts GenerateOptions) [][]Fact {
 	free := opts.FreeDims
 	if free == nil {
 		free = make([]int, v.Rel.NumDims())
@@ -90,14 +111,23 @@ func Generate(v *relation.View, target int, opts GenerateOptions) []Fact {
 			free[i] = i
 		}
 	}
+	type grouping struct {
+		groups []relation.Group
+		sums   []float64 // len(targets) per group, see GroupByTargets
+	}
 	subsets := DimSubsets(free, opts.MaxDims)
-	grouped := make([][]relation.Group, len(subsets))
+	grouped := make([]grouping, len(subsets))
 	total := 0
 	for i, dims := range subsets {
-		grouped[i] = v.GroupBy(dims, target)
-		total += len(grouped[i])
+		grouped[i].groups, grouped[i].sums = v.GroupByTargets(dims, targets)
+		total += len(grouped[i].groups)
 	}
-	out := make([]Fact, 0, total)
+	nt := len(targets)
+	facts := make([]Fact, nt*total)
+	out := make([][]Fact, nt)
+	for k := range out {
+		out[k] = facts[k*total : k*total : (k+1)*total]
+	}
 	for i, dims := range subsets {
 		// A scope's dimensions ascend. When dims already does — always,
 		// unless FreeDims came unsorted — the group's facts share it and
@@ -107,15 +137,18 @@ func Generate(v *relation.View, target int, opts GenerateOptions) []Fact {
 		if shared {
 			checkDistinct(dims)
 		}
-		for _, g := range grouped[i] {
-			if g.Count < opts.MinRows || g.Count == 0 {
+		for g, grp := range grouped[i].groups {
+			if grp.Count < opts.MinRows || grp.Count == 0 {
 				continue
 			}
-			scope := Scope{Dims: dims, Codes: g.Key.Codes}
+			scope := Scope{Dims: dims, Codes: grp.Key.Codes}
 			if !shared {
-				scope = NewScope(dims, g.Key.Codes)
+				scope = NewScope(dims, grp.Key.Codes)
 			}
-			out = append(out, Fact{Scope: scope, Value: g.Mean()})
+			for k := range out {
+				mean := grouped[i].sums[g*nt+k] / float64(grp.Count)
+				out[k] = append(out[k], Fact{Scope: scope, Value: mean})
+			}
 		}
 	}
 	return out

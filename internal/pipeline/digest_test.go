@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,12 +74,26 @@ func (dc digestConfig) build() (*relation.Relation, engine.Config, Options) {
 	return rel, cfg, opts
 }
 
-func digestOf(t *testing.T, dc digestConfig) storeDigest {
+// digestOf runs the configuration's batch at the given worker count and
+// returns its digest and Stats. Progress must count up one problem at a
+// time to the total.
+func digestOf(t *testing.T, dc digestConfig, workers int) (storeDigest, Stats) {
 	t.Helper()
 	rel, cfg, opts := dc.build()
+	opts.Workers = workers
+	var last Progress
+	opts.Progress = func(p Progress) {
+		if p.Done != last.Done+1 || p.Done != p.Solved+p.Failed+p.Skipped || p.Done > p.Total {
+			t.Errorf("%s at %d workers: progress %+v after %+v", dc.name, workers, p, last)
+		}
+		last = p
+	}
 	store, stats, err := Run(context.Background(), rel, cfg, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", dc.name, err)
+	}
+	if last.Done != last.Total || last.Solved != stats.Problems {
+		t.Errorf("%s at %d workers: last progress %+v, %d problems solved", dc.name, workers, last, stats.Problems)
 	}
 	if stats.TimedOut > 0 {
 		t.Fatalf("%s: %d problems timed out; the digest of a truncated search means nothing", dc.name, stats.TimedOut)
@@ -116,20 +131,28 @@ func digestOf(t *testing.T, dc digestConfig) storeDigest {
 		GroupsPruned:   stats.GroupsPruned,
 		BoundsComputed: stats.BoundsComputed,
 		NodesExpanded:  stats.NodesExpanded,
+	}, stats
+}
+
+// readDigestGolden loads the checked-in digests.
+func readDigestGolden(t *testing.T) map[string]storeDigest {
+	t.Helper()
+	golden := map[string]storeDigest{}
+	raw, err := os.ReadFile(digestGoldenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	return golden
 }
 
 func TestStoreDigest(t *testing.T) {
 	update := os.Getenv("DIGEST_UPDATE") != ""
 	golden := map[string]storeDigest{}
 	if !update {
-		raw, err := os.ReadFile(digestGoldenPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, &golden); err != nil {
-			t.Fatal(err)
-		}
+		golden = readDigestGolden(t)
 	}
 	for _, dc := range digestConfigs() {
 		if raceEnabled && dc.solver == "E" {
@@ -138,7 +161,7 @@ func TestStoreDigest(t *testing.T) {
 			// step covers this configuration.
 			continue
 		}
-		got := digestOf(t, dc)
+		got, _ := digestOf(t, dc, 2)
 		if update {
 			golden[dc.name] = got
 			continue
@@ -159,6 +182,40 @@ func TestStoreDigest(t *testing.T) {
 		}
 		if err := os.WriteFile(digestGoldenPath, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoreDigestScheduling: which worker takes which data subset, and
+// in which order the sink hears of its problems, is up to the scheduler.
+// At one worker, at eight, and at the benchmark's two on one processor,
+// every configuration must still write the checked-in digest with all
+// five counters, add Stats.SumScaledUtility to the same bits as the
+// benchmark's two workers, and report progress one problem at a time up
+// to the total.
+func TestStoreDigestScheduling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("three more batches per configuration; the plain test step runs them")
+	}
+	golden := readDigestGolden(t)
+	for _, dc := range digestConfigs() {
+		_, base := digestOf(t, dc, 2)
+		for _, v := range []struct {
+			name             string
+			workers, maxProc int
+		}{{"workers=1", 1, 0}, {"workers=8", 8, 0}, {"gomaxprocs=1", 2, 1}} {
+			got, stats := func() (storeDigest, Stats) {
+				if v.maxProc > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(v.maxProc))
+				}
+				return digestOf(t, dc, v.workers)
+			}()
+			if want := golden[dc.name]; got != want {
+				t.Errorf("%s %s: store digest moved\n got  %+v\n want %+v", dc.name, v.name, got, want)
+			}
+			if math.Float64bits(stats.SumScaledUtility) != math.Float64bits(base.SumScaledUtility) {
+				t.Errorf("%s %s: utility sum %v, at two workers %v", dc.name, v.name, stats.SumScaledUtility, base.SumScaledUtility)
+			}
 		}
 	}
 }

@@ -8,7 +8,9 @@
 //
 // — with a bounded number of in-flight problems, so memory stays flat no
 // matter how many queries the configuration spans (summaries stream into
-// the store sink instead of accumulating in a slice). The whole run is
+// the store sink instead of accumulating in a slice). The work item is
+// one data subset with its problems under every target, which share one
+// candidate-fact enumeration and one evaluator layout. The whole run is
 // driven by a context.Context: cancellation propagates into the solver
 // inner loops (summarize.ExactCtx/GreedyCtx), so an interrupted batch
 // returns within one problem's solve time; combined with a Checkpoint it
@@ -32,6 +34,7 @@ import (
 	"time"
 
 	"cicero/internal/engine"
+	"cicero/internal/fact"
 	"cicero/internal/relation"
 	"cicero/internal/snapshot"
 	"cicero/internal/summarize"
@@ -62,8 +65,8 @@ type Options struct {
 	// the first failure cancels the run and Run returns the error.
 	ContinueOnError bool
 	// Buffer is the capacity of the inter-stage channels (default
-	// Workers): the memory bound on in-flight problems beyond the ones
-	// being solved.
+	// Workers): the memory bound on in-flight data subsets and results
+	// beyond the ones being solved.
 	Buffer int
 	// Seed perturbs the per-problem seeds handed to randomized solvers.
 	Seed int64
@@ -195,8 +198,8 @@ func (s Stats) AvgScaledUtility() float64 {
 }
 
 // Run pre-processes every supported query of the configuration into a
-// frozen speech store, streaming problems from the generator so memory
-// stays bounded by Workers+Buffer in-flight problems. Cancelling ctx
+// frozen speech store, streaming data subsets from the generator so
+// memory stays bounded by Workers+Buffer in-flight subsets. Cancelling ctx
 // stops the run within one problem's solve time and returns ctx's error;
 // completed problems stay recorded in the checkpoint (if any) for a
 // later resume.
@@ -213,37 +216,51 @@ func Run(ctx context.Context, rel *relation.Relation, cfg engine.Config, opts Op
 			total = n
 		}
 	}
-	source := func(yield func(engine.Problem) error) error {
-		return engine.EachProblem(rel, cfg, yield)
+	source := func(yield func(job) error) error {
+		return engine.EachSubset(rel, cfg, func(s engine.Subset) error {
+			return yield(job{seqs: s.Seqs, problems: s.Problems})
+		})
 	}
 	return run(ctx, rel, cfg, source, total, opts)
 }
 
 // RunProblems pre-processes an explicit problem list (the experiment
 // harness subsamples large workloads this way) through the same staged
-// pipeline as Run.
+// pipeline as Run. Consecutive problems over the same data subset (one
+// View and FreeDims) form one work item, as Run's subsets do.
 func RunProblems(ctx context.Context, rel *relation.Relation, cfg engine.Config, problems []engine.Problem, opts Options) (*engine.Store, Stats, error) {
 	if err := cfg.Validate(rel); err != nil {
 		return nil, Stats{}, err
 	}
-	source := func(yield func(engine.Problem) error) error {
-		for i := range problems {
-			if err := yield(problems[i]); err != nil {
+	source := func(yield func(job) error) error {
+		for start := 0; start < len(problems); {
+			end := start + 1
+			for end < len(problems) && problems[end].View == problems[start].View &&
+				slices.Equal(problems[end].FreeDims, problems[start].FreeDims) {
+				end++
+			}
+			seqs := make([]int, end-start)
+			for i := range seqs {
+				seqs[i] = start + i
+			}
+			if err := yield(job{seqs: seqs, problems: problems[start:end]}); err != nil {
 				if errors.Is(err, engine.ErrStopEnumeration) {
 					return nil
 				}
 				return err
 			}
+			start = end
 		}
 		return nil
 	}
 	return run(ctx, rel, cfg, source, len(problems), opts)
 }
 
-// job is one enumerated problem and its position in the enumeration.
+// job is the pipeline's work item: the problems of one data subset, each
+// with its position in the enumeration.
 type job struct {
-	seq     int
-	problem engine.Problem
+	seqs     []int
+	problems []engine.Problem
 }
 
 // result carries one problem's outcome from a solve worker to the sink.
@@ -255,6 +272,9 @@ type result struct {
 	text    string
 	skipped bool
 	err     error
+	// candidates is the number of candidate facts the problem was solved
+	// over.
+	candidates int
 	// stage timings measured by the worker
 	evalTime, solveTime, renderTime time.Duration
 }
@@ -265,10 +285,10 @@ type scoredProblem struct {
 	scaledUtility float64
 }
 
-// run wires the stages together: one producer streaming problems, N
+// run wires the stages together: one producer streaming subsets, N
 // solve workers, one sink goroutine (the caller) folding results into
 // the store, the checkpoint, and the stats.
-func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source func(func(engine.Problem) error) error, total int, opts Options) (*engine.Store, Stats, error) {
+func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source func(func(job) error) error, total int, opts Options) (*engine.Store, Stats, error) {
 	start := time.Now()
 	workers := opts.Workers
 	if workers < 1 {
@@ -313,17 +333,15 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	jobs := make(chan job, buffer)
 	results := make(chan result, buffer)
 
-	// Stage 1: the producer streams problems from the generator. It
-	// never materializes more than the channel capacity ahead of the
-	// workers — the memory bound of the whole pipeline.
+	// Stage 1: the producer streams subsets from the generator. It never
+	// materializes more than the channel capacity ahead of the workers —
+	// the memory bound of the whole pipeline.
 	var sourceErr error
 	go func() {
 		defer close(jobs)
-		seq := 0
-		sourceErr = source(func(p engine.Problem) error {
+		sourceErr = source(func(j job) error {
 			select {
-			case jobs <- job{seq: seq, problem: p}:
-				seq++
+			case jobs <- j:
 				return nil
 			case <-runCtx.Done():
 				return engine.ErrStopEnumeration
@@ -331,16 +349,15 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 		})
 	}()
 
-	// Stages 2–4: solve workers build the evaluator, run the solver, and
-	// render the speech text for each problem.
+	// Stages 2–4: solve workers generate a subset's candidate facts, build
+	// the evaluator, and run the solver and render the speech text for
+	// each of the subset's problems.
 	workersDone := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { workersDone <- struct{}{} }()
 			for j := range jobs {
-				res := solveOne(runCtx, rel, cfg, solver, baseOpts, opts, j.problem)
-				res.seq = j.seq
-				results <- res
+				solveJob(runCtx, rel, cfg, solver, baseOpts, opts, j, func(res result) { results <- res })
 			}
 		}()
 	}
@@ -423,7 +440,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 				}
 			}
 			stats.Problems++
-			stats.TotalFacts += len(res.summary.Facts)
+			stats.TotalFacts += res.candidates
 			utilities = append(utilities, scoredProblem{res.seq, res.summary.ScaledUtility()})
 			if res.summary.Stats.TimedOut {
 				stats.TimedOut++
@@ -543,7 +560,9 @@ func NewProblemSolver(rel *relation.Relation, cfg engine.Config, opts Options) (
 // Solve runs evaluate → solve → render for one problem and returns the
 // stored speech a full pipeline run would have produced for it.
 func (ps *ProblemSolver) Solve(ctx context.Context, p engine.Problem) (*engine.StoredSpeech, error) {
-	res := solveOne(ctx, ps.rel, ps.cfg, ps.solver, ps.baseOpts, ps.opts, p)
+	var res result
+	solveJob(ctx, ps.rel, ps.cfg, ps.solver, ps.baseOpts, ps.opts,
+		job{seqs: []int{0}, problems: []engine.Problem{p}}, func(r result) { res = r })
 	if res.err != nil {
 		return nil, res.err
 	}
@@ -564,44 +583,87 @@ func (ps *ProblemSolver) Solve(ctx context.Context, p engine.Problem) (*engine.S
 	}, nil
 }
 
-// solveOne runs stages 2–4 for one problem: evaluator build, solve,
-// render. Skips checkpointed problems outright.
-func solveOne(ctx context.Context, rel *relation.Relation, cfg engine.Config, solver Solver, baseOpts summarize.Options, opts Options, p engine.Problem) result {
-	key := p.Query.Canonical().Key()
-	if opts.Checkpoint != nil && opts.Checkpoint.Done(key) {
-		return result{problem: p, key: key, skipped: true}
+// solveJob runs stages 2–4 for the problems of one data subset and hands
+// emit one result per problem, in the job's order. Checkpointed problems
+// are skipped one by one, and a fully checkpointed subset costs no fact
+// generation. The rest share one candidate-fact enumeration — one keyed
+// pass per fact group for all their targets — and one pooled evaluator,
+// built for the first and retargeted to each following problem, so the
+// rows are slotted and the postings laid out once per subset.
+func solveJob(ctx context.Context, rel *relation.Relation, cfg engine.Config, solver Solver, baseOpts summarize.Options, opts Options, j job, emit func(result)) {
+	var todo []result
+	for k, p := range j.problems {
+		res := result{seq: j.seqs[k], problem: p, key: p.Query.Canonical().Key()}
+		if opts.Checkpoint != nil && opts.Checkpoint.Done(res.key) {
+			res.skipped = true
+			emit(res)
+			continue
+		}
+		todo = append(todo, res)
+	}
+	if len(todo) == 0 {
+		return
 	}
 	if err := ctx.Err(); err != nil {
-		return result{problem: p, key: key, err: err}
+		for _, res := range todo {
+			res.err = err
+			emit(res)
+		}
+		return
 	}
 	t0 := time.Now()
-	facts := p.GenerateFacts(cfg.MaxFactDims)
-	if len(facts) == 0 {
-		return result{problem: p, key: key,
-			err: fmt.Errorf("problem %s: no candidate facts", key), evalTime: time.Since(t0)}
+	targets := make([]int, len(todo))
+	for i := range todo {
+		targets[i] = todo[i].problem.Target
 	}
-	// Pooled evaluator: each solve worker rebuilds a recycled instance in
-	// place, so the generate→solve loop stops reallocating the join
-	// output, scratch, and group structures for every problem.
-	e := summarize.AcquireEvaluator(p.View, p.Target, facts, p.Prior)
-	t1 := time.Now()
-	sum, err := solver.Solve(ctx, e, SolveOptions{
-		Options:  baseOpts,
-		Query:    p.Query,
-		FreeDims: p.FreeDims,
-		Seed:     problemSeed(opts.Seed, key),
+	first := &todo[0].problem
+	factSets := fact.GenerateTargets(first.View, targets, fact.GenerateOptions{
+		MaxDims:  cfg.MaxFactDims,
+		FreeDims: first.FreeDims,
 	})
-	summarize.ReleaseEvaluator(e)
-	t2 := time.Now()
-	res := result{problem: p, key: key, summary: sum,
-		evalTime: t1.Sub(t0), solveTime: t2.Sub(t1)}
-	if err != nil {
-		res.err = err
-		return res
+	generate := time.Since(t0)
+
+	var e *summarize.Evaluator
+	defer func() { summarize.ReleaseEvaluator(e) }()
+	for i := range todo {
+		res, p := todo[i], &todo[i].problem
+		if err := ctx.Err(); err != nil {
+			res.err = err
+			emit(res)
+			continue
+		}
+		t1 := time.Now()
+		facts := factSets[i]
+		res.candidates = len(facts)
+		// The subset's fact generation is billed to its first problem.
+		res.evalTime, generate = generate, 0
+		if len(facts) == 0 {
+			res.err = fmt.Errorf("problem %s: no candidate facts", res.key)
+			res.evalTime += time.Since(t1)
+			emit(res)
+			continue
+		}
+		if e == nil {
+			e = summarize.AcquireEvaluator(p.View, p.Target, facts, p.Prior)
+		} else {
+			e.Retarget(p.Target, facts, p.Prior)
+		}
+		t2 := time.Now()
+		res.summary, res.err = solver.Solve(ctx, e, SolveOptions{
+			Options:  baseOpts,
+			Query:    p.Query,
+			FreeDims: p.FreeDims,
+			Seed:     problemSeed(opts.Seed, res.key),
+		})
+		t3 := time.Now()
+		res.evalTime += t2.Sub(t1)
+		res.solveTime = t3.Sub(t2)
+		if res.err == nil {
+			res.text = opts.Template.Render(rel, p.Query, res.summary.Facts)
+			res.renderTime = time.Since(t3)
+		}
+		emit(res)
 	}
-	res.text = opts.Template.Render(rel, p.Query, sum.Facts)
-	res.renderTime = time.Since(t2)
-	return res
 }
 
 // problemSeed derives a deterministic per-problem seed from the run seed

@@ -385,6 +385,91 @@ func TestProgressMonotonic(t *testing.T) {
 	}
 }
 
+// TestTotalFactsCountsCandidates pins Stats.TotalFacts to its doc: the
+// candidate facts of every solved problem, which on the benchmark's
+// greedy batch is Σ len(GenerateFacts) over the problems.
+func TestTotalFactsCountsCandidates(t *testing.T) {
+	rel, cfg, opts := digestConfigs()[0].build()
+	_, stats, err := Run(context.Background(), rel, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, problems := 0, 0
+	if err := engine.EachProblem(rel, cfg, func(p engine.Problem) error {
+		want += len(p.GenerateFacts(cfg.MaxFactDims))
+		problems++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Problems != problems || stats.TotalFacts != want {
+		t.Fatalf("%d problems with %d candidate facts; the enumeration has %d with %d", stats.Problems, stats.TotalFacts, problems, want)
+	}
+}
+
+// TestResumeSkipsProblemsOneByOne: with two targets a work item holds
+// two problems, and a checkpoint may hold either, both or neither of
+// them. A resumed run skips exactly the recorded problems, solves the
+// rest, and ends with the store of an uninterrupted run.
+func TestResumeSkipsProblemsOneByOne(t *testing.T) {
+	rel := dataset.Flights(2000, 1)
+	cfg := flightsConfig(rel)
+	cfg.Targets = nil // both targets
+	full, _, err := Run(context.Background(), rel, cfg, Options{Solver: "G-O", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "half.ckpt")
+	ckpt, err := OpenCheckpoint(path, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := full.Speeches()
+	// Of every three data subsets, record both problems of the first,
+	// one of the second and none of the third.
+	subsets := map[string]int{}
+	recorded := 0
+	for _, sp := range want {
+		q := sp.Query
+		q.Target = ""
+		si, ok := subsets[q.Canonical().Key()]
+		if !ok {
+			si = len(subsets)
+			subsets[q.Canonical().Key()] = si
+		}
+		if si%3 == 0 || si%3 == 1 && sp.Query.Target == "cancelled" {
+			if err := ckpt.Record(sp.Query.Canonical().Key(), sp); err != nil {
+				t.Fatal(err)
+			}
+			recorded++
+		}
+	}
+	if err := ckpt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err = OpenCheckpoint(path, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	store, stats, err := Run(context.Background(), rel, cfg, Options{Solver: "G-O", Workers: 2, Checkpoint: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resumed != recorded || stats.Problems != len(want)-recorded {
+		t.Fatalf("resumed %d and solved %d; want %d resumed, %d solved", stats.Resumed, stats.Problems, recorded, len(want)-recorded)
+	}
+	got := store.Speeches()
+	if len(got) != len(want) {
+		t.Fatalf("resumed store has %d speeches, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Query.Key() != want[i].Query.Key() || got[i].Text != want[i].Text || got[i].Utility != want[i].Utility {
+			t.Fatalf("resumed speech %d differs: %q vs %q", i, got[i].Text, want[i].Text)
+		}
+	}
+}
+
 // TestStageMetricsAccumulate sanity-checks the per-stage breakdown.
 func TestStageMetricsAccumulate(t *testing.T) {
 	rel := dataset.Flights(1500, 1)

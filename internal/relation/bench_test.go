@@ -31,6 +31,32 @@ func BenchmarkGroupBy(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupByWhere is the run-time scans' shape: one target, a
+// filter, one pass over the whole relation.
+func BenchmarkGroupByWhere(b *testing.B) {
+	rel, _ := flightsViews()
+	full := rel.FullView()
+	preds := []relation.Predicate{{Dim: 0, Code: 0}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		full.GroupByWhere(preds, []int{2, 3}, 0)
+	}
+}
+
+// BenchmarkGroupByTargets is BenchmarkGroupBy's pass over both flights
+// targets at once, what candidate-fact generation runs per fact group.
+func BenchmarkGroupByTargets(b *testing.B) {
+	_, views := flightsViews()
+	for qlen, v := range views {
+		b.Run(fmt.Sprintf("querylen=%d/rows=%d", qlen, v.NumRows()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.GroupByTargets([]int{2, 3}, []int{0, 1})
+			}
+		})
+	}
+}
+
 func BenchmarkPartition(b *testing.B) {
 	_, views := flightsViews()
 	for qlen, v := range views {

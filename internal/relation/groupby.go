@@ -119,10 +119,11 @@ func CompareCombos(a, b []int32) int {
 type scratch struct {
 	keys      KeySpace
 	counts    []int32
-	sums      []float64
+	sums      []float64 // len(cols) slots per key, target by target
 	rowKeys   []int32
 	predCols  [][]int32
 	predCodes []int32
+	cols      [][]float64 // the target columns being summed
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -132,7 +133,18 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (s *scratch) release() {
 	s.keys.Reset(nil, nil)
 	s.setPreds(nil, nil)
+	s.setTargets(nil, nil)
 	scratchPool.Put(s)
+}
+
+// setTargets resolves the target columns once per pass; with none it
+// lets go of the previous pass's.
+func (s *scratch) setTargets(r *Relation, targets []int) {
+	clear(s.cols)
+	s.cols = s.cols[:0]
+	for _, t := range targets {
+		s.cols = append(s.cols, r.targets[t].data)
+	}
 }
 
 // zeroed returns the first n slots of a kept-zero buffer, growing it.
@@ -179,18 +191,37 @@ func (v *View) GroupBy(dims []int, target int) []Group {
 // GroupByWhere is Select(preds).GroupBy(dims, target) in one pass over
 // the view, without materializing the selection.
 func (v *View) GroupByWhere(preds []Predicate, dims []int, target int) []Group {
+	targets := []int{target}
+	if target < 0 {
+		targets = nil
+	}
+	out, sums := v.groupBy(preds, dims, targets)
+	for g, sum := range sums {
+		out[g].Sum = sum
+	}
+	return out
+}
+
+// GroupByTargets is GroupBy over several target columns in one pass: the
+// groups GroupBy(dims, ·) returns, with Sum left zero, and the flat sums
+// with sums[g*len(targets)+k] holding group g's sum of targets[k] — the
+// bits GroupBy(dims, targets[k]) puts in group g's Sum, since every sum
+// still adds its rows in ascending order starting from zero.
+func (v *View) GroupByTargets(dims, targets []int) (groups []Group, sums []float64) {
+	return v.groupBy(nil, dims, targets)
+}
+
+// groupBy runs the keyed kernel that fits the key space.
+func (v *View) groupBy(preds []Predicate, dims, targets []int) ([]Group, []float64) {
 	s := scratchPool.Get().(*scratch)
 	defer s.release()
 	s.keys.Reset(v.Rel, dims)
 	s.setPreds(v.Rel, preds)
-	var data []float64
-	if target >= 0 {
-		data = v.Rel.targets[target].data
-	}
+	s.setTargets(v.Rel, targets)
 	if size, ok := s.keys.Dense(v.NumRows()); ok {
-		return v.groupDense(s, size, data)
+		return v.groupDense(s, size)
 	}
-	return v.groupSorted(s, data)
+	return v.groupSorted(s)
 }
 
 // newGroups allocates n groups whose code slices are cut from one
@@ -204,14 +235,28 @@ func newGroups(n, width int) []Group {
 	return out
 }
 
-// groupDense accumulates counts and sums into flat arrays indexed by
-// key, then emits the occupied slots in key order.
-func (v *View) groupDense(s *scratch, size int, data []float64) []Group {
+// newSums allocates the flat per-group sums of ng groups over nt
+// targets, or nothing when there is no target.
+func newSums(ng, nt int) []float64 {
+	if nt == 0 {
+		return nil
+	}
+	return make([]float64, ng*nt)
+}
+
+// groupDense accumulates counts and every target's sums into flat arrays
+// indexed by key, then emits the occupied slots in key order.
+func (v *View) groupDense(s *scratch, size int) ([]Group, []float64) {
 	ks := &s.keys
+	cols := s.cols
+	nt := len(cols)
 	counts := zeroed(&s.counts, size)
-	var sums []float64
-	if data != nil {
-		sums = zeroed(&s.sums, size)
+	acc := zeroed(&s.sums, size*nt)
+	// One target is the run-time scans' case: its column is hoisted and
+	// its sum skips the loop over columns.
+	var one []float64
+	if nt == 1 {
+		one = cols[0]
 	}
 	ng := 0
 	for i, n := 0, v.NumRows(); i < n; i++ {
@@ -224,11 +269,17 @@ func (v *View) groupDense(s *scratch, size int, data []float64) []Group {
 			ng++
 		}
 		counts[key]++
-		if data != nil {
-			sums[key] += data[row]
+		if one != nil {
+			acc[key] += one[row]
+			continue
+		}
+		k := key * nt
+		for t, col := range cols {
+			acc[k+t] += col[row]
 		}
 	}
 	out := newGroups(ng, len(ks.cols))
+	sums := newSums(ng, nt)
 	g := 0
 	for key := 0; g < ng; key++ {
 		c := counts[key]
@@ -243,13 +294,13 @@ func (v *View) groupDense(s *scratch, size int, data []float64) []Group {
 		}
 		out[g].Count = int(c)
 		counts[key] = 0
-		if data != nil {
-			out[g].Sum = sums[key]
-			sums[key] = 0
+		for t := 0; t < nt; t++ {
+			sums[g*nt+t] = acc[key*nt+t]
+			acc[key*nt+t] = 0
 		}
 		g++
 	}
-	return out
+	return out, sums
 }
 
 // sortedRows returns the view's rows that satisfy the scratch's
@@ -285,27 +336,29 @@ func (ks *KeySpace) runEnds(rows []int32) []int {
 }
 
 // groupSorted is groupDense for key spaces too large to index.
-func (v *View) groupSorted(s *scratch, data []float64) []Group {
+func (v *View) groupSorted(s *scratch) ([]Group, []float64) {
 	ks := &s.keys
 	rows := v.sortedRows(s)
 	ends := ks.runEnds(rows)
+	nt := len(s.cols)
 	out := newGroups(len(ends), len(ks.cols))
+	sums := newSums(len(ends), nt)
 	start := 0
 	for g, end := range ends {
 		for j, col := range ks.cols {
 			out[g].Key.Codes[j] = col[rows[start]]
 		}
 		out[g].Count = end - start
-		if data != nil {
+		for t, col := range s.cols {
 			sum := 0.0
 			for _, row := range rows[start:end] {
-				sum += data[row]
+				sum += col[row]
 			}
-			out[g].Sum = sum
+			sums[g*nt+t] = sum
 		}
 		start = end
 	}
-	return out
+	return out, sums
 }
 
 // Partition splits the view by the value combinations of the given

@@ -84,6 +84,16 @@ func sameGroups(got, want []Group) error {
 	return nil
 }
 
+// withSums copies groups with the k-th of nt flat per-group sums (as
+// GroupByTargets lays them out) in their Sum fields.
+func withSums(groups []Group, sums []float64, nt, k int) []Group {
+	out := append([]Group(nil), groups...)
+	for g := range out {
+		out[g].Sum = sums[g*nt+k]
+	}
+	return out
+}
+
 // randomKeyed builds a relation whose four dimension columns have up to
 // 3, 7, 40 and 200 distinct values, so that subsets of them fall on both
 // sides of KeySpace.Dense for views of a few hundred rows.
@@ -140,6 +150,13 @@ func TestGroupByMatchesReference(t *testing.T) {
 						t.Fatalf("trial %d rows %d dims %v preds %v target %d: GroupByWhere: %v", trial, n, dims, ps, target, err)
 					}
 				}
+				targets := []int{1, 0, 1}
+				groups, sums := sub.GroupByTargets(dims, targets)
+				for k, target := range targets {
+					if err := sameGroups(withSums(groups, sums, len(targets), k), referenceGroupBy(sub, dims, target)); err != nil {
+						t.Fatalf("trial %d rows %d dims %v preds %v targets %v: GroupByTargets, target %d: %v", trial, n, dims, ps, targets, k, err)
+					}
+				}
 			}
 		}
 	}
@@ -161,9 +178,14 @@ func TestDensePathsAgreeWithSorted(t *testing.T) {
 		if !ok {
 			t.Fatalf("dims %v: 12000 rows should make every key space here dense", dims)
 		}
-		data := r.targets[0].data
-		if err := sameGroups(v.groupSorted(s, data), v.groupDense(s, size, data)); err != nil {
-			t.Errorf("dims %v: sorted vs dense: %v", dims, err)
+		targets := []int{0, 1}
+		s.setTargets(r, targets)
+		sortedGroups, sortedSums := v.groupSorted(s)
+		denseGroups, denseSums := v.groupDense(s, size)
+		for k := range targets {
+			if err := sameGroups(withSums(sortedGroups, sortedSums, len(targets), k), withSums(denseGroups, denseSums, len(targets), k)); err != nil {
+				t.Errorf("dims %v target %d: sorted vs dense: %v", dims, k, err)
+			}
 		}
 		if len(dims) == 0 {
 			continue

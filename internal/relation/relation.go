@@ -10,8 +10,9 @@
 //
 // A Relation is immutable after Freeze; concurrent reads are safe.
 //
-// Grouping is one keyed kernel (groupby.go) behind GroupBy, GroupByWhere
-// and Partition. It numbers value combinations as mixed-radix keys
+// Grouping is one keyed kernel (groupby.go) behind GroupBy, GroupByWhere,
+// GroupByTargets and Partition; one pass sums any number of target
+// columns. It numbers value combinations as mixed-radix keys
 // (KeySpace) and indexes flat count and sum arrays by key when the key
 // space is small against the view, and sorts rows by their code tuples
 // when it is not or when the key space overflows an int64; which of the
@@ -19,9 +20,9 @@
 // The guarantees every caller may rely on, and the tests pin bit for
 // bit: views hold their rows in ascending order; groups and parts come
 // in ascending key order (codes compared from the last grouped column
-// to the first); a group's sum adds its rows' values in ascending row
-// order starting from zero; part i of Partition holds the rows Select of
-// the i-th group's combination returns, in that order.
+// to the first); a group's sum of each target adds its rows' values in
+// ascending row order starting from zero; part i of Partition holds the
+// rows Select of the i-th group's combination returns, in that order.
 //
 // Every stage of the generate → evaluate → solve → serve flow stands
 // on this substrate: the generate stage enumerates queries over its

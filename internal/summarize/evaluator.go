@@ -39,7 +39,14 @@ import (
 //     per-call map, and the exact algorithm's DFS maintains per-row
 //     deviations incrementally with an undo log;
 //   - every scratch buffer is retained across Reset calls, so a pooled
-//     evaluator solves problem after problem without reallocating.
+//     evaluator solves problem after problem without reallocating;
+//   - the build splits into a target-independent layout (groups, row
+//     slots, postings: what the facts' scopes and the view decide) and
+//     per-target state (truth values, prior deviations, fact values), so
+//     Retarget moves to another target of the same view without
+//     re-slotting a row;
+//   - the scans of the solve kernels clamp each row's gain with min
+//     instead of branching on its data-dependent sign.
 //
 // An Evaluator is not safe for concurrent use; the pipeline gives each
 // worker its own pooled instance.
@@ -193,12 +200,7 @@ func NewEvaluator(view *relation.View, target int, facts []fact.Fact, prior fact
 func (e *Evaluator) Reset(view *relation.View, target int, facts []fact.Fact, prior fact.Prior) {
 	n := view.NumRows()
 	e.view = view
-	e.target = target
 	e.facts = facts
-	e.prior = prior
-	e.truth = growF64(e.truth, n)
-	e.priorDev = growF64(e.priorDev, n)
-	e.curDev = growF64(e.curDev, n)
 	e.speechDev = growF64(e.speechDev, n)
 	if cap(e.stamp) < n {
 		e.stamp = make([]uint64, n)
@@ -207,18 +209,66 @@ func (e *Evaluator) Reset(view *relation.View, target int, facts []fact.Fact, pr
 		e.stamp = e.stamp[:n]
 	}
 	e.touched = growI32(e.touched, n)[:0]
-	e.priorSum = 0
-	e.JoinedRows = 0
-	e.domBuilt = false
-	col := view.Rel.Target(target)
-	for i := 0; i < n; i++ {
-		row := view.Row(i)
-		e.truth[i] = col.At(int(row))
-		e.priorDev[i] = math.Abs(prior.At(row) - e.truth[i])
-		e.priorSum += e.priorDev[i]
-		e.curDev[i] = e.priorDev[i]
-	}
 	e.buildGroupsAndPostings()
+	e.resetTarget(target, prior)
+}
+
+// Retarget re-points a built evaluator at another target column of the
+// same view, with that target's candidate facts and prior. When the
+// facts' scopes equal the built layout's, in order — as they do across
+// the targets fact.GenerateTargets enumerates for one view — only the
+// per-target state is rebuilt: truth values, prior deviations, the
+// greedy state and the fact values, while the groups, row slots and
+// postings stay. Otherwise it is a full Reset over the same view. Either
+// way the evaluator is indistinguishable from
+// NewEvaluator(e.View(), target, facts, prior).
+func (e *Evaluator) Retarget(target int, facts []fact.Fact, prior fact.Prior) {
+	if !e.sameScopes(facts) {
+		e.Reset(e.view, target, facts, prior)
+		return
+	}
+	e.facts = facts
+	e.resetTarget(target, prior)
+}
+
+// sameScopes reports whether facts restrict the same scopes, in the same
+// order, as the facts the layout was built from.
+func (e *Evaluator) sameScopes(facts []fact.Fact) bool {
+	if len(facts) != len(e.facts) {
+		return false
+	}
+	for i := range facts {
+		a, b := &facts[i].Scope, &e.facts[i].Scope
+		if !slices.Equal(a.Dims, b.Dims) || !slices.Equal(a.Codes, b.Codes) {
+			return false
+		}
+	}
+	return true
+}
+
+// resetTarget rebuilds the per-target state over the built layout: each
+// row's truth value and prior deviation, D(∅), the greedy state, and the
+// counters, which start at the join size the build charges.
+func (e *Evaluator) resetTarget(target int, prior fact.Prior) {
+	n := e.view.NumRows()
+	e.target = target
+	e.prior = prior
+	e.truth = growF64(e.truth, n)
+	e.priorDev = growF64(e.priorDev, n)
+	e.curDev = growF64(e.curDev, n)
+	truth, priorDev := e.truth, e.priorDev
+	data := e.view.Rel.Target(target).Data()
+	sum := 0.0
+	for i := range truth {
+		row := e.view.Row(i)
+		truth[i] = data[row]
+		priorDev[i] = math.Abs(prior.At(row) - truth[i])
+		sum += priorDev[i]
+	}
+	copy(e.curDev, priorDev)
+	e.priorSum = sum
+	e.JoinedRows = int64(e.postStart[len(e.facts)])
+	e.domBuilt = false
 }
 
 // detach drops the problem references so a pooled evaluator never pins a
@@ -375,7 +425,6 @@ func (e *Evaluator) buildGroupsAndPostings() {
 			}
 		}
 	}
-	e.JoinedRows += int64(ps[nf])
 }
 
 // slotRowsDense writes each view row's slot for the group into rs
@@ -481,14 +530,21 @@ func (e *Evaluator) PriorError() float64 { return e.priorSum }
 // SingleFactUtility computes the utility of a singleton speech {f}:
 // Σ_rows max(0, priorDev − |v_f − truth|) over rows in scope. This is the
 // Γ_{ΣU,F}(R ⋊⋉M F) step of both Algorithm 1 and 2.
+//
+// Like every scan below, it does not branch on the sign of a row's gain,
+// which depends on the data and mispredicts on about every other row: it
+// adds dev − min(dev, d), which is dev − d when d < dev and exactly +0
+// otherwise. min of two non-negative numbers is exact and adding +0 to a
+// non-negative sum leaves its bits unchanged, so the results are the
+// branchy versions' to the bit (for finite target values).
 func (e *Evaluator) SingleFactUtility(fi int) float64 {
 	v := e.facts[fi].Value
+	truth, priorDev := e.truth, e.priorDev
 	u := 0.0
 	post := e.posting(fi)
 	for _, i := range post {
-		if gain := e.priorDev[i] - math.Abs(v-e.truth[i]); gain > 0 {
-			u += gain
-		}
+		dev := priorDev[i]
+		u += dev - min(dev, math.Abs(v-truth[i]))
 	}
 	e.JoinedRows += int64(len(post))
 	return u
@@ -576,20 +632,44 @@ func (p *pathState) begin(e *Evaluator) {
 // returns the undo-log mark for the matching pop. Only rows whose
 // deviation improves are logged, so evaluating a leaf after the push is
 // free: p.u already is the speech utility.
+//
+// The scan does not branch on the data: every row's (row, old deviation)
+// pair is written at the log's cursor, and the cursor advances only past
+// an improved row, so the log ends up holding exactly the improved rows
+// in scan order. Room for the whole posting list is reserved up front.
+// The utility and the deviation take min(old, d) as SingleFactUtility
+// does.
 func (p *pathState) push(e *Evaluator, fi int32) int {
 	mark := len(p.undoRow)
 	v := e.facts[fi].Value
 	post := e.posting(int(fi))
+	truth, dev := e.truth, p.dev
+	end := mark + len(post)
+	rows := slices.Grow(p.undoRow, len(post))[:end]
+	vals := slices.Grow(p.undoVal, len(post))[:end]
+	k := mark
+	u := p.u
 	for _, i := range post {
-		if d := math.Abs(v - e.truth[i]); d < p.dev[i] {
-			p.undoRow = append(p.undoRow, i)
-			p.undoVal = append(p.undoVal, p.dev[i])
-			p.u += p.dev[i] - d
-			p.dev[i] = d
-		}
+		d := math.Abs(v - truth[i])
+		old := dev[i]
+		m := min(old, d)
+		rows[k], vals[k] = i, old
+		u += old - m
+		dev[i] = m
+		k += b2i(d < old)
 	}
+	p.undoRow, p.undoVal = rows[:k], vals[:k]
+	p.u = u
 	p.post += int64(len(post))
 	return mark
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag move.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // pop rewinds the path state to mark. The caller passes back the
@@ -689,12 +769,12 @@ func (e *Evaluator) domCntScratch() []int32 {
 // current greedy speech (whose per-row deviations are tracked in curDev).
 func (e *Evaluator) GreedyGain(fi int) float64 {
 	v := e.facts[fi].Value
+	truth, curDev := e.truth, e.curDev
 	gain := 0.0
 	post := e.posting(fi)
 	for _, i := range post {
-		if g := e.curDev[i] - math.Abs(v-e.truth[i]); g > 0 {
-			gain += g
-		}
+		dev := curDev[i]
+		gain += dev - min(dev, math.Abs(v-truth[i]))
 	}
 	e.JoinedRows += int64(len(post))
 	return gain
@@ -704,11 +784,10 @@ func (e *Evaluator) GreedyGain(fi int) float64 {
 // Π_{E,R}(R ⋊⋉M f*) recomputation of Algorithm 2 Line 11.
 func (e *Evaluator) CommitFact(fi int) {
 	v := e.facts[fi].Value
+	truth, curDev := e.truth, e.curDev
 	post := e.posting(fi)
 	for _, i := range post {
-		if d := math.Abs(v - e.truth[i]); d < e.curDev[i] {
-			e.curDev[i] = d
-		}
+		curDev[i] = min(curDev[i], math.Abs(v-truth[i]))
 	}
 	e.JoinedRows += int64(len(post))
 }

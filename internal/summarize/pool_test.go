@@ -1,8 +1,15 @@
 package summarize
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
+
+	"cicero/internal/fact"
+	"cicero/internal/relation"
 )
 
 // solveAll runs every algorithm family on one evaluator and returns the
@@ -19,10 +26,10 @@ func solveAll(e *Evaluator, maxFacts int) []Summary {
 
 func sameSummary(t *testing.T, name string, got, want Summary) {
 	t.Helper()
-	if got.Utility != want.Utility {
+	if math.Float64bits(got.Utility) != math.Float64bits(want.Utility) {
 		t.Errorf("%s: utility %v != %v", name, got.Utility, want.Utility)
 	}
-	if got.PriorError != want.PriorError {
+	if math.Float64bits(got.PriorError) != math.Float64bits(want.PriorError) {
 		t.Errorf("%s: prior error %v != %v", name, got.PriorError, want.PriorError)
 	}
 	if len(got.FactIdx) != len(want.FactIdx) {
@@ -63,6 +70,78 @@ func TestResetMatchesFresh(t *testing.T) {
 			names := []string{"G-B", "G-P", "G-O", "E"}
 			for j := range wantAll {
 				sameSummary(t, sc.Name+"/"+names[j], gotAll[j], wantAll[j])
+			}
+		}
+	}
+}
+
+// twoTargetRelation is randomRelation with a second target of small
+// integers, so the two targets' problems share every scope and differ in
+// every value.
+func twoTargetRelation(rng *rand.Rand, rows int) *relation.Relation {
+	b := relation.NewBuilder("rand2", relation.Schema{Dimensions: []string{"a", "b", "c"}, Targets: []string{"v", "w"}})
+	for i := 0; i < rows; i++ {
+		b.MustAddRow([]string{strconv.Itoa(rng.Intn(4)), strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(2))},
+			[]float64{rng.NormFloat64()*10 + float64(rng.Intn(3))*15, float64(rng.Intn(5))})
+	}
+	return b.Freeze()
+}
+
+// TestRetargetMatchesReset: an evaluator built for one target and
+// retargeted to each further target of the same view is, bit for bit, a
+// freshly built one — build JoinedRows, D(∅), the postings, and the
+// greedy (all three pruning modes) and exact summaries with their
+// counters — whether Retarget keeps the layout (the facts of
+// fact.GenerateTargets) or must rebuild it (facts of another width, the
+// same facts in another order).
+func TestRetargetMatchesReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	names := []string{"G-B", "G-P", "G-O", "E"}
+	for trial := 0; trial < 12; trial++ {
+		rel := twoTargetRelation(rng, 20+rng.Intn(240))
+		views := []*relation.View{rel.FullView(), rel.FullView().Select([]relation.Predicate{{Dim: 0, Code: 1}})}
+		maxFacts := 2 + trial%3
+		for vi, view := range views {
+			if view.NumRows() == 0 {
+				continue
+			}
+			targets := []int{0, 1, 0, 1}
+			priors := []fact.Prior{fact.MeanPrior(view, 0), fact.MeanPrior(view, 1), fact.ConstantPrior(0), fact.ConstantPrior(2)}
+			factSets := fact.GenerateTargets(view, targets, fact.GenerateOptions{MaxDims: 1 + trial%3})
+			narrow := fact.GenerateTargets(view, []int{1}, fact.GenerateOptions{MaxDims: trial % 3})[0]
+			shuffled := slices.Clone(factSets[1])
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			cases := []struct {
+				name   string
+				target int
+				facts  []fact.Fact
+				prior  fact.Prior
+			}{
+				{"first", targets[0], factSets[0], priors[0]},
+				{"second target", targets[1], factSets[1], priors[1]},
+				{"zero prior", targets[2], factSets[2], priors[2]},
+				{"constant prior", targets[3], factSets[3], priors[3]},
+				{"narrower scopes", 1, narrow, priors[1]},
+				{"wider scopes again", 0, factSets[0], priors[0]},
+				{"reordered scopes", 1, shuffled, priors[1]},
+			}
+			var e *Evaluator
+			for _, c := range cases {
+				name := "trial " + strconv.Itoa(trial) + " view " + strconv.Itoa(vi) + " " + c.name
+				if e == nil {
+					e = NewEvaluator(view, c.target, c.facts, c.prior)
+				} else {
+					e.Retarget(c.target, c.facts, c.prior)
+				}
+				fresh := NewEvaluator(view, c.target, c.facts, c.prior)
+				if e.JoinedRows != fresh.JoinedRows || math.Float64bits(e.PriorError()) != math.Float64bits(fresh.PriorError()) {
+					t.Fatalf("%s: build JoinedRows %d, D(∅) %v; fresh %d, %v", name, e.JoinedRows, e.PriorError(), fresh.JoinedRows, fresh.PriorError())
+				}
+				got, want := solveAll(e, maxFacts), solveAll(fresh, maxFacts)
+				for j := range want {
+					sameSummary(t, name+"/"+names[j], got[j], want[j])
+				}
+				checkBuild(t, name, e)
 			}
 		}
 	}
