@@ -210,15 +210,14 @@ type (
 	Algorithm = engine.Algorithm
 )
 
-// Pre-processing algorithms (the Figure 3 variants, plus the parallel
-// exact kernel E-P: bit-identical output to E, solved across a worker
-// pool with a shared incumbent bound and optional warm starts).
+// Pre-processing algorithms (the Figure 3 variants, plus E-P: E's
+// search under the tighter submodular path bound, bit-identical output).
 const (
-	AlgExact         = engine.AlgExact
-	AlgExactParallel = engine.AlgExactParallel
-	AlgGreedyBase    = engine.AlgGreedyBase
-	AlgGreedyPrune   = engine.AlgGreedyPrune
-	AlgGreedyOpt     = engine.AlgGreedyOpt
+	AlgExact       = engine.AlgExact
+	AlgExactPruned = engine.AlgExactPruned
+	AlgGreedyBase  = engine.AlgGreedyBase
+	AlgGreedyPrune = engine.AlgGreedyPrune
+	AlgGreedyOpt   = engine.AlgGreedyOpt
 )
 
 // DefaultConfig returns the paper's default configuration for a relation.

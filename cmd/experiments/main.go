@@ -23,13 +23,11 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (or 'all')")
-		seed      = flag.Int64("seed", 1, "random seed for data and studies")
-		sample    = flag.Int("sample", 24, "queries sampled per scenario (figures 3/4); 0 = all")
-		timeout   = flag.Duration("timeout", 2*time.Second, "exact-algorithm timeout per problem")
-		workers   = flag.Int("workers", 1, "parallel solvers in the pre-processing pipeline")
-		kernelW   = flag.Int("kernel-workers", 0, "search goroutines per E-P exact solve (0 = divide cores across pipeline workers; <0 = all cores)")
-		warmStart = flag.Bool("warmstart", true, "seed the E-P exact search's pruning bound with the greedy incumbent")
+		exp     = flag.String("exp", "all", "experiment to run (or 'all')")
+		seed    = flag.Int64("seed", 1, "random seed for data and studies")
+		sample  = flag.Int("sample", 24, "queries sampled per scenario (figures 3/4); 0 = all")
+		timeout = flag.Duration("timeout", 2*time.Second, "exact-algorithm timeout per problem")
+		workers = flag.Int("workers", 1, "parallel solvers in the pre-processing pipeline")
 	)
 	flag.Parse()
 
@@ -38,8 +36,6 @@ func main() {
 	params.SampleQueries = *sample
 	params.ExactTimeout = *timeout
 	params.Workers = *workers
-	params.KernelWorkers = *kernelW
-	params.WarmStart = *warmStart
 
 	if err := run(os.Stdout, *exp, *seed, params); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -60,8 +60,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "data generation seed")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-problem timeout for the exact algorithm")
 		workers    = flag.Int("workers", 1, "parallel problem solvers")
-		kernelW    = flag.Int("kernel-workers", 0, "search goroutines per problem for the E-P solver (0: divide cores among problem solvers, <0: all cores)")
-		warmStart  = flag.Bool("warmstart", true, "seed the E-P solver's incumbent from the greedy speech (and the ML prediction when attached)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint file: record completed problems for crash/cancel recovery")
 		resume     = flag.Bool("resume", false, "resume from an existing checkpoint instead of refusing to reuse it")
 		out        = flag.String("out", "", "write the speech store to this JSON file")
@@ -103,7 +101,7 @@ func main() {
 		popts := pipeline.Options{
 			Solver:  solverName,
 			Workers: *workers,
-			Solve:   summarize.Options{Timeout: *timeout, Workers: *kernelW, WarmStart: *warmStart},
+			Solve:   summarize.Options{Timeout: *timeout},
 		}
 		runDelta(ctx, rel, cfg, solverName, *seed, popts, deltaFlags{
 			opsFile:  *deltaFile,
@@ -136,7 +134,7 @@ func main() {
 		// artifact matches its own -seed/-maxlen/-solver flags.
 		SnapshotPath:        *snapOut,
 		SnapshotFingerprint: pipeline.Fingerprint(*seed, cfg, solverName),
-		Solve:               summarize.Options{Timeout: *timeout, Workers: *kernelW, WarmStart: *warmStart},
+		Solve:               summarize.Options{Timeout: *timeout},
 		Progress: func(p pipeline.Progress) {
 			if p.Done%500 == 0 || p.Done == p.Total {
 				fmt.Fprintf(os.Stderr, "\rpre-processing %d/%d (failed %d, resumed %d)",

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,6 +202,32 @@ func TestProblemsMinSubsetRows(t *testing.T) {
 	}
 	if len(problems) != 0 {
 		t.Errorf("problems = %d, want 0 with huge MinSubsetRows", len(problems))
+	}
+
+	// The median subset size keeps some subsets and drops others, under
+	// two targets: CountProblems must count what Problems yields.
+	cfg = smallConfig(rel)
+	cfg.Targets = []string{"delay", "cancelled"}
+	cfg.MaxQueryLen = 2
+	all, err := Problems(rel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, len(all))
+	for i, p := range all {
+		rows[i] = p.View.NumRows()
+	}
+	slices.Sort(rows)
+	cfg.MinSubsetRows = rows[len(rows)/2]
+	kept, err := Problems(rel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) == 0 || len(kept) == len(all) {
+		t.Fatalf("MinSubsetRows %d keeps %d of %d problems; want some but not all", cfg.MinSubsetRows, len(kept), len(all))
+	}
+	if n, err := CountProblems(rel, cfg); err != nil || n != len(kept) {
+		t.Errorf("CountProblems = %d (err %v), Problems yields %d", n, err, len(kept))
 	}
 }
 

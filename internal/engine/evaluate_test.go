@@ -218,7 +218,7 @@ func TestEvaluateStageAllocCeiling(t *testing.T) {
 	}
 	cfg, problems := flightsProblemsByLength(t)
 	p := problems[1]
-	opts := summarize.Options{MaxFacts: cfg.MaxFacts, Pruning: summarize.PruneOptimized}.WithDefaults()
+	opts := summarize.Options{MaxFacts: cfg.MaxFacts, Pruning: summarize.PruneOptimized}
 	stage := func() {
 		facts := p.GenerateFacts(cfg.MaxFactDims)
 		e := summarize.AcquireEvaluator(p.View, p.Target, facts, p.Prior)
@@ -248,7 +248,7 @@ func BenchmarkFactGenerate(b *testing.B) {
 
 func BenchmarkOptPrune(b *testing.B) {
 	cfg, problems := flightsProblemsByLength(b)
-	opts := summarize.Options{MaxFacts: cfg.MaxFacts}.WithDefaults()
+	opts := summarize.Options{MaxFacts: cfg.MaxFacts}
 	for qlen, p := range problems {
 		b.Run(fmt.Sprintf("querylen=%d/rows=%d", qlen, p.View.NumRows()), func(b *testing.B) {
 			e := summarize.NewEvaluator(p.View, p.Target, p.GenerateFacts(cfg.MaxFactDims), p.Prior)

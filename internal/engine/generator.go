@@ -173,11 +173,7 @@ func EachSubset(rel *relation.Relation, cfg Config, fn func(Subset) error) error
 	if err != nil {
 		return err
 	}
-	perTarget := 0
-	_ = ps.eachPart(func(*queryShape, int) error {
-		perTarget++
-		return nil
-	})
+	perTarget := ps.parts()
 	pos := 0
 	err = ps.eachPart(func(sh *queryShape, part int) error {
 		sub := Subset{Problems: make([]Problem, len(ps.targets)), Seqs: make([]int, len(ps.targets))}
@@ -271,6 +267,16 @@ func (ps *problemSpace) eachPart(fn func(sh *queryShape, part int) error) error 
 	return nil
 }
 
+// parts counts the parts eachPart visits: the problems per target.
+func (ps *problemSpace) parts() int {
+	n := 0
+	_ = ps.eachPart(func(*queryShape, int) error {
+		n++
+		return nil
+	})
+	return n
+}
+
 // problem returns the problem of the ti-th target over a shape's part.
 func (ps *problemSpace) problem(ti int, sh *queryShape, part int) LazyProblem {
 	g := sh.groups[part]
@@ -297,17 +303,9 @@ func (ps *problemSpace) problem(ti int, sh *queryShape, part int) LazyProblem {
 // without materializing views, for capacity planning (Theorem 10 bounds
 // this by O(t · (d choose l) · n^l)).
 func CountProblems(rel *relation.Relation, cfg Config) (int, error) {
-	if err := cfg.Validate(rel); err != nil {
+	ps, err := newProblemSpace(rel, cfg)
+	if err != nil {
 		return 0, err
 	}
-	dimIdx := make([]int, len(cfg.Dimensions))
-	for i, d := range cfg.Dimensions {
-		dimIdx[i] = rel.Schema().DimIndex(d)
-	}
-	full := rel.FullView()
-	perTarget := 0
-	for _, querySet := range fact.DimSubsets(dimIdx, cfg.MaxQueryLen) {
-		perTarget += len(full.DistinctCombinations(querySet))
-	}
-	return perTarget * len(cfg.Targets), nil
+	return ps.parts() * len(ps.targets), nil
 }

@@ -14,13 +14,11 @@ type Algorithm string
 const (
 	// AlgExact is E: Algorithm 1, seeded with the greedy lower bound.
 	AlgExact Algorithm = "E"
-	// AlgExactParallel is E-P: Algorithm 1's enumeration distributed over
-	// a worker pool with a shared incumbent bound
-	// (summarize.ExactParallelCtx). Output is bit-identical to E; with
-	// opts.WarmStart the greedy utility (and, in the pipeline's E-P
-	// solver, the better of greedy and the ML prediction) seeds the
-	// incumbent so pruning opens near-optimal.
-	AlgExactParallel Algorithm = "E-P"
+	// AlgExactPruned is E-P: E's search under the tighter submodular
+	// path bound (summarize.ExactSubmodularCtx). Its speeches are
+	// bit-identical to E's; it expands fewer nodes to find them. The name
+	// stays "E-P" because snapshot fingerprints and checkpoints record it.
+	AlgExactPruned Algorithm = "E-P"
 	// AlgGreedyBase is G-B: Algorithm 2 without fact pruning.
 	AlgGreedyBase Algorithm = "G-B"
 	// AlgGreedyPrune is G-P: greedy with naive fact pruning.
@@ -30,9 +28,9 @@ const (
 )
 
 // Algorithms lists all supported methods in Figure 3 order, plus the
-// parallel exact variant.
+// pruned exact variant.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgExact, AlgExactParallel, AlgGreedyBase, AlgGreedyPrune, AlgGreedyOpt}
+	return []Algorithm{AlgExact, AlgExactPruned, AlgGreedyBase, AlgGreedyPrune, AlgGreedyOpt}
 }
 
 // Solve runs the selected algorithm on a prepared evaluator. The context
@@ -42,33 +40,18 @@ func Algorithms() []Algorithm {
 // the pipeline's solver registry.
 func Solve(ctx context.Context, alg Algorithm, e *summarize.Evaluator, opts summarize.Options) summarize.Summary {
 	switch alg {
-	case AlgExact:
+	case AlgExact, AlgExactPruned:
 		greedy := summarize.GreedyCtx(ctx, e, opts)
 		exactOpts := opts
 		exactOpts.LowerBound = greedy.Utility
-		exact := summarize.ExactCtx(ctx, e, exactOpts)
+		search := summarize.ExactCtx
+		if alg == AlgExactPruned {
+			search = summarize.ExactSubmodularCtx
+		}
+		exact := search(ctx, e, exactOpts)
 		// A timed-out or cancelled exact run may fall below the greedy
 		// seed; the greedy speech is then the best known answer (the
 		// paper's runs with a 48h timeout behave the same way).
-		if exact.Utility < greedy.Utility {
-			greedy.Stats.TimedOut = exact.Stats.TimedOut
-			greedy.Stats.Cancelled = exact.Stats.Cancelled
-			return greedy
-		}
-		return exact
-	case AlgExactParallel:
-		greedy := summarize.GreedyCtx(ctx, e, opts)
-		exactOpts := opts
-		if opts.WarmStart && greedy.Utility > exactOpts.LowerBound {
-			// Warm start: the greedy speech is a true lower bound on the
-			// optimum, so seeding the incumbent from it only shrinks the
-			// search (callers may have pre-seeded an even better bound,
-			// e.g. from an ML prediction — keep the tighter one).
-			exactOpts.LowerBound = greedy.Utility
-		}
-		exact := summarize.ExactParallelCtx(ctx, e, exactOpts)
-		// Same fallback as E: a timed-out or cancelled run may fall below
-		// the greedy seed, and the greedy speech is then the best answer.
 		if exact.Utility < greedy.Utility {
 			greedy.Stats.TimedOut = exact.Stats.TimedOut
 			greedy.Stats.Cancelled = exact.Stats.Cancelled

@@ -42,7 +42,10 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFigure3SmallRun(t *testing.T) {
-	res, err := Figure3(fastParams())
+	// Three-fact speeches give the exact searches a tree to prune.
+	p := fastParams()
+	p.MaxFacts = 3
+	res, err := Figure3(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,10 @@ func TestFigure3SmallRun(t *testing.T) {
 		t.Fatalf("rows = %d, want 40", len(res.Rows))
 	}
 	// Greedy variants must agree on utility; exact at least as good.
+	// E-P's path bound never expands more nodes than E's Lemma 1, and
+	// somewhere it expands fewer.
 	byScenario := map[string]map[string]Figure3Row{}
+	fewer := 0
 	for _, row := range res.Rows {
 		if byScenario[row.Scenario] == nil {
 			byScenario[row.Scenario] = map[string]Figure3Row{}
@@ -71,13 +77,21 @@ func TestFigure3SmallRun(t *testing.T) {
 			t.Errorf("%s: exact %v below greedy %v", sc, e.AvgScaledUtility, gb.AvgScaledUtility)
 		}
 		if ep.AvgScaledUtility < gb.AvgScaledUtility-1e-9 {
-			t.Errorf("%s: parallel exact %v below greedy %v", sc, ep.AvgScaledUtility, gb.AvgScaledUtility)
+			t.Errorf("%s: pruned exact %v below greedy %v", sc, ep.AvgScaledUtility, gb.AvgScaledUtility)
 		}
-		// With no timeouts both exact solvers are optimal and must agree.
-		if e.TimedOut == 0 && ep.TimedOut == 0 {
-			if diff := e.AvgScaledUtility - ep.AvgScaledUtility; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("%s: E %v vs E-P %v", sc, e.AvgScaledUtility, ep.AvgScaledUtility)
-			}
+		if ep.NodesExpanded > e.NodesExpanded {
+			t.Errorf("%s: E-P expanded %d nodes, E %d", sc, ep.NodesExpanded, e.NodesExpanded)
+		}
+		if ep.NodesExpanded < e.NodesExpanded {
+			fewer++
+		}
+		if e.JoinedRows == 0 || gb.JoinedRows == 0 {
+			t.Errorf("%s: joined rows E %d, G-B %d", sc, e.JoinedRows, gb.JoinedRows)
+		}
+		// With no timeouts both exact solvers return the same speeches,
+		// so their averages agree bit for bit.
+		if e.TimedOut == 0 && ep.TimedOut == 0 && e.AvgScaledUtility != ep.AvgScaledUtility {
+			t.Errorf("%s: E %v vs E-P %v", sc, e.AvgScaledUtility, ep.AvgScaledUtility)
 		}
 		// Utility within [0, 1].
 		for alg, row := range algs {
@@ -86,10 +100,13 @@ func TestFigure3SmallRun(t *testing.T) {
 			}
 		}
 	}
+	if fewer == 0 {
+		t.Error("E-P expanded as many nodes as E in every scenario")
+	}
 	var sb strings.Builder
 	res.Render(&sb)
-	if !strings.Contains(sb.String(), "F-C") || !strings.Contains(sb.String(), "S-S") {
-		t.Errorf("render missing scenarios: %q", sb.String())
+	if !strings.Contains(sb.String(), "F-C") || !strings.Contains(sb.String(), "S-S") || !strings.Contains(sb.String(), "Nodes") {
+		t.Errorf("render missing scenarios or counters: %q", sb.String())
 	}
 }
 

@@ -57,14 +57,6 @@ type ScenarioParams struct {
 	// Workers bounds concurrent problem solving in the pre-processing
 	// pipeline (0 or 1 = sequential).
 	Workers int
-	// KernelWorkers bounds the subtree-level parallelism of the E-P
-	// algorithm's exact kernel (0 = divide the cores across the
-	// pipeline's problem solvers; <0 = all cores per problem).
-	KernelWorkers int
-	// WarmStart enables incumbent seeding for E-P: the greedy speech
-	// seeds the exact search's pruning bound. Never changes results,
-	// only shrinks the search.
-	WarmStart bool
 }
 
 // DefaultScenarioParams returns the scaled-down default setting.
@@ -76,7 +68,6 @@ func DefaultScenarioParams() ScenarioParams {
 		MaxQueryLen:   2,
 		MaxFactDims:   2,
 		MaxFacts:      3,
-		WarmStart:     true,
 	}
 }
 
@@ -135,6 +126,9 @@ type Figure3Row struct {
 	AvgScaledUtility float64
 	// Problems and TimedOut count solved and timeout-hit problems.
 	Problems, TimedOut int
+	// NodesExpanded and JoinedRows are the run's work counters
+	// (pipeline.Stats): exact on any host, where the time is not.
+	NodesExpanded, JoinedRows int64
 }
 
 // Figure3Result holds the full Figure 3 data: computation time and
@@ -145,9 +139,9 @@ type Figure3Result struct {
 }
 
 // Figure3 runs the pre-processing comparison of Figure 3: the exact
-// algorithms E and E-P (the parallel kernel, warm-started per
-// params.WarmStart) against the greedy variants G-B, G-P and G-O on
-// eight scenario/target combinations.
+// algorithms E and E-P (E under the submodular path bound) against the
+// greedy variants G-B, G-P and G-O on eight scenario/target
+// combinations.
 func Figure3(params ScenarioParams) (*Figure3Result, error) {
 	cache := relCache{}
 	res := &Figure3Result{Params: params}
@@ -166,11 +160,7 @@ func Figure3(params ScenarioParams) (*Figure3Result, error) {
 			_, stats, err := pipeline.RunProblems(context.Background(), rel, cfg, problems, pipeline.Options{
 				Solver:  string(alg),
 				Workers: params.Workers,
-				Solve: summarize.Options{
-					Timeout:   params.ExactTimeout,
-					Workers:   params.KernelWorkers,
-					WarmStart: params.WarmStart,
-				},
+				Solve:   summarize.Options{Timeout: params.ExactTimeout},
 			})
 			if err != nil {
 				return nil, err
@@ -182,22 +172,24 @@ func Figure3(params ScenarioParams) (*Figure3Result, error) {
 				AvgScaledUtility: stats.AvgScaledUtility(),
 				Problems:         stats.Problems,
 				TimedOut:         stats.TimedOut,
+				NodesExpanded:    stats.NodesExpanded,
+				JoinedRows:       stats.JoinedRows,
 			})
 		}
 	}
 	return res, nil
 }
 
-// Render prints the Figure 3 series: one block per scenario with time
-// and scaled utility per algorithm.
+// Render prints the Figure 3 series: one block per scenario with time,
+// scaled utility and the work counters per algorithm.
 func (r *Figure3Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 3: pre-processing methods (sampled %d queries/scenario, exact timeout %v)\n",
 		r.Params.SampleQueries, r.Params.ExactTimeout)
-	fmt.Fprintf(w, "%-9s %-5s %14s %10s %9s\n", "Scenario", "Alg", "Time", "Utility", "Timeouts")
+	fmt.Fprintf(w, "%-9s %-5s %14s %10s %9s %12s %14s\n", "Scenario", "Alg", "Time", "Utility", "Timeouts", "Nodes", "Joined rows")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-9s %-5s %14v %10.3f %6d/%d\n",
+		fmt.Fprintf(w, "%-9s %-5s %14v %10.3f %6d/%d %12d %14d\n",
 			row.Scenario, row.Algorithm, row.TotalTime.Round(time.Millisecond),
-			row.AvgScaledUtility, row.TimedOut, row.Problems)
+			row.AvgScaledUtility, row.TimedOut, row.Problems, row.NodesExpanded, row.JoinedRows)
 	}
 }
 

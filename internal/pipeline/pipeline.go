@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -64,10 +63,6 @@ type Options struct {
 	// reporting them in Stats (Failed, FirstErr). When false (default),
 	// the first failure cancels the run and Run returns the error.
 	ContinueOnError bool
-	// Buffer is the capacity of the inter-stage channels (default
-	// Workers): the memory bound on in-flight data subsets and results
-	// beyond the ones being solved.
-	Buffer int
 	// Seed perturbs the per-problem seeds handed to randomized solvers.
 	Seed int64
 	// SnapshotPath, when non-empty, additionally writes the finished
@@ -134,8 +129,7 @@ type Progress struct {
 	// Solved, Failed and Skipped split Done by outcome.
 	Solved, Failed, Skipped int
 	// Total is the number of problems the run spans, or -1 when the
-	// streaming source does not know it upfront. With MinSubsetRows > 0
-	// it is an upper bound: the count skips no subsets, the run does.
+	// streaming source does not know it upfront.
 	Total int
 }
 
@@ -199,7 +193,7 @@ func (s Stats) AvgScaledUtility() float64 {
 
 // Run pre-processes every supported query of the configuration into a
 // frozen speech store, streaming data subsets from the generator so
-// memory stays bounded by Workers+Buffer in-flight subsets. Cancelling ctx
+// memory stays bounded by 2×Workers in-flight subsets. Cancelling ctx
 // stops the run within one problem's solve time and returns ctx's error;
 // completed problems stay recorded in the checkpoint (if any) for a
 // later resume.
@@ -294,7 +288,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	if workers < 1 {
 		workers = 1
 	}
-	solver, baseOpts, solverName, err := solverSetup(cfg, opts, workers)
+	solver, baseOpts, solverName, err := solverSetup(cfg, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -320,18 +314,15 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 			return nil, Stats{}, err
 		}
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = workers
-	}
-
 	// Internal cancellation lets the sink abort the producer and workers
 	// on a fatal failure without cancelling the caller's ctx.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobs := make(chan job, buffer)
-	results := make(chan result, buffer)
+	// Each channel holds up to workers items: the memory bound on
+	// in-flight data subsets and results beyond the ones being solved.
+	jobs := make(chan job, workers)
+	results := make(chan result, workers)
 
 	// Stage 1: the producer streams subsets from the generator. It never
 	// materializes more than the channel capacity ahead of the workers —
@@ -491,11 +482,10 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 
 // solverSetup resolves the named solver and derives the per-problem
 // kernel options the way run hands them to every solve worker: the
-// configuration's fact budget overrides the caller's, and an unpinned
-// kernel width gets the global worker budget (cores divided by solve
-// workers). Factored out so the delta path's one-problem re-solves
-// (ProblemSolver) can never drift from the batch pipeline.
-func solverSetup(cfg engine.Config, opts Options, workers int) (Solver, summarize.Options, string, error) {
+// configuration's fact budget overrides the caller's. Factored out so the
+// delta path's one-problem re-solves (ProblemSolver) can never drift from
+// the batch pipeline.
+func solverSetup(cfg engine.Config, opts Options) (Solver, summarize.Options, string, error) {
 	solverName := opts.Solver
 	if solverName == "" {
 		solverName = string(engine.AlgGreedyOpt)
@@ -506,19 +496,6 @@ func solverSetup(cfg engine.Config, opts Options, workers int) (Solver, summariz
 	}
 	baseOpts := opts.Solve
 	baseOpts.MaxFacts = cfg.MaxFacts
-	if baseOpts.Workers == 0 {
-		// Global worker budget: problem-level parallelism (solve workers)
-		// multiplied by subtree-level parallelism (the E-P kernel's
-		// search goroutines) should not oversubscribe the machine. When
-		// the caller doesn't pin the kernel width, divide the cores among
-		// the solve workers; an explicit opts.Solve.Workers (or a
-		// negative value, meaning "all cores") overrides the budget.
-		if kw := runtime.GOMAXPROCS(0) / workers; kw > 1 {
-			baseOpts.Workers = kw
-		} else {
-			baseOpts.Workers = 1
-		}
-	}
 	return solver, baseOpts, solverName, nil
 }
 
@@ -544,11 +521,7 @@ func NewProblemSolver(rel *relation.Relation, cfg engine.Config, opts Options) (
 	if err := cfg.Validate(rel); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	solver, baseOpts, _, err := solverSetup(cfg, opts, workers)
+	solver, baseOpts, _, err := solverSetup(cfg, opts)
 	if err != nil {
 		return nil, err
 	}

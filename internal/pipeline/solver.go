@@ -172,80 +172,6 @@ func (s *MLSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts Solve
 	}, nil
 }
 
-// ExactParallelSolver runs the parallel exact kernel (engine E-P) with
-// an optional ML warm start: when opts.WarmStart is set and a trained
-// summarizer is attached, the ML-predicted fact set is evaluated
-// exactly (matched against the problem's candidate facts and scored
-// with the utility model) and the resulting utility seeds the parallel
-// search's incumbent bound. engine.Solve then raises the seed to the
-// greedy utility if that is better, so the enumeration opens with the
-// best known lower bound. Seeding can only shrink the search — the
-// bound stays a true lower bound on the optimum — so the returned
-// speech is still bit-identical to the sequential E solver's.
-type ExactParallelSolver struct {
-	ml *baseline.MLSummarizer
-}
-
-// NewExactParallelSolver wraps the E-P algorithm with an optional ML
-// warm start (ml may be nil). Register it to replace the plain E-P
-// registry entry:
-//
-//	pipeline.Register(pipeline.NewExactParallelSolver(ml))
-func NewExactParallelSolver(ml *baseline.MLSummarizer) *ExactParallelSolver {
-	return &ExactParallelSolver{ml: ml}
-}
-
-// Name implements Solver; the solver answers to the algorithm name E-P.
-func (s *ExactParallelSolver) Name() string { return string(engine.AlgExactParallel) }
-
-// Solve implements Solver.
-func (s *ExactParallelSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts SolveOptions) (summarize.Summary, error) {
-	o := opts.Options
-	if o.WarmStart && s.ml != nil && s.ml.TrainedPairs() > 0 {
-		if u := s.mlSeed(e, opts); u > o.LowerBound {
-			o.LowerBound = u
-		}
-	}
-	sum := engine.Solve(ctx, engine.AlgExactParallel, e, o)
-	if err := ctx.Err(); err != nil {
-		return sum, err
-	}
-	return sum, nil
-}
-
-// mlSeed evaluates the ML prediction exactly against the problem's
-// candidate facts and returns its utility (0 when nothing matches). The
-// prediction is a fact pattern from the nearest training query; only
-// predicted facts that exist among the candidates can seed the bound,
-// because the incumbent must be achievable within the search space.
-func (s *ExactParallelSolver) mlSeed(e *summarize.Evaluator, opts SolveOptions) float64 {
-	predicted := s.ml.Predict(opts.Query, e.View(), e.Target())
-	if len(predicted) == 0 {
-		return 0
-	}
-	byScope := make(map[string]int32, e.NumFacts())
-	for fi, f := range e.Facts() {
-		byScope[f.Scope.Key()] = int32(fi)
-	}
-	// The seed speech must fit the m-fact budget the search optimizes
-	// over, otherwise its utility could exceed every reachable speech and
-	// prune the entire enumeration.
-	limit := summarize.Options{MaxFacts: opts.MaxFacts}.WithDefaults().MaxFacts
-	idx := make([]int32, 0, limit)
-	for _, f := range predicted {
-		if fi, ok := byScope[f.Scope.Key()]; ok {
-			idx = append(idx, fi)
-			if len(idx) == limit {
-				break
-			}
-		}
-	}
-	if len(idx) == 0 {
-		return 0
-	}
-	return e.SpeechUtility(idx)
-}
-
 func init() {
 	for _, alg := range engine.Algorithms() {
 		Register(engineSolver{alg: alg})

@@ -78,85 +78,6 @@ func TestExactCtxPromptReturn(t *testing.T) {
 	}
 }
 
-func TestExactParallelCtxCancelledBeforeStart(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e := bigEval(t, 200, 3)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		start := time.Now()
-		got := ExactParallelCtx(ctx, e, Options{MaxFacts: 4, Workers: workers})
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("workers=%d: cancelled parallel exact took %v", workers, elapsed)
-		}
-		if !got.Stats.Cancelled {
-			t.Errorf("workers=%d: pre-cancelled ctx must set Stats.Cancelled", workers)
-		}
-		if got.Stats.TimedOut {
-			t.Errorf("workers=%d: cancellation must not be reported as a timeout", workers)
-		}
-		if got.Utility < 0 {
-			t.Errorf("workers=%d: cancelled run must return a non-negative utility", workers)
-		}
-	}
-}
-
-func TestExactParallelCtxDeadlineActsAsTimeout(t *testing.T) {
-	e := bigEval(t, 300, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
-	defer cancel()
-	got := ExactParallelCtx(ctx, e, Options{MaxFacts: 4, Workers: 4})
-	if !got.Stats.TimedOut && !got.Stats.Cancelled {
-		t.Skip("machine too fast for deadline test; exact finished")
-	}
-	// Like ExactCtx: an expired ctx deadline must surface as a timeout
-	// (best-so-far kept, TimedOut counted), not as a cancellation, no
-	// matter which worker observes it first.
-	if got.Stats.Cancelled {
-		t.Error("expired ctx deadline must set TimedOut, not Cancelled")
-	}
-	if got.Utility < 0 {
-		t.Error("deadline-bounded run must return a non-negative utility")
-	}
-}
-
-func TestExactParallelCtxPromptReturn(t *testing.T) {
-	// Every worker polls the shared abort state within ctxCheckEvery
-	// nodes, so a mid-flight cancel must end the whole pool promptly even
-	// while all workers sit deep in their subtrees.
-	e := bigEval(t, 400, 3)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan Summary, 1)
-	go func() { done <- ExactParallelCtx(ctx, e, Options{MaxFacts: 5, Workers: 4}) }()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case got := <-done:
-		if !got.Stats.Cancelled && !got.Stats.TimedOut {
-			// The search may legitimately finish before the cancel lands.
-			t.Log("parallel exact finished before cancellation")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ExactParallelCtx did not return promptly after cancel")
-	}
-}
-
-func TestExactParallelCtxTimeoutOption(t *testing.T) {
-	// opts.Timeout must bound the run exactly like a ctx deadline and
-	// still return a merged best-so-far speech.
-	e := bigEval(t, 400, 3)
-	start := time.Now()
-	got := ExactParallelCtx(context.Background(), e, Options{MaxFacts: 5, Workers: 4, Timeout: 20 * time.Millisecond})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout-bounded parallel exact took %v", elapsed)
-	}
-	if !got.Stats.TimedOut {
-		t.Skip("machine too fast for timeout test; exact finished")
-	}
-	if got.Utility < 0 {
-		t.Error("timed-out run must return a non-negative utility")
-	}
-}
-
 func TestGreedyCtxCancelledBeforeStart(t *testing.T) {
 	e := bigEval(t, 200, 3)
 	ctx, cancel := context.WithCancel(context.Background())

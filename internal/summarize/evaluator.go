@@ -89,9 +89,7 @@ type Evaluator struct {
 
 	// Incremental exact-DFS state: deviations along the current search
 	// path with an undo log, the running utility, and the join-size
-	// accounting of the path (see ExactCtx). The state is factored into
-	// its own struct so the parallel exact search can give every worker
-	// a private clone over the evaluator's shared read-only layout.
+	// accounting of the path (see ExactCtx).
 	path pathState
 
 	// Dominance signatures for the exact search (see dominanceReps):
@@ -605,9 +603,7 @@ func (e *Evaluator) SpeechUtility(factIdx []int32) float64 {
 // walker: per-row deviations along the current search path with an undo
 // log, the running utility, and the join-size accounting of the path.
 // It only reads the evaluator's immutable per-problem layout (postings,
-// truth, priors, fact values), so any number of pathStates may walk the
-// same evaluator concurrently — the parallel exact search gives each
-// worker its own.
+// truth, priors, fact values).
 type pathState struct {
 	dev     []float64
 	undoRow []int32
@@ -693,9 +689,9 @@ func (p *pathState) pop(mark int, savedU float64, savedPost int64) {
 // — folding one in makes the other's marginal gain exactly zero — so
 // the exact search skips a fact whenever its representative class is
 // already on the search path (dominance pruning). The classes are
-// built lazily once per problem and reused by sequential and parallel
-// search alike; hash collisions degrade to self-representation, which
-// only forfeits pruning, never correctness.
+// built lazily once per problem and reused by every exact search of
+// it; hash collisions degrade to self-representation, which only
+// forfeits pruning, never correctness.
 func (e *Evaluator) dominanceReps() []int32 {
 	if e.domBuilt {
 		return e.domRep
@@ -752,7 +748,7 @@ func (e *Evaluator) sameSignature(a, b int) bool {
 }
 
 // domCntScratch returns the cleared per-class on-path counter used by
-// the sequential exact search's dominance pruning.
+// the exact search's dominance pruning.
 func (e *Evaluator) domCntScratch() []int32 {
 	if cap(e.domCnt) < len(e.facts) {
 		e.domCnt = make([]int32, len(e.facts))

@@ -49,6 +49,39 @@ func Exact(e *Evaluator, opts Options) Summary {
 // aborts the enumeration within ctxCheckEvery nodes and returns the best
 // speech so far with Stats.Cancelled set.
 func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
+	return exact(ctx, e, opts, false)
+}
+
+// ExactSubmodularCtx is ExactCtx with a tighter pruning rule 2: the
+// partial speech's exact utility U(S), already on hand in the
+// incremental path state, replaces Lemma 1's S.U. Speech utility is a
+// per-row maximum of non-negative gains, so it is monotone submodular:
+// U(S) ≤ S.U, and no fact adds more to S than its single-fact utility.
+// U(S) + r·F.U therefore still bounds every completion of S.
+//
+// Unlike S.U, the path bound is tight: it equals a completion's utility
+// when the facts' scopes are disjoint. So it carries a rounding slack
+// relative to the problem's scale, pruneEps times the prior error, which
+// bounds every utility; the fixed pruneEps is smaller than the rounding
+// of a sum over thousands of rows, or of one near 10^8. The base of rule
+// 2 is min(S.U, U(S) + slack), never looser than Lemma 1.
+//
+// Every subtree the path bound newly cuts holds only speeches more than
+// the slack below b; cutting them never raises b, so the enumeration
+// order, the bound timeline and the first-found-wins tie-break are
+// ExactCtx's, and so is the returned speech, bit for bit, whenever it
+// reaches opts.LowerBound. (When it does not, ExactCtx's fixed ε cut a
+// speech that ties the seed within rounding; both searches then fall
+// short of the seed, and engine.Solve answers with the seed's speech.)
+// NodesExpanded is never larger than ExactCtx's.
+func ExactSubmodularCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
+	return exact(ctx, e, opts, true)
+}
+
+// exact is the one depth-first search behind ExactCtx and
+// ExactSubmodularCtx; pathBound selects the submodular path bound as the
+// base of pruning rule 2 instead of Lemma 1's S.U.
+func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summary {
 	opts = opts.withDefaults()
 	start := time.Now()
 	joined0 := e.JoinedRows
@@ -74,6 +107,7 @@ func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 		deadline = d
 	}
 	watchCtx := ctx.Done() != nil
+	pathSlack := pruneEps * e.PriorError()
 
 	// Dominance pruning: skip a fact whose scope+value signature class
 	// is already represented on the search path — its marginal gain is
@@ -136,6 +170,10 @@ func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 		}
 		extended := false
 		remaining := m - len(chosen) // slots left including the next fact
+		base := sumU
+		if pathBound {
+			base = min(sumU, e.path.u+pathSlack)
+		}
 		for i := pos; i < len(order); i++ {
 			fi := order[i]
 			u := utils[fi]
@@ -145,7 +183,7 @@ func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 			// floating-point drift between the bound (computed as a sum
 			// of per-row gains) and b (computed as an error difference),
 			// which could otherwise prune the optimum itself.
-			if sumU+float64(remaining)*u < b-pruneEps {
+			if base+float64(remaining)*u < b-pruneEps {
 				break
 			}
 			if domCnt[dom[fi]] > 0 {

@@ -58,27 +58,9 @@ type Options struct {
 	// LowerBound seeds the exact algorithm's pruning bound b. The caller
 	// usually passes the greedy utility; zero seeds automatically.
 	LowerBound float64
-	// Workers bounds the subtree-level parallelism of ExactParallelCtx:
-	// root subtrees of the canonical enumeration are distributed over
-	// this many goroutines with a shared incumbent bound. Values below 1
-	// select runtime.GOMAXPROCS(0). Sequential algorithms ignore it.
+	// Deprecated: read by no solver; bench/ still assigns it (ROADMAP item 4).
 	Workers int
-	// WarmStart enables incumbent seeding for the parallel exact solver
-	// (engine.AlgExactParallel): the greedy speech — and, when a trained
-	// ML summarizer is attached at the pipeline level, the ML-predicted
-	// fact set, whichever utility is better — seeds LowerBound before
-	// enumeration, so pruning rule 2 opens near-optimal instead of at
-	// zero. Seeding never changes the returned speech (the bound stays
-	// a true lower bound on the optimum); it only shrinks the search.
-	WarmStart bool
 }
-
-// WithDefaults returns a copy of o with unset fields replaced by the
-// package defaults (the paper's parameters). Callers that need to
-// reason about the effective configuration — e.g. the pipeline's
-// warm-start seeding, which must respect the effective MaxFacts —
-// apply it explicitly; the algorithms apply it internally.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 func (o Options) withDefaults() Options {
 	if o.MaxFacts <= 0 {
@@ -113,9 +95,6 @@ type RunStats struct {
 	// equal-signature (same posting list and value) fact was already on
 	// the search path, making the extension's marginal gain exactly zero.
 	DominatedSkipped int64
-	// Workers is the number of search goroutines the parallel exact
-	// solver ran with (0 for the sequential algorithms).
-	Workers int
 	// JoinedRows counts row-fact pairs processed.
 	JoinedRows int64
 	// Elapsed is the wall-clock duration of the run.

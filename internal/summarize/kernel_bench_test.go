@@ -1,7 +1,7 @@
 package summarize
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,36 +69,21 @@ func BenchmarkGreedySolve(b *testing.B) {
 }
 
 // BenchmarkExactSolve measures one full per-problem exact solve:
-// evaluator build, greedy seed, then Algorithm 1's pruned enumeration.
+// evaluator build, greedy seed, then the pruned enumeration, under
+// Lemma 1's bound (Algorithm 1, solver E) and under the submodular path
+// bound (solver E-P).
 func BenchmarkExactSolve(b *testing.B) {
 	view, facts, prior := benchProblem(b, 600, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := AcquireEvaluator(view, 0, facts, prior)
-		g := Greedy(e, Options{MaxFacts: 3})
-		sum := Exact(e, Options{MaxFacts: 3, LowerBound: g.Utility})
-		ReleaseEvaluator(e)
-		if sum.Utility < g.Utility-1e-9 {
-			b.Fatal("exact below greedy seed")
-		}
-	}
-}
-
-// BenchmarkExactParallelSolve measures the same per-problem exact solve
-// through the parallel kernel at fixed worker counts, for side-by-side
-// comparison with BenchmarkExactSolve (w1 isolates the task-queue
-// overhead; w4 shows the subtree-parallel speedup on multi-core
-// runners).
-func BenchmarkExactParallelSolve(b *testing.B) {
-	view, facts, prior := benchProblem(b, 600, 3)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+	for _, search := range []struct {
+		name string
+		run  func(context.Context, *Evaluator, Options) Summary
+	}{{"lemma1", ExactCtx}, {"submodular", ExactSubmodularCtx}} {
+		b.Run(search.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e := AcquireEvaluator(view, 0, facts, prior)
 				g := Greedy(e, Options{MaxFacts: 3})
-				sum := ExactParallel(e, Options{MaxFacts: 3, LowerBound: g.Utility, Workers: workers})
+				sum := search.run(b.Context(), e, Options{MaxFacts: 3, LowerBound: g.Utility})
 				ReleaseEvaluator(e)
 				if sum.Utility < g.Utility-1e-9 {
 					b.Fatal("exact below greedy seed")

@@ -41,6 +41,7 @@ type planContext struct {
 }
 
 func newPlanContext(e *Evaluator, opts Options) *planContext {
+	opts = opts.withDefaults()
 	groups := e.Groups()
 	ng := len(groups)
 	nRows := float64(e.NumRows())
@@ -199,7 +200,8 @@ func clonePlan(p Plan) Plan {
 
 // OptPrune selects the minimum-cost pruning plan among Algorithm 4's
 // candidates (the OPT_PRUNE function of Algorithm 3), the first of them
-// on a tie. This is the G-O strategy of the paper's experiments.
+// on a tie. This is the G-O strategy of the paper's experiments. Unset
+// cost-model fields of opts take the package defaults.
 func OptPrune(e *Evaluator, opts Options) Plan {
 	var best Plan
 	bestCost := math.Inf(1)
