@@ -28,14 +28,16 @@
 //     request classifier;
 //   - a unified serving layer: the Answerer front door classifies any
 //     voice request and routes it to the right backend — indexed store
-//     lookup for summary queries, run-time aggregation for extrema and
-//     comparisons, canned conversational answers for help and repeat —
-//     returning a uniform answer with speech text, latency, and match
-//     metadata. The Answerer serves a frozen store lock-free from any
-//     number of goroutines and holds it, with the relation it was
-//     summarized from, as one generation behind an atomic pointer, so a
-//     freshly pre-processed store is published with zero downtime
-//     (SwapData), and Session adds per-user conversational state;
+//     lookup for summary queries, group-by cells built once per
+//     generation for extrema, comparisons and the other run-time shapes,
+//     canned conversational answers for help and repeat — returning a
+//     uniform answer with speech text, latency, and match metadata. The
+//     Answerer serves a frozen store lock-free from any number of
+//     goroutines and holds it, with the relation it was summarized from
+//     and that relation's cells, as one generation behind an atomic
+//     pointer, so a freshly pre-processed store is published with zero
+//     downtime (SwapData), and Session adds per-user conversational
+//     state;
 //   - a networked serving tier: an HTTP API (POST /v1/answer single and
 //     batch, GET /v1/healthz, GET /v1/stats) layered over the Answerer
 //     with a sharded LRU answer cache keyed by canonicalized request

@@ -12,9 +12,9 @@ import (
 // (Section VIII-D): about a third of unsupported data-access queries ask
 // for extrema ("which airline has the most cancellations") or relative
 // comparisons ("compare job satisfaction between men and women"). The
-// paper lists these as future work; both reduce to cheap aggregations
-// over the relation and can be answered at run time without
-// pre-processing.
+// paper lists these as future work. Both are answered at run time from
+// the group-by cells of Aggregates, computed once per generation, with
+// no pass over the relation's rows per request and no pre-processing.
 
 // ExtremumKind selects maxima or minima.
 type ExtremumKind int
@@ -58,7 +58,8 @@ func (a ExtremumAnswer) Text(kind ExtremumKind, target string) string {
 // AnswerExtremum finds the dimension value with the extremal target
 // average within the data subset selected by preds. Groups smaller than
 // minRows are ignored so tiny subsets cannot win by noise.
-func AnswerExtremum(rel *relation.Relation, target string, dim string, preds []relation.Predicate, kind ExtremumKind, minRows int) (ExtremumAnswer, error) {
+func AnswerExtremum(agg *Aggregates, target string, dim string, preds []relation.Predicate, kind ExtremumKind, minRows int) (ExtremumAnswer, error) {
+	rel := agg.Relation()
 	ti := rel.Schema().TargetIndex(target)
 	if ti < 0 {
 		return ExtremumAnswer{}, fmt.Errorf("extremum: no target column %q", target)
@@ -67,14 +68,15 @@ func AnswerExtremum(rel *relation.Relation, target string, dim string, preds []r
 	if di < 0 {
 		return ExtremumAnswer{}, fmt.Errorf("extremum: no dimension column %q", dim)
 	}
-	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
+	groups := agg.groups(di, preds)
 	type entry struct {
 		value string
 		mean  float64
 		count int
 	}
-	var entries []entry
-	for _, g := range groups {
+	entries := make([]entry, 0, groups.len())
+	for i := range groups.len() {
+		g := groups.group(i, ti)
 		if g.Count < minRows {
 			continue
 		}
@@ -132,14 +134,13 @@ func (c ComparisonAnswer) Text(target, labelA, labelB string) string {
 }
 
 // AnswerComparison compares the target averages of two data subsets.
-func AnswerComparison(rel *relation.Relation, target string, predsA, predsB []relation.Predicate) (ComparisonAnswer, error) {
-	ti := rel.Schema().TargetIndex(target)
+func AnswerComparison(agg *Aggregates, target string, predsA, predsB []relation.Predicate) (ComparisonAnswer, error) {
+	ti := agg.Relation().Schema().TargetIndex(target)
 	if ti < 0 {
 		return ComparisonAnswer{}, fmt.Errorf("comparison: no target column %q", target)
 	}
-	full := rel.FullView()
-	a := full.Select(predsA).Stats(ti)
-	b := full.Select(predsB).Stats(ti)
+	a := agg.subset(predsA, ti)
+	b := agg.subset(predsB, ti)
 	if a.Count == 0 || b.Count == 0 {
 		return ComparisonAnswer{}, fmt.Errorf("comparison: a subset is empty (%d vs %d rows)", a.Count, b.Count)
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestAnswerExtremumMax(t *testing.T) {
 	rel := dataset.Flights(12000, 1)
-	a, err := AnswerExtremum(rel, "cancelled", "month", nil, Max, 30)
+	a, err := AnswerExtremum(NewAggregates(rel), "cancelled", "month", nil, Max, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestAnswerExtremumMinWithinSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnswerExtremum(rel, "delay", "time_of_day", []relation.Predicate{winter}, Min, 10)
+	a, err := AnswerExtremum(NewAggregates(rel), "delay", "time_of_day", []relation.Predicate{winter}, Min, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestAnswerExtremumMinWithinSubset(t *testing.T) {
 
 func TestAnswerExtremumErrors(t *testing.T) {
 	rel := dataset.Flights(500, 1)
-	if _, err := AnswerExtremum(rel, "nope", "month", nil, Max, 1); err == nil {
+	if _, err := AnswerExtremum(NewAggregates(rel), "nope", "month", nil, Max, 1); err == nil {
 		t.Error("unknown target should fail")
 	}
-	if _, err := AnswerExtremum(rel, "delay", "nope", nil, Max, 1); err == nil {
+	if _, err := AnswerExtremum(NewAggregates(rel), "delay", "nope", nil, Max, 1); err == nil {
 		t.Error("unknown dimension should fail")
 	}
-	if _, err := AnswerExtremum(rel, "delay", "month", nil, Max, 10_000); err == nil {
+	if _, err := AnswerExtremum(NewAggregates(rel), "delay", "month", nil, Max, 10_000); err == nil {
 		t.Error("impossible minRows should fail")
 	}
 }
@@ -64,7 +64,7 @@ func TestAnswerComparison(t *testing.T) {
 	rel := dataset.Flights(12000, 1)
 	feb, _ := rel.PredicateByName("month", "February")
 	jul, _ := rel.PredicateByName("month", "July")
-	c, err := AnswerComparison(rel, "cancelled", []relation.Predicate{feb}, []relation.Predicate{jul})
+	c, err := AnswerComparison(NewAggregates(rel), "cancelled", []relation.Predicate{feb}, []relation.Predicate{jul})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAnswerComparison(t *testing.T) {
 		t.Errorf("text = %q", text)
 	}
 	// Reversed order renders "lower".
-	c2, err := AnswerComparison(rel, "cancelled", []relation.Predicate{jul}, []relation.Predicate{feb})
+	c2, err := AnswerComparison(NewAggregates(rel), "cancelled", []relation.Predicate{jul}, []relation.Predicate{feb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestAnswerComparison(t *testing.T) {
 func TestAnswerComparisonErrors(t *testing.T) {
 	rel := dataset.Flights(500, 1)
 	feb, _ := rel.PredicateByName("month", "February")
-	if _, err := AnswerComparison(rel, "nope", []relation.Predicate{feb}, nil); err == nil {
+	if _, err := AnswerComparison(NewAggregates(rel), "nope", []relation.Predicate{feb}, nil); err == nil {
 		t.Error("unknown target should fail")
 	}
 	empty := []relation.Predicate{{Dim: 0, Code: 9999}}
-	if _, err := AnswerComparison(rel, "delay", empty, []relation.Predicate{feb}); err == nil {
+	if _, err := AnswerComparison(NewAggregates(rel), "delay", empty, []relation.Predicate{feb}); err == nil {
 		t.Error("empty subset should fail")
 	}
 }
@@ -109,7 +109,7 @@ func TestComparisonEqualMeans(t *testing.T) {
 	rel := b.Freeze()
 	pa, _ := rel.PredicateByName("g", "a")
 	pb, _ := rel.PredicateByName("g", "b")
-	c, err := AnswerComparison(rel, "v", []relation.Predicate{pa}, []relation.Predicate{pb})
+	c, err := AnswerComparison(NewAggregates(rel), "v", []relation.Predicate{pa}, []relation.Predicate{pb})
 	if err != nil {
 		t.Fatal(err)
 	}

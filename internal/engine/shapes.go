@@ -9,12 +9,12 @@ import (
 )
 
 // This file grows the run-time answer surface beyond the extremum and
-// comparison shapes in extended.go (ROADMAP item 5): numeric entity
-// constraints ("cities with population over 500 thousand"), top-k
-// extrema ("the three cities with the highest rent"), and trends over
-// an ordered time dimension ("how did rent change since January 2023").
-// Like the extended shapes these are cheap aggregations over the
-// relation and need no pre-processing.
+// comparison shapes in extended.go: numeric entity constraints ("cities
+// with population over 500 thousand"), top-k extrema ("the three cities
+// with the highest rent"), and trends over an ordered time dimension
+// ("how did rent change since January 2023"). Like the extended shapes
+// they read the group-by cells of Aggregates, never the relation's rows,
+// and need no pre-processing.
 
 // ConstraintOp compares an entity's aggregate against a threshold.
 type ConstraintOp int
@@ -106,17 +106,18 @@ func spokenFloat(v float64) string {
 }
 
 // qualifyingCodes returns the dimension codes whose whole-relation
-// average of the constraint target satisfies the constraint. The full
-// view is used on purpose: a city's population does not depend on which
-// subset of rows the main query selects.
-func qualifyingCodes(rel *relation.Relation, di int, cons Constraint, minRows int) (map[int32]bool, error) {
-	ci := rel.Schema().TargetIndex(cons.Target)
+// average of the constraint target satisfies the constraint. The whole
+// relation is used on purpose: a city's population does not depend on
+// which subset of rows the main query selects.
+func qualifyingCodes(agg *Aggregates, di int, cons Constraint, minRows int) (map[int32]bool, error) {
+	ci := agg.Relation().Schema().TargetIndex(cons.Target)
 	if ci < 0 {
 		return nil, fmt.Errorf("constraint: no target column %q", cons.Target)
 	}
-	groups := rel.FullView().GroupBy([]int{di}, ci)
+	groups := agg.groups(di, nil)
 	ok := make(map[int32]bool)
-	for _, g := range groups {
+	for i := range groups.len() {
+		g := groups.group(i, ci)
 		if g.Count < minRows {
 			continue
 		}
@@ -181,10 +182,11 @@ func (a TopKAnswer) Text(kind ExtremumKind, target string) string {
 // selected by preds and returns the top (or bottom) k. Groups smaller
 // than minRows are ignored. A non-nil constraint first restricts the
 // ranking to qualifying entities ("cities with population over 500k").
-func AnswerTopK(rel *relation.Relation, target, dim string, preds []relation.Predicate, kind ExtremumKind, k, minRows int, cons *Constraint) (TopKAnswer, error) {
+func AnswerTopK(agg *Aggregates, target, dim string, preds []relation.Predicate, kind ExtremumKind, k, minRows int, cons *Constraint) (TopKAnswer, error) {
 	if k <= 0 {
 		return TopKAnswer{}, fmt.Errorf("topk: k must be positive, got %d", k)
 	}
+	rel := agg.Relation()
 	ti := rel.Schema().TargetIndex(target)
 	if ti < 0 {
 		return TopKAnswer{}, fmt.Errorf("topk: no target column %q", target)
@@ -196,14 +198,15 @@ func AnswerTopK(rel *relation.Relation, target, dim string, preds []relation.Pre
 	var allowed map[int32]bool
 	if cons != nil {
 		var err error
-		allowed, err = qualifyingCodes(rel, di, *cons, minRows)
+		allowed, err = qualifyingCodes(agg, di, *cons, minRows)
 		if err != nil {
 			return TopKAnswer{}, err
 		}
 	}
-	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
+	groups := agg.groups(di, preds)
 	var entries []TopKEntry
-	for _, g := range groups {
+	for i := range groups.len() {
+		g := groups.group(i, ti)
 		if g.Count < minRows {
 			continue
 		}
@@ -290,7 +293,8 @@ func absFloat(v float64) float64 {
 // supplies the periods in chronological order (the voice layer owns the
 // calendar); periods with fewer than minRows rows are skipped and at
 // least two must survive to make a trend.
-func AnswerTrend(rel *relation.Relation, target, timeDim string, periods []string, preds []relation.Predicate, minRows int) (TrendAnswer, error) {
+func AnswerTrend(agg *Aggregates, target, timeDim string, periods []string, preds []relation.Predicate, minRows int) (TrendAnswer, error) {
+	rel := agg.Relation()
 	ti := rel.Schema().TargetIndex(target)
 	if ti < 0 {
 		return TrendAnswer{}, fmt.Errorf("trend: no target column %q", target)
@@ -302,10 +306,11 @@ func AnswerTrend(rel *relation.Relation, target, timeDim string, periods []strin
 	if len(periods) < 2 {
 		return TrendAnswer{}, fmt.Errorf("trend: need at least 2 periods, got %d", len(periods))
 	}
-	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
-	byPeriod := make(map[string]TrendPoint, len(groups))
+	groups := agg.groups(di, preds)
+	byPeriod := make(map[string]TrendPoint, groups.len())
 	col := rel.Dim(di)
-	for _, g := range groups {
+	for i := range groups.len() {
+		g := groups.group(i, ti)
 		if g.Count < minRows {
 			continue
 		}
@@ -374,7 +379,8 @@ func (a ConstrainedAnswer) Text(cons Constraint) string {
 // preds, restricted to entities of entityDim whose constraint aggregate
 // qualifies ("rent for two-bedroom apartments in cities with population
 // over 500 thousand").
-func AnswerConstrained(rel *relation.Relation, target, entityDim string, preds []relation.Predicate, cons Constraint, minRows int) (ConstrainedAnswer, error) {
+func AnswerConstrained(agg *Aggregates, target, entityDim string, preds []relation.Predicate, cons Constraint, minRows int) (ConstrainedAnswer, error) {
+	rel := agg.Relation()
 	ti := rel.Schema().TargetIndex(target)
 	if ti < 0 {
 		return ConstrainedAnswer{}, fmt.Errorf("constrained: no target column %q", target)
@@ -383,15 +389,16 @@ func AnswerConstrained(rel *relation.Relation, target, entityDim string, preds [
 	if di < 0 {
 		return ConstrainedAnswer{}, fmt.Errorf("constrained: no dimension column %q", entityDim)
 	}
-	allowed, err := qualifyingCodes(rel, di, cons, minRows)
+	allowed, err := qualifyingCodes(agg, di, cons, minRows)
 	if err != nil {
 		return ConstrainedAnswer{}, err
 	}
-	groups := rel.FullView().GroupByWhere(preds, []int{di}, ti)
+	groups := agg.groups(di, preds)
 	a := ConstrainedAnswer{Target: target, Dimension: entityDim}
 	var sum float64
 	col := rel.Dim(di)
-	for _, g := range groups {
+	for i := range groups.len() {
+		g := groups.group(i, ti)
 		if !allowed[g.Key.Codes[0]] {
 			continue
 		}

@@ -32,7 +32,7 @@ func cityRel(t *testing.T) *relation.Relation {
 
 func TestAnswerTopK(t *testing.T) {
 	rel := cityRel(t)
-	a, err := AnswerTopK(rel, "rent", "city", nil, Max, 2, 1, nil)
+	a, err := AnswerTopK(NewAggregates(rel), "rent", "city", nil, Max, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAnswerTopK(t *testing.T) {
 		t.Errorf("text = %q", text)
 	}
 
-	low, err := AnswerTopK(rel, "rent", "city", nil, Min, 3, 1, nil)
+	low, err := AnswerTopK(NewAggregates(rel), "rent", "city", nil, Min, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAnswerTopK(t *testing.T) {
 func TestAnswerTopKWithConstraint(t *testing.T) {
 	rel := cityRel(t)
 	cons := &Constraint{Target: "population", Op: Over, Value: 500_000}
-	a, err := AnswerTopK(rel, "rent", "city", nil, Min, 1, 1, cons)
+	a, err := AnswerTopK(NewAggregates(rel), "rent", "city", nil, Min, 1, 1, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAnswerTopKWithConstraint(t *testing.T) {
 
 func TestAnswerTopKFlights(t *testing.T) {
 	rel := dataset.Flights(12000, 1)
-	a, err := AnswerTopK(rel, "cancelled", "month", nil, Max, 3, 30, nil)
+	a, err := AnswerTopK(NewAggregates(rel), "cancelled", "month", nil, Max, 3, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,20 +97,20 @@ func TestAnswerTopKFlights(t *testing.T) {
 
 func TestAnswerTopKErrors(t *testing.T) {
 	rel := cityRel(t)
-	if _, err := AnswerTopK(rel, "rent", "city", nil, Max, 0, 1, nil); err == nil {
+	if _, err := AnswerTopK(NewAggregates(rel), "rent", "city", nil, Max, 0, 1, nil); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := AnswerTopK(rel, "nope", "city", nil, Max, 1, 1, nil); err == nil {
+	if _, err := AnswerTopK(NewAggregates(rel), "nope", "city", nil, Max, 1, 1, nil); err == nil {
 		t.Error("unknown target should fail")
 	}
-	if _, err := AnswerTopK(rel, "rent", "nope", nil, Max, 1, 1, nil); err == nil {
+	if _, err := AnswerTopK(NewAggregates(rel), "rent", "nope", nil, Max, 1, 1, nil); err == nil {
 		t.Error("unknown dimension should fail")
 	}
-	if _, err := AnswerTopK(rel, "rent", "city", nil, Max, 1, 10_000, nil); err == nil {
+	if _, err := AnswerTopK(NewAggregates(rel), "rent", "city", nil, Max, 1, 10_000, nil); err == nil {
 		t.Error("impossible minRows should fail")
 	}
 	bad := &Constraint{Target: "population", Op: Over, Value: 1e12}
-	if _, err := AnswerTopK(rel, "rent", "city", nil, Max, 1, 1, bad); err == nil {
+	if _, err := AnswerTopK(NewAggregates(rel), "rent", "city", nil, Max, 1, 1, bad); err == nil {
 		t.Error("unsatisfiable constraint should fail")
 	}
 }
@@ -118,7 +118,7 @@ func TestAnswerTopKErrors(t *testing.T) {
 func TestAnswerTrend(t *testing.T) {
 	rel := cityRel(t)
 	periods := []string{"January 2024", "February 2024", "March 2024"}
-	a, err := AnswerTrend(rel, "rent", "month", periods, nil, 1)
+	a, err := AnswerTrend(NewAggregates(rel), "rent", "month", periods, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAnswerTrendSubsetAndWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnswerTrend(rel, "rent", "month",
+	a, err := AnswerTrend(NewAggregates(rel), "rent", "month",
 		[]string{"February 2024", "March 2024"}, []relation.Predicate{austin}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestAnswerTrendSubsetAndWindow(t *testing.T) {
 func TestAnswerTrendFlat(t *testing.T) {
 	rel := cityRel(t)
 	// Population is constant per city, so overall it holds steady.
-	a, err := AnswerTrend(rel, "population", "month",
+	a, err := AnswerTrend(NewAggregates(rel), "population", "month",
 		[]string{"January 2024", "February 2024", "March 2024"}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,16 +175,16 @@ func TestAnswerTrendFlat(t *testing.T) {
 func TestAnswerTrendErrors(t *testing.T) {
 	rel := cityRel(t)
 	periods := []string{"January 2024", "February 2024"}
-	if _, err := AnswerTrend(rel, "nope", "month", periods, nil, 1); err == nil {
+	if _, err := AnswerTrend(NewAggregates(rel), "nope", "month", periods, nil, 1); err == nil {
 		t.Error("unknown target should fail")
 	}
-	if _, err := AnswerTrend(rel, "rent", "nope", periods, nil, 1); err == nil {
+	if _, err := AnswerTrend(NewAggregates(rel), "rent", "nope", periods, nil, 1); err == nil {
 		t.Error("unknown dimension should fail")
 	}
-	if _, err := AnswerTrend(rel, "rent", "month", periods[:1], nil, 1); err == nil {
+	if _, err := AnswerTrend(NewAggregates(rel), "rent", "month", periods[:1], nil, 1); err == nil {
 		t.Error("single period should fail")
 	}
-	if _, err := AnswerTrend(rel, "rent", "month", periods, nil, 10_000); err == nil {
+	if _, err := AnswerTrend(NewAggregates(rel), "rent", "month", periods, nil, 10_000); err == nil {
 		t.Error("impossible minRows should fail")
 	}
 }
@@ -192,7 +192,7 @@ func TestAnswerTrendErrors(t *testing.T) {
 func TestAnswerConstrained(t *testing.T) {
 	rel := cityRel(t)
 	cons := Constraint{Target: "population", Op: Over, Value: 500_000}
-	a, err := AnswerConstrained(rel, "rent", "city", nil, cons, 1)
+	a, err := AnswerConstrained(NewAggregates(rel), "rent", "city", nil, cons, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAnswerConstrainedWithPredicate(t *testing.T) {
 	rel := cityRel(t)
 	jan, _ := rel.PredicateByName("month", "January 2024")
 	cons := Constraint{Target: "population", Op: AtLeast, Value: 600_000}
-	a, err := AnswerConstrained(rel, "rent", "city", []relation.Predicate{jan}, cons, 1)
+	a, err := AnswerConstrained(NewAggregates(rel), "rent", "city", []relation.Predicate{jan}, cons, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,23 +226,23 @@ func TestAnswerConstrainedWithPredicate(t *testing.T) {
 func TestAnswerConstrainedErrors(t *testing.T) {
 	rel := cityRel(t)
 	good := Constraint{Target: "population", Op: Over, Value: 500_000}
-	if _, err := AnswerConstrained(rel, "nope", "city", nil, good, 1); err == nil {
+	if _, err := AnswerConstrained(NewAggregates(rel), "nope", "city", nil, good, 1); err == nil {
 		t.Error("unknown target should fail")
 	}
-	if _, err := AnswerConstrained(rel, "rent", "nope", nil, good, 1); err == nil {
+	if _, err := AnswerConstrained(NewAggregates(rel), "rent", "nope", nil, good, 1); err == nil {
 		t.Error("unknown dimension should fail")
 	}
 	bad := Constraint{Target: "nope", Op: Over, Value: 1}
-	if _, err := AnswerConstrained(rel, "rent", "city", nil, bad, 1); err == nil {
+	if _, err := AnswerConstrained(NewAggregates(rel), "rent", "city", nil, bad, 1); err == nil {
 		t.Error("unknown constraint target should fail")
 	}
 	never := Constraint{Target: "population", Op: Over, Value: 1e12}
-	if _, err := AnswerConstrained(rel, "rent", "city", nil, never, 1); err == nil {
+	if _, err := AnswerConstrained(NewAggregates(rel), "rent", "city", nil, never, 1); err == nil {
 		t.Error("unsatisfiable constraint should fail")
 	}
 	// Query predicate disjoint from qualifying entities.
 	austin, _ := rel.PredicateByName("city", "Austin")
-	if _, err := AnswerConstrained(rel, "rent", "city", []relation.Predicate{austin}, good, 1); err == nil {
+	if _, err := AnswerConstrained(NewAggregates(rel), "rent", "city", []relation.Predicate{austin}, good, 1); err == nil {
 		t.Error("disjoint subset should fail")
 	}
 }

@@ -86,14 +86,18 @@ type DatasetInfo struct {
 }
 
 // DatasetSnapshot is one dataset's metrics at a point in time (the
-// GET /v1/{dataset}/stats payload).
+// GET /v1/{dataset}/stats payload). CellSets and CellBytes report the
+// live generation's group-by cells, which the run-time shapes build on
+// first use (0 when not loaded, or after a publish until asked again).
 type DatasetSnapshot struct {
-	Name     string        `json:"name"`
-	Default  bool          `json:"default,omitempty"`
-	Loaded   bool          `json:"loaded"`
-	Speeches int           `json:"speeches"`
-	Swaps    uint64        `json:"swaps"`
-	Answers  RouteSnapshot `json:"answers"`
+	Name      string        `json:"name"`
+	Default   bool          `json:"default,omitempty"`
+	Loaded    bool          `json:"loaded"`
+	Speeches  int           `json:"speeches"`
+	Swaps     uint64        `json:"swaps"`
+	CellSets  int           `json:"cell_sets"`
+	CellBytes int           `json:"cell_bytes"`
+	Answers   RouteSnapshot `json:"answers"`
 }
 
 // StatsSnapshot is the full GET /v1/stats payload.

@@ -458,8 +458,17 @@ func (s *Server) DatasetStats(dataset string) (DatasetSnapshot, error) {
 	if b, ok := s.tenants.peek(dataset); ok {
 		snap.Loaded = true
 		snap.Speeches = b.Store().Len()
+		if cb, ok := b.(cellBackend); ok {
+			snap.CellSets, snap.CellBytes = cb.CellStats()
+		}
 	}
 	return snap, nil
+}
+
+// cellBackend is the optional Backend extension that reports the live
+// generation's group-by cells (*serve.Answerer implements it).
+type cellBackend interface {
+	CellStats() (sets, bytes int)
 }
 
 // storeSnapshot aggregates the mounted datasets; lazy tenants are never

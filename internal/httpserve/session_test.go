@@ -86,6 +86,53 @@ func TestHousingShapesOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCellStatsOverHTTP: /v1/{dataset}/stats counts the group-by cell
+// sets the run-time shapes built — one per distinct dimension list,
+// however many shapes share it — and a publish starts from none.
+func TestCellStatsOverHTTP(t *testing.T) {
+	s := newDialogueServer(t, Options{})
+	h := s.Handler()
+	stats := func() DatasetSnapshot {
+		t.Helper()
+		var snap DatasetSnapshot
+		if err := json.Unmarshal(getFrom(t, h, "/v1/housing/stats").Body.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	if snap := stats(); snap.CellSets != 0 || snap.CellBytes != 0 {
+		t.Fatalf("cells before any shape: %d sets, %d bytes", snap.CellSets, snap.CellBytes)
+	}
+	for _, text := range []string{
+		"which city has the highest rent",                      // [city]
+		"the three cities with the highest rent",               // [city] again
+		"which city has the lowest rent for Studio apartments", // [city bedrooms]
+		"how did rent change since January 2024",               // [month]
+		"compare rent between Austin and Houston",              // [city] again
+		"compare rent between Studio and Three bedroom",        // [bedrooms]
+		// [city] for the qualifying cities, [city bedrooms] again.
+		"rent for Two bedroom apartments in cities with population over 500 thousand",
+	} {
+		resp := decodeAnswer(t, postTo(t, h, "/v1/housing/answer", fmt.Sprintf(`{"text":%q}`, text)))
+		if !resp.Answered {
+			t.Fatalf("%q went unanswered: %s", text, resp.Text)
+		}
+	}
+	if snap := stats(); snap.CellSets != 4 || snap.CellBytes == 0 {
+		t.Fatalf("cells after four distinct lists: %d sets, %d bytes", snap.CellSets, snap.CellBytes)
+	}
+	a, err := s.registry.Get(context.Background(), "housing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SwapDataFor(context.Background(), "housing", dataset.Housing(6000, 2), a.Store()); err != nil {
+		t.Fatal(err)
+	}
+	if snap := stats(); snap.CellSets != 0 || snap.CellBytes != 0 {
+		t.Fatalf("cells after a publish: %d sets, %d bytes", snap.CellSets, snap.CellBytes)
+	}
+}
+
 // TestDialogueSessionOverHTTP is the fourth shape: follow-up resolution
 // through the session field, across stateless HTTP requests.
 func TestDialogueSessionOverHTTP(t *testing.T) {

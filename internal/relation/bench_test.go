@@ -11,16 +11,16 @@ import (
 // flightsViews returns one flights view per query length 0, 1 and 2: the
 // full relation and the subsets of one and of two equality predicates,
 // the three sizes of view a pre-processing batch groups.
-func flightsViews() (*relation.Relation, []*relation.View) {
+func flightsViews() []*relation.View {
 	rel := dataset.Flights(12000, 1)
 	full := rel.FullView()
 	one := full.Select([]relation.Predicate{{Dim: 0, Code: 0}})
 	two := one.Select([]relation.Predicate{{Dim: 1, Code: 0}})
-	return rel, []*relation.View{full, one, two}
+	return []*relation.View{full, one, two}
 }
 
 func BenchmarkGroupBy(b *testing.B) {
-	_, views := flightsViews()
+	views := flightsViews()
 	for qlen, v := range views {
 		b.Run(fmt.Sprintf("querylen=%d/rows=%d", qlen, v.NumRows()), func(b *testing.B) {
 			b.ReportAllocs()
@@ -31,22 +31,10 @@ func BenchmarkGroupBy(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupByWhere is the run-time scans' shape: one target, a
-// filter, one pass over the whole relation.
-func BenchmarkGroupByWhere(b *testing.B) {
-	rel, _ := flightsViews()
-	full := rel.FullView()
-	preds := []relation.Predicate{{Dim: 0, Code: 0}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		full.GroupByWhere(preds, []int{2, 3}, 0)
-	}
-}
-
 // BenchmarkGroupByTargets is BenchmarkGroupBy's pass over both flights
 // targets at once, what candidate-fact generation runs per fact group.
 func BenchmarkGroupByTargets(b *testing.B) {
-	_, views := flightsViews()
+	views := flightsViews()
 	for qlen, v := range views {
 		b.Run(fmt.Sprintf("querylen=%d/rows=%d", qlen, v.NumRows()), func(b *testing.B) {
 			b.ReportAllocs()
@@ -58,7 +46,7 @@ func BenchmarkGroupByTargets(b *testing.B) {
 }
 
 func BenchmarkPartition(b *testing.B) {
-	_, views := flightsViews()
+	views := flightsViews()
 	for qlen, v := range views {
 		b.Run(fmt.Sprintf("querylen=%d/rows=%d", qlen, v.NumRows()), func(b *testing.B) {
 			b.ReportAllocs()

@@ -117,13 +117,11 @@ func CompareCombos(a, b []int32) int {
 // zero whenever a scratch sits in the pool: each pass re-zeroes exactly
 // the slots it touched.
 type scratch struct {
-	keys      KeySpace
-	counts    []int32
-	sums      []float64 // len(cols) slots per key, target by target
-	rowKeys   []int32
-	predCols  [][]int32
-	predCodes []int32
-	cols      [][]float64 // the target columns being summed
+	keys    KeySpace
+	counts  []int32
+	sums    []float64 // len(cols) slots per key, target by target
+	rowKeys []int32
+	cols    [][]float64 // the target columns being summed
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -132,7 +130,6 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // it to the pool.
 func (s *scratch) release() {
 	s.keys.Reset(nil, nil)
-	s.setPreds(nil, nil)
 	s.setTargets(nil, nil)
 	scratchPool.Put(s)
 }
@@ -155,27 +152,6 @@ func zeroed[T int32 | float64](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// setPreds resolves the predicates' columns once per pass; with none it
-// lets go of the previous pass's.
-func (s *scratch) setPreds(r *Relation, preds []Predicate) {
-	clear(s.predCols)
-	s.predCols, s.predCodes = s.predCols[:0], s.predCodes[:0]
-	for _, p := range preds {
-		s.predCols = append(s.predCols, r.dims[p.Dim].data)
-		s.predCodes = append(s.predCodes, p.Code)
-	}
-}
-
-// matches reports whether the row satisfies every resolved predicate.
-func (s *scratch) matches(row int32) bool {
-	for j, col := range s.predCols {
-		if col[row] != s.predCodes[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // GroupBy aggregates a target column grouped by the given dimension
 // columns (the relational Γ operator with SUM/COUNT, from which AVG is
 // derived). A negative target index counts rows without aggregating a
@@ -185,17 +161,11 @@ func (s *scratch) matches(row int32) bool {
 // order starting from zero — so every sum, mean and downstream
 // tie-break is the same bit pattern whichever path computed it.
 func (v *View) GroupBy(dims []int, target int) []Group {
-	return v.GroupByWhere(nil, dims, target)
-}
-
-// GroupByWhere is Select(preds).GroupBy(dims, target) in one pass over
-// the view, without materializing the selection.
-func (v *View) GroupByWhere(preds []Predicate, dims []int, target int) []Group {
 	targets := []int{target}
 	if target < 0 {
 		targets = nil
 	}
-	out, sums := v.groupBy(preds, dims, targets)
+	out, sums := v.groupBy(dims, targets)
 	for g, sum := range sums {
 		out[g].Sum = sum
 	}
@@ -208,15 +178,14 @@ func (v *View) GroupByWhere(preds []Predicate, dims []int, target int) []Group {
 // bits GroupBy(dims, targets[k]) puts in group g's Sum, since every sum
 // still adds its rows in ascending order starting from zero.
 func (v *View) GroupByTargets(dims, targets []int) (groups []Group, sums []float64) {
-	return v.groupBy(nil, dims, targets)
+	return v.groupBy(dims, targets)
 }
 
 // groupBy runs the keyed kernel that fits the key space.
-func (v *View) groupBy(preds []Predicate, dims, targets []int) ([]Group, []float64) {
+func (v *View) groupBy(dims, targets []int) ([]Group, []float64) {
 	s := scratchPool.Get().(*scratch)
 	defer s.release()
 	s.keys.Reset(v.Rel, dims)
-	s.setPreds(v.Rel, preds)
 	s.setTargets(v.Rel, targets)
 	if size, ok := s.keys.Dense(v.NumRows()); ok {
 		return v.groupDense(s, size)
@@ -252,8 +221,8 @@ func (v *View) groupDense(s *scratch, size int) ([]Group, []float64) {
 	nt := len(cols)
 	counts := zeroed(&s.counts, size)
 	acc := zeroed(&s.sums, size*nt)
-	// One target is the run-time scans' case: its column is hoisted and
-	// its sum skips the loop over columns.
+	// One target is GroupBy's case: its column is hoisted and its sum
+	// skips the loop over columns.
 	var one []float64
 	if nt == 1 {
 		one = cols[0]
@@ -261,9 +230,6 @@ func (v *View) groupDense(s *scratch, size int) ([]Group, []float64) {
 	ng := 0
 	for i, n := 0, v.NumRows(); i < n; i++ {
 		row := v.Row(i)
-		if !s.matches(row) {
-			continue
-		}
 		key := ks.RowKey(row)
 		if counts[key] == 0 {
 			ng++
@@ -303,15 +269,13 @@ func (v *View) groupDense(s *scratch, size int) ([]Group, []float64) {
 	return out, sums
 }
 
-// sortedRows returns the view's rows that satisfy the scratch's
-// predicates, ordered by combination and then by row: the order the
-// dense paths reach by indexing, reached by comparing code tuples.
+// sortedRows returns the view's rows ordered by combination and then
+// by row: the order the dense paths reach by indexing, reached by
+// comparing code tuples.
 func (v *View) sortedRows(s *scratch) []int32 {
-	var rows []int32
-	for i, n := 0, v.NumRows(); i < n; i++ {
-		if row := v.Row(i); s.matches(row) {
-			rows = append(rows, row)
-		}
+	rows := make([]int32, v.NumRows())
+	for i := range rows {
+		rows[i] = v.Row(i)
 	}
 	ks := &s.keys
 	slices.SortFunc(rows, func(a, b int32) int {

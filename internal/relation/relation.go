@@ -10,7 +10,7 @@
 //
 // A Relation is immutable after Freeze; concurrent reads are safe.
 //
-// Grouping is one keyed kernel (groupby.go) behind GroupBy, GroupByWhere,
+// Grouping is one keyed kernel (groupby.go) behind GroupBy,
 // GroupByTargets and Partition; one pass sums any number of target
 // columns. It numbers value combinations as mixed-radix keys
 // (KeySpace) and indexes flat count and sum arrays by key when the key
@@ -27,8 +27,8 @@
 // Every stage of the generate → evaluate → solve → serve flow stands
 // on this substrate: the generate stage enumerates queries over its
 // dimension dictionaries, evaluate and solve aggregate its views, and
-// the serve stage's run-time extrema and comparisons select from it
-// directly.
+// the serve stage's run-time shapes read group-by cells computed from
+// it once per generation (engine.Aggregates).
 package relation
 
 import "fmt"

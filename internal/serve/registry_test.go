@@ -193,7 +193,7 @@ func TestRegistryPerDatasetSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherStore := aOther.Store()
-	rel := aACS.live.Load().rel
+	rel := aACS.live.Load().agg.Relation()
 
 	next := engine.NewStore()
 	next.Add(&engine.StoredSpeech{
@@ -294,7 +294,7 @@ func TestRegistryPublishSurvivesEviction(t *testing.T) {
 	if !reg.Evict("acs") {
 		t.Fatal("evict during build found nothing loaded")
 	}
-	if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().rel, rebuilt); err != nil {
+	if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().agg.Relation(), rebuilt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -333,7 +333,7 @@ func TestRegistryPublishSurvivesEviction(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		next := engine.NewStore()
-		if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().rel, next); err != nil {
+		if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().agg.Relation(), next); err != nil {
 			t.Fatal(err)
 		}
 		if a, err := reg.Get(context.Background(), "acs"); err != nil || a.Store() != engine.StoreView(next) {
@@ -426,7 +426,7 @@ func TestRegistryGenerationAcrossEviction(t *testing.T) {
 				}
 				check("reload")
 				observe(a.StoreGen())
-				rel := a.live.Load().rel
+				rel := a.live.Load().agg.Relation()
 				if _, err := reg.SwapData(ctx, "ds", rel, engine.NewStore()); err != nil {
 					t.Fatal(err)
 				}

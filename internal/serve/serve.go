@@ -3,16 +3,18 @@
 // minutes the offline stages invested are repaid as microsecond
 // answers. One front door — the Answerer — takes any voice request,
 // classifies it, routes it to the matching backend (indexed
-// speech-store lookup for supported summary queries, run-time
-// aggregation for extrema and comparisons, canned conversational
-// answers for help and repeat), and returns a uniform Answer with
-// speech text, latency, and match metadata.
+// speech-store lookup for supported summary queries, the generation's
+// group-by cells for extrema, comparisons, top-k, trends and
+// constrained retrievals, canned conversational answers for help and
+// repeat), and returns a uniform Answer with speech text, latency, and
+// match metadata.
 //
 // The Answerer is stateless and safe for concurrent use; it serves from a
 // frozen engine.Store, so any number of goroutines — REPL readers, batch
 // workers, HTTP handlers — can answer in parallel without locks. The
-// relation and the store summarized from it are published together as
-// one generation behind one atomic pointer: SwapData replaces the live
+// relation — wrapped in the engine.Aggregates its run-time shapes read —
+// and the store summarized from it are published together as one
+// generation behind one atomic pointer: SwapData replaces the live
 // generation with a freshly pre-processed one without pausing in-flight
 // answers, making periodic re-summarization and incremental publish
 // zero-downtime operations. Per-user conversational state (the "repeat"
@@ -43,7 +45,9 @@ type Kind int
 const (
 	// Summary answers come from the pre-generated speech store.
 	Summary Kind = iota
-	// Extremum answers are run-time aggregations over the relation.
+	// Extremum answers are read at run time from the generation's
+	// group-by cells (engine.Aggregates), as are the other run-time
+	// shapes: Comparison, TopK, Trend and Constrained.
 	Extremum
 	// Comparison answers contrast two data subsets at run time.
 	Comparison
@@ -130,12 +134,15 @@ type Options struct {
 
 // generation is one published state of a dataset: the relation and the
 // store summarized from it, immutable once built. Readers load the live
-// generation once per request, so the rows an answer aggregates over
-// and the speeches it matches always belong together. The store is an
-// interface because its dynamic type may change across publishes (heap
-// store one generation, mmap-backed snapshot view the next).
+// generation once per request, so the cells an answer aggregates over
+// and the speeches it matches always belong together. The relation is
+// held only through its Aggregates, so cells can never be paired with
+// another generation's rows; they fill on first use, so publishing
+// costs nothing extra. The store is an interface because its dynamic
+// type may change across publishes (heap store one generation,
+// mmap-backed snapshot view the next).
 type generation struct {
-	rel   *relation.Relation
+	agg   *engine.Aggregates
 	store engine.StoreView
 	// gen numbers the publish: 0 for the pair the Answerer was built
 	// with, then strictly increasing. Every publish gets a fresh value —
@@ -174,7 +181,7 @@ func New(rel *relation.Relation, store engine.StoreView, ex *voice.Extractor, op
 			strings.Join(rel.Schema().Targets, ", "),
 			strings.Join(rel.Schema().Dimensions, ", ")),
 	}
-	a.live.Store(&generation{rel: rel, store: engine.Seal(store)})
+	a.live.Store(&generation{agg: engine.NewAggregates(rel), store: engine.Seal(store)})
 	return a
 }
 
@@ -201,6 +208,12 @@ func (a *Answerer) Generation() uint64 {
 	return a.live.Load().gen
 }
 
+// CellStats reports the live generation's group-by cells: how many
+// sets its run-time shapes have built and the bytes they hold.
+func (a *Answerer) CellStats() (sets, bytes int) {
+	return a.live.Load().agg.CellStats()
+}
+
 // SwapData publishes a new generation — next, and the relation it was
 // summarized from — and returns the replaced store. A heap store is
 // frozen as a side effect; in-flight answers finish on the generation
@@ -219,18 +232,19 @@ func (a *Answerer) SwapData(rel *relation.Relation, next engine.StoreView) engin
 	a.pub.Lock()
 	defer a.pub.Unlock()
 	old := a.live.Load()
-	a.live.Store(&generation{rel: rel, store: engine.Seal(next), gen: old.gen + 1})
+	a.live.Store(&generation{agg: engine.NewAggregates(rel), store: engine.Seal(next), gen: old.gen + 1})
 	return old.store
 }
 
-// resumeAt republishes the live pair under a number no lower than gen.
-// The Registry calls it when a tenant is reloaded after an eviction, so
-// the dataset's numbering continues where the evicted Answerer stopped.
+// resumeAt republishes the live pair, with the cells built so far,
+// under a number no lower than gen. The Registry calls it when a tenant
+// is reloaded after an eviction, so the dataset's numbering continues
+// where the evicted Answerer stopped.
 func (a *Answerer) resumeAt(gen uint64) {
 	a.pub.Lock()
 	defer a.pub.Unlock()
 	cur := a.live.Load()
-	a.live.Store(&generation{rel: cur.rel, store: cur.store, gen: max(gen, cur.gen+1)})
+	a.live.Store(&generation{agg: cur.agg, store: cur.store, gen: max(gen, cur.gen+1)})
 }
 
 // Answer classifies one voice request and routes it to the right backend.
@@ -300,8 +314,8 @@ func answerSummary(g *generation, q engine.Query) Answer {
 
 // answerUnsupported handles the dominant unsupported query types of the
 // deployment logs (Section VIII-D) — extrema, comparisons, and the
-// dialogue-era shapes (top-k, trend, constrained) — by cheap run-time
-// aggregation, and apologizes for the rest.
+// dialogue-era shapes (top-k, trend, constrained) — from the
+// generation's group-by cells, and apologizes for the rest.
 func (a *Answerer) answerUnsupported(g *generation, c voice.Classification, text string) Answer {
 	if c.Query.Target != "" {
 		switch c.Kind {
@@ -356,11 +370,11 @@ func (a *Answerer) answerExtremum(g *generation, c voice.Classification) (Answer
 	if c.Dim == "" {
 		return Answer{}, false
 	}
-	_, preds, err := c.Query.Resolve(g.rel)
+	_, preds, err := c.Query.Resolve(g.agg.Relation())
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerExtremum(g.rel, c.Query.Target, c.Dim, preds, c.Direction, a.opts.MinExtremumRows)
+	res, err := engine.AnswerExtremum(g.agg, c.Query.Target, c.Dim, preds, c.Direction, a.opts.MinExtremumRows)
 	if err != nil {
 		return Answer{}, false
 	}
@@ -378,11 +392,11 @@ func (a *Answerer) answerTopK(g *generation, c voice.Classification) (Answer, bo
 	if k < 1 {
 		k = 1
 	}
-	_, preds, err := c.Query.Resolve(g.rel)
+	_, preds, err := c.Query.Resolve(g.agg.Relation())
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerTopK(g.rel, c.Query.Target, c.Dim, preds, c.Direction,
+	res, err := engine.AnswerTopK(g.agg, c.Query.Target, c.Dim, preds, c.Direction,
 		k, a.opts.MinExtremumRows, c.Constraint)
 	if err != nil {
 		return Answer{}, false
@@ -439,11 +453,11 @@ func (a *Answerer) answerTrend(g *generation, c voice.Classification) (Answer, b
 		}
 	}
 	q.Predicates = kept
-	_, preds, err := q.Resolve(g.rel)
+	_, preds, err := q.Resolve(g.agg.Relation())
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerTrend(g.rel, q.Target, timeDim, periods[from:to+1], preds, a.opts.MinExtremumRows)
+	res, err := engine.AnswerTrend(g.agg, q.Target, timeDim, periods[from:to+1], preds, a.opts.MinExtremumRows)
 	if err != nil {
 		return Answer{}, false
 	}
@@ -459,16 +473,16 @@ func (a *Answerer) answerConstrained(g *generation, c voice.Classification) (Ans
 	}
 	dim := c.Dim
 	if dim == "" {
-		dim = entityDim(g.rel, c.Query.Predicates)
+		dim = entityDim(g.agg.Relation(), c.Query.Predicates)
 	}
 	if dim == "" {
 		return Answer{}, false
 	}
-	_, preds, err := c.Query.Resolve(g.rel)
+	_, preds, err := c.Query.Resolve(g.agg.Relation())
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerConstrained(g.rel, c.Query.Target, dim, preds,
+	res, err := engine.AnswerConstrained(g.agg, c.Query.Target, dim, preds,
 		*c.Constraint, a.opts.MinExtremumRows)
 	if err != nil {
 		return Answer{}, false
@@ -511,15 +525,16 @@ func (a *Answerer) answerComparison(g *generation, c voice.Classification, text 
 		return Answer{}, false
 	}
 	va, vb := vals[0], vals[1]
-	pa, err := g.rel.PredicateByName(va.Column, va.Value)
+	rel := g.agg.Relation()
+	pa, err := rel.PredicateByName(va.Column, va.Value)
 	if err != nil {
 		return Answer{}, false
 	}
-	pb, err := g.rel.PredicateByName(vb.Column, vb.Value)
+	pb, err := rel.PredicateByName(vb.Column, vb.Value)
 	if err != nil {
 		return Answer{}, false
 	}
-	res, err := engine.AnswerComparison(g.rel, c.Query.Target,
+	res, err := engine.AnswerComparison(g.agg, c.Query.Target,
 		[]relation.Predicate{pa}, []relation.Predicate{pb})
 	if err != nil {
 		return Answer{}, false

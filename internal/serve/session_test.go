@@ -204,7 +204,7 @@ func TestSessionFollowUpSwapRace(t *testing.T) {
 				return
 			default:
 				g := a.live.Load()
-				a.SwapData(g.rel, g.store)
+				a.SwapData(g.agg.Relation(), g.store)
 			}
 		}
 	}()

@@ -168,11 +168,11 @@ func TestSwapDataNoTornPair(t *testing.T) {
 			var last uint64
 			for i := 0; i < 2000; i++ {
 				g := a.live.Load()
-				pairA := g.rel == relA && g.store == engine.StoreView(storeA)
-				pairB := g.rel == relB && g.store == engine.StoreView(storeB)
+				pairA := g.agg.Relation() == relA && g.store == engine.StoreView(storeA)
+				pairB := g.agg.Relation() == relB && g.store == engine.StoreView(storeB)
 				if !pairA && !pairB {
 					t.Errorf("torn generation %d: %d rows with speech %q",
-						g.gen, g.rel.NumRows(), g.store.Speeches()[0].Text)
+						g.gen, g.agg.Relation().NumRows(), g.store.Speeches()[0].Text)
 					return
 				}
 				// Pair A is published under even numbers, pair B under odd.
