@@ -115,6 +115,9 @@ type Classification struct {
 	Values       []engine.NamedPredicate
 }
 
+// The marker lists. NewExtractor compiles them into one phrase table
+// that matches on word boundaries, so "stop" does not match the marker
+// "top".
 var (
 	helpMarkers = []string{
 		"help", "what can you", "what can i ask", "how does this work",
@@ -142,15 +145,33 @@ var (
 	}
 )
 
-// containsAny reports whether any marker occurs in the normalized text on
-// word boundaries, so "stop" does not match the marker "top".
-func containsAny(text string, markers []string) bool {
-	for _, m := range markers {
-		if containsPhrase(text, Normalize(m)) {
-			return true
+// markerSet has a bit per marker list, in markerLists order.
+type markerSet uint8
+
+const (
+	helpMarker markerSet = 1 << iota
+	repeatMarker
+	comparisonMarker
+	extremumMarker
+	minMarker
+	trendMarker
+)
+
+var markerLists = [][]string{
+	helpMarkers, repeatMarkers, comparisonMarkers, extremumMarkers, extremumMinWords, trendMarkers,
+}
+
+// markersIn returns the lists with a marker occurring in ids.
+func (e *Extractor) markersIn(ids []int32) markerSet {
+	var set markerSet
+	for i := range ids {
+		for _, r := range e.markers.startingAt(ids, i) {
+			if e.markers.matches(r, ids, i) {
+				set |= e.markerBits[r]
+			}
 		}
 	}
-	return false
+	return set
 }
 
 // Classify analyzes one voice request: first the conversational types
@@ -159,19 +180,21 @@ func containsAny(text string, markers []string) bool {
 // Section III. An utterance with a follow-up prefix that is elliptical
 // — missing the target, or naming one without any other slot — is a
 // FollowUp and carries only the slots it mentions; the serving layer
-// merges them into the previous query's context.
+// merges them into the previous query's context. The text is
+// normalized and split into words once; every marker and slot matches
+// on those words.
 func Classify(text string, ex *Extractor) Classification {
-	norm := Normalize(text)
-	if containsAny(norm, helpMarkers) {
+	var buf wordBuf
+	w := ex.split(Normalize(text), &buf)
+	switch m := ex.markersIn(w.id); {
+	case m&helpMarker != 0:
 		return Classification{Type: Help}
-	}
-	if containsAny(norm, repeatMarkers) {
+	case m&repeatMarker != 0:
 		return Classification{Type: Repeat}
 	}
-	body, hasPrefix := followUpBody(norm)
-	var c Classification
+	w, hasPrefix := ex.followUpBody(w)
+	c := ex.extractSlots(w)
 	if hasPrefix {
-		c = ex.extractSlots(body)
 		elliptical := c.Query.Target == "" ||
 			(len(c.Query.Predicates) == 0 && c.Constraint == nil && c.Window == nil &&
 				c.Kind == Retrieval && c.Dim == "")
@@ -181,8 +204,6 @@ func Classify(text string, ex *Extractor) Classification {
 		}
 		// A complete query after the prefix ("what about delays in
 		// Winter") classifies as a standalone request.
-	} else {
-		c = ex.extractSlots(norm)
 	}
 	if c.Query.Target == "" && c.Constraint != nil {
 		// "which cities have population over 500 thousand": the

@@ -1,16 +1,19 @@
 package voice
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"cicero/internal/dataset"
+	"cicero/internal/relation"
 )
 
 // Native fuzz targets for the voice path: every request passes through
 // Classify/Extract before any backend runs, so these prove the
 // front-end neither panics nor produces out-of-contract results on
-// arbitrary byte sequences (including invalid UTF-8).
+// arbitrary byte sequences (including invalid UTF-8), and that it
+// agrees with the reference classifier of classify_reference_test.go.
 
 // fuzzSeeds is the shared corpus of adversarial phrasings.
 var fuzzSeeds = []string{
@@ -60,25 +63,45 @@ var fuzzSeeds = []string{
 	"last last months percent",
 	"5 airlines 6 months 7 seasons",
 	"2 million delays in February",
+	// Runes that lowercase to ASCII, and invalid UTF-8 next to a value:
+	// Normalize's rune path, not its ASCII one, must see them.
+	"\u212a cancellations in \u212aelvin Winter", // Kelvin sign → "k"
+	"\u0130 delays on Mon \u0130n February",      // dotted capital I → "i" + U+0307
+	"delays in Win\xffter on Mon\xc3",
+	// A value inside a longer word must not be the occurrence consumed.
+	"which month has the highest delays on Mon",
+	// Equal-length target phrases: the lexicographic tie-break decides.
+	"cancellations and flight delays in Winter",
+	// A consumed value between a count and its dimension joins them;
+	// a value that starts with a number word is no count.
+	"the 3 Winter airlines with the most delays",
+	"top two bedroom cities by rent",
+	// Numerals ParseFloat spells without a leading digit, and with one.
+	"airlines with delay over inf minutes",
+	"airlines with delay over infk",
+	"delays over the last nan months",
+	"airlines with delay above 1e3 or 0x1p4",
 }
 
-func fuzzExtractor(f *testing.F) *Extractor {
+// fuzzExtractor returns the relation the fuzz targets run over, its
+// extractor, and the reference classifier over the same relation.
+func fuzzExtractor(f *testing.F) (*relation.Relation, *Extractor, *refExtractor) {
 	f.Helper()
 	rel := dataset.Flights(400, 1)
-	return NewExtractor(rel, []Sample{
-		{Phrase: "cancellations", Target: "cancelled"},
-		{Phrase: "cancellation probability", Target: "cancelled"},
-		{Phrase: "delays", Target: "delay"},
-	}, 2)
+	samples := DefaultSamples("flights")
+	return rel, NewExtractor(rel, samples, 2), newRefExtractor(rel, samples, 2)
 }
 
 func FuzzClassify(f *testing.F) {
-	ex := fuzzExtractor(f)
+	rel, ex, ref := fuzzExtractor(f)
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		c := Classify(text, ex)
+		if want := refClassify(text, ref); !reflect.DeepEqual(c, want) {
+			t.Fatalf("Classify(%q) = %+v, reference %+v", text, c, want)
+		}
 		switch c.Type {
 		case Help, Repeat, SQuery, UQuery, Other, FollowUp:
 		default:
@@ -132,7 +155,7 @@ func FuzzClassify(f *testing.F) {
 		}
 		if c.Dim != "" {
 			found := false
-			for _, d := range ex.rel.Schema().Dimensions {
+			for _, d := range rel.Schema().Dimensions {
 				found = found || d == c.Dim
 			}
 			if !found {
@@ -140,7 +163,7 @@ func FuzzClassify(f *testing.F) {
 			}
 		}
 		for _, p := range c.Values {
-			if _, err := ex.rel.PredicateByName(p.Column, p.Value); err != nil {
+			if _, err := rel.PredicateByName(p.Column, p.Value); err != nil {
 				t.Fatalf("Classify(%q) unresolvable value %v: %v", text, p, err)
 			}
 		}
@@ -148,8 +171,7 @@ func FuzzClassify(f *testing.F) {
 }
 
 func FuzzExtract(f *testing.F) {
-	ex := fuzzExtractor(f)
-	rel := ex.rel
+	rel, ex, ref := fuzzExtractor(f)
 	dims := rel.Schema().Dimensions
 	isTarget := map[string]bool{}
 	for _, t := range rel.Schema().Targets {
@@ -160,11 +182,17 @@ func FuzzExtract(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		norm := Normalize(text)
+		if want := refNormalize(text); norm != want {
+			t.Fatalf("Normalize(%q) = %q, reference %q", text, norm, want)
+		}
 		if again := Normalize(norm); again != norm {
 			t.Fatalf("Normalize not idempotent on %q: %q vs %q", text, norm, again)
 		}
 
 		q, ok := ex.Extract(text)
+		if wq, wok := ref.Extract(text); ok != wok || !reflect.DeepEqual(q, wq) {
+			t.Fatalf("Extract(%q) = %+v/%v, reference %+v/%v", text, q, ok, wq, wok)
+		}
 		if !ok {
 			if q.Target != "" || len(q.Predicates) > 0 {
 				t.Fatalf("Extract(%q) not-ok but non-empty query %v", text, q)
@@ -188,7 +216,11 @@ func FuzzExtract(f *testing.F) {
 			}
 		}
 
-		if dim, ok := ex.ExtractDimension(text); ok {
+		dim, ok := ex.ExtractDimension(text)
+		if wd, wok := ref.ExtractDimension(text); dim != wd || ok != wok {
+			t.Fatalf("ExtractDimension(%q) = %q/%v, reference %q/%v", text, dim, ok, wd, wok)
+		}
+		if ok {
 			found := false
 			for _, d := range dims {
 				found = found || d == dim
@@ -197,7 +229,11 @@ func FuzzExtract(f *testing.F) {
 				t.Fatalf("ExtractDimension(%q) unknown dimension %q", text, dim)
 			}
 		}
-		for _, p := range ex.ExtractValues(text) {
+		vals := ex.ExtractValues(text)
+		if want := ref.ExtractValues(text); !reflect.DeepEqual(vals, want) {
+			t.Fatalf("ExtractValues(%q) = %v, reference %v", text, vals, want)
+		}
+		for _, p := range vals {
 			if _, err := rel.PredicateByName(p.Column, p.Value); err != nil {
 				t.Fatalf("ExtractValues(%q) unresolvable predicate %v: %v", text, p, err)
 			}

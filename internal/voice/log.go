@@ -52,7 +52,17 @@ func (d *Deployment) targetPhrase(rng *rand.Rand) string {
 	if phrases := d.TargetPhrases[t]; len(phrases) > 0 {
 		return phrases[rng.Intn(len(phrases))]
 	}
-	return strings.ReplaceAll(t, "_", " ")
+	return spokenName(t)
+}
+
+// spokenName renders a column name the way a user says it.
+func spokenName(name string) string {
+	return strings.Map(func(r rune) rune {
+		if r == '_' {
+			return ' '
+		}
+		return r
+	}, name)
 }
 
 // randomValue picks a random dictionary value of a random dimension,
@@ -128,7 +138,7 @@ func (d *Deployment) unsupportedUtterance(rng *rand.Rand) string {
 		return fmt.Sprintf("make a comparison of %s between %s and %s", target, v1, v2)
 	}
 	dimName := d.Rel.Schema().Dimensions[rng.Intn(d.Rel.NumDims())]
-	return fmt.Sprintf("which %s has the highest %s", strings.ReplaceAll(dimName, "_", " "), target)
+	return fmt.Sprintf("which %s has the highest %s", spokenName(dimName), target)
 }
 
 // SQueryPredicateWeights is the distribution of predicate counts used for

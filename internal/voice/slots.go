@@ -14,8 +14,9 @@ import (
 // 500k"), top-k counts ("the three cities"), calendar periods and time
 // windows ("since January 2023", "over the last six months"), and the
 // elliptical follow-up prefixes dialogue sessions resolve ("what about
-// Texas"). Everything operates on Normalize()d text, which collapses
-// punctuation — so all numerals are spoken forms, never decimals.
+// Texas"). Everything operates on the words of Normalize()d text, which
+// collapses punctuation — so all numerals are spoken forms, never
+// decimals.
 
 // Window is a resolved time window: inclusive indexes into the
 // extractor's chronologically ordered TimePeriods().
@@ -51,6 +52,12 @@ func parseNumToken(tok string) (float64, bool) {
 		case 'm':
 			mult, tok = 1e6, tok[:len(tok)-1]
 		}
+	}
+	// Of the lowercase letter-and-digit strings, ParseFloat accepts
+	// only those starting with a digit and its three special values;
+	// screening out the rest spares the error it allocates.
+	if tok == "" || (tok[0] < '0' || tok[0] > '9') && tok != "inf" && tok != "infinity" && tok != "nan" {
+		return 0, false
 	}
 	v, err := strconv.ParseFloat(tok, 64)
 	if err != nil {
@@ -114,7 +121,7 @@ var monthIndex = map[string]int{
 // ("february"), month-plus-year ("january 2023"), and numeric
 // year-month forms ("2023 04", the normalization of "2023-04").
 func parsePeriodKey(norm string) (int, bool) {
-	toks := strings.Fields(norm)
+	toks := appendWords(nil, norm)
 	switch len(toks) {
 	case 1:
 		if m, ok := monthIndex[toks[0]]; ok {
@@ -139,16 +146,11 @@ func parsePeriodKey(norm string) (int, bool) {
 // with at least 3 values, every one of which parses as a calendar
 // period. Columns whose names hint at time win ties; otherwise the
 // first qualifying column does. It fills timeDim, timeName, periods
-// (chronological) and periodIdx on the extractor.
-func (e *Extractor) detectTimeDim() {
+// (chronological) and the period phrase table on the extractor.
+func (e *Extractor) detectTimeDim(dims []string, dimValues [][]string) {
 	e.timeDim = -1
-	type cand struct {
-		dim    int
-		hinted bool
-	}
-	var best *cand
-	for d := 0; d < e.rel.NumDims(); d++ {
-		vals := e.rel.Dim(d).Values()
+	best, bestHinted := -1, false
+	for d, vals := range dimValues {
 		if len(vals) < 3 {
 			continue
 		}
@@ -162,21 +164,20 @@ func (e *Extractor) detectTimeDim() {
 		if !ok {
 			continue
 		}
-		name := strings.ToLower(e.rel.Schema().Dimensions[d])
+		name := strings.ToLower(dims[d])
 		hinted := strings.Contains(name, "month") || strings.Contains(name, "date") ||
 			strings.Contains(name, "period") || strings.Contains(name, "quarter") ||
 			strings.Contains(name, "year") || strings.Contains(name, "time")
-		c := cand{dim: d, hinted: hinted}
-		if best == nil || (hinted && !best.hinted) {
-			best = &c
+		if best < 0 || (hinted && !bestHinted) {
+			best, bestHinted = d, hinted
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return
 	}
-	e.timeDim = best.dim
-	e.timeName = e.rel.Schema().Dimensions[best.dim]
-	vals := e.rel.Dim(best.dim).Values()
+	e.timeDim = best
+	e.timeName = dims[best]
+	vals := dimValues[best]
 	type pv struct {
 		key int
 		val string
@@ -188,40 +189,36 @@ func (e *Extractor) detectTimeDim() {
 	}
 	sort.SliceStable(pvs, func(i, j int) bool { return pvs[i].key < pvs[j].key })
 	e.periods = make([]string, len(pvs))
-	e.periodIdx = make(map[string]int, len(pvs))
+	// Of two values with one normalized form, the later one is meant.
+	idx := make(map[string]int, len(pvs))
 	for i, p := range pvs {
 		e.periods[i] = p.val
-		e.periodIdx[Normalize(p.val)] = i
+		idx[Normalize(p.val)] = i
+	}
+	phrases := make([]ranked, 0, len(idx))
+	for p, i := range idx {
+		phrases = append(phrases, ranked{phrase: p, dim: i})
+	}
+	for _, r := range rankPhrases(phrases) {
+		e.periodPhrases.add(e.vocab, appendWords(nil, r.phrase))
+		e.periodIdx = append(e.periodIdx, r.dim)
 	}
 }
 
-// matchPeriodAt matches a period phrase at token position i, longest
-// form first ("january 2024" before "january").
-func (e *Extractor) matchPeriodAt(toks []string, i int) (idx, n int) {
-	for n := 2; n >= 1; n-- {
-		if i+n <= len(toks) {
-			if idx, ok := e.periodIdx[strings.Join(toks[i:i+n], " ")]; ok {
-				return idx, n
-			}
-		}
+// matchPeriodAt matches a period phrase at position i, longest form
+// first ("january 2024" before "january"), returning its chronological
+// index and the words it spans (0 when none matches).
+func (e *Extractor) matchPeriodAt(w words, i int) (idx, n int) {
+	r := e.periodPhrases.at(w.id, i)
+	if r < 0 {
+		return 0, 0
 	}
-	return 0, 0
-}
-
-// joinExcept rejoins toks with the half-open range [from, to) removed.
-func joinExcept(toks []string, from, to int) string {
-	out := make([]string, 0, len(toks))
-	out = append(out, toks[:from]...)
-	out = append(out, toks[to:]...)
-	return strings.Join(out, " ")
+	return e.periodIdx[r], len(e.periodPhrases.phrases[r])
 }
 
 // ---- constraint clauses ----
 
-var constraintIntros = map[string]bool{
-	"with": true, "where": true, "whose": true, "having": true,
-	"have": true, "has": true,
-}
+var constraintIntros = []string{"with", "where", "whose", "having", "have", "has"}
 
 var constraintOps = []struct {
 	words []string
@@ -242,93 +239,49 @@ var constraintOps = []struct {
 
 // constraintUnits are spoken units that may trail the threshold and are
 // consumed with the clause ("over 2000 dollars").
-var constraintUnits = map[string]bool{
-	"dollars": true, "dollar": true, "people": true, "residents": true,
-	"minutes": true, "points": true,
-}
-
-// matchTargetAt matches a target phrase at token position i, longest
-// phrase first, returning the target column and tokens consumed.
-func (e *Extractor) matchTargetAt(toks []string, i int) (string, int) {
-	best, bestN := "", 0
-	for phrase, t := range e.targetPhrases {
-		p := strings.Fields(phrase)
-		if len(p) <= bestN || i+len(p) > len(toks) {
-			continue
-		}
-		match := true
-		for k, w := range p {
-			if toks[i+k] != w {
-				match = false
-				break
-			}
-		}
-		if match {
-			best, bestN = t, len(p)
-		}
-	}
-	return best, bestN
-}
+var constraintUnits = []string{"dollars", "dollar", "people", "residents", "minutes", "points"}
 
 // extractConstraint consumes the first numeric constraint clause —
 // "(with|where|whose|having) [the|a|an] <target> [of] <op> <number>
-// [unit]" — and returns it together with the remaining text.
-func (e *Extractor) extractConstraint(norm string) (*engine.Constraint, string) {
-	toks := strings.Fields(norm)
-	for i, tok := range toks {
-		if !constraintIntros[tok] {
+// [unit]" — and returns it together with the remaining words.
+func (e *Extractor) extractConstraint(w words) (*engine.Constraint, words) {
+	for i := range w.id {
+		if e.intros.at(w.id, i) < 0 {
 			continue
 		}
 		j := i + 1
-		if j < len(toks) && (toks[j] == "the" || toks[j] == "a" || toks[j] == "an") {
+		if j < len(w.text) && (w.text[j] == "the" || w.text[j] == "a" || w.text[j] == "an") {
 			j++
 		}
-		tgt, tn := e.matchTargetAt(toks, j)
-		if tn == 0 {
+		t := e.targets.at(w.id, j)
+		if t < 0 {
 			continue
 		}
-		j += tn
+		j += len(e.targets.phrases[t])
 		// Optional linking word: "population of at least", "whose
 		// cancellations are over".
-		if j < len(toks) {
-			switch toks[j] {
+		if j < len(w.text) {
+			switch w.text[j] {
 			case "of", "is", "are", "was", "were":
 				j++
 			}
 		}
-		var op engine.ConstraintOp
-		on := 0
-		for _, c := range constraintOps {
-			if j+len(c.words) > len(toks) {
-				continue
-			}
-			match := true
-			for k, w := range c.words {
-				if toks[j+k] != w {
-					match = false
-					break
-				}
-			}
-			if match {
-				op, on = c.op, len(c.words)
-				break
-			}
-		}
-		if on == 0 {
+		op := e.ops.at(w.id, j)
+		if op < 0 {
 			continue
 		}
-		j += on
-		v, vn := parseSpokenNumber(toks, j)
+		j += len(e.ops.phrases[op])
+		v, vn := parseSpokenNumber(w.text, j)
 		if vn == 0 {
 			continue
 		}
 		j += vn
-		if j < len(toks) && constraintUnits[toks[j]] {
+		if e.units.at(w.id, j) >= 0 {
 			j++
 		}
-		return &engine.Constraint{Target: tgt, Op: op, Value: v}, joinExcept(toks, i, j)
+		return &engine.Constraint{Target: e.targetCol[t], Op: constraintOps[op].op, Value: v}, w.cut(i, j)
 	}
-	return nil, norm
+	return nil, w
 }
 
 // ---- time windows ----
@@ -343,26 +296,26 @@ var windowUnits = map[string]int{
 // extractWindow consumes the first time-window phrase — "since
 // <period>", "between <period> and <period>", "from <period> to
 // <period>", or "[the] last <n> <unit>" — and returns the resolved
-// window with the remaining text. Without a time dimension it is a
+// window with the remaining words. Without a time dimension it is a
 // no-op.
-func (e *Extractor) extractWindow(norm string) (*Window, string) {
+func (e *Extractor) extractWindow(w words) (*Window, words) {
 	if e.timeDim < 0 {
-		return nil, norm
+		return nil, w
 	}
-	toks := strings.Fields(norm)
+	toks := w.text
 	n := len(e.periods)
 	for i, tok := range toks {
 		switch tok {
 		case "since":
-			if idx, pn := e.matchPeriodAt(toks, i+1); pn > 0 {
-				return &Window{From: idx, To: n - 1}, joinExcept(toks, i, i+1+pn)
+			if idx, pn := e.matchPeriodAt(w, i+1); pn > 0 {
+				return &Window{From: idx, To: n - 1}, w.cut(i, i+1+pn)
 			}
 		case "between", "from":
 			sep := "and"
 			if tok == "from" {
 				sep = "to"
 			}
-			a, an := e.matchPeriodAt(toks, i+1)
+			a, an := e.matchPeriodAt(w, i+1)
 			if an == 0 {
 				continue
 			}
@@ -370,7 +323,7 @@ func (e *Extractor) extractWindow(norm string) (*Window, string) {
 			if j >= len(toks) || toks[j] != sep {
 				continue
 			}
-			b, bn := e.matchPeriodAt(toks, j+1)
+			b, bn := e.matchPeriodAt(w, j+1)
 			if bn == 0 {
 				continue
 			}
@@ -378,7 +331,7 @@ func (e *Extractor) extractWindow(norm string) (*Window, string) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			return &Window{From: lo, To: hi}, joinExcept(toks, i, j+1+bn)
+			return &Window{From: lo, To: hi}, w.cut(i, j+1+bn)
 		case "last", "past":
 			j := i + 1
 			count := 1.0
@@ -405,163 +358,123 @@ func (e *Extractor) extractWindow(norm string) (*Window, string) {
 			if start > 0 && toks[start-1] == "the" {
 				start--
 			}
-			return &Window{From: from, To: n - 1}, joinExcept(toks, start, j+1)
+			return &Window{From: from, To: n - 1}, w.cut(start, j+1)
 		}
 	}
-	return nil, norm
+	return nil, w
 }
 
 // ---- top-k counts and dimension mentions ----
 
-// matchDimAt matches a dimension phrase (singular or plural) at token
-// position i, returning the column name and tokens consumed.
-func (e *Extractor) matchDimAt(toks []string, i int) (string, int) {
-	best, bestN := "", 0
-	for _, dp := range e.dimPhrases {
-		p := strings.Fields(dp.phrase)
-		if len(p) <= bestN || i+len(p) > len(toks) {
-			continue
-		}
-		match := true
-		for k, w := range p {
-			if toks[i+k] != w {
-				match = false
-				break
-			}
-		}
-		if match {
-			best, bestN = dp.dim, len(p)
-		}
+// matchDimAt matches a dimension phrase (singular or plural) at
+// position i, returning the column name and the words it spans.
+func (e *Extractor) matchDimAt(w words, i int) (string, int) {
+	d := e.dimNames.at(w.id, i)
+	if d < 0 {
+		return "", 0
 	}
-	return best, bestN
+	return e.dimCol[d], len(e.dimNames.phrases[d])
 }
 
 // extractCount consumes a top-k count — "top <n> [dim]", "bottom <n>
 // [dim]", or "<n> <dim>" ("the three cities") — returning the count,
-// the named dimension if adjacent, the remaining text, and whether the
+// the named dimension if adjacent, the remaining words, and whether the
 // "bottom" form asked for minima. Run it only after dimension values
 // are consumed, so "two bedroom apartments" cannot leak a count.
-func (e *Extractor) extractCount(norm string) (k int, dim string, rest string, bottom bool) {
-	toks := strings.Fields(norm)
-	for i, tok := range toks {
+func (e *Extractor) extractCount(w words) (k int, dim string, rest words, bottom bool) {
+	for i, tok := range w.text {
 		if tok == "top" || tok == "bottom" {
-			v, vn := parseSpokenNumber(toks, i+1)
+			v, vn := parseSpokenNumber(w.text, i+1)
 			if vn == 0 || v != float64(int(v)) || v < 1 || v > 100 {
 				continue
 			}
 			j := i + 1 + vn
-			d, dn := e.matchDimAt(toks, j)
-			return int(v), d, joinExcept(toks, i, j+dn), tok == "bottom"
+			d, dn := e.matchDimAt(w, j)
+			return int(v), d, w.cut(i, j+dn), tok == "bottom"
 		}
-		v, vn := parseSpokenNumber(toks, i)
+		v, vn := parseSpokenNumber(w.text, i)
 		if vn == 0 || v != float64(int(v)) || v < 1 || v > 100 {
 			continue
 		}
-		d, dn := e.matchDimAt(toks, i+vn)
+		d, dn := e.matchDimAt(w, i+vn)
 		if dn == 0 {
 			continue
 		}
-		return int(v), d, joinExcept(toks, i, i+vn+dn), false
+		return int(v), d, w.cut(i, i+vn+dn), false
 	}
-	return 0, "", norm, false
+	return 0, "", w, false
 }
 
 // ---- follow-up prefixes ----
 
 var followUpPrefixes = []string{"what about", "how about", "and"}
 
-// followUpBody strips a follow-up prefix from normalized text. The
-// boolean reports whether a prefix was present; whether the utterance
-// really is elliptical is decided by the classifier from the slots of
-// the remaining body.
-func followUpBody(norm string) (string, bool) {
-	for _, p := range followUpPrefixes {
-		if norm == p {
-			return "", true
-		}
-		if strings.HasPrefix(norm, p+" ") {
-			return strings.TrimSpace(norm[len(p)+1:]), true
-		}
+// followUpBody strips a follow-up prefix from w. The boolean reports
+// whether a prefix was present; whether the utterance really is
+// elliptical is decided by the classifier from the slots of the
+// remaining body.
+func (e *Extractor) followUpBody(w words) (words, bool) {
+	p := e.followUp.at(w.id, 0)
+	if p < 0 {
+		return w, false
 	}
-	return norm, false
+	n := len(e.followUp.phrases[p])
+	return words{text: w.text[n:], id: w.id[n:]}, true
 }
 
-// extractSlots runs the full slot grammar over normalized text and
-// returns a Classification with everything but the request type filled
-// in. Extraction order matters: the constraint clause goes first so its
-// target ("population") cannot hijack the main target slot, the window
-// goes second so its periods cannot become equality predicates, values
-// are consumed before counts so "two bedroom apartments" cannot leak a
-// top-k count, and counts before dimension mentions so "three cities"
-// binds both at once.
-func (e *Extractor) extractSlots(norm string) Classification {
+// extractSlots runs the full slot grammar over the words of normalized
+// text and returns a Classification with everything but the request
+// type filled in. Extraction order matters: the constraint clause goes
+// first so its target ("population") cannot hijack the main target
+// slot, the window goes second so its periods cannot become equality
+// predicates, values are consumed before counts so "two bedroom
+// apartments" cannot leak a top-k count, and counts before dimension
+// mentions so "three cities" binds both at once. The markers read what
+// the constraint and window left.
+func (e *Extractor) extractSlots(w words) Classification {
 	var c Classification
-	var rest string
-	c.Constraint, rest = e.extractConstraint(norm)
+	c.Constraint, w = e.extractConstraint(w)
 	var win *Window
-	win, rest = e.extractWindow(rest)
+	win, w = e.extractWindow(w)
 
-	target, bestLen := "", 0
-	for phrase, t := range e.targetPhrases {
-		if len(phrase) > bestLen && containsPhrase(rest, phrase) {
-			target, bestLen = t, len(phrase)
-		}
-	}
-	c.Query.Target = target
+	markers := e.markersIn(w.id)
+	extremumWord := markers&extremumMarker != 0
 
-	consumed := rest
-	usedDim := map[int]bool{}
-	for _, ve := range e.values {
-		if !containsPhrase(consumed, ve.phrase) {
-			continue
-		}
-		np := engine.NamedPredicate{
-			Column: e.rel.Schema().Dimensions[ve.dim],
-			Value:  ve.value,
-		}
-		c.Values = append(c.Values, np)
-		if !usedDim[ve.dim] {
-			usedDim[ve.dim] = true
-			c.Query.Predicates = append(c.Query.Predicates, np)
-		}
-		consumed = strings.Replace(consumed, ve.phrase, " ", 1)
+	if t := e.targets.best(w.id); t >= 0 {
+		c.Query.Target = e.targetCol[t]
 	}
+	var ranks [8]int32
+	c.Values, c.Query.Predicates = e.predicates(e.matchValues(w, false, ranks[:0]))
 
 	var bottom bool
-	var afterCount string
-	c.K, c.Dim, afterCount, bottom = e.extractCount(consumed)
+	c.K, c.Dim, w, bottom = e.extractCount(w.dropMarked())
 	if c.Dim == "" {
-		if d, ok := e.ExtractDimension(afterCount); ok {
-			c.Dim = d
+		if d := e.dimNames.best(w.id); d >= 0 {
+			c.Dim = e.dimCol[d]
 		}
 	}
 
-	comparison := containsAny(rest, comparisonMarkers)
-	extremum := containsAny(rest, extremumMarkers) || bottom || c.K > 0
-	trend := containsAny(rest, trendMarkers) || win != nil
 	switch {
-	case comparison:
+	case markers&comparisonMarker != 0:
 		c.Kind = Comparison
-	case extremum:
+	case extremumWord || bottom || c.K > 0:
 		if c.K > 1 {
 			c.Kind = TopK
 		} else {
 			c.Kind = Extremum
 		}
-		c.HasDirection = containsAny(rest, extremumMarkers) || bottom
-		if bottom || containsAny(rest, extremumMinWords) {
+		c.HasDirection = extremumWord || bottom
+		if bottom || markers&minMarker != 0 {
 			c.Direction = engine.Min
 		} else {
 			c.Direction = engine.Max
 		}
-	case trend:
+	case markers&trendMarker != 0 || win != nil:
 		c.Kind = Trend
 		c.Window = win
 	default:
 		c.Kind = Retrieval
 	}
-
-	c.Query = c.Query.Canonical()
 	c.Predicates = len(c.Query.Predicates)
 	return c
 }

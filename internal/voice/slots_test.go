@@ -15,6 +15,12 @@ func housingExtractor(t testing.TB) *Extractor {
 	return NewExtractor(rel, DefaultSamples("housing"), 2)
 }
 
+// wordsOf splits normalized text into the words the slot stages take.
+func (e *Extractor) wordsOf(norm string) words { return e.split(norm, new(wordBuf)) }
+
+// joined renders what a slot stage left of the words.
+func (w words) joined() string { return strings.Join(w.text, " ") }
+
 func TestParseSpokenNumber(t *testing.T) {
 	cases := []struct {
 		text string
@@ -93,30 +99,30 @@ func TestNoTimeDim(t *testing.T) {
 	if name, ok := ex.TimeDim(); ok {
 		t.Errorf("ACS should have no time dim, got %q", name)
 	}
-	if w, rest := ex.extractWindow("visual since january"); w != nil || rest != "visual since january" {
-		t.Errorf("window without time dim = %+v, %q", w, rest)
+	if w, rest := ex.extractWindow(ex.wordsOf("visual since january")); w != nil || rest.joined() != "visual since january" {
+		t.Errorf("window without time dim = %+v, %q", w, rest.joined())
 	}
 }
 
 func TestExtractConstraint(t *testing.T) {
 	ex := housingExtractor(t)
-	cons, rest := ex.extractConstraint("rent in cities with population over 500 thousand")
+	cons, rest := ex.extractConstraint(ex.wordsOf("rent in cities with population over 500 thousand"))
 	if cons == nil {
 		t.Fatal("constraint not extracted")
 	}
 	if cons.Target != "population" || cons.Op != engine.Over || cons.Value != 500_000 {
 		t.Errorf("constraint = %+v", cons)
 	}
-	if rest != "rent in cities" {
-		t.Errorf("rest = %q", rest)
+	if rest.joined() != "rent in cities" {
+		t.Errorf("rest = %q", rest.joined())
 	}
 
-	cons, _ = ex.extractConstraint("cities whose rent is nothing with the population of at least 2 million people")
+	cons, _ = ex.extractConstraint(ex.wordsOf("cities whose rent is nothing with the population of at least 2 million people"))
 	if cons == nil || cons.Op != engine.AtLeast || cons.Value != 2e6 {
 		t.Errorf("at-least constraint = %+v", cons)
 	}
 
-	cons, _ = ex.extractConstraint("cities with rent under 1500 dollars")
+	cons, _ = ex.extractConstraint(ex.wordsOf("cities with rent under 1500 dollars"))
 	if cons == nil || cons.Target != "rent" || cons.Op != engine.Under || cons.Value != 1500 {
 		t.Errorf("under constraint = %+v", cons)
 	}
@@ -128,7 +134,7 @@ func TestExtractConstraint(t *testing.T) {
 		"with over 500",
 		"population over 500 thousand", // no intro word
 	} {
-		if cons, _ := ex.extractConstraint(noCons); cons != nil {
+		if cons, _ := ex.extractConstraint(ex.wordsOf(noCons)); cons != nil {
 			t.Errorf("extractConstraint(%q) = %+v, want nil", noCons, cons)
 		}
 	}
@@ -150,7 +156,8 @@ func TestExtractWindow(t *testing.T) {
 		{"rent over the last 99 months", 0, 17, "rent over"}, // clamped
 	}
 	for _, c := range cases {
-		w, rest := ex.extractWindow(c.text)
+		w, words := ex.extractWindow(ex.wordsOf(c.text))
+		rest := words.joined()
 		if w == nil {
 			t.Errorf("extractWindow(%q) = nil", c.text)
 			continue
@@ -163,7 +170,7 @@ func TestExtractWindow(t *testing.T) {
 		}
 	}
 	for _, noWin := range []string{"rent in austin", "rent since tuesday", "rent between austin and dallas"} {
-		if w, _ := ex.extractWindow(noWin); w != nil {
+		if w, _ := ex.extractWindow(ex.wordsOf(noWin)); w != nil {
 			t.Errorf("extractWindow(%q) = %+v, want nil", noWin, w)
 		}
 	}
@@ -187,7 +194,7 @@ func TestExtractCount(t *testing.T) {
 		{"500 thousand", 0, "", false}, // number without dim is not a count
 	}
 	for _, c := range cases {
-		k, dim, _, bottom := ex.extractCount(c.text)
+		k, dim, _, bottom := ex.extractCount(ex.wordsOf(c.text))
 		if k != c.k || dim != c.dim || bottom != c.bottom {
 			t.Errorf("extractCount(%q) = %d/%q/%v, want %d/%q/%v",
 				c.text, k, dim, bottom, c.k, c.dim, c.bottom)
@@ -360,6 +367,7 @@ func TestClassifyOldShapesUnchanged(t *testing.T) {
 }
 
 func TestFollowUpBody(t *testing.T) {
+	ex := housingExtractor(t)
 	cases := []struct {
 		in   string
 		body string
@@ -373,7 +381,8 @@ func TestFollowUpBody(t *testing.T) {
 		{"sandwich about", "sandwich about", false},
 	}
 	for _, c := range cases {
-		body, ok := followUpBody(c.in)
+		w, ok := ex.followUpBody(ex.wordsOf(c.in))
+		body := w.joined()
 		if body != c.body || ok != c.ok {
 			t.Errorf("followUpBody(%q) = %q/%v, want %q/%v", c.in, body, ok, c.body, c.ok)
 		}

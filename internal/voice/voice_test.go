@@ -34,6 +34,21 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// containsPhrase reports whether phrase occurs in text, both
+// normalized, through a one-phrase table.
+func containsPhrase(text, phrase string) bool {
+	v := vocabulary{}
+	var table phraseTable
+	if phrase != "" {
+		table.add(v, appendWords(nil, phrase))
+	}
+	var ids []int32
+	for _, w := range appendWords(nil, text) {
+		ids = append(ids, v.lookup(w))
+	}
+	return table.best(ids) >= 0
+}
+
 func TestContainsPhrase(t *testing.T) {
 	cases := []struct {
 		text, phrase string
