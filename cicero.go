@@ -22,8 +22,8 @@
 //     generate → evaluate → solve → render → sink stages with bounded
 //     memory and per-stage metrics; runs are cancellable down to the
 //     algorithms' inner loops and resumable from a checkpoint, and the
-//     solver is pluggable behind a registry that unifies the paper's
-//     algorithms (E, G-B, G-P, G-O) with the sampling and ML baselines;
+//     solver is pluggable behind a registry that holds the paper's
+//     algorithms (E, E-P, G-B, G-P, G-O) and the sampling baseline;
 //   - a voice front-end: a sample-trained text-to-query extractor and a
 //     request classifier;
 //   - a unified serving layer: the Answerer front door classifies any
@@ -232,7 +232,7 @@ func DefaultConfig(rel *Relation) Config {
 // stages with bounded memory, honors context cancellation down to the
 // algorithms' inner loops, resumes interrupted batches from a
 // checkpoint, and runs any registered solver — the paper's algorithms
-// and the evaluation baselines alike.
+// and the sampling baseline alike.
 type (
 	// Solver turns one prepared summarization problem into a summary.
 	Solver = pipeline.Solver

@@ -130,11 +130,7 @@ func main() {
 	opts := pipeline.Options{
 		Solver:  solverName,
 		Workers: *workers,
-		// The fingerprint lets cmd/serve verify at boot that the
-		// artifact matches its own -seed/-maxlen/-solver flags.
-		SnapshotPath:        *snapOut,
-		SnapshotFingerprint: pipeline.Fingerprint(*seed, cfg, solverName),
-		Solve:               summarize.Options{Timeout: *timeout},
+		Solve:   summarize.Options{Timeout: *timeout},
 		Progress: func(p pipeline.Progress) {
 			if p.Done%500 == 0 || p.Done == p.Total {
 				fmt.Fprintf(os.Stderr, "\rpre-processing %d/%d (failed %d, resumed %d)",
@@ -159,7 +155,7 @@ func main() {
 		opts.Checkpoint = ckpt
 	}
 
-	store, stats, err := pipeline.Run(ctx, rel, cfg, opts)
+	store, stats, err := runBatch(ctx, rel, cfg, opts, *snapOut, pipeline.Fingerprint(*seed, cfg, solverName))
 	fmt.Fprintln(os.Stderr)
 	if err != nil {
 		if ctx.Err() != nil && ckpt != nil {
@@ -195,9 +191,6 @@ func main() {
 	if stats.TimedOut > 0 {
 		fmt.Printf("timeouts:        %d problems fell back to greedy\n", stats.TimedOut)
 	}
-	if stats.Failed > 0 {
-		fmt.Printf("failed:          %d problems (first: %v)\n", stats.Failed, stats.FirstErr)
-	}
 
 	if *out != "" {
 		if err := store.SaveFile(*out, rel); err != nil {
@@ -207,7 +200,7 @@ func main() {
 		fmt.Printf("store written:   %s\n", *out)
 	}
 	if *snapOut != "" {
-		// The pipeline already wrote it atomically; report its size.
+		// runBatch already wrote it atomically; report its size.
 		if meta, err := snapshot.InfoFile(*snapOut); err == nil {
 			fmt.Printf("snapshot:        %s (%d bytes, %d speeches)\n", *snapOut, meta.Size, meta.Speeches)
 		}
@@ -222,6 +215,23 @@ func main() {
 			fmt.Printf("  [%s]\n    %s\n", sp.Query.String(), sp.Text)
 		}
 	}
+}
+
+// runBatch runs the pre-processing batch and, when snapOut is set,
+// writes the finished store there atomically as a binary snapshot tagged
+// with fingerprint: the deployable artifact cmd/serve cold-starts from,
+// and the tag lets it verify at boot that the artifact matches its own
+// -seed/-maxlen/-solver flags. A failed write fails the batch, since the
+// caller asked for a durable artifact.
+func runBatch(ctx context.Context, rel *relation.Relation, cfg engine.Config, opts pipeline.Options, snapOut, fingerprint string) (*engine.Store, pipeline.Stats, error) {
+	store, stats, err := pipeline.Run(ctx, rel, cfg, opts)
+	if err != nil || snapOut == "" {
+		return store, stats, err
+	}
+	if err := snapshot.WriteFileTagged(snapOut, store, rel, fingerprint); err != nil {
+		return nil, stats, fmt.Errorf("write snapshot: %w", err)
+	}
+	return store, stats, nil
 }
 
 // loadInput resolves the input relation and configuration. rows

@@ -1,9 +1,6 @@
 package baseline
 
 import (
-	"sort"
-	"strings"
-
 	"cicero/internal/engine"
 	"cicero/internal/fact"
 	"cicero/internal/relation"
@@ -233,11 +230,4 @@ func NarrownessScore(facts []fact.Fact) float64 {
 		sum += f.Scope.Len()
 	}
 	return float64(sum) / float64(len(facts))
-}
-
-// SortFactsByScope orders facts deterministically for rendering.
-func SortFactsByScope(facts []fact.Fact) {
-	sort.SliceStable(facts, func(i, j int) bool {
-		return strings.Compare(facts[i].Scope.Key(), facts[j].Scope.Key()) < 0
-	})
 }

@@ -77,10 +77,10 @@ type Batch struct {
 }
 
 // Tag renders the batch's provenance tag: a short, deterministic
-// content hash that identifies which delta a store, checkpoint, or
-// snapshot was built against. It feeds pipeline.FingerprintDelta and
-// CheckpointMeta.Delta, so mixing artifacts across different delta
-// states is refused rather than silently merged.
+// content hash that identifies which delta a store or patch was built
+// against. NewPatch records it as the patch's DeltaTag, and
+// pipeline.FingerprintDelta folds it into the patched store's
+// fingerprint.
 func (b Batch) Tag() string {
 	if len(b.Ops) == 0 {
 		return ""

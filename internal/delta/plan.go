@@ -36,9 +36,6 @@ func (p *Plan) FullTargets() []string {
 	return out
 }
 
-// DirtyKeys returns the number of individually dirtied problem keys.
-func (p *Plan) DirtyKeys() int { return len(p.dirty) }
-
 // IsDirty reports whether the problem identified by its target and
 // canonical query key must be re-solved.
 func (p *Plan) IsDirty(target, key string) bool {

@@ -60,11 +60,7 @@ func TestTheorem9FactCountBound(t *testing.T) {
 		card := 2 + rng.Intn(4)
 		rel := randomCountingRelation(rng, rows, dims, 1, card)
 		for l := 0; l <= 2; l++ {
-			got := fact.CountFacts(rel.FullView(), fact.GenerateOptions{MaxDims: l})
-			facts := fact.Generate(rel.FullView(), 0, fact.GenerateOptions{MaxDims: l})
-			if got != len(facts) {
-				t.Fatalf("CountFacts %d != len(Generate) %d", got, len(facts))
-			}
+			got := len(fact.Generate(rel.FullView(), 0, fact.GenerateOptions{MaxDims: l}))
 			bound := 0
 			for j := 0; j <= l; j++ {
 				nj := 1

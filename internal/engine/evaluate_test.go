@@ -218,11 +218,10 @@ func TestEvaluateStageAllocCeiling(t *testing.T) {
 	}
 	cfg, problems := flightsProblemsByLength(t)
 	p := problems[1]
-	opts := summarize.Options{MaxFacts: cfg.MaxFacts, Pruning: summarize.PruneOptimized}
 	stage := func() {
 		facts := p.GenerateFacts(cfg.MaxFactDims)
 		e := summarize.AcquireEvaluator(p.View, p.Target, facts, p.Prior)
-		summarize.OptPrune(e, opts)
+		summarize.OptPrune(e)
 		summarize.ReleaseEvaluator(e)
 	}
 	stage() // warm the pools
@@ -248,14 +247,13 @@ func BenchmarkFactGenerate(b *testing.B) {
 
 func BenchmarkOptPrune(b *testing.B) {
 	cfg, problems := flightsProblemsByLength(b)
-	opts := summarize.Options{MaxFacts: cfg.MaxFacts}
 	for qlen, p := range problems {
 		b.Run(fmt.Sprintf("querylen=%d/rows=%d", qlen, p.View.NumRows()), func(b *testing.B) {
 			e := summarize.NewEvaluator(p.View, p.Target, p.GenerateFacts(cfg.MaxFactDims), p.Prior)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				summarize.OptPrune(e, opts)
+				summarize.OptPrune(e)
 			}
 		})
 	}

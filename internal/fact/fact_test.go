@@ -307,14 +307,6 @@ func TestGenerateMinRows(t *testing.T) {
 	}
 }
 
-func TestCountFacts(t *testing.T) {
-	rel := buildFlights(t)
-	got := CountFacts(rel.FullView(), GenerateOptions{MaxDims: 2})
-	if got != 25 {
-		t.Errorf("CountFacts = %d, want 25", got)
-	}
-}
-
 func TestDimSubsets(t *testing.T) {
 	subs := DimSubsets([]int{0, 1, 2}, 2)
 	want := [][]int{{}, {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}}

@@ -153,20 +153,3 @@ func GenerateTargets(v *relation.View, targets []int, opts GenerateOptions) [][]
 	}
 	return out
 }
-
-// CountFacts returns the number of facts Generate would produce without
-// materializing them, used by the planner's statistics.
-func CountFacts(v *relation.View, opts GenerateOptions) int {
-	free := opts.FreeDims
-	if free == nil {
-		free = make([]int, v.Rel.NumDims())
-		for i := range free {
-			free[i] = i
-		}
-	}
-	total := 0
-	for _, dims := range DimSubsets(free, opts.MaxDims) {
-		total += len(v.DistinctCombinations(dims))
-	}
-	return total
-}

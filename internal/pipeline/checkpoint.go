@@ -56,14 +56,6 @@ type CheckpointMeta struct {
 	Prior          string `json:"prior"`
 	MinSubsetRows  int    `json:"min_subset_rows"`
 	Template       string `json:"template"` // rendered fingerprint of the text template
-	// Delta is the row-delta provenance tag of the run (empty: pristine
-	// rows). Part of the identity: a checkpoint written over deltaed
-	// rows resumed without the delta — or under a different one — would
-	// mix speeches solved against different row sets into one store, so
-	// bind refuses the mismatch. Files written before this field exists
-	// decode it as "", which matches exactly the runs they came from
-	// (no delta).
-	Delta string `json:"delta,omitempty"`
 }
 
 // checkpointRecord is one line of the checkpoint file: either the meta

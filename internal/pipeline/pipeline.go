@@ -15,8 +15,8 @@
 // inner loops (summarize.ExactCtx/GreedyCtx), so an interrupted batch
 // returns within one problem's solve time; combined with a Checkpoint it
 // resumes from the last completed problem. Solvers are pluggable behind
-// a registry that unifies the paper's optimizing algorithms (E, G-B,
-// G-P, G-O) with the evaluation's sampling and ML baselines.
+// a registry that holds the paper's optimizing algorithms (E, E-P, G-B,
+// G-P, G-O) and the evaluation's sampling baseline.
 //
 // Run and RunProblems are the only batch drivers; the registry's
 // optimizing solvers call the per-problem core in package engine
@@ -35,7 +35,6 @@ import (
 	"cicero/internal/engine"
 	"cicero/internal/fact"
 	"cicero/internal/relation"
-	"cicero/internal/snapshot"
 	"cicero/internal/summarize"
 )
 
@@ -59,31 +58,6 @@ type Options struct {
 	// problem (solved, failed, or skipped). Calls come from the single
 	// sink goroutine, so counts are monotonically non-decreasing.
 	Progress func(Progress)
-	// ContinueOnError keeps the batch running past failing problems,
-	// reporting them in Stats (Failed, FirstErr). When false (default),
-	// the first failure cancels the run and Run returns the error.
-	ContinueOnError bool
-	// Seed perturbs the per-problem seeds handed to randomized solvers.
-	Seed int64
-	// SnapshotPath, when non-empty, additionally writes the finished
-	// store as a binary snapshot (internal/snapshot) to this path after
-	// a successful run, making the batch's output a deployable artifact
-	// a daemon cold-starts from in milliseconds. The write is atomic
-	// (temp file + rename); a failed write fails the run, since the
-	// caller asked for a durable artifact.
-	SnapshotPath string
-	// SnapshotFingerprint tags the snapshot with the build parameters
-	// that shaped it (see Fingerprint); a daemon refuses to cold-start
-	// from a snapshot whose tag differs from its own flags.
-	SnapshotFingerprint string
-	// Delta records the row-delta provenance of this run: empty for a
-	// run over the pristine dataset, otherwise the delta batch's tag
-	// (delta.Batch.Tag). It is part of the checkpoint identity, so a
-	// checkpoint written against deltaed rows can never be resumed —
-	// and silently merged — under different delta settings, and vice
-	// versa. It does not change what is solved; it names what the rows
-	// were when it was solved.
-	Delta string
 }
 
 // Fingerprint renders the canonical build-provenance tag for a
@@ -150,7 +124,9 @@ type Stats struct {
 	// Speeches is the size of the returned store, including speeches
 	// seeded from a resumed checkpoint.
 	Speeches int
-	// Failed counts problems that returned an error.
+	// Failed counts problems that returned an error; the first of them
+	// cancels the run, so it exceeds one only by the problems already in
+	// flight.
 	Failed int
 	// Resumed counts problems skipped because a checkpoint already held
 	// their speech.
@@ -178,9 +154,6 @@ type Stats struct {
 	PerQuery time.Duration
 	// Stages breaks accumulated work time down by pipeline stage.
 	Stages StageTimes
-	// FirstErr is the first per-problem error observed (only meaningful
-	// with ContinueOnError, where Run itself returns nil).
-	FirstErr error
 }
 
 // AvgScaledUtility returns the mean scaled utility across solved problems.
@@ -308,14 +281,13 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 			Prior:          string(cfg.Prior),
 			MinSubsetRows:  cfg.MinSubsetRows,
 			Template:       fmt.Sprintf("%+v", opts.Template),
-			Delta:          opts.Delta,
 		})
 		if err != nil {
 			return nil, Stats{}, err
 		}
 	}
 	// Internal cancellation lets the sink abort the producer and workers
-	// on a fatal failure without cancelling the caller's ctx.
+	// on the first failure without cancelling the caller's ctx.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -364,7 +336,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	// matter), appends the checkpoint, and reports progress.
 	store := engine.NewStore()
 	var stats Stats
-	var fatalErr error
+	var firstErr error
 	var utilities []scoredProblem
 	if opts.Checkpoint != nil {
 		for _, sp := range opts.Checkpoint.Resumed() {
@@ -394,12 +366,10 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 				continue
 			}
 			stats.Failed++
-			if stats.FirstErr == nil {
-				stats.FirstErr = res.err
+			if firstErr == nil {
+				firstErr = res.err
 			}
-			if !opts.ContinueOnError {
-				cancel()
-			}
+			cancel()
 			done++
 			report()
 		case res.summary.Stats.Cancelled:
@@ -421,11 +391,10 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 			store.Add(sp)
 			if opts.Checkpoint != nil {
 				if err := opts.Checkpoint.Record(res.key, sp); err != nil {
-					// A checkpoint that stops recording is fatal in every
-					// mode: continuing would hand back a store the resume
-					// log no longer covers.
-					if fatalErr == nil {
-						fatalErr = fmt.Errorf("pipeline: checkpoint: %w", err)
+					// Continuing would hand back a store the resume log
+					// no longer covers.
+					if firstErr == nil {
+						firstErr = fmt.Errorf("pipeline: checkpoint: %w", err)
 					}
 					cancel()
 				}
@@ -461,23 +430,14 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 		// configured coverage).
 		return nil, stats, err
 	}
-	if fatalErr != nil {
-		return nil, stats, fatalErr
+	if firstErr != nil {
+		return nil, stats, firstErr
 	}
 	if sourceErr != nil {
 		return nil, stats, sourceErr
 	}
-	if stats.FirstErr != nil && !opts.ContinueOnError {
-		return nil, stats, stats.FirstErr
-	}
 	stats.Speeches = store.Len()
-	frozen := store.Freeze()
-	if opts.SnapshotPath != "" {
-		if err := snapshot.WriteFileTagged(opts.SnapshotPath, frozen, rel, opts.SnapshotFingerprint); err != nil {
-			return nil, stats, fmt.Errorf("pipeline: write snapshot: %w", err)
-		}
-	}
-	return frozen, stats, nil
+	return store.Freeze(), stats, nil
 }
 
 // solverSetup resolves the named solver and derives the per-problem
@@ -626,7 +586,7 @@ func solveJob(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 			Options:  baseOpts,
 			Query:    p.Query,
 			FreeDims: p.FreeDims,
-			Seed:     problemSeed(opts.Seed, res.key),
+			Seed:     problemSeed(res.key),
 		})
 		t3 := time.Now()
 		res.evalTime += t2.Sub(t1)
@@ -639,11 +599,11 @@ func solveJob(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 	}
 }
 
-// problemSeed derives a deterministic per-problem seed from the run seed
-// and the problem's canonical key, so randomized solvers are reproducible
-// independent of worker scheduling.
-func problemSeed(runSeed int64, key string) int64 {
+// problemSeed derives a deterministic per-problem seed from the problem's
+// canonical key, so randomized solvers are reproducible independent of
+// worker scheduling.
+func problemSeed(key string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return runSeed ^ int64(h.Sum64())
+	return int64(h.Sum64())
 }

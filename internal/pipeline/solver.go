@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -15,8 +14,8 @@ import (
 // SolveOptions parameterizes one solver invocation. It wraps the
 // algorithm options of the summarize package with the problem metadata
 // solvers outside the utility-optimizing family need: the query being
-// answered (the ML baseline conditions on it) and the free dimensions
-// plus a per-problem seed (the sampling baseline uses both).
+// answered, the free dimensions and a per-problem seed (the sampling
+// baseline uses the last two).
 type SolveOptions struct {
 	summarize.Options
 	// Query is the voice query the problem answers.
@@ -32,8 +31,8 @@ type SolveOptions struct {
 // solve promptly and return ctx.Err() (a partial summary may accompany
 // the error but is discarded by the pipeline). This is the pluggable
 // unit of the pre-processing pipeline: the paper's optimizing algorithms
-// (E, G-B, G-P, G-O) and the evaluation's baselines (sampling, ML) all
-// run behind this one interface.
+// (E, E-P, G-B, G-P, G-O) and the evaluation's sampling baseline run
+// behind this one interface.
 type Solver interface {
 	// Name is the registry key, e.g. "G-O" or "sampling".
 	Name() string
@@ -104,16 +103,12 @@ const SamplingSolverName = "sampling"
 // the pre-processing pipeline: the confidence ranges it emits are
 // collapsed to their midpoints and scored with the utility model, so its
 // speeches are directly comparable to the optimizing algorithms'.
-type samplingSolver struct {
-	opts baseline.SamplingOptions
-}
+type samplingSolver struct{}
 
 func (s samplingSolver) Name() string { return SamplingSolverName }
 
 func (s samplingSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts SolveOptions) (summarize.Summary, error) {
-	so := s.opts
-	so.MaxFacts = opts.MaxFacts
-	so.Seed = opts.Seed
+	so := baseline.SamplingOptions{MaxFacts: opts.MaxFacts, Seed: opts.Seed}
 	res := baseline.SamplingAnswerCtx(ctx, e.View(), e.Target(), opts.FreeDims, so)
 	if err := ctx.Err(); err != nil {
 		return summarize.Summary{}, err
@@ -134,41 +129,6 @@ func (s samplingSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts 
 			JoinedRows:     int64(res.SampledRows),
 			Elapsed:        res.Total,
 		},
-	}, nil
-}
-
-// MLSolver adapts a trained ML summarizer to the Solver interface; the
-// predicted fact pattern is scored with the utility model. Register one
-// after training:
-//
-//	pipeline.Register(pipeline.NewMLSolver(ml))
-type MLSolver struct {
-	ml *baseline.MLSummarizer
-}
-
-// NewMLSolver wraps a trained ML summarizer as a registrable solver.
-func NewMLSolver(ml *baseline.MLSummarizer) *MLSolver { return &MLSolver{ml: ml} }
-
-// Name implements Solver.
-func (s *MLSolver) Name() string { return "ml" }
-
-// Solve implements Solver.
-func (s *MLSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts SolveOptions) (summarize.Summary, error) {
-	if s.ml.TrainedPairs() == 0 {
-		return summarize.Summary{}, fmt.Errorf("ml solver: no training pairs")
-	}
-	if err := ctx.Err(); err != nil {
-		return summarize.Summary{}, err
-	}
-	facts := s.ml.Predict(opts.Query, e.View(), e.Target())
-	u := fact.Utility(e.View(), facts, e.Prior(), e.Target())
-	prior := e.PriorError()
-	return summarize.Summary{
-		Facts:         facts,
-		Utility:       u,
-		PriorError:    prior,
-		ResidualError: prior - u,
-		Stats:         summarize.RunStats{FactsEvaluated: len(facts)},
 	}, nil
 }
 

@@ -158,14 +158,6 @@ func (r *Relation) NumDims() int { return len(r.dims) }
 // Target returns the target column at index i.
 func (r *Relation) Target(i int) *TargetColumn { return r.targets[i] }
 
-// TargetByName returns the named target column, or nil.
-func (r *Relation) TargetByName(name string) *TargetColumn {
-	if i := r.schema.TargetIndex(name); i >= 0 {
-		return r.targets[i]
-	}
-	return nil
-}
-
 // NumTargets returns the number of target columns.
 func (r *Relation) NumTargets() int { return len(r.targets) }
 

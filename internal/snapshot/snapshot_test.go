@@ -20,10 +20,9 @@ import (
 )
 
 // solveAll pre-processes cfg's problems into a frozen store with the
-// plain sequential batch — enumerate, solve with G-O, render, add. The
-// real batch driver (package pipeline) writes snapshots via
-// Options.SnapshotPath and so imports this package; these in-package
-// tests cannot import it back.
+// plain sequential batch — enumerate, solve with G-O, render, add — so
+// the format's tests do not depend on the batch driver (package
+// pipeline).
 func solveAll(t testing.TB, rel *relation.Relation, cfg engine.Config, tmpl engine.Template) *engine.Store {
 	t.Helper()
 	store := engine.NewStore()

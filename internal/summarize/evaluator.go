@@ -35,8 +35,7 @@ import (
 //   - per-group value combinations are resolved once at build into dense
 //     per-row slot ids — through a flat table indexed by the combination's
 //     mixed-radix key, no hash map — so GroupBound is a pure array scan;
-//   - speech evaluation uses an epoch-stamped dense scratch instead of a
-//     per-call map, and the exact algorithm's DFS maintains per-row
+//   - the exact algorithm's DFS evaluates speeches by maintaining per-row
 //     deviations incrementally with an undo log;
 //   - every scratch buffer is retained across Reset calls, so a pooled
 //     evaluator solves problem after problem without reallocating;
@@ -78,14 +77,6 @@ type Evaluator struct {
 	// accumulator sized to the widest group.
 	rowSlots  []int32
 	boundSums []float64
-
-	// Epoch-stamped scratch for SpeechUtility: a row's deviation in
-	// speechDev is valid iff its stamp equals the current epoch, so
-	// "clearing" between calls is one counter increment.
-	speechDev []float64
-	stamp     []uint64
-	epoch     uint64
-	touched   []int32
 
 	// Incremental exact-DFS state: deviations along the current search
 	// path with an undo log, the running utility, and the join-size
@@ -196,17 +187,8 @@ func NewEvaluator(view *relation.View, target int, facts []fact.Fact, prior fact
 // indistinguishable from a freshly built one: all per-problem state
 // (postings, groups, greedy expectation state, counters) is recomputed.
 func (e *Evaluator) Reset(view *relation.View, target int, facts []fact.Fact, prior fact.Prior) {
-	n := view.NumRows()
 	e.view = view
 	e.facts = facts
-	e.speechDev = growF64(e.speechDev, n)
-	if cap(e.stamp) < n {
-		e.stamp = make([]uint64, n)
-		e.epoch = 0
-	} else {
-		e.stamp = e.stamp[:n]
-	}
-	e.touched = growI32(e.touched, n)[:0]
 	e.buildGroupsAndPostings()
 	e.resetTarget(target, prior)
 }
@@ -548,55 +530,14 @@ func (e *Evaluator) SingleFactUtility(fi int) float64 {
 	return u
 }
 
-// SingleFactUtilities computes single-fact utilities for all facts.
-func (e *Evaluator) SingleFactUtilities() []float64 {
-	out := make([]float64, len(e.facts))
-	for i := range e.facts {
-		out[i] = e.SingleFactUtility(i)
-	}
-	return out
-}
-
-// singleFactUtilities is SingleFactUtilities into a reused buffer; the
-// result is valid until the next call.
+// singleFactUtilities computes single-fact utilities for all facts into
+// a reused buffer; the result is valid until the next call.
 func (e *Evaluator) singleFactUtilities() []float64 {
 	e.utilsBuf = growF64(e.utilsBuf, len(e.facts))
 	for i := range e.facts {
 		e.utilsBuf[i] = e.SingleFactUtility(i)
 	}
 	return e.utilsBuf
-}
-
-// SpeechUtility computes the exact utility U(F*) of a fact-index set under
-// the Closest expectation model, touching only rows within scope of at
-// least one chosen fact (the final join of Algorithm 1). The per-row
-// deviations live in an epoch-stamped dense scratch: bumping the epoch
-// invalidates the previous call's state without clearing or allocating.
-func (e *Evaluator) SpeechUtility(factIdx []int32) float64 {
-	e.epoch++
-	ep := e.epoch
-	touched := e.touched[:0]
-	for _, fi := range factIdx {
-		v := e.facts[fi].Value
-		post := e.posting(int(fi))
-		for _, i := range post {
-			d := math.Abs(v - e.truth[i])
-			if e.stamp[i] != ep {
-				e.stamp[i] = ep
-				e.speechDev[i] = math.Min(d, e.priorDev[i])
-				touched = append(touched, i)
-			} else if d < e.speechDev[i] {
-				e.speechDev[i] = d
-			}
-		}
-		e.JoinedRows += int64(len(post))
-	}
-	u := 0.0
-	for _, i := range touched {
-		u += e.priorDev[i] - e.speechDev[i]
-	}
-	e.touched = touched[:0]
-	return u
 }
 
 // pathState is the incremental speech-evaluation state of one exact-DFS

@@ -44,14 +44,6 @@ type Options struct {
 	MaxFacts int
 	// Pruning selects the greedy fact-pruning strategy.
 	Pruning PruningMode
-	// Sigma is the per-fact utility standard deviation assumed by the
-	// cost model (Section VI-C). Zero selects a reasonable default.
-	Sigma float64
-	// JoinCost and GroupCost are the per-row cost-model weights for
-	// utility (join) and bound (group-by) computations. Zeros select
-	// defaults of 2 and 1: a join touches both inputs where a group-by
-	// scans one.
-	JoinCost, GroupCost float64
 	// Timeout aborts the exact algorithm, returning the best speech
 	// found so far with TimedOut=true in the result. Zero means no limit.
 	Timeout time.Duration
@@ -65,15 +57,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxFacts <= 0 {
 		o.MaxFacts = 3
-	}
-	if o.Sigma <= 0 {
-		o.Sigma = 0.25
-	}
-	if o.JoinCost <= 0 {
-		o.JoinCost = 2
-	}
-	if o.GroupCost <= 0 {
-		o.GroupCost = 1
 	}
 	return o
 }
@@ -162,10 +145,10 @@ func GreedyCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 	var plan *Plan
 	switch opts.Pruning {
 	case PruneNaive:
-		p := NaivePlan(e, opts)
+		p := NaivePlan(e)
 		plan = &p
 	case PruneOptimized:
-		p := OptPrune(e, opts)
+		p := OptPrune(e)
 		plan = &p
 	}
 	chosen := make([]int32, 0, opts.MaxFacts)

@@ -28,7 +28,6 @@ type planContext struct {
 	m   []int // M(g) per group
 	byM []int // group indices sorted by ascending M(g)
 
-	sigma float64
 	cu    []float64 // CU(g), the cost of a utility scan of the group
 	cb    []float64 // CD(g), the cost of the group's bound computation
 	beats []float64 // Pr(P_{s→t}) at [s*len(m)+t]; negative until first asked for
@@ -40,15 +39,23 @@ type planContext struct {
 	spec  []uint64
 }
 
-func newPlanContext(e *Evaluator, opts Options) *planContext {
-	opts = opts.withDefaults()
+// The cost model's fixed parameters (Section VI-C): planSigma is the
+// per-fact utility standard deviation, planJoinCost and planGroupCost are
+// the per-row weights of a utility (join) and a bound (group-by)
+// computation — a join touches both inputs where a group-by scans one.
+const (
+	planSigma     = 0.25
+	planJoinCost  = 2
+	planGroupCost = 1
+)
+
+func newPlanContext(e *Evaluator) *planContext {
 	groups := e.Groups()
 	ng := len(groups)
 	nRows := float64(e.NumRows())
 	ctx := &planContext{
 		m:     make([]int, ng),
 		byM:   make([]int, ng),
-		sigma: opts.Sigma,
 		cu:    make([]float64, ng),
 		cb:    make([]float64, ng),
 		beats: make([]float64, ng*ng),
@@ -59,8 +66,8 @@ func newPlanContext(e *Evaluator, opts Options) *planContext {
 		ctx.byM[i] = i
 		// CU(g) is a join pairing rows with in-scope facts, CD(g) the
 		// deviation group-by that produces the group's pruning bound.
-		ctx.cu[i] = opts.JoinCost * (nRows + float64(ctx.m[i]))
-		ctx.cb[i] = opts.GroupCost * (nRows + float64(ctx.m[i]))
+		ctx.cu[i] = planJoinCost * (nRows + float64(ctx.m[i]))
+		ctx.cb[i] = planGroupCost * (nRows + float64(ctx.m[i]))
 	}
 	slices.SortStableFunc(ctx.byM, func(a, b int) int { return ctx.m[a] - ctx.m[b] })
 	for i := range ctx.beats {
@@ -93,7 +100,7 @@ func (ctx *planContext) beat(si, ti int) float64 {
 	if *p < 0 {
 		muS := 1 / float64(max(1, ctx.m[si]))
 		muT := 1 / float64(max(1, ctx.m[ti]))
-		*p = stats.ProbGreater(muS, muT, ctx.sigma)
+		*p = stats.ProbGreater(muS, muT, planSigma)
 	}
 	return *p
 }
@@ -200,12 +207,11 @@ func clonePlan(p Plan) Plan {
 
 // OptPrune selects the minimum-cost pruning plan among Algorithm 4's
 // candidates (the OPT_PRUNE function of Algorithm 3), the first of them
-// on a tie. This is the G-O strategy of the paper's experiments. Unset
-// cost-model fields of opts take the package defaults.
-func OptPrune(e *Evaluator, opts Options) Plan {
+// on a tie. This is the G-O strategy of the paper's experiments.
+func OptPrune(e *Evaluator) Plan {
 	var best Plan
 	bestCost := math.Inf(1)
-	newPlanContext(e, opts).candidates(func(p Plan, cost float64) bool {
+	newPlanContext(e).candidates(func(p Plan, cost float64) bool {
 		if cost < bestCost {
 			best, bestCost = clonePlan(p), cost
 		}
@@ -218,9 +224,9 @@ func OptPrune(e *Evaluator, opts Options) Plan {
 // the only pruning source and every remaining group is a pruning target,
 // in the order Algorithm 4 considers them. No cost-based selection
 // happens, which the paper shows can even increase overheads.
-func NaivePlan(e *Evaluator, opts Options) Plan {
+func NaivePlan(e *Evaluator) Plan {
 	var last Plan
-	newPlanContext(e, opts).candidates(func(p Plan, _ float64) bool {
+	newPlanContext(e).candidates(func(p Plan, _ float64) bool {
 		if len(p.Source) > 1 {
 			return false
 		}

@@ -25,15 +25,14 @@ import (
 // the estimate of the same quantity sharper).
 type refPlanContext struct {
 	e     *Evaluator
-	opts  Options
 	m     []int   // M(g) per group
 	byM   []int   // group indices sorted by ascending M(g)
 	nRows float64 // rows in the view
 }
 
-func newRefPlanContext(e *Evaluator, opts Options) *refPlanContext {
+func newRefPlanContext(e *Evaluator) *refPlanContext {
 	groups := e.Groups()
-	ctx := &refPlanContext{e: e, opts: opts, nRows: float64(e.NumRows())}
+	ctx := &refPlanContext{e: e, nRows: float64(e.NumRows())}
 	ctx.m = make([]int, len(groups))
 	for i := range groups {
 		ctx.m[i] = len(groups[i].Facts)
@@ -51,13 +50,13 @@ func newRefPlanContext(e *Evaluator, opts Options) *refPlanContext {
 // costUtility is CU(g): the estimated cost of computing utility for every
 // fact of group g, a join pairing rows with in-scope facts.
 func (ctx *refPlanContext) costUtility(gi int) float64 {
-	return ctx.opts.JoinCost * (ctx.nRows + float64(ctx.m[gi]))
+	return planJoinCost * (ctx.nRows + float64(ctx.m[gi]))
 }
 
 // costBound is CD(g): the estimated cost of the deviation group-by that
 // produces the group's pruning bound.
 func (ctx *refPlanContext) costBound(gi int) float64 {
-	return ctx.opts.GroupCost * (ctx.nRows + float64(ctx.m[gi]))
+	return planGroupCost * (ctx.nRows + float64(ctx.m[gi]))
 }
 
 // probSourceBeatsTarget is Pr(P_{s→t}): the probability that the maximal
@@ -68,7 +67,7 @@ func (ctx *refPlanContext) costBound(gi int) float64 {
 func (ctx *refPlanContext) probSourceBeatsTarget(si, ti int) float64 {
 	muS := 1 / float64(max(1, ctx.m[si]))
 	muT := 1 / float64(max(1, ctx.m[ti]))
-	return stats.ProbGreater(muS, muT, ctx.opts.Sigma)
+	return stats.ProbGreater(muS, muT, planSigma)
 }
 
 // probPruned is Pr(P_t) for a target given the source set: one minus the
@@ -179,8 +178,8 @@ func refCandidatePlans(ctx *refPlanContext) []Plan {
 // OptPrune selects the minimum-cost pruning plan among Algorithm 4's
 // candidates (the OPT_PRUNE function of Algorithm 3). This is the G-O
 // strategy of the paper's experiments.
-func refOptPrune(e *Evaluator, opts Options) Plan {
-	ctx := newRefPlanContext(e, opts)
+func refOptPrune(e *Evaluator) Plan {
+	ctx := newRefPlanContext(e)
 	plans := refCandidatePlans(ctx)
 	best := plans[0]
 	bestCost := ctx.planCost(best)
@@ -196,8 +195,8 @@ func refOptPrune(e *Evaluator, opts Options) Plan {
 // the only pruning source and every remaining group is a pruning target,
 // in the order Algorithm 4 considers them. No cost-based selection
 // happens, which the paper shows can even increase overheads.
-func refNaivePlan(e *Evaluator, opts Options) Plan {
-	ctx := newRefPlanContext(e, opts)
+func refNaivePlan(e *Evaluator) Plan {
+	ctx := newRefPlanContext(e)
 	if len(ctx.byM) == 0 {
 		return Plan{}
 	}
@@ -260,15 +259,14 @@ func eachDatasetProblem(rel *relation.Relation, fn func(e *Evaluator)) {
 // same candidate plans in the same order, each at the bit-identical
 // estimated cost, and therefore the same OptPrune and NaivePlan.
 func TestPlannerMatchesReference(t *testing.T) {
-	opts := Options{}.withDefaults()
 	for _, rel := range []*relation.Relation{dataset.Flights(3000, 1), dataset.ACS(3000, 1)} {
 		problems := 0
 		eachDatasetProblem(rel, func(e *Evaluator) {
 			problems++
-			ref := newRefPlanContext(e, opts)
+			ref := newRefPlanContext(e)
 			want := refCandidatePlans(ref)
 			i := 0
-			newPlanContext(e, opts).candidates(func(p Plan, cost float64) bool {
+			newPlanContext(e).candidates(func(p Plan, cost float64) bool {
 				if i >= len(want) {
 					t.Fatalf("%s problem %d: more than the reference's %d candidates", rel.Name(), problems, len(want))
 				}
@@ -284,10 +282,10 @@ func TestPlannerMatchesReference(t *testing.T) {
 			if i != len(want) {
 				t.Fatalf("%s problem %d: %d candidates, reference has %d", rel.Name(), problems, i, len(want))
 			}
-			if got, want := OptPrune(e, opts), refOptPrune(e, opts); !reflect.DeepEqual(got, want) {
+			if got, want := OptPrune(e), refOptPrune(e); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s problem %d: OptPrune %+v, reference %+v", rel.Name(), problems, got, want)
 			}
-			if got, want := NaivePlan(e, opts), refNaivePlan(e, opts); !reflect.DeepEqual(got, want) {
+			if got, want := NaivePlan(e), refNaivePlan(e); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s problem %d: NaivePlan %+v, reference %+v", rel.Name(), problems, got, want)
 			}
 		})

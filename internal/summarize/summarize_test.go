@@ -101,6 +101,9 @@ func TestSingleFactUtilityMatchesDefinition(t *testing.T) {
 	}
 }
 
+// TestSpeechUtilityMatchesDefinition: the exact search's incremental
+// path state, with a speech's facts pushed one by one, holds the speech's
+// utility under the definition.
 func TestSpeechUtilityMatchesDefinition(t *testing.T) {
 	rel := buildFlights(t)
 	view := rel.FullView()
@@ -110,14 +113,15 @@ func TestSpeechUtilityMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(3)
-		idx := make([]int32, 0, n)
 		sel := make([]fact.Fact, 0, n)
+		var path pathState
+		path.begin(e)
 		for i := 0; i < n; i++ {
 			fi := int32(rng.Intn(len(facts)))
-			idx = append(idx, fi)
+			path.push(e, fi)
 			sel = append(sel, facts[fi])
 		}
-		got := e.SpeechUtility(idx)
+		got := path.u
 		want := fact.Utility(view, sel, prior, 0)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: speech utility %v, want %v", trial, got, want)
@@ -412,11 +416,10 @@ func TestPlannerProducesValidPlans(t *testing.T) {
 	view := rel.FullView()
 	facts := fact.Generate(view, 0, fact.GenerateOptions{MaxDims: 2})
 	e := NewEvaluator(view, 0, facts, fact.MeanPrior(view, 0))
-	opts := Options{}.withDefaults()
 
 	var plans []Plan
 	var costs []float64
-	newPlanContext(e, opts).candidates(func(p Plan, cost float64) bool {
+	newPlanContext(e).candidates(func(p Plan, cost float64) bool {
 		plans = append(plans, clonePlan(p))
 		costs = append(costs, cost)
 		return true
@@ -462,11 +465,10 @@ func TestOptPruneDeterministic(t *testing.T) {
 	rel := randomRelation(rng, 50)
 	view := rel.FullView()
 	facts := fact.Generate(view, 0, fact.GenerateOptions{MaxDims: 2})
-	opts := Options{}.withDefaults()
 	e := NewEvaluator(view, 0, facts, fact.MeanPrior(view, 0))
-	first := OptPrune(e, opts)
+	first := OptPrune(e)
 	for i := 0; i < 5; i++ {
-		again := OptPrune(e, opts)
+		again := OptPrune(e)
 		if len(again.Source) != len(first.Source) || len(again.Targets) != len(first.Targets) {
 			t.Fatal("OptPrune not deterministic")
 		}
