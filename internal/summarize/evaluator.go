@@ -36,7 +36,8 @@ import (
 //     per-row slot ids — through a flat table indexed by the combination's
 //     mixed-radix key, no hash map — so GroupBound is a pure array scan;
 //   - the exact algorithm's DFS evaluates speeches by maintaining per-row
-//     deviations incrementally with an undo log;
+//     deviations incrementally with an undo log, and scores the last fact
+//     of a speech read-only, over a per-problem column of row distances;
 //   - every scratch buffer is retained across Reset calls, so a pooled
 //     evaluator solves problem after problem without reallocating;
 //   - the build splits into a target-independent layout (groups, row
@@ -67,6 +68,12 @@ type Evaluator struct {
 	postRows  []int32
 	postStart []int
 	postFill  []int
+
+	// postDist parallels postRows: the distance |v_f − truth| between a
+	// fact's value and each in-scope row's truth, fixed for the problem.
+	// singleFactUtilities writes it; the exact search's push and peek
+	// read it in posting order instead of gathering truth values.
+	postDist []float64
 
 	// curDev is the greedy algorithm's per-row expectation state: the
 	// deviation |E(F,r) − vr| under the facts selected so far.
@@ -531,11 +538,27 @@ func (e *Evaluator) SingleFactUtility(fi int) float64 {
 }
 
 // singleFactUtilities computes single-fact utilities for all facts into
-// a reused buffer; the result is valid until the next call.
+// a reused buffer; the result is valid until the next call. Each
+// utility is SingleFactUtility's, to the bit. The same scan stores every
+// row distance |v_f − truth| in postDist, which the exact search's push
+// and peek read: it must run before them on every problem and target.
 func (e *Evaluator) singleFactUtilities() []float64 {
 	e.utilsBuf = growF64(e.utilsBuf, len(e.facts))
-	for i := range e.facts {
-		e.utilsBuf[i] = e.SingleFactUtility(i)
+	e.postDist = growF64(e.postDist, len(e.postRows))
+	truth, priorDev := e.truth, e.priorDev
+	for fi := range e.facts {
+		v := e.facts[fi].Value
+		lo, hi := e.postStart[fi], e.postStart[fi+1]
+		dist := e.postDist[lo:hi]
+		u := 0.0
+		for k, i := range e.postRows[lo:hi] {
+			d := math.Abs(v - truth[i])
+			dist[k] = d
+			dev := priorDev[i]
+			u += dev - min(dev, d)
+		}
+		e.utilsBuf[fi] = u
+		e.JoinedRows += int64(hi - lo)
 	}
 	return e.utilsBuf
 }
@@ -544,7 +567,7 @@ func (e *Evaluator) singleFactUtilities() []float64 {
 // walker: per-row deviations along the current search path with an undo
 // log, the running utility, and the join-size accounting of the path.
 // It only reads the evaluator's immutable per-problem layout (postings,
-// truth, priors, fact values).
+// their distance column, priors).
 type pathState struct {
 	dev     []float64
 	undoRow []int32
@@ -575,30 +598,54 @@ func (p *pathState) begin(e *Evaluator) {
 // an improved row, so the log ends up holding exactly the improved rows
 // in scan order. Room for the whole posting list is reserved up front.
 // The utility and the deviation take min(old, d) as SingleFactUtility
-// does.
+// does, with d read from the distance column singleFactUtilities filled.
 func (p *pathState) push(e *Evaluator, fi int32) int {
 	mark := len(p.undoRow)
-	v := e.facts[fi].Value
-	post := e.posting(int(fi))
-	truth, dev := e.truth, p.dev
+	post, dist := e.postingDist(fi)
+	dist = dist[:len(post)] // one bounds check for the loop
+	dev := p.dev
 	end := mark + len(post)
 	rows := slices.Grow(p.undoRow, len(post))[:end]
 	vals := slices.Grow(p.undoVal, len(post))[:end]
-	k := mark
+	w := mark
 	u := p.u
-	for _, i := range post {
-		d := math.Abs(v - truth[i])
+	for k, i := range post {
+		d := dist[k]
 		old := dev[i]
 		m := min(old, d)
-		rows[k], vals[k] = i, old
+		rows[w], vals[w] = i, old
 		u += old - m
 		dev[i] = m
-		k += b2i(d < old)
+		w += b2i(d < old)
 	}
-	p.undoRow, p.undoVal = rows[:k], vals[:k]
+	p.undoRow, p.undoVal = rows[:w], vals[:w]
 	p.u = u
 	p.post += int64(len(post))
 	return mark
+}
+
+// peek returns the utility the path would have after push(e, fi), and
+// the length of fi's posting list, without writing anything: the exact
+// search scores the last fact of a speech this way, since nothing reads
+// the state a last push would write. It adds the same terms as push in
+// the same order, so the utility is push's p.u to the bit.
+func (p *pathState) peek(e *Evaluator, fi int32) (float64, int) {
+	post, dist := e.postingDist(fi)
+	dist = dist[:len(post)]
+	dev := p.dev
+	u := p.u
+	for k, i := range post {
+		old := dev[i]
+		u += old - min(old, dist[k])
+	}
+	return u, len(post)
+}
+
+// postingDist returns fact fi's posting list and its slice of the
+// distance column, of equal length.
+func (e *Evaluator) postingDist(fi int32) ([]int32, []float64) {
+	lo, hi := e.postStart[fi], e.postStart[fi+1]
+	return e.postRows[lo:hi], e.postDist[lo:hi]
 }
 
 // b2i is 1 for true and 0 for false, compiled to a flag move.

@@ -37,11 +37,14 @@ func Exact(e *Evaluator, opts Options) Summary {
 // optimality.
 //
 // Speech utilities are evaluated incrementally along the search path:
-// expanding a node folds one fact into the per-row deviation state
-// (O(|scope of that fact|) with an undo log), so a completed speech's
-// utility is already on hand instead of re-unioning the whole speech at
-// every leaf. The JoinedRows counter still charges each evaluated speech
-// the full join size of the paper's SQL formulation (see Evaluator).
+// expanding an inner node folds one fact into the per-row deviation
+// state (O(|scope of that fact|) with an undo log), and the last fact of
+// a speech is scored read-only against that state — one pass over its
+// posting list and the problem's row-distance column, writing nothing —
+// instead of re-unioning the whole speech at every leaf. Nearly every
+// node the search expands is such a leaf. The JoinedRows counter still
+// charges each evaluated speech the full join size of the paper's SQL
+// formulation (see Evaluator).
 //
 // The run is bounded two ways: opts.Timeout and the context's deadline
 // both become the enumeration deadline (whichever is earlier), returning
@@ -118,19 +121,49 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 
 	e.path.begin(e)
 	chosen := make([]int32, 0, m)
-	evaluate := func() {
-		// The incremental path state already holds the utility of the
-		// chosen speech; charge the counter the speech's join size.
-		u := e.path.u
-		e.JoinedRows += e.path.post
+	// evaluate counts a full speech of utility u whose join size is
+	// joined, raises b to it, and reports whether it is the new best; the
+	// caller then records the speech.
+	evaluate := func(u float64, joined int64) bool {
+		e.JoinedRows += joined
 		stats.SpeechesEvaluated++
-		if u > bestU {
-			bestU = u
-			best = append(best[:0], chosen...)
-		}
 		if u > b {
 			b = u
 		}
+		if u > bestU {
+			bestU = u
+			return true
+		}
+		return false
+	}
+
+	// stop polls the deadline and the context, every ctxCheckEvery
+	// nodes, and records why the search must end. Deadline before
+	// cancellation: an expired ctx deadline makes ctx.Err() non-nil at
+	// the same instant, and it must count as a timeout (best-so-far
+	// kept), not a cancellation.
+	timedOut := false
+	cancelled := false
+	stop := func() bool {
+		if stats.NodesExpanded%ctxCheckEvery != 0 {
+			return false
+		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			timedOut = true
+			return true
+		}
+		if watchCtx {
+			switch ctx.Err() {
+			case nil:
+			case context.DeadlineExceeded:
+				timedOut = true
+				return true
+			default:
+				cancelled = true
+				return true
+			}
+		}
+		return false
 	}
 
 	// Depth-first enumeration over combinations in the canonical
@@ -138,34 +171,14 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 	// upper bound S.U (sum of single-fact utilities of selected facts,
 	// Lemma 2).
 	var dfs func(pos int, sumU float64)
-	timedOut := false
-	cancelled := false
 	dfs = func(pos int, sumU float64) {
-		if timedOut || cancelled {
+		if timedOut || cancelled || stop() {
 			return
 		}
-		if stats.NodesExpanded%ctxCheckEvery == 0 {
-			// Deadline before cancellation: an expired ctx deadline makes
-			// ctx.Err() non-nil at the same instant, and it must count as
-			// a timeout (best-so-far kept), not a cancellation.
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				timedOut = true
-				return
+		if len(chosen) == m { // only the empty speech, when m is 0
+			if evaluate(e.path.u, e.path.post) {
+				best = best[:0]
 			}
-			if watchCtx {
-				switch ctx.Err() {
-				case nil:
-				case context.DeadlineExceeded:
-					timedOut = true
-					return
-				default:
-					cancelled = true
-					return
-				}
-			}
-		}
-		if len(chosen) == m {
-			evaluate()
 			return
 		}
 		extended := false
@@ -195,6 +208,19 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 			}
 			stats.NodesExpanded++
 			extended = true
+			if remaining == 1 {
+				// The last slot: score the full speech read-only. This is
+				// evaluate after push, with the same poll a child node
+				// would make, minus the writes nothing would read.
+				if stop() {
+					return
+				}
+				speechU, n := e.path.peek(e, fi)
+				if evaluate(speechU, e.path.post+int64(n)) {
+					best = append(append(best[:0], chosen...), fi)
+				}
+				continue
+			}
 			chosen = append(chosen, fi)
 			domCnt[dom[fi]]++
 			savedU, savedPost := e.path.u, e.path.post
@@ -210,7 +236,9 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 		if !extended && len(chosen) > 0 {
 			// No admissible extension: the partial speech is itself a
 			// candidate ("up to m facts").
-			evaluate()
+			if evaluate(e.path.u, e.path.post) {
+				best = append(best[:0], chosen...)
+			}
 		}
 	}
 	dfs(0, 0)

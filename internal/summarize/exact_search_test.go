@@ -1,0 +1,90 @@
+package summarize_test
+
+import (
+	"context"
+	"testing"
+
+	"cicero/internal/dataset"
+	"cicero/internal/engine"
+	"cicero/internal/summarize"
+)
+
+// searchProblem is one problem of the preprocess_exact batch (flights
+// 12,000 rows, one-predicate queries, four-fact speeches, the global-mean
+// prior): average delay in April, 1,009 rows and 345 candidate facts,
+// where Lemma 1's search expands about 630,000 nodes.
+func searchProblem(tb testing.TB) (engine.Problem, int) {
+	tb.Helper()
+	rel := dataset.Flights(12000, 1)
+	cfg := engine.DefaultConfig(rel)
+	cfg.MaxQueryLen = 1
+	var found engine.Problem
+	ok := false
+	err := engine.EachProblem(rel, cfg, func(p engine.Problem) error {
+		if p.Query.Key() != "delay|month=April" {
+			return nil
+		}
+		found, ok = p, true
+		return engine.ErrStopEnumeration
+	})
+	if err != nil || !ok {
+		tb.Fatalf("problem delay|month=April: found %v, err %v", ok, err)
+	}
+	return found, cfg.MaxFactDims
+}
+
+// TestExactAllocCeiling pins what a warm pooled evaluator's exact search
+// allocates: the returned Summary (its fact indices, fact slice and each
+// fact's cloned scope) and the search's path and best-speech buffers,
+// none of them sized by rows or postings. The distance column, the
+// per-row path deviations and the undo log are retained from the first
+// run; growing any of them again would add to the count.
+func TestExactAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	p, maxFactDims := searchProblem(t)
+	e := summarize.AcquireEvaluator(p.View, p.Target, p.GenerateFacts(maxFactDims), p.Prior)
+	defer summarize.ReleaseEvaluator(e)
+	opts := summarize.Options{MaxFacts: 4}
+	opts.LowerBound = summarize.Greedy(e, opts).Utility
+	for _, search := range []struct {
+		name string
+		run  func(context.Context, *summarize.Evaluator, summarize.Options) summarize.Summary
+	}{{"lemma1", summarize.ExactCtx}, {"submodular", summarize.ExactSubmodularCtx}} {
+		ctx := context.Background()
+		facts := len(search.run(ctx, e, opts).FactIdx) // the first run sizes every buffer
+		const ceiling = 16
+		avg := testing.AllocsPerRun(3, func() { search.run(ctx, e, opts) })
+		t.Logf("%s: %.0f objects per search, %d-fact speech (ceiling %d)", search.name, avg, facts, ceiling)
+		if avg > ceiling {
+			t.Errorf("%s: a warm exact search allocates %.0f objects, ceiling %d", search.name, avg, ceiling)
+		}
+	}
+}
+
+// BenchmarkExactSearch measures the exact search alone — the pruned
+// enumeration at four facts under Lemma 1's bound (solver E) and under
+// the submodular path bound (solver E-P) — on one pre-built evaluator of
+// a preprocess_exact problem, with its greedy seed computed once,
+// outside the timer. Unlike BenchmarkExactSolve, nearly all of an
+// iteration is the search.
+func BenchmarkExactSearch(b *testing.B) {
+	p, maxFactDims := searchProblem(b)
+	e := summarize.NewEvaluator(p.View, p.Target, p.GenerateFacts(maxFactDims), p.Prior)
+	opts := summarize.Options{MaxFacts: 4}
+	opts.LowerBound = summarize.Greedy(e, opts).Utility
+	for _, search := range []struct {
+		name string
+		run  func(context.Context, *summarize.Evaluator, summarize.Options) summarize.Summary
+	}{{"lemma1", summarize.ExactCtx}, {"submodular", summarize.ExactSubmodularCtx}} {
+		b.Run(search.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				nodes = search.run(b.Context(), e, opts).Stats.NodesExpanded
+			}
+			b.ReportMetric(float64(nodes), "nodes/op")
+		})
+	}
+}

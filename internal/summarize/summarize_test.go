@@ -110,6 +110,7 @@ func TestSpeechUtilityMatchesDefinition(t *testing.T) {
 	facts := fact.Generate(view, 0, fact.GenerateOptions{MaxDims: 2})
 	prior := fact.MeanPrior(view, 0)
 	e := NewEvaluator(view, 0, facts, prior)
+	e.singleFactUtilities() // fills the distance column push reads
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(3)
