@@ -406,3 +406,69 @@ func TestSolveExactFallsBackToGreedyOnTimeout(t *testing.T) {
 		t.Error("timed-out exact should fall back to greedy result")
 	}
 }
+
+// TestSolveExactReportsSeedAndSearchWork pins what engine.Solve reports
+// for solver E: the greedy seed's work counters plus the exact search's,
+// whichever speech it answers with. On housing 400 rows, the search
+// falls short of the seed on population|bedrooms=Three bedroom (Lemma
+// 1's fixed ε cuts a speech that ties the seed within rounding), so Solve
+// answers with the seed's speech; on population|bedrooms=Studio it
+// answers with the search's.
+func TestSolveExactReportsSeedAndSearchWork(t *testing.T) {
+	rel := dataset.ByNameRows("housing", 400, 1)
+	cfg := DefaultConfig(rel)
+	cfg.MaxQueryLen = 1
+	wantFallback := map[string]bool{
+		"population|bedrooms=Three bedroom": true,
+		"population|bedrooms=Studio":        false,
+	}
+	seen := 0
+	err := EachProblem(rel, cfg, func(p Problem) error {
+		fallback, ok := wantFallback[p.Query.Key()]
+		if !ok {
+			return nil
+		}
+		seen++
+		facts := p.GenerateFacts(cfg.MaxFactDims)
+		opts := summarize.Options{MaxFacts: cfg.MaxFacts}
+		got := Solve(t.Context(), AlgExact, summarize.NewEvaluator(p.View, p.Target, facts, p.Prior), opts)
+
+		e := summarize.NewEvaluator(p.View, p.Target, facts, p.Prior)
+		seed := summarize.GreedyCtx(t.Context(), e, opts)
+		searchOpts := opts
+		searchOpts.LowerBound = seed.Utility
+		search := summarize.ExactCtx(t.Context(), e, searchOpts)
+		if (search.Utility < seed.Utility) != fallback {
+			t.Fatalf("%s: search %v, seed %v: want fallback %v", p.Query.Key(), search.Utility, seed.Utility, fallback)
+		}
+		winner := search
+		if fallback {
+			winner = seed
+		}
+		if !slices.Equal(got.FactIdx, winner.FactIdx) || math.Float64bits(got.Utility) != math.Float64bits(winner.Utility) {
+			t.Errorf("%s: Solve answered %v (%v), want %v (%v)", p.Query.Key(), got.FactIdx, got.Utility, winner.FactIdx, winner.Utility)
+		}
+		want := search.Stats
+		want.FactsEvaluated += seed.Stats.FactsEvaluated
+		want.GroupsPruned += seed.Stats.GroupsPruned
+		want.BoundsComputed += seed.Stats.BoundsComputed
+		want.NodesExpanded += seed.Stats.NodesExpanded
+		want.SpeechesEvaluated += seed.Stats.SpeechesEvaluated
+		want.DominatedSkipped += seed.Stats.DominatedSkipped
+		want.JoinedRows += seed.Stats.JoinedRows
+		got.Stats.Elapsed, want.Elapsed = 0, 0
+		if got.Stats != want {
+			t.Errorf("%s: Solve reported %+v, want the seed's work plus the search's %+v", p.Query.Key(), got.Stats, want)
+		}
+		if got.Stats.NodesExpanded == 0 || got.Stats.FactsEvaluated <= search.Stats.FactsEvaluated {
+			t.Errorf("%s: Solve reported %+v: want the search's nodes and the seed's facts", p.Query.Key(), got.Stats)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(wantFallback) {
+		t.Fatalf("found %d of the %d problems", seen, len(wantFallback))
+	}
+}

@@ -36,8 +36,9 @@ func Algorithms() []Algorithm {
 // Solve runs the selected algorithm on a prepared evaluator. The context
 // bounds the run: its deadline acts like opts.Timeout and cancellation
 // aborts the inner enumeration loops, returning the best speech found so
-// far with Stats.Cancelled set. This is the single solving core behind
-// the pipeline's solver registry.
+// far with Stats.Cancelled set. For E and E-P the stats add the greedy
+// seed's work to the exact search's, whichever speech is returned. This
+// is the single solving core behind the pipeline's solver registry.
 func Solve(ctx context.Context, alg Algorithm, e *summarize.Evaluator, opts summarize.Options) summarize.Summary {
 	switch alg {
 	case AlgExact, AlgExactPruned:
@@ -49,14 +50,17 @@ func Solve(ctx context.Context, alg Algorithm, e *summarize.Evaluator, opts summ
 			search = summarize.ExactSubmodularCtx
 		}
 		exact := search(ctx, e, exactOpts)
+		// The solve is the seed and the search: whichever speech wins,
+		// the stats report the work of both.
+		stats := withSeedWork(exact.Stats, greedy.Stats)
 		// A timed-out or cancelled exact run may fall below the greedy
 		// seed; the greedy speech is then the best known answer (the
 		// paper's runs with a 48h timeout behave the same way).
 		if exact.Utility < greedy.Utility {
-			greedy.Stats.TimedOut = exact.Stats.TimedOut
-			greedy.Stats.Cancelled = exact.Stats.Cancelled
+			greedy.Stats = stats
 			return greedy
 		}
+		exact.Stats = stats
 		return exact
 	case AlgGreedyPrune:
 		opts.Pruning = summarize.PruneNaive
@@ -68,6 +72,21 @@ func Solve(ctx context.Context, alg Algorithm, e *summarize.Evaluator, opts summ
 		opts.Pruning = summarize.PruneNone
 		return summarize.GreedyCtx(ctx, e, opts)
 	}
+}
+
+// withSeedWork returns an exact search's stats with its greedy seed's
+// work counters and wall-clock time added; TimedOut and Cancelled stay
+// the search's.
+func withSeedWork(search, seed summarize.RunStats) summarize.RunStats {
+	search.FactsEvaluated += seed.FactsEvaluated
+	search.GroupsPruned += seed.GroupsPruned
+	search.BoundsComputed += seed.BoundsComputed
+	search.NodesExpanded += seed.NodesExpanded
+	search.SpeechesEvaluated += seed.SpeechesEvaluated
+	search.DominatedSkipped += seed.DominatedSkipped
+	search.JoinedRows += seed.JoinedRows
+	search.Elapsed += seed.Elapsed
+	return search
 }
 
 // SolveProblem generates candidate facts for one problem and runs the
