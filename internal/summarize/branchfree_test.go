@@ -96,8 +96,7 @@ func oracleEvaluator(rng *rand.Rand, allNegative bool) *Evaluator {
 // TestBranchFreeKernelsMatchBranchy holds every branch-free scan to its
 // branchy original, bit for bit, on random evaluators with ties
 // (d == dev), zero-deviation rows and all-negative gains: single-fact
-// utilities (alone and as the exact search computes them all at once,
-// filling the distance column), greedy gains and the greedy state after every commit, and
+// utilities, greedy gains and the greedy state after every commit, and
 // the exact search's path state — deviations, running utility, the undo
 // log's rows and values and every mark — after every push and pop.
 func TestBranchFreeKernelsMatchBranchy(t *testing.T) {
@@ -108,11 +107,9 @@ func TestBranchFreeKernelsMatchBranchy(t *testing.T) {
 		nf := e.NumFacts()
 		utils := e.singleFactUtilities() // also fills the distance column push reads
 		for fi := 0; fi < nf; fi++ {
-			want := branchySingleFactUtility(e, fi)
-			for _, got := range []float64{utils[fi], e.SingleFactUtility(fi)} {
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("trial %d fact %d: single-fact utility %x, branchy %x", trial, fi, math.Float64bits(got), math.Float64bits(want))
-				}
+			got, want := utils[fi], branchySingleFactUtility(e, fi)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d fact %d: single-fact utility %x, branchy %x", trial, fi, math.Float64bits(got), math.Float64bits(want))
 			}
 		}
 		for i := range e.priorDev {

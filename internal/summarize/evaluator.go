@@ -514,9 +514,12 @@ func (e *Evaluator) Groups() []FactGroup { return e.groups }
 // PriorError returns D(∅), the accumulated deviation of the empty speech.
 func (e *Evaluator) PriorError() float64 { return e.priorSum }
 
-// SingleFactUtility computes the utility of a singleton speech {f}:
-// Σ_rows max(0, priorDev − |v_f − truth|) over rows in scope. This is the
-// Γ_{ΣU,F}(R ⋊⋉M F) step of both Algorithm 1 and 2.
+// singleFactUtilities computes the utility of every singleton speech {f}
+// into a reused buffer, valid until the next call: Σ_rows max(0,
+// priorDev − |v_f − truth|) over rows in scope. This is the Γ_{ΣU,F}(R
+// ⋊⋉M F) step of Algorithm 1. The same scan stores every row distance
+// |v_f − truth| in postDist, which the exact search's push and peek
+// read: it must run before them on every problem and target.
 //
 // Like every scan below, it does not branch on the sign of a row's gain,
 // which depends on the data and mispredicts on about every other row: it
@@ -524,24 +527,6 @@ func (e *Evaluator) PriorError() float64 { return e.priorSum }
 // otherwise. min of two non-negative numbers is exact and adding +0 to a
 // non-negative sum leaves its bits unchanged, so the results are the
 // branchy versions' to the bit (for finite target values).
-func (e *Evaluator) SingleFactUtility(fi int) float64 {
-	v := e.facts[fi].Value
-	truth, priorDev := e.truth, e.priorDev
-	u := 0.0
-	post := e.posting(fi)
-	for _, i := range post {
-		dev := priorDev[i]
-		u += dev - min(dev, math.Abs(v-truth[i]))
-	}
-	e.JoinedRows += int64(len(post))
-	return u
-}
-
-// singleFactUtilities computes single-fact utilities for all facts into
-// a reused buffer; the result is valid until the next call. Each
-// utility is SingleFactUtility's, to the bit. The same scan stores every
-// row distance |v_f − truth| in postDist, which the exact search's push
-// and peek read: it must run before them on every problem and target.
 func (e *Evaluator) singleFactUtilities() []float64 {
 	e.utilsBuf = growF64(e.utilsBuf, len(e.facts))
 	e.postDist = growF64(e.postDist, len(e.postRows))
@@ -597,8 +582,8 @@ func (p *pathState) begin(e *Evaluator) {
 // pair is written at the log's cursor, and the cursor advances only past
 // an improved row, so the log ends up holding exactly the improved rows
 // in scan order. Room for the whole posting list is reserved up front.
-// The utility and the deviation take min(old, d) as SingleFactUtility
-// does, with d read from the distance column singleFactUtilities filled.
+// The utility and the deviation take min(old, d) as singleFactUtilities
+// does, with d read from the distance column it filled.
 func (p *pathState) push(e *Evaluator, fi int32) int {
 	mark := len(p.undoRow)
 	post, dist := e.postingDist(fi)

@@ -91,9 +91,9 @@ func TestSingleFactUtilityMatchesDefinition(t *testing.T) {
 	view := rel.FullView()
 	facts := fact.Generate(view, 0, fact.GenerateOptions{MaxDims: 2})
 	prior := fact.MeanPrior(view, 0)
-	e := NewEvaluator(view, 0, facts, prior)
+	utils := NewEvaluator(view, 0, facts, prior).singleFactUtilities()
 	for fi := range facts {
-		got := e.SingleFactUtility(fi)
+		got := utils[fi]
 		want := fact.Utility(view, facts[fi:fi+1], prior, 0)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("fact %v utility %v, want %v", facts[fi].Scope.Key(), got, want)
@@ -148,15 +148,14 @@ func TestGreedyRunningExample(t *testing.T) {
 	// maximal single fact: no single fact has higher utility than the
 	// first selected one.
 	first := got.FactIdx[0]
-	e2 := NewEvaluator(view, 0, facts, fact.ConstantPrior(0))
+	utils := NewEvaluator(view, 0, facts, fact.ConstantPrior(0)).singleFactUtilities()
 	bestSingle := 0.0
-	for fi := range facts {
-		if u := e2.SingleFactUtility(fi); u > bestSingle {
+	for _, u := range utils {
+		if u > bestSingle {
 			bestSingle = u
 		}
 	}
-	e3 := NewEvaluator(view, 0, facts, fact.ConstantPrior(0))
-	if u := e3.SingleFactUtility(int(first)); math.Abs(u-bestSingle) > 1e-9 {
+	if u := utils[first]; math.Abs(u-bestSingle) > 1e-9 {
 		t.Errorf("greedy first fact utility %v, want max %v", u, bestSingle)
 	}
 }
