@@ -22,8 +22,8 @@
 //     generate → evaluate → solve → render → sink stages with bounded
 //     memory and per-stage metrics; runs are cancellable down to the
 //     algorithms' inner loops and resumable from a checkpoint, and the
-//     solver is pluggable behind a registry that holds the paper's
-//     algorithms (E, E-P, G-B, G-P, G-O) and the sampling baseline;
+//     solver is chosen by name among the paper's algorithms (E, E-P,
+//     G-B, G-P, G-O) and the sampling baseline;
 //   - a voice front-end: a sample-trained text-to-query extractor and a
 //     request classifier;
 //   - a unified serving layer: the Answerer front door classifies any
@@ -50,15 +50,13 @@
 //     workloads GenerateLoad synthesizes);
 //   - multi-dataset tenancy with persistent snapshots: a Registry hosts
 //     the Answerers of N named datasets behind one daemon — lazy
-//     loading, idle eviction, per-dataset hot swap, per-dataset HTTP
-//     routes (/v1/{dataset}/answer, /v1/datasets) with dataset-scoped
-//     caching — and the binary snapshot format (versioned, checksummed,
+//     loading, per-dataset hot swap, per-dataset HTTP routes
+//     (/v1/{dataset}/answer, /v1/datasets) with dataset-scoped caching
+//     — and the binary snapshot format (versioned, checksummed,
 //     name-resolved; see internal/snapshot/FORMAT.md) turns a
 //     pre-processed store into a deployable artifact, so a restarted
 //     daemon cold-starts in microseconds instead of re-summarizing for
-//     minutes (SaveSnapshot/MapSnapshot/SnapshotInfo; LoadSnapshot is
-//     the facts-complete heap decode for tools that re-write an
-//     artifact).
+//     minutes (SaveSnapshot/MapSnapshot/SnapshotInfo).
 //
 // This root package re-exports the public surface; see the example
 // programs under examples/ for end-to-end usage and internal/experiments
@@ -70,7 +68,6 @@ import (
 	"net/http"
 	"time"
 
-	"cicero/internal/cluster"
 	"cicero/internal/engine"
 	"cicero/internal/fact"
 	"cicero/internal/httpserve"
@@ -108,8 +105,6 @@ type (
 	Fact = fact.Fact
 	// Scope assigns values to a subset of dimension columns.
 	Scope = fact.Scope
-	// Speech is a set of facts.
-	Speech = fact.Speech
 	// Prior supplies default user expectations per row.
 	Prior = fact.Prior
 	// ConstantPrior is a row-independent prior.
@@ -168,19 +163,6 @@ func NewEvaluator(v *View, target int, facts []Fact, prior Prior) *Evaluator {
 	return summarize.NewEvaluator(v, target, facts, prior)
 }
 
-// AcquireEvaluator returns a pooled evaluator rebuilt for the problem:
-// the allocation-free alternative to NewEvaluator for loops that solve
-// many problems. Pair with ReleaseEvaluator once the summary is read.
-func AcquireEvaluator(v *View, target int, facts []Fact, prior Prior) *Evaluator {
-	return summarize.AcquireEvaluator(v, target, facts, prior)
-}
-
-// ReleaseEvaluator returns a pooled evaluator for reuse; it must not be
-// used afterwards.
-func ReleaseEvaluator(e *Evaluator) {
-	summarize.ReleaseEvaluator(e)
-}
-
 // Greedy runs the near-optimal greedy algorithm (Algorithm 2).
 func Greedy(e *Evaluator, opts Options) Summary {
 	return summarize.Greedy(e, opts)
@@ -208,18 +190,9 @@ type (
 	StoredSpeech = engine.StoredSpeech
 	// Template renders fact sets into speech text.
 	Template = engine.Template
-	// Algorithm selects a summarization method for pre-processing.
+	// Algorithm selects a summarization method for pre-processing by
+	// name: "E", "E-P", "G-B", "G-P" or "G-O".
 	Algorithm = engine.Algorithm
-)
-
-// Pre-processing algorithms (the Figure 3 variants, plus E-P: E's
-// search under the tighter submodular path bound, bit-identical output).
-const (
-	AlgExact       = engine.AlgExact
-	AlgExactPruned = engine.AlgExactPruned
-	AlgGreedyBase  = engine.AlgGreedyBase
-	AlgGreedyPrune = engine.AlgGreedyPrune
-	AlgGreedyOpt   = engine.AlgGreedyOpt
 )
 
 // DefaultConfig returns the paper's default configuration for a relation.
@@ -231,13 +204,9 @@ func DefaultConfig(rel *Relation) Config {
 // streams problems through generate → evaluate → solve → render → sink
 // stages with bounded memory, honors context cancellation down to the
 // algorithms' inner loops, resumes interrupted batches from a
-// checkpoint, and runs any registered solver — the paper's algorithms
-// and the sampling baseline alike.
+// checkpoint, and runs any solver by name — the paper's algorithms and
+// the sampling baseline alike.
 type (
-	// Solver turns one prepared summarization problem into a summary.
-	Solver = pipeline.Solver
-	// SolveOptions parameterizes one solver invocation.
-	SolveOptions = pipeline.SolveOptions
 	// PipelineOptions configures a pre-processing run.
 	PipelineOptions = pipeline.Options
 	// PipelineStats summarizes a pre-processing run with per-stage times.
@@ -252,17 +221,6 @@ type (
 // supported query of the configuration, returning a frozen speech store.
 func Preprocess(ctx context.Context, rel *Relation, cfg Config, opts PipelineOptions) (*Store, PipelineStats, error) {
 	return pipeline.Run(ctx, rel, cfg, opts)
-}
-
-// RegisterSolver adds a solver to the pipeline's registry.
-func RegisterSolver(s Solver) { pipeline.Register(s) }
-
-// Solvers lists the registered solver names.
-func Solvers() []string { return pipeline.Solvers() }
-
-// OpenCheckpoint opens (creating if absent) a pipeline checkpoint file.
-func OpenCheckpoint(path string, rel *Relation) (*Checkpoint, error) {
-	return pipeline.OpenCheckpoint(path, rel)
 }
 
 // Persistent store snapshots: the binary, versioned, checksummed
@@ -291,18 +249,9 @@ func SaveSnapshot(path string, store *Store, rel *Relation) error {
 	return snapshot.WriteFile(path, store, rel)
 }
 
-// LoadSnapshot decodes a snapshot into a frozen heap store, facts
-// included, verifying checksums, format version, and dataset
-// provenance — for tools that re-write an artifact. Serving maps
-// instead (MapSnapshot); both accept exactly the same files.
-func LoadSnapshot(path string, rel *Relation) (*Store, error) {
-	return snapshot.ReadFile(path, rel)
-}
-
 // SnapshotInfo returns a snapshot's metadata (dataset, schema, speech
 // count, size) without rebuilding the store. Header and structure are
-// verified; the payload checksum is deferred to the full load
-// (LoadSnapshot, or SnapshotMap.Verify on the mmap path).
+// verified; the payload checksum is deferred to SnapshotMap.Verify.
 func SnapshotInfo(path string) (SnapshotMeta, error) {
 	return snapshot.InfoFile(path)
 }
@@ -377,15 +326,11 @@ func NewAnswerer(rel *Relation, store StoreView, ex *VoiceExtractor, opts ServeO
 }
 
 // Multi-dataset tenancy: one Registry hosts the Answerers of N named
-// datasets with lazy loading, eviction, and per-dataset hot swap, so a
-// single daemon serves every scenario at once.
-type (
-	// Registry hosts named dataset Answerers behind one serving surface.
-	Registry = serve.Registry
-	// DatasetLoader builds a dataset's Answerer on first use (typically
-	// a snapshot load with a rebuild fallback).
-	DatasetLoader = serve.Loader
-)
+// datasets with lazy loading and per-dataset hot swap, so a single
+// daemon serves every scenario at once.
+
+// Registry hosts named dataset Answerers behind one serving surface.
+type Registry = serve.Registry
 
 // ErrUnknownDataset reports a dataset name no tenant is registered
 // under (mapped to HTTP 404 by the serving tier).
@@ -423,14 +368,6 @@ func NewServer(a *Answerer, opts HTTPOptions) *HTTPServer {
 	return httpserve.New(a, opts)
 }
 
-// NewMultiServer builds the HTTP serving tier over a dataset registry:
-// every registered dataset is served under /v1/{dataset}/answer with
-// lazy loading and per-dataset hot swap; defaultDataset names the
-// tenant the legacy /v1/answer route resolves to (empty for none).
-func NewMultiServer(reg *Registry, defaultDataset string, opts HTTPOptions) *HTTPServer {
-	return httpserve.NewMulti(reg, defaultDataset, opts)
-}
-
 // Serve runs the HTTP serving tier on addr until ctx is cancelled,
 // then shuts down gracefully (draining in-flight requests for up to
 // five seconds). It always returns a non-nil error; after a clean
@@ -447,32 +384,4 @@ func Serve(ctx context.Context, addr string, a *Answerer, opts HTTPOptions) erro
 // over a relation for replay against the HTTP tier.
 func GenerateLoad(rel *Relation, opts LoadOptions) []string {
 	return load.Generate(rel, opts)
-}
-
-// Fault-tolerant multi-node serving: a router tier places datasets on
-// N serve nodes by rendezvous hashing with replication, retries with
-// backoff and fails over across replicas, takes a replica out of
-// rotation after consecutive failed requests or health probes, and
-// degrades to explicit stale answers when every replica of a dataset
-// is down.
-type (
-	// ClusterNode identifies one serve node by id and base URL.
-	ClusterNode = cluster.Node
-	// ClusterRouter fronts the node fleet as one serving surface.
-	ClusterRouter = cluster.Router
-	// ClusterOptions tunes replication, timeouts, retries, health
-	// probing, admission, and graceful degradation.
-	ClusterOptions = cluster.Options
-	// FaultInjector is an http.RoundTripper that injects drops, delays,
-	// corruption, and blackholes per node for failure testing.
-	FaultInjector = cluster.FaultInjector
-	// FaultRule describes one node's injected failure behavior.
-	FaultRule = cluster.FaultRule
-)
-
-// NewClusterRouter builds the routing tier over the given nodes. Each
-// node must run cmd/serve with matching -node/-cluster-nodes/
-// -replication flags so it mounts exactly its share.
-func NewClusterRouter(nodes []ClusterNode, datasets []string, opts ClusterOptions) (*ClusterRouter, error) {
-	return cluster.New(nodes, datasets, opts)
 }

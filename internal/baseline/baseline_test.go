@@ -142,8 +142,8 @@ func TestMLPredictRebindsValues(t *testing.T) {
 	}
 	ml := NewMLSummarizer(rel)
 	ml.Train(pairs[:len(pairs)-1])
-	if ml.TrainedPairs() != len(pairs)-1 {
-		t.Errorf("trained pairs = %d", ml.TrainedPairs())
+	if len(ml.pairs) != len(pairs)-1 {
+		t.Errorf("trained pairs = %d", len(ml.pairs))
 	}
 
 	// Predict for the held-out query.

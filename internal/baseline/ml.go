@@ -41,9 +41,6 @@ func (m *MLSummarizer) Train(pairs []MLPair) {
 	m.pairs = append(m.pairs[:0:0], pairs...)
 }
 
-// TrainedPairs returns the number of memorized samples.
-func (m *MLSummarizer) TrainedPairs() int { return len(m.pairs) }
-
 // tokens produces a bag of words describing a query for similarity.
 func tokens(q engine.Query) map[string]bool {
 	out := map[string]bool{"t:" + q.Target: true}

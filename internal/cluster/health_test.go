@@ -49,44 +49,6 @@ func holdProbes(t *testing.T, datasets []string, dataset string) (r *Router, pro
 	return r, probing, release
 }
 
-// TestHealthCheckSkipsReplicaRemovedMidProbe: a sweep probes without
-// the lock, so RemoveDataset can drop a replica while its probe is in
-// flight. The verdict of such a probe has nowhere to go — recording it
-// anyway once dereferenced a nil entry in a bare goroutine, which kills
-// the router process.
-func TestHealthCheckSkipsReplicaRemovedMidProbe(t *testing.T) {
-	r, probing, release := holdProbes(t, []string{"flights", "acs"}, "acs")
-
-	swept := make(chan struct{})
-	go func() {
-		r.CheckHealth(context.Background())
-		close(swept)
-	}()
-	<-probing
-	<-probing
-	r.RemoveDataset("acs")
-	close(release)
-	<-swept
-
-	snap := r.HealthSnapshot()
-	replicas := 0
-	for _, n := range snap.Nodes {
-		for _, rep := range n.Replicas {
-			replicas++
-			if rep.Dataset == "acs" {
-				t.Errorf("acs on %s resurrected by the late probe", n.ID)
-			}
-			if !rep.Healthy || rep.Swaps != 5 {
-				t.Errorf("flights on %s: healthy %v, swaps %d — the surviving dataset's verdicts were lost",
-					n.ID, rep.Healthy, rep.Swaps)
-			}
-		}
-	}
-	if replicas != 2 {
-		t.Errorf("snapshot holds %d replicas, want the 2 of flights", replicas)
-	}
-}
-
 // TestHealthSweepInterruptedByShutdownRecordsNoVerdict: a probe that
 // fails because the sweep's own context was cancelled — the router is
 // shutting down — says nothing about the replica. Booking it as a

@@ -6,12 +6,43 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"cicero/internal/dataset"
+	"cicero/internal/engine"
 	"cicero/internal/httpserve"
+	"cicero/internal/pipeline"
+	"cicero/internal/relation"
 	"cicero/internal/serve"
+	"cicero/internal/snapshot"
+	"cicero/internal/voice"
 )
+
+// buildFlightsSnapshot preprocesses a small flights store and writes
+// its tagged snapshot artifact, returning everything a replica needs
+// to bootstrap from it.
+func buildFlightsSnapshot(t testing.TB, fingerprint string) (string, *relation.Relation, *voice.Extractor) {
+	t.Helper()
+	rel := dataset.Flights(800, 1)
+	cfg := engine.DefaultConfig(rel)
+	cfg.Targets = []string{"cancelled"}
+	cfg.Dimensions = []string{"season", "airline"}
+	cfg.MaxQueryLen = 1
+	store, _, err := pipeline.Run(context.Background(), rel, cfg, pipeline.Options{
+		Template: engine.Template{TargetPhrase: "cancellation probability", Percent: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flights.snap")
+	if err := snapshot.WriteFileTagged(path, store, rel, fingerprint); err != nil {
+		t.Fatal(err)
+	}
+	ex := voice.NewExtractor(rel, voice.DefaultSamples("flights"), cfg.MaxQueryLen)
+	return path, rel, ex
+}
 
 // TestRouterSurvivesNodeKill is the one check of the whole seam with no
 // fakes in it: three real httpserve nodes, each bootstrapped from the
@@ -30,12 +61,12 @@ func TestRouterSurvivesNodeKill(t *testing.T) {
 	backends := map[string]*httptest.Server{}
 	var nodes []Node
 	for _, id := range []string{"n1", "n2", "n3"} {
-		a, err := SnapshotLoader(path, rel, ex, "fp-1")(ctx)
+		view, err := snapshot.MapFile(path, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := serve.NewRegistry()
-		if err := reg.Add("flights", a); err != nil {
+		if err := reg.Add("flights", serve.New(rel, view, ex, serve.Options{})); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(httpserve.NewMulti(reg, "flights", httpserve.Options{}).Handler())

@@ -25,8 +25,7 @@
 //
 // Replicas bootstrap from the snapshot artifacts of internal/snapshot:
 // NodeDatasets tells a cluster-mode cmd/serve which datasets its node
-// must mount, and SnapshotLoader turns a snapshot path into the lazy
-// serve.Registry loader that cold-starts the replica in microseconds.
+// must mount, and the node maps each one's snapshot at boot.
 package cluster
 
 import (
@@ -148,10 +147,8 @@ const maxReplyBytes = 64 << 20
 // with Run (or call CheckHealth yourself), and serve Handler.
 type Router struct {
 	nodes []*nodeState
-	// dsMu guards replicas: handleAnswer reads it on every request, and
-	// RemoveDataset shrinks it at runtime. The replica lists themselves
-	// are immutable, in placement order.
-	dsMu     sync.RWMutex
+	// replicas is fixed at New: each dataset's replicas in placement
+	// order.
 	replicas map[string][]*replica
 	defName  string
 	stale    *lru.Cache[staleEntry] // nil when disabled
@@ -247,43 +244,14 @@ func New(nodes []Node, datasets []string, opts Options) (*Router, error) {
 // Handler returns the router's route multiplexer.
 func (r *Router) Handler() http.Handler { return r.mux }
 
-// replicasOf returns the dataset's replicas in placement order, nil
-// when the router does not route it.
-func (r *Router) replicasOf(dataset string) []*replica {
-	r.dsMu.RLock()
-	defer r.dsMu.RUnlock()
-	return r.replicas[dataset]
-}
-
-// routed lists every replica the router currently routes, by dataset
-// name and then placement order.
+// routed lists every replica the router routes, by dataset name and
+// then placement order.
 func (r *Router) routed() []*replica {
-	r.dsMu.RLock()
-	defer r.dsMu.RUnlock()
 	var out []*replica
 	for _, ds := range slices.Sorted(maps.Keys(r.replicas)) {
 		out = append(out, r.replicas[ds]...)
 	}
 	return out
-}
-
-// RemoveDataset stops routing a dataset: requests for it 404, health
-// probing of its replicas stops, and every stale-cache answer captured
-// for it is purged — a removed dataset's last-good answers must not
-// outlive the dataset and resurface if the name is ever routed again.
-// It reports whether the dataset was routed.
-func (r *Router) RemoveDataset(name string) bool {
-	r.dsMu.Lock()
-	_, ok := r.replicas[name]
-	delete(r.replicas, name)
-	r.dsMu.Unlock()
-	if !ok {
-		return false
-	}
-	if r.stale != nil {
-		r.stale.RemoveFunc(func(_ string, e staleEntry) bool { return e.dataset == name })
-	}
-	return true
 }
 
 // Run sweeps health checks on the configured interval until ctx is
@@ -307,8 +275,7 @@ func (r *Router) Run(ctx context.Context) {
 // routed replica is probed in parallel, each probe bounded by half the
 // health interval. A sweep that ctx interrupts — the router is shutting
 // down — records no verdict: the probes failed because of the caller,
-// not the replicas. RemoveDataset may drop a replica while its probe is
-// in flight; the verdict then lands on a replica nothing lists any more.
+// not the replicas.
 func (r *Router) CheckHealth(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, p := range r.routed() {
@@ -492,7 +459,7 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 	if dataset == "" {
 		dataset = r.defName
 	}
-	reps := r.replicasOf(dataset)
+	reps := r.replicas[dataset]
 	if reps == nil {
 		httpserve.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", dataset))
 		return
@@ -528,7 +495,6 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 	if err == nil {
 		if staleKey != "" && reply.status == http.StatusOK {
 			r.stale.Put(staleKey, staleEntry{
-				dataset:    dataset,
 				body:       reply.body,
 				from:       reply.from,
 				generation: reply.generation,

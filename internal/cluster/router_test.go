@@ -27,7 +27,6 @@ type fakeNode struct {
 	id     string
 	srv    *httptest.Server
 	hits   atomic.Int64
-	probes atomic.Int64
 	swaps  atomic.Uint64
 	gate   chan struct{} // nil = answer immediately
 	gated  atomic.Bool
@@ -62,7 +61,6 @@ func newFakeNode(t *testing.T, id string) *fakeNode {
 		})
 	})
 	mux.HandleFunc("GET /v1/{dataset}/healthz", func(w http.ResponseWriter, r *http.Request) {
-		n.probes.Add(1)
 		httpserve.WriteJSON(w, http.StatusOK, httpserve.HealthResponse{Status: "ok", Speeches: 1, Swaps: n.swaps.Load()})
 	})
 	n.srv = httptest.NewServer(mux)

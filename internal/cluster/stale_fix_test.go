@@ -1,10 +1,10 @@
 package cluster
 
 // Regression tests for stale-cache lifecycle bugs: a last-good answer
-// must die with its dataset (RemoveDataset purge), must not be served
-// once the replica's store generation moved past the one it was
-// captured at (delta publishes, node reboots), and must never be a
-// dialogue turn (its answer belongs to one session's context).
+// must not be served once the replica's store generation moved past the
+// one it was captured at (delta publishes, node reboots), and must
+// never be a dialogue turn (its answer belongs to one session's
+// context).
 
 import (
 	"context"
@@ -79,68 +79,6 @@ func TestRouterStaleServedWhileGenerationCurrent(t *testing.T) {
 	if w.Code != http.StatusOK || w.Header().Get("X-Cicero-Stale") != "true" {
 		t.Fatalf("current-generation stale answer not served: %d stale=%q",
 			w.Code, w.Header().Get("X-Cicero-Stale"))
-	}
-}
-
-// TestRouterRemoveDatasetPurgesState pins dataset teardown: requests
-// 404, probes stop, and — the bug this sweep fixes — the dataset's
-// stale answers are purged so a later dataset under the same name can
-// never resurrect them.
-func TestRouterRemoveDatasetPurgesState(t *testing.T) {
-	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b")}
-	r, inj, _ := newTestRouter(t, nodes, []string{"flights", "acs"}, Options{})
-
-	if w := postAnswer(t, r.Handler(), "flights", "cancellations"); w.Code != http.StatusOK {
-		t.Fatalf("flights warm-up failed: %d", w.Code)
-	}
-	if w := postAnswer(t, r.Handler(), "acs", "hearing impairment"); w.Code != http.StatusOK {
-		t.Fatalf("acs warm-up failed: %d", w.Code)
-	}
-	if r.Stats().StaleSize != 2 {
-		t.Fatalf("stale entries = %d, want 2", r.Stats().StaleSize)
-	}
-
-	if !r.RemoveDataset("acs") {
-		t.Fatal("RemoveDataset(acs) = false, want true")
-	}
-	if r.RemoveDataset("acs") {
-		t.Fatal("second RemoveDataset(acs) = true, want false")
-	}
-
-	if w := postAnswer(t, r.Handler(), "acs", "hearing impairment"); w.Code != http.StatusNotFound {
-		t.Fatalf("removed dataset answered: %d", w.Code)
-	}
-	if got := r.Stats().StaleSize; got != 1 {
-		t.Fatalf("stale entries after removal = %d, want 1 (flights only)", got)
-	}
-	h := r.HealthSnapshot()
-	for _, n := range h.Nodes {
-		for _, rep := range n.Replicas {
-			if rep.Dataset == "acs" {
-				t.Fatalf("removed dataset still tracked on %s: %+v", n.ID, rep)
-			}
-		}
-	}
-	if h.Datasets["acs"].Replication != 0 {
-		t.Fatalf("healthz still reports the removed dataset: %+v", h.Datasets)
-	}
-	for id, ns := range r.Stats().Nodes {
-		if _, ok := ns.Replicas["acs"]; ok {
-			t.Fatalf("stats still report the removed dataset on %s: %+v", id, ns)
-		}
-	}
-	before := nodes[0].probes.Load() + nodes[1].probes.Load()
-	r.CheckHealth(context.Background())
-	if got := nodes[0].probes.Load() + nodes[1].probes.Load() - before; got != 2 {
-		t.Fatalf("a sweep after the removal sent %d probes, want the 2 of flights", got)
-	}
-
-	// The surviving dataset still serves, including its stale fallback.
-	inj.Set(nodes[0].host(), FaultRule{DropProb: 1})
-	inj.Set(nodes[1].host(), FaultRule{DropProb: 1})
-	if w := postAnswer(t, r.Handler(), "flights", "cancellations"); w.Code != http.StatusOK ||
-		w.Header().Get("X-Cicero-Stale") != "true" {
-		t.Fatalf("surviving dataset's stale fallback broken: %d", w.Code)
 	}
 }
 

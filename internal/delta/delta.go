@@ -133,12 +133,3 @@ func LoadBatchFile(path string) (Batch, error) {
 	}
 	return b, nil
 }
-
-// Save writes the batch as indented JSON to path.
-func (b Batch) Save(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

@@ -56,20 +56,6 @@ func FromRelation(rel *relation.Relation) *Table {
 	return t
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// Schema returns a copy of the table schema.
-func (t *Table) Schema() relation.Schema { return t.schema.Clone() }
-
-// NumRows returns the current number of rows.
-func (t *Table) NumRows() int { return len(t.dims) }
-
-// Row returns copies of the dimension and target values of a row.
-func (t *Table) Row(i int) ([]string, []float64) {
-	return append([]string(nil), t.dims[i]...), append([]float64(nil), t.targets[i]...)
-}
-
 // Apply mutates the table by the batch's ops, in order, and returns the
 // row images of every change for dirty-set planning. An op that fails
 // validation aborts the whole batch with the table unchanged — a

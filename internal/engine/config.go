@@ -151,10 +151,3 @@ func LoadConfigFile(path string) (Config, error) {
 	defer f.Close()
 	return LoadConfig(f)
 }
-
-// Save writes the configuration as indented JSON.
-func (c Config) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}

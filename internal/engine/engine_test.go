@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"slices"
 	"strings"
@@ -85,11 +87,11 @@ func TestConfigValidate(t *testing.T) {
 func TestConfigJSONRoundTrip(t *testing.T) {
 	rel := smallFlights(t)
 	cfg := smallConfig(rel)
-	var buf strings.Builder
-	if err := cfg.Save(&buf); err != nil {
+	data, err := json.Marshal(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadConfig(strings.NewReader(buf.String()))
+	got, err := LoadConfig(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

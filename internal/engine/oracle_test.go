@@ -107,7 +107,7 @@ func TestStoreLookupMatchesScan(t *testing.T) {
 	b.MustAddRow([]string{"v0", "v0", "v0", "v0", "v0", "v0"}, []float64{0, 0})
 	rel := b.Freeze()
 	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, st, rel); err != nil {
+	if err := snapshot.WriteTagged(&buf, st, rel, ""); err != nil {
 		t.Fatal(err)
 	}
 	m, err := snapshot.MapBytes(buf.Bytes(), rel)

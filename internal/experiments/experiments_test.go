@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"cicero/internal/engine"
 	"cicero/internal/voice"
 )
 
@@ -357,13 +360,20 @@ func TestMLExperiment(t *testing.T) {
 }
 
 func TestSubsample(t *testing.T) {
-	problems := make([]int, 10)
-	_ = problems
-	// subsample works on engine.Problem slices; emulate via Figure3 path
-	// already covered. Here test the bounds logic indirectly through
-	// bestWorstMedian.
-	w, m, b := bestWorstMedian([]float64{3, 1, 2})
-	if w != 1 || b != 0 || m != 2 {
-		t.Errorf("bestWorstMedian = %d,%d,%d", w, m, b)
+	problems := make([]engine.Problem, 10)
+	for i := range problems {
+		problems[i].Query.Target = fmt.Sprint(i)
+	}
+	var got []string
+	for _, p := range subsample(problems, 4) {
+		got = append(got, p.Query.Target)
+	}
+	if want := []string{"0", "2", "5", "7"}; !slices.Equal(got, want) {
+		t.Errorf("subsample(10 problems, 4) = %v, want %v", got, want)
+	}
+	for _, n := range []int{0, -1, 10, 11} {
+		if got := subsample(problems, n); len(got) != len(problems) {
+			t.Errorf("subsample(10 problems, %d) kept %d, want all 10", n, len(got))
+		}
 	}
 }

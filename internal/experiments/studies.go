@@ -53,7 +53,7 @@ func Figure5(seed int64) (*Figure5Result, error) {
 	prior := fact.MeanPrior(view, target)
 	candidates := fact.Generate(view, target, fact.GenerateOptions{MaxDims: 2})
 	speeches, utilities := randomSpeeches(view, target, candidates, prior, 100, 3, seed)
-	worst, median, best := bestWorstMedian(utilities)
+	worst, median, best := userstudy.RankSpeeches(utilities)
 
 	profiles := []userstudy.SpeechProfile{
 		speechProfile("Worst", view, target, speeches[worst], prior),
@@ -107,7 +107,7 @@ func Figure6(seed int64) (*Figure6Result, error) {
 	prior := fact.MeanPrior(view, target)
 	candidates := fact.Generate(view, target, fact.GenerateOptions{MaxDims: 2})
 	speeches, utilities := randomSpeeches(view, target, candidates, prior, 100, 3, seed)
-	worst, _, best := bestWorstMedian(utilities)
+	worst, _, best := userstudy.RankSpeeches(utilities)
 
 	boroughDim := rel.Schema().DimIndex("borough")
 	ageDim := rel.Schema().DimIndex("age_group")

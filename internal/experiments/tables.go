@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 
 	"cicero/internal/dataset"
 	"cicero/internal/engine"
 	"cicero/internal/fact"
 	"cicero/internal/relation"
+	"cicero/internal/userstudy"
 )
 
 // Table1Row describes one data set (Table I of the paper).
@@ -83,17 +83,6 @@ func randomSpeeches(view *relation.View, target int, candidates []fact.Fact, pri
 	return speeches, utilities
 }
 
-// bestWorstMedian returns the indices of the minimum-, median- and
-// maximum-utility entries.
-func bestWorstMedian(utilities []float64) (worst, median, best int) {
-	idx := make([]int, len(utilities))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return utilities[idx[a]] < utilities[idx[b]] })
-	return idx[0], idx[len(idx)/2], idx[len(idx)-1]
-}
-
 // Table2Result holds the worst- and best-ranked speeches of the ACS
 // visual-impairment scenario (Table II of the paper).
 type Table2Result struct {
@@ -114,7 +103,7 @@ func Table2(seed int64) (*Table2Result, error) {
 	candidates := fact.Generate(view, target, fact.GenerateOptions{MaxDims: 2})
 
 	speeches, utilities := randomSpeeches(view, target, candidates, prior, 100, 3, seed)
-	worst, _, best := bestWorstMedian(utilities)
+	worst, _, best := userstudy.RankSpeeches(utilities)
 
 	tpl := engine.Template{TargetPhrase: "rate of visual impairment per 1000 persons"}
 	q := engine.Query{Target: "visual"}

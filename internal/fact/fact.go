@@ -3,8 +3,6 @@ package fact
 import (
 	"fmt"
 	"sort"
-
-	"cicero/internal/relation"
 )
 
 // Fact pairs a scope with a typical value: the average of the target
@@ -26,11 +24,6 @@ func (f Fact) Clone() Fact {
 // package produce the user-facing text.
 func (f Fact) String() string {
 	return fmt.Sprintf("Fact{%s: %.4g}", f.Scope.Key(), f.Value)
-}
-
-// Describe renders the fact with resolved column and value names.
-func (f Fact) Describe(rel *relation.Relation, target string) string {
-	return fmt.Sprintf("avg %s for %s is %.4g", target, f.Scope.Describe(rel), f.Value)
 }
 
 // Speech is a set of facts (Definition 3). Its cardinality is the speech

@@ -31,19 +31,19 @@ func BenchmarkServeAnswer(b *testing.B) {
 		s := New(a, Options{CacheEntries: -1})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Answer(ctx, text); err != nil {
+			if _, err := s.AnswerDataset(ctx, DefaultDataset, text); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
 		s := New(a, Options{})
-		if _, err := s.Answer(ctx, text); err != nil { // prime
+		if _, err := s.AnswerDataset(ctx, DefaultDataset, text); err != nil { // prime
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := s.Answer(ctx, text)
+			res, err := s.AnswerDataset(ctx, DefaultDataset, text)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -59,14 +59,14 @@ func BenchmarkServeAnswer(b *testing.B) {
 			texts[i] = fmt.Sprintf("cancellations in Winter %d", i)
 		}
 		for _, t := range texts { // fill, so the first measured insert already evicts
-			if _, err := s.Answer(ctx, t); err != nil {
+			if _, err := s.AnswerDataset(ctx, DefaultDataset, t); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := s.Answer(ctx, texts[i%len(texts)])
+			res, err := s.AnswerDataset(ctx, DefaultDataset, texts[i%len(texts)])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func BenchmarkServeAnswerParallel(b *testing.B) {
 		texts[i] = fmt.Sprintf("cancellations in Winter %d", i)
 	}
 	for _, t := range texts { // prime
-		if _, err := s.Answer(ctx, t); err != nil {
+		if _, err := s.AnswerDataset(ctx, DefaultDataset, t); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func BenchmarkServeAnswerParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := s.Answer(ctx, texts[i%len(texts)]); err != nil {
+			if _, err := s.AnswerDataset(ctx, DefaultDataset, texts[i%len(texts)]); err != nil {
 				b.Fatal(err)
 			}
 			i++

@@ -99,7 +99,7 @@ func TestCacheFillRacingSwapsNotTaggedWrongGeneration(t *testing.T) {
 
 	done := make(chan Result, 1)
 	go func() {
-		res, err := s.Answer(context.Background(), "the racy question")
+		res, err := s.AnswerDataset(context.Background(), DefaultDataset, "the racy question")
 		if err != nil {
 			t.Errorf("racing answer failed: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestCacheFillRacingSwapsNotTaggedWrongGeneration(t *testing.T) {
 
 	// A is live again. The racy fill must not have left a cache entry
 	// under A's identity carrying B's answer.
-	res, err := s.Answer(context.Background(), "the racy question")
+	res, err := s.AnswerDataset(context.Background(), DefaultDataset, "the racy question")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFlightNotJoinedAcrossReinstall(t *testing.T) {
 
 	old := make(chan Result, 1)
 	go func() {
-		res, _ := s.Answer(context.Background(), "the racy question")
+		res, _ := s.AnswerDataset(context.Background(), DefaultDataset, "the racy question")
 		old <- res
 	}()
 	<-entered      // the old flight captured (A, gen 0), kernel parked
@@ -161,7 +161,7 @@ func TestFlightNotJoinedAcrossReinstall(t *testing.T) {
 
 	fresh := make(chan Result, 1)
 	go func() {
-		res, err := s.Answer(context.Background(), "the racy question")
+		res, err := s.AnswerDataset(context.Background(), DefaultDataset, "the racy question")
 		if err != nil {
 			t.Errorf("fresh answer failed: %v", err)
 		}

@@ -141,17 +141,17 @@ func TestRoutingGolden(t *testing.T) {
 	for i, text := range goldenTexts {
 		direct := a.Answer(text)
 
-		uncached, err := sUncached.Answer(ctx, text)
+		uncached, err := sUncached.AnswerDataset(ctx, DefaultDataset, text)
 		if err != nil {
 			t.Fatalf("uncached answer for %q: %v", text, err)
 		}
 		if uncached.Cached {
 			t.Fatalf("cache-disabled serving of %q claims cached", text)
 		}
-		if _, err := sCached.Answer(ctx, text); err != nil { // prime
+		if _, err := sCached.AnswerDataset(ctx, DefaultDataset, text); err != nil { // prime
 			t.Fatalf("priming answer for %q: %v", text, err)
 		}
-		cached, err := sCached.Answer(ctx, text)
+		cached, err := sCached.AnswerDataset(ctx, DefaultDataset, text)
 		if err != nil {
 			t.Fatalf("cached answer for %q: %v", text, err)
 		}

@@ -65,8 +65,7 @@ type AdmissionSnapshot struct {
 // StoreSnapshot reports the live speech stores in aggregate: Speeches
 // sums the stores of the Loaded (resident) datasets out of Datasets
 // mounted; Swaps is the sum of the mounted datasets' generation numbers
-// — every publish since boot, a reload after an eviction included, with
-// an evicted dataset counting the number it was evicted at.
+// — every publish since boot, with a dataset not loaded yet counting 0.
 type StoreSnapshot struct {
 	Speeches int    `json:"speeches"`
 	Datasets int    `json:"datasets,omitempty"`

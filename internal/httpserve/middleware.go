@@ -38,9 +38,6 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// Panics reports the number of handler panics contained so far.
-func (s *Server) Panics() uint64 { return s.panics.Load() }
-
 // WithRequestTimeout bounds every request's handler work with a
 // context deadline. Unlike http.TimeoutHandler it does not buffer the
 // response; handlers observe ctx.Done() and map the cancellation to

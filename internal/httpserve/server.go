@@ -83,7 +83,7 @@ const DefaultDataset = "default"
 
 // tenantSet abstracts how the server resolves dataset names to
 // backends: a fixed single backend, or a serve.Registry with lazy
-// loading and eviction.
+// loading.
 type tenantSet interface {
 	// names lists the mounted dataset names, sorted.
 	names() []string
@@ -346,12 +346,6 @@ func CacheKey(text string) string { return voice.Normalize(text) }
 // arrive from the URL path and so can never contain the NUL separator.
 func tenantKey(dataset, text string) string {
 	return dataset + "\x00" + CacheKey(text)
-}
-
-// Answer serves one request against the default dataset; see
-// AnswerDataset.
-func (s *Server) Answer(ctx context.Context, text string) (Result, error) {
-	return s.AnswerDataset(ctx, s.defName, text)
 }
 
 // AnswerDataset serves one request against one named dataset through

@@ -268,14 +268,14 @@ func TestAdmissionControl(t *testing.T) {
 	// Fill the only slot.
 	firstErr := make(chan error, 1)
 	go func() {
-		_, err := s.Answer(context.Background(), "occupy the slot")
+		_, err := s.AnswerDataset(context.Background(), DefaultDataset, "occupy the slot")
 		firstErr <- err
 	}()
 	<-b.entered
 
 	// A second, distinct request cannot be admitted within the queue
 	// timeout and must be shed as overloaded.
-	if _, err := s.Answer(context.Background(), "shed me"); err != ErrOverloaded {
+	if _, err := s.AnswerDataset(context.Background(), DefaultDataset, "shed me"); err != ErrOverloaded {
 		t.Fatalf("second answer error = %v, want ErrOverloaded", err)
 	}
 
@@ -295,7 +295,7 @@ func TestAdmissionControl(t *testing.T) {
 	// client so a disconnecting leader cannot poison joiners.
 	shortCtx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := s.Answer(shortCtx, "impatient"); err != ErrOverloaded {
+	if _, err := s.AnswerDataset(shortCtx, DefaultDataset, "impatient"); err != ErrOverloaded {
 		t.Errorf("ctx-expired leader error = %v, want ErrOverloaded", err)
 	}
 
@@ -303,7 +303,7 @@ func TestAdmissionControl(t *testing.T) {
 	// released with its own ctx error; the flight keeps running.
 	joinCtx, cancelJoin := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancelJoin()
-	if _, err := s.Answer(joinCtx, "occupy the slot"); err != context.DeadlineExceeded {
+	if _, err := s.AnswerDataset(joinCtx, DefaultDataset, "occupy the slot"); err != context.DeadlineExceeded {
 		t.Errorf("ctx-expired joiner error = %v, want deadline exceeded", err)
 	}
 
@@ -325,11 +325,11 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	ctx := context.Background()
 	const q = "cancellations in Winter"
 
-	before, err := s.Answer(ctx, q)
+	before, err := s.AnswerDataset(ctx, DefaultDataset, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit, err := s.Answer(ctx, q); err != nil || !hit.Cached {
+	if hit, err := s.AnswerDataset(ctx, DefaultDataset, q); err != nil || !hit.Cached {
 		t.Fatalf("warm answer not cached (err %v)", err)
 	}
 	if !strings.Contains(before.Text, "cancellation probability") {
@@ -340,7 +340,7 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	if _, err := s.SwapDataFor(ctx, DefaultDataset, rel, gen2); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Answer(ctx, q)
+	after, err := s.AnswerDataset(ctx, DefaultDataset, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +356,11 @@ func TestSwapInvalidatesCache(t *testing.T) {
 
 	// Swap behind the server's back, directly on the Answerer: entries
 	// self-invalidate by store identity, no purge needed.
-	if hit, err := s.Answer(ctx, q); err != nil || !hit.Cached {
+	if hit, err := s.AnswerDataset(ctx, DefaultDataset, q); err != nil || !hit.Cached {
 		t.Fatalf("warm gen2 answer not cached (err %v)", err)
 	}
 	a.SwapData(rel, gen1)
-	sneaky, err := s.Answer(ctx, q)
+	sneaky, err := s.AnswerDataset(ctx, DefaultDataset, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestUncachedServerServes(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{CacheEntries: -1})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		res, err := s.Answer(ctx, "cancellations in Winter")
+		res, err := s.AnswerDataset(ctx, DefaultDataset, "cancellations in Winter")
 		if err != nil {
 			t.Fatal(err)
 		}

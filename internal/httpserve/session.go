@@ -80,11 +80,3 @@ func (s *Server) AnswerSession(ctx context.Context, dataset, session, text strin
 	ans.Latency = time.Since(start)
 	return Result{Answer: ans}, nil
 }
-
-// Sessions reports the number of live dialogue sessions.
-func (s *Server) Sessions() int {
-	if s.sessions == nil {
-		return 0
-	}
-	return s.sessions.Len()
-}

@@ -196,7 +196,7 @@ func TestDialogueSessionOverHTTP(t *testing.T) {
 		t.Errorf("repeat = %+v, want replay of %q", rep, fu.Text)
 	}
 
-	if n := s.Sessions(); n != 3 {
+	if n := s.sessions.Len(); n != 3 {
 		t.Errorf("live sessions = %d, want 3 (alice on two tenants, bob)", n)
 	}
 }
@@ -226,7 +226,7 @@ func TestSessionStatelessFallback(t *testing.T) {
 	if res.Text != "done: hello" {
 		t.Errorf("fallback answer = %q", res.Text)
 	}
-	if s.Sessions() != 0 {
+	if s.sessions.Len() != 0 {
 		t.Errorf("stateless fallback created a session")
 	}
 
@@ -267,7 +267,7 @@ func TestSessionIDsAreOpaque(t *testing.T) {
 			t.Errorf("%q lost its own context: %+v, %v", owner, own, err)
 		}
 	}
-	if n := s.Sessions(); n != 4 {
+	if n := s.sessions.Len(); n != 4 {
 		t.Errorf("live sessions = %d, want 4 distinct dialogues", n)
 	}
 }
@@ -282,7 +282,7 @@ func TestSessionWaitEndsWithItsClient(t *testing.T) {
 	s := NewWithBackend(b, Options{CacheEntries: -1, MaxInFlight: 1, QueueTimeout: time.Hour})
 	held := make(chan error, 1)
 	go func() {
-		_, err := s.Answer(context.Background(), "occupy the slot")
+		_, err := s.AnswerDataset(context.Background(), DefaultDataset, "occupy the slot")
 		held <- err
 	}()
 	<-b.entered

@@ -49,7 +49,7 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 			defer finished.Done()
 			started.Done()
 			started.Wait() // barrier: everyone dispatches together
-			results[i], errs[i] = s.Answer(context.Background(), "the same question")
+			results[i], errs[i] = s.AnswerDataset(context.Background(), DefaultDataset, "the same question")
 		}(i)
 	}
 	started.Wait()
@@ -157,7 +157,7 @@ func TestStressCacheDuringSwaps(t *testing.T) {
 					q = fmt.Sprintf(q, i)
 				}
 				before := b.index(b.Store())
-				res, err := s.Answer(ctx, q)
+				res, err := s.AnswerDataset(ctx, DefaultDataset, q)
 				if err != nil {
 					t.Errorf("answer failed: %v", err)
 					return
@@ -235,7 +235,7 @@ func TestStressRealAnswererSwap(t *testing.T) {
 				default:
 				}
 				before := genOf[a.Store()]
-				res, err := s.Answer(ctx, texts[(r+i)%len(texts)])
+				res, err := s.AnswerDataset(ctx, DefaultDataset, texts[(r+i)%len(texts)])
 				if err != nil {
 					t.Errorf("answer failed: %v", err)
 					return

@@ -33,10 +33,6 @@ package relation
 
 import "fmt"
 
-// NoValue marks an unrestricted dimension inside scopes and predicates.
-// Dictionary codes are always non-negative, so -1 is never a valid value.
-const NoValue = int32(-1)
-
 // Schema describes the columns of a relation: dimension columns carry
 // categorical values used in predicates and fact scopes, target columns
 // carry the numerical values being summarized.
@@ -255,8 +251,8 @@ type Predicate struct {
 
 // PredicateByName resolves a (column name, value) pair against the
 // relation's dictionaries. It reports an error for unknown columns; an
-// unknown value yields a predicate matching no rows (code NoValue-2 is
-// never assigned, so we use a sentinel that never matches).
+// unknown value yields a predicate on the first unassigned code, which
+// matches no rows.
 func (r *Relation) PredicateByName(column, value string) (Predicate, error) {
 	di := r.schema.DimIndex(column)
 	if di < 0 {

@@ -91,8 +91,8 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	if _, ok := col.Code("Monsoon"); ok {
 		t.Error("Code for absent value should report false")
 	}
-	if got := col.Value(NoValue); got != "" {
-		t.Errorf("Value(NoValue) = %q, want empty", got)
+	if got := col.Value(-1); got != "" {
+		t.Errorf("Value(-1) = %q, want empty", got)
 	}
 }
 

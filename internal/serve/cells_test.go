@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -134,64 +133,5 @@ func TestCellsUnderConcurrentSwap(t *testing.T) {
 	})
 	if n < 2 {
 		t.Errorf("the readers saw %d generations; the publishes did not overlap them", n)
-	}
-}
-
-// TestCellsFollowReload: an evicted tenant reloads into the generation
-// its loader hands back, answering from that relation, and a tenant
-// whose loader returns the same Answerer keeps the cells it had built.
-func TestCellsFollowReload(t *testing.T) {
-	relA, relB, ex, want, sets := cellsFixture(t)
-	store := engine.NewStore()
-	ctx := context.Background()
-	reg := NewRegistry()
-	var mu sync.Mutex
-	latest := relA
-	if err := reg.Register("fresh", func(context.Context) (*Answerer, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return New(latest, store, ex, Options{}), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add("kept", New(relA, store, ex, Options{})); err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, rel *relation.Relation) *Answerer {
-		t.Helper()
-		a, err := reg.Get(ctx, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, text := range shapeTexts {
-			if got := said(a.Answer(text)); got != want[rel][text] {
-				t.Fatalf("%s, %q:\ngot  %s\nwant %s", name, text, got, want[rel][text])
-			}
-		}
-		return a
-	}
-	for _, name := range []string{"fresh", "kept"} {
-		check(name, relA)
-		if _, err := reg.SwapData(ctx, name, relB, store); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		latest = relB
-		mu.Unlock()
-		before := check(name, relB)
-		gen := reg.Generation(name)
-		if !reg.Evict(name) {
-			t.Fatalf("%s was not resident", name)
-		}
-		after := check(name, relB)
-		if reg.Generation(name) <= gen {
-			t.Errorf("%s: generation %d after the reload, %d before", name, reg.Generation(name), gen)
-		}
-		if got, _ := after.CellStats(); got != sets[relB] {
-			t.Errorf("%s: %d cell sets after the reload, want %d", name, got, sets[relB])
-		}
-		if name == "kept" && after.live.Load().agg != before.live.Load().agg {
-			t.Error("reloading the same Answerer dropped its cells")
-		}
 	}
 }

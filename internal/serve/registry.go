@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cicero/internal/engine"
 	"cicero/internal/relation"
@@ -20,42 +19,30 @@ var ErrUnknownDataset = errors.New("serve: unknown dataset")
 // Loader builds a dataset's Answerer on first use: typically a snapshot
 // load (milliseconds) with a rebuild-from-raw fallback (minutes). The
 // Registry invokes it at most once per load — concurrent Gets share one
-// in-flight load — and caches the result until Evict.
+// in-flight load — and keeps the result for the life of the process.
 type Loader func(ctx context.Context) (*Answerer, error)
 
 // tenant is one named dataset slot.
 type tenant struct {
-	name   string
 	loader Loader
 
-	// mu guards loaded transitions (load completion, eviction, swap)
-	// and inflight; it is held only briefly — never across a loader
-	// run — so Get waiters can honor their context.
+	// mu guards load completion and inflight; it is held only briefly
+	// — never across a loader run — so Get waiters can honor their
+	// context.
 	mu sync.Mutex
 	// inflight is non-nil while a load runs; waiters block on its done
 	// channel (or their own ctx) instead of on mu.
 	inflight *loadFlight
 	loaded   atomic.Pointer[Answerer]
-
-	// lastUse is the unix-nano time of the last Get, for idle eviction.
-	lastUse atomic.Int64
-	// resumeGen, guarded by mu, carries the dataset's generation
-	// numbering across an eviction: 0 until the first one, then one past
-	// the number the evicted Answerer held. A reload publishes under it
-	// (a reload is a publish: the loader may hand back a different store),
-	// so the number a dataset reports never decreases and never names two
-	// stores within one process.
-	resumeGen uint64
 }
 
 // Registry hosts the Answerers of N named datasets behind one serving
 // surface: the multi-tenant half of the serving layer. Tenants register
 // eagerly (Add) or lazily (Register + Loader); Get resolves a name to
-// its live Answerer, loading it on first use; Evict drops a loaded
-// Answerer — freeing its store — while keeping the registration, so the
-// next Get reloads it. Each tenant publishes independently (SwapData),
-// so re-summarizing one dataset never disturbs the others. All methods
-// are safe for concurrent use.
+// its live Answerer, loading it on first use, and a loaded Answerer
+// stays resident. Each tenant publishes independently (SwapData), so
+// re-summarizing one dataset never disturbs the others. All methods are
+// safe for concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -69,39 +56,34 @@ func NewRegistry() *Registry {
 // Register adds a lazily loaded dataset: loader runs on the first Get.
 // Registering an existing name or an empty name is an error.
 func (r *Registry) Register(name string, loader Loader) error {
-	if name == "" {
-		return errors.New("serve: empty dataset name")
-	}
 	if loader == nil {
 		return fmt.Errorf("serve: dataset %q registered with a nil loader", name)
+	}
+	return r.insert(name, &tenant{loader: loader})
+}
+
+func (r *Registry) insert(name string, t *tenant) error {
+	if name == "" {
+		return errors.New("serve: empty dataset name")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.tenants[name]; dup {
 		return fmt.Errorf("serve: dataset %q already registered", name)
 	}
-	r.tenants[name] = &tenant{name: name, loader: loader}
+	r.tenants[name] = t
 	return nil
 }
 
 // Add registers a dataset with an already-built Answerer (no lazy
-// load). Evicting it later makes the next Get fail unless a loader was
-// also provided via Register; Add therefore installs a loader that
-// returns the same Answerer again.
+// load). Adding an existing name or an empty name is an error.
 func (r *Registry) Add(name string, a *Answerer) error {
 	if a == nil {
 		return fmt.Errorf("serve: dataset %q added with a nil answerer", name)
 	}
-	err := r.Register(name, func(context.Context) (*Answerer, error) { return a, nil })
-	if err != nil {
-		return err
-	}
-	r.mu.RLock()
-	t := r.tenants[name]
-	r.mu.RUnlock()
+	t := &tenant{}
 	t.loaded.Store(a)
-	t.lastUse.Store(time.Now().UnixNano())
-	return nil
+	return r.insert(name, t)
 }
 
 // Names lists the registered dataset names in sorted order.
@@ -124,13 +106,6 @@ func (r *Registry) Has(name string) bool {
 	return ok
 }
 
-// Len returns the number of registered datasets.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tenants)
-}
-
 func (r *Registry) tenant(name string) (*tenant, error) {
 	r.mu.RLock()
 	t := r.tenants[name]
@@ -151,10 +126,10 @@ type loadFlight struct {
 }
 
 // Get resolves a dataset name to its live Answerer, running the loader
-// on first use (or after an eviction). Concurrent Gets of an unloaded
-// tenant share one load, and every caller — the one that started it
-// included — waits under its own context, so a slow loader cannot pin
-// goroutines whose clients already gave up. The load itself runs
+// on first use. Concurrent Gets of an unloaded tenant share one load,
+// and every caller — the one that started it included — waits under
+// its own context, so a slow loader cannot pin goroutines whose
+// clients already gave up. The load itself runs
 // detached from any caller's cancellation: it is a shared investment,
 // and the caller that happened to trigger it disconnecting must not
 // abort it for the others (nor livelock the tenant under steady
@@ -166,7 +141,6 @@ func (r *Registry) Get(ctx context.Context, name string) (*Answerer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.lastUse.Store(time.Now().UnixNano())
 	if a := t.loaded.Load(); a != nil {
 		return a, nil
 	}
@@ -205,9 +179,6 @@ func (t *tenant) load(ctx context.Context, f *loadFlight) {
 		}
 		t.mu.Lock()
 		if f.err == nil && f.a != nil {
-			if t.resumeGen > 0 {
-				f.a.resumeAt(t.resumeGen)
-			}
 			t.loaded.Store(f.a)
 		}
 		t.inflight = nil
@@ -231,83 +202,12 @@ func (r *Registry) Peek(name string) (*Answerer, bool) {
 	return a, a != nil
 }
 
-// Loaded reports whether the dataset is registered and currently
-// resident.
-func (r *Registry) Loaded(name string) bool {
-	_, ok := r.Peek(name)
-	return ok
-}
-
-// Evict drops a loaded Answerer, releasing its store and index memory;
-// the registration stays, so the next Get reloads through the loader.
-// It reports whether an Answerer was actually resident.
-func (r *Registry) Evict(name string) bool {
-	t, err := r.tenant(name)
-	if err != nil {
-		return false
-	}
-	// Under t.mu so an eviction cannot interleave with a publish's
-	// check-then-swap (SwapData) and orphan a fresh store.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evict()
-}
-
-// evict drops the resident Answerer, if any, remembering where its
-// generation numbering stopped. The caller holds t.mu.
-func (t *tenant) evict() bool {
-	a := t.loaded.Swap(nil)
-	if a == nil {
-		return false
-	}
-	t.resumeGen = a.Generation() + 1
-	return true
-}
-
-// EvictIdle evicts every loaded dataset whose last Get is older than
-// maxIdle, returning the evicted names. A daemon hosting many rarely
-// queried datasets calls this periodically to bound memory; cold
-// tenants come back on demand through their loader (fast, when the
-// loader reads a snapshot).
-func (r *Registry) EvictIdle(maxIdle time.Duration) []string {
-	cutoff := time.Now().Add(-maxIdle).UnixNano()
-	r.mu.RLock()
-	tenants := make([]*tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		tenants = append(tenants, t)
-	}
-	r.mu.RUnlock()
-	var evicted []string
-	for _, t := range tenants {
-		if t.loaded.Load() != nil && t.lastUse.Load() < cutoff {
-			t.mu.Lock()
-			ok := t.lastUse.Load() < cutoff && t.evict()
-			t.mu.Unlock()
-			if ok {
-				evicted = append(evicted, t.name)
-			}
-		}
-	}
-	sort.Strings(evicted)
-	return evicted
-}
-
 // Generation returns the number of the dataset's live generation: how
-// many publishes it has seen, reloads after an eviction included. An
-// evicted dataset keeps reporting the number it was evicted at; a
-// dataset never loaded, or an unknown name, reports 0.
+// many publishes it has seen. A dataset not loaded yet, or an unknown
+// name, reports 0.
 func (r *Registry) Generation(name string) uint64 {
-	t, err := r.tenant(name)
-	if err != nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if a := t.loaded.Load(); a != nil {
+	if a, ok := r.Peek(name); ok {
 		return a.Generation()
-	}
-	if t.resumeGen > 0 {
-		return t.resumeGen - 1
 	}
 	return 0
 }
@@ -316,28 +216,14 @@ func (r *Registry) Generation(name string) uint64 {
 // summarized from — for one dataset, loading the tenant first if
 // needed, and returns the replaced store. Other datasets are untouched;
 // in-flight answers on the published dataset finish on the generation
-// they loaded (see Answerer.SwapData). A concurrent eviction cannot
-// orphan the publish: it lands in the resident Answerer under the
-// tenant lock, and a tenant evicted in between is reloaded first.
+// they loaded (see Answerer.SwapData).
 func (r *Registry) SwapData(ctx context.Context, name string, rel *relation.Relation, next engine.StoreView) (engine.StoreView, error) {
 	if rel == nil || next == nil {
 		return nil, errors.New("serve: SwapData with a nil relation or store")
 	}
-	t, err := r.tenant(name)
+	a, err := r.Get(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		a, err := r.Get(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		t.mu.Lock()
-		if t.loaded.Load() == a {
-			old := a.SwapData(rel, next)
-			t.mu.Unlock()
-			return old, nil
-		}
-		t.mu.Unlock()
-	}
+	return a.SwapData(rel, next), nil
 }

@@ -52,12 +52,8 @@ func TestRegistryRegisterAndGet(t *testing.T) {
 	if got := reg.Names(); len(got) != 2 || got[0] != "acs" || got[1] != "lazy" {
 		t.Fatalf("Names() = %v", got)
 	}
-	if reg.Len() != 2 {
-		t.Fatalf("Len() = %d", reg.Len())
-	}
-
 	// Eager tenant: loaded immediately, Get returns the same pointer.
-	if !reg.Loaded("acs") {
+	if _, ok := reg.Peek("acs"); !ok {
 		t.Fatal("eager tenant not loaded")
 	}
 	got, err := reg.Get(context.Background(), "acs")
@@ -66,7 +62,7 @@ func TestRegistryRegisterAndGet(t *testing.T) {
 	}
 
 	// Lazy tenant: not loaded until the first Get, then cached.
-	if reg.Loaded("lazy") {
+	if _, ok := reg.Peek("lazy"); ok {
 		t.Fatal("lazy tenant loaded before first Get")
 	}
 	if _, err := reg.Get(context.Background(), "lazy"); err != nil {
@@ -123,62 +119,12 @@ func TestRegistryLoadFailureRetries(t *testing.T) {
 	if _, err := reg.Get(context.Background(), "flaky"); err == nil {
 		t.Fatal("first Get should fail")
 	}
-	if reg.Loaded("flaky") {
+	if _, ok := reg.Peek("flaky"); ok {
 		t.Fatal("failed load left tenant loaded")
 	}
 	got, err := reg.Get(context.Background(), "flaky")
 	if err != nil || got != a {
 		t.Fatalf("retry Get = %v, %v", got, err)
-	}
-}
-
-func TestRegistryEvictAndReload(t *testing.T) {
-	reg := NewRegistry()
-	var loads atomic.Int32
-	if err := reg.Register("acs", func(context.Context) (*Answerer, error) {
-		loads.Add(1)
-		return newSmallAnswerer(t, 1), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Evict("acs") {
-		t.Fatal("Evict on unloaded tenant reported residency")
-	}
-	if _, err := reg.Get(context.Background(), "acs"); err != nil {
-		t.Fatal(err)
-	}
-	if !reg.Evict("acs") {
-		t.Fatal("Evict on loaded tenant reported nothing")
-	}
-	if reg.Loaded("acs") {
-		t.Fatal("still loaded after Evict")
-	}
-	if _, err := reg.Get(context.Background(), "acs"); err != nil {
-		t.Fatal(err)
-	}
-	if n := loads.Load(); n != 2 {
-		t.Fatalf("loader ran %d times, want 2 (load, evict, reload)", n)
-	}
-}
-
-func TestRegistryEvictIdle(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Add("hot", newSmallAnswerer(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add("cold", newSmallAnswerer(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, err := reg.Get(context.Background(), "hot"); err != nil {
-		t.Fatal(err)
-	}
-	evicted := reg.EvictIdle(10 * time.Millisecond)
-	if len(evicted) != 1 || evicted[0] != "cold" {
-		t.Fatalf("EvictIdle = %v, want [cold]", evicted)
-	}
-	if !reg.Loaded("hot") || reg.Loaded("cold") {
-		t.Fatalf("residency after EvictIdle: hot=%v cold=%v", reg.Loaded("hot"), reg.Loaded("cold"))
 	}
 }
 
@@ -269,178 +215,6 @@ func TestRegistryConcurrentGet(t *testing.T) {
 		if got[i] != a {
 			t.Fatalf("caller %d saw a different answerer", i)
 		}
-	}
-}
-
-// TestRegistryPublishSurvivesEviction reproduces the build/evict race:
-// a dataset is evicted between the build of its next store and the
-// publish. A publish racing an eviction is never lost — it lands in
-// the resident tenant (reloading it), not in an orphaned Answerer.
-func TestRegistryPublishSurvivesEviction(t *testing.T) {
-	reg := NewRegistry()
-	base := newSmallAnswerer(t, 1)
-	if err := reg.Register("acs", func(context.Context) (*Answerer, error) {
-		return base, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Get(context.Background(), "acs"); err != nil {
-		t.Fatal(err)
-	}
-
-	rebuilt := engine.NewStore()
-	rebuilt.Add(&engine.StoredSpeech{Query: engine.Query{Target: "hearing"}, Text: "rebuilt mid-evict"})
-	// The janitor fires while the build is in flight.
-	if !reg.Evict("acs") {
-		t.Fatal("evict during build found nothing loaded")
-	}
-	if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().agg.Relation(), rebuilt); err != nil {
-		t.Fatal(err)
-	}
-
-	if !reg.Loaded("acs") {
-		t.Fatal("tenant not resident after the publish: the fresh store was orphaned")
-	}
-	a, err := reg.Get(context.Background(), "acs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, ok := a.Store().Exact(engine.Query{Target: "hearing"})
-	if !ok || sp.Text != "rebuilt mid-evict" {
-		t.Fatalf("live store does not carry the rebuilt speech (got %v, %v)", sp, ok)
-	}
-	// Boot 0, reload 1, publish 2.
-	if n := reg.Generation("acs"); n != 2 {
-		t.Fatalf("Generation = %d, want 2", n)
-	}
-
-	// The same with the janitor evicting in a tight loop (run under
-	// -race): whichever side of a publish's check-then-swap an eviction
-	// falls on, the published store is the live one afterwards.
-	stop := make(chan struct{})
-	var janitor sync.WaitGroup
-	janitor.Add(1)
-	go func() {
-		defer janitor.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				reg.Evict("acs")
-			}
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		next := engine.NewStore()
-		if _, err := reg.SwapData(context.Background(), "acs", base.live.Load().agg.Relation(), next); err != nil {
-			t.Fatal(err)
-		}
-		if a, err := reg.Get(context.Background(), "acs"); err != nil || a.Store() != engine.StoreView(next) {
-			t.Fatalf("publish %d lost to an eviction (err %v)", i, err)
-		}
-	}
-	close(stop)
-	janitor.Wait()
-}
-
-// TestRegistryGenerationAcrossEviction is the eviction oracle: the
-// number a dataset reports never decreases and never names two stores
-// within one process, across publishes, evictions and reloads — both
-// for a loader that builds a fresh Answerer per load (a snapshot
-// tenant) and for one that hands the same Answerer back (Add). A
-// reload is a publish: the tenant carries the evicted number forward
-// and the reloaded Answerer resumes one past it. Run under -race
-// -count=10.
-func TestRegistryGenerationAcrossEviction(t *testing.T) {
-	fresh := func() *Answerer {
-		rel := dataset.ACS(50, 1)
-		return New(rel, engine.NewStore(), voice.NewExtractor(rel, nil, 1), Options{})
-	}
-	same := fresh()
-	loaders := map[string]Loader{
-		"fresh answerer per load":  func(context.Context) (*Answerer, error) { return fresh(), nil },
-		"same answerer every load": func(context.Context) (*Answerer, error) { return same, nil },
-	}
-	for name, loader := range loaders {
-		t.Run(name, func(t *testing.T) {
-			reg := NewRegistry()
-			if err := reg.Register("ds", loader); err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			if n := reg.Generation("ds"); n != 0 {
-				t.Fatalf("never-loaded dataset reports %d", n)
-			}
-
-			// A watcher polls the reported number, and the resident
-			// (store, number) pair, for the whole run.
-			var mu sync.Mutex
-			stores := map[uint64]engine.StoreView{}
-			observe := func(store engine.StoreView, gen uint64) {
-				mu.Lock()
-				defer mu.Unlock()
-				if prev, seen := stores[gen]; seen && prev != store {
-					t.Errorf("generation %d names two stores", gen)
-				}
-				stores[gen] = store
-			}
-			stop := make(chan struct{})
-			var watcher sync.WaitGroup
-			watcher.Add(1)
-			go func() {
-				defer watcher.Done()
-				var last uint64
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					n := reg.Generation("ds")
-					if n < last {
-						t.Errorf("reported generation went backwards: %d after %d", n, last)
-						return
-					}
-					last = n
-					if a, ok := reg.Peek("ds"); ok {
-						observe(a.StoreGen())
-					}
-				}
-			}()
-
-			want := uint64(0)
-			check := func(step string) {
-				t.Helper()
-				if n := reg.Generation("ds"); n != want {
-					t.Fatalf("%s: Generation = %d, want %d", step, n, want)
-				}
-			}
-			for round := 0; round < 20; round++ {
-				a, err := reg.Get(ctx, "ds")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if round > 0 {
-					want++ // the reload is a publish
-				}
-				check("reload")
-				observe(a.StoreGen())
-				rel := a.live.Load().agg.Relation()
-				if _, err := reg.SwapData(ctx, "ds", rel, engine.NewStore()); err != nil {
-					t.Fatal(err)
-				}
-				want++
-				check("publish")
-				observe(a.StoreGen())
-				if !reg.Evict("ds") {
-					t.Fatal("nothing to evict")
-				}
-				check("evicted") // the tenant carries the number forward
-			}
-			close(stop)
-			watcher.Wait()
-		})
 	}
 }
 

@@ -22,9 +22,8 @@
 //
 // One daemon serves many scenarios through the Registry: it hosts the
 // Answerers of N named datasets with lazy loading (typically from an
-// internal/snapshot artifact), eviction of idle tenants, and
-// per-dataset publish, so re-summarizing one dataset never disturbs
-// the others.
+// internal/snapshot artifact) and per-dataset publish, so
+// re-summarizing one dataset never disturbs the others.
 package serve
 
 import (
@@ -236,31 +235,10 @@ func (a *Answerer) SwapData(rel *relation.Relation, next engine.StoreView) engin
 	return old.store
 }
 
-// resumeAt republishes the live pair, with the cells built so far,
-// under a number no lower than gen. The Registry calls it when a tenant
-// is reloaded after an eviction, so the dataset's numbering continues
-// where the evicted Answerer stopped.
-func (a *Answerer) resumeAt(gen uint64) {
-	a.pub.Lock()
-	defer a.pub.Unlock()
-	cur := a.live.Load()
-	a.live.Store(&generation{agg: cur.agg, store: cur.store, gen: max(gen, cur.gen+1)})
-}
-
 // Answer classifies one voice request and routes it to the right backend.
 func (a *Answerer) Answer(text string) Answer {
 	start := time.Now()
 	ans := a.route(a.live.Load(), voice.Classify(text, a.ex), text)
-	ans.Latency = time.Since(start)
-	return ans
-}
-
-// AnswerQuery serves an already-structured summary query directly from
-// the speech store, bypassing text classification.
-func (a *Answerer) AnswerQuery(q engine.Query) Answer {
-	start := time.Now()
-	ans := answerSummary(a.live.Load(), q)
-	ans.Request = voice.SQuery
 	ans.Latency = time.Since(start)
 	return ans
 }

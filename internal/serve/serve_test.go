@@ -80,7 +80,7 @@ func TestAnswererSummaryMetadata(t *testing.T) {
 	q := engine.Query{Target: "cancelled", Predicates: []engine.NamedPredicate{
 		{Column: "season", Value: "Winter"}, {Column: "airline", Value: "AA"},
 	}}
-	direct := a.AnswerQuery(q)
+	direct := answerSummary(a.live.Load(), q)
 	if direct.Kind != Summary || direct.Exact || direct.Matched == nil {
 		t.Fatalf("generalized summary = %+v", direct)
 	}
@@ -101,7 +101,7 @@ func TestAnswererSummaryMetadata(t *testing.T) {
 	}
 
 	// Unknown target: apology names the target.
-	miss := a.AnswerQuery(engine.Query{Target: "delay"})
+	miss := answerSummary(a.live.Load(), engine.Query{Target: "delay"})
 	if miss.Answered || miss.Kind != Unsupported || !strings.Contains(miss.Text, "delay") {
 		t.Errorf("missing-target answer = %+v", miss)
 	}

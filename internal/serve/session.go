@@ -282,9 +282,3 @@ func (s *Session) Answer(text string) Answer {
 	}
 	return ans
 }
-
-// Context returns the session's current conversational context (nil at
-// the start of a conversation). The snapshot is immutable.
-func (s *Session) Context() *QueryContext {
-	return s.ctx.Load()
-}

@@ -104,7 +104,7 @@ func TestSessionFollowUpAfterExtremum(t *testing.T) {
 
 	// The session context retains the merged structured query, not just
 	// the answer text.
-	ctx := s.Context()
+	ctx := s.ctx.Load()
 	if ctx == nil || ctx.Kind != Extremum || ctx.Query.Target != "rent" || ctx.Dim != "city" {
 		t.Fatalf("context after follow-up = %+v", ctx)
 	}
@@ -222,7 +222,7 @@ func TestSessionFollowUpSwapRace(t *testing.T) {
 						texts[(g+i)%len(texts)], ans.Kind, ans.Answered, ans.Text)
 					return
 				}
-				ctx := s.Context()
+				ctx := s.ctx.Load()
 				// Whatever interleaving happened, the published context is
 				// an internally consistent snapshot of some answered query.
 				if ctx == nil || ctx.Query.Target != "rent" || ctx.Dim != "city" ||

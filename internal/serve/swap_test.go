@@ -114,7 +114,7 @@ func TestSwapDataPublishesOneGeneration(t *testing.T) {
 	if twoPred == nil {
 		t.Fatal("two-predicate store has no two-predicate speech")
 	}
-	ans := a.AnswerQuery(twoPred.Query)
+	ans := answerSummary(a.live.Load(), twoPred.Query)
 	if !ans.Answered || !ans.Exact {
 		t.Fatalf("published store did not answer exactly: answered=%v exact=%v", ans.Answered, ans.Exact)
 	}

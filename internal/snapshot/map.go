@@ -245,9 +245,6 @@ func (rd *reader) strView(id uint32) (string, error) {
 	return unsafe.String(&rd.strBlob[lo], int(hi-lo)), nil
 }
 
-// Meta returns the snapshot's metadata.
-func (m *Map) Meta() Meta { return m.meta }
-
 // Mapped reports whether the view is backed by an actual memory
 // mapping (false on the portable read-into-heap fallback and for
 // MapBytes).

@@ -113,8 +113,8 @@ func TestMapFileLifecycle(t *testing.T) {
 	if mmapSupported && !m.Mapped() {
 		t.Error("MapFile on a unix build must be region-backed")
 	}
-	if m.Meta().Dataset != tc.rel.Name() {
-		t.Errorf("Meta().Dataset = %q", m.Meta().Dataset)
+	if m.meta.Dataset != tc.rel.Name() {
+		t.Errorf("meta.Dataset = %q", m.meta.Dataset)
 	}
 	sp, ok := m.Lookup(tc.store.Speeches()[0].Query)
 	if !ok || sp.Text == "" {
@@ -432,7 +432,7 @@ func BenchmarkColdStart(b *testing.B) {
 	cfg.MaxQueryLen = 2
 	store := solveAll(b, rel, cfg, engine.Template{})
 	var buf bytes.Buffer
-	if err := Write(&buf, store, rel); err != nil {
+	if err := WriteTagged(&buf, store, rel, ""); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -522,7 +522,7 @@ func TestSwapDataAcrossImplementationsRace(t *testing.T) {
 				if ans := a.Answer("cancellations in Winter"); ans.Kind != serve.Summary || !ans.Answered {
 					failures.Add(1)
 				}
-				if ans := a.AnswerQuery(probe); !ans.Answered || !ans.Exact {
+				if _, exact, ok := a.Store().Match(probe); !ok || !exact {
 					failures.Add(1)
 				}
 			}

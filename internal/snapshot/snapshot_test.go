@@ -77,7 +77,7 @@ func exampleStores(t *testing.T) []struct {
 func encode(t testing.TB, store *engine.Store, rel *relation.Relation) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, store, rel); err != nil {
+	if err := WriteTagged(&buf, store, rel, ""); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	return buf.Bytes()
@@ -404,7 +404,7 @@ func TestEmptyStore(t *testing.T) {
 	rel := dataset.ACS(100, 1)
 	store := engine.NewStore()
 	var buf bytes.Buffer
-	if err := Write(&buf, store, rel); err != nil {
+	if err := WriteTagged(&buf, store, rel, ""); err != nil {
 		t.Fatalf("Write empty: %v", err)
 	}
 	loaded, err := Decode(buf.Bytes(), rel)

@@ -63,12 +63,6 @@ func u32s(v []uint32) []byte {
 	return out
 }
 
-// Write serializes the store as one snapshot with an empty build
-// fingerprint; see WriteTagged.
-func Write(w io.Writer, store *engine.Store, rel *relation.Relation) error {
-	return WriteTagged(w, store, rel, "")
-}
-
 // WriteTagged serializes the store as one snapshot. The relation
 // resolves fact-scope dictionary codes to names and stamps the
 // snapshot with its dataset name and schema; fingerprint records the

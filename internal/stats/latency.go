@@ -71,13 +71,6 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// Count returns the total number of recorded samples.
-func (r *LatencyRecorder) Count() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
 // Snapshot computes percentiles over the current window. The zero
 // snapshot is returned when nothing has been recorded.
 func (r *LatencyRecorder) Snapshot() LatencySnapshot {
@@ -115,15 +108,6 @@ func SummarizeLatencies(ds []time.Duration) LatencySnapshot {
 // PercentileDuration returns the nearest-rank percentile of an
 // ascending-sorted duration slice, or 0 for empty input.
 func PercentileDuration(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[percentileRank(len(sorted), q)]
-}
-
-// Percentile returns the nearest-rank percentile of an ascending-sorted
-// float slice, or 0 for empty input.
-func Percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -77,26 +77,23 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Count(); got != 4000 {
+	if got := r.Snapshot().Count; got != 4000 {
 		t.Errorf("count = %d, want 4000", got)
 	}
 }
 
 func TestPercentileNearestRank(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
+	sorted := []time.Duration{1, 2, 3, 4, 5}
 	cases := []struct {
 		q    float64
-		want float64
+		want time.Duration
 	}{
 		{0, 1}, {0.2, 1}, {0.21, 2}, {0.5, 3}, {0.99, 5}, {1, 5},
 	}
 	for _, c := range cases {
-		if got := Percentile(sorted, c.q); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.q, got, c.want)
+		if got := PercentileDuration(sorted, c.q); got != c.want {
+			t.Errorf("PercentileDuration(%v) = %v, want %v", c.q, got, c.want)
 		}
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty percentile = %v, want 0", got)
 	}
 	if got := PercentileDuration(nil, 0.5); got != 0 {
 		t.Errorf("empty duration percentile = %v, want 0", got)

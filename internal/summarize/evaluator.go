@@ -481,12 +481,6 @@ func (e *Evaluator) posting(fi int) []int32 {
 	return e.postRows[e.postStart[fi]:e.postStart[fi+1]]
 }
 
-// PostingLen returns the number of view rows within scope of fact fi —
-// the size of that fact's slice of the materialized join R ⋊⋉M F.
-func (e *Evaluator) PostingLen(fi int) int {
-	return e.postStart[fi+1] - e.postStart[fi]
-}
-
 // NumRows returns the number of rows in the problem's view.
 func (e *Evaluator) NumRows() int { return e.view.NumRows() }
 

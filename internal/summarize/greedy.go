@@ -111,11 +111,6 @@ func (s Summary) ScaledUtility() float64 {
 	return s.Utility / s.PriorError
 }
 
-// Speech returns the selected facts as a fact.Speech.
-func (s Summary) Speech() fact.Speech {
-	return fact.Speech{Facts: append([]fact.Fact(nil), s.Facts...)}
-}
-
 // Greedy runs Algorithm 2 without cancellation support; see GreedyCtx.
 func Greedy(e *Evaluator, opts Options) Summary {
 	return GreedyCtx(context.Background(), e, opts)

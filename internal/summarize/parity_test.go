@@ -123,7 +123,7 @@ func computeParity() parityGolden {
 			build.GroupFacts = append(build.GroupFacts, len(e.Groups()[gi].Facts))
 		}
 		for fi := 0; fi < e.NumFacts(); fi++ {
-			build.PostingSizes = append(build.PostingSizes, e.PostingLen(fi))
+			build.PostingSizes = append(build.PostingSizes, len(e.posting(fi)))
 		}
 		g.Builds = append(g.Builds, build)
 

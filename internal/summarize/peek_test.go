@@ -42,8 +42,8 @@ func TestPeekMatchesPush(t *testing.T) {
 				!sameBits(p.undoVal[:cap(p.undoVal)], undoVal) {
 				t.Fatalf("trial %d: peek of fact %d wrote the path state", trial, fi)
 			}
-			if n != e.PostingLen(int(fi)) {
-				t.Fatalf("trial %d fact %d: peek length %d, posting length %d", trial, fi, n, e.PostingLen(int(fi)))
+			if n != len(e.posting(int(fi))) {
+				t.Fatalf("trial %d fact %d: peek length %d, posting length %d", trial, fi, n, len(e.posting(int(fi))))
 			}
 			want := p.u
 			v := e.facts[fi].Value

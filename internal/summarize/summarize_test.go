@@ -76,7 +76,7 @@ func TestEvaluatorPostings(t *testing.T) {
 		case 2:
 			want = 1
 		}
-		if got := e.PostingLen(fi); got != want {
+		if got := len(e.posting(fi)); got != want {
 			t.Errorf("fact %v posting size %d, want %d", f.Scope.Key(), got, want)
 		}
 	}
