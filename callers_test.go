@@ -49,21 +49,6 @@ var uncalledAllowed = map[string]string{
 
 	// Serving from the snapshot alone (ROADMAP.md, item 2) builds on it.
 	"snapshot.MapBytes": "planned: maps an in-memory snapshot for snapshot-only serving; FuzzMapBytes drives it",
-
-	// Unit-tested helpers with no caller. Deleting one deletes its test
-	// too, so each goes in a follow-up that names that test.
-	"baseline.NarrownessScore": "no caller; deleting it deletes TestNarrownessScore",
-	"baseline.RenderRanges":    "no caller; deleting it deletes TestRenderRanges",
-	"dataset.All":              "no caller; deleting it deletes TestAll",
-	"fact.PerRowPrior":         "no caller; deleting it deletes TestPerRowPrior",
-	"fact.Scope.Describe":      "no caller; deleting it deletes TestScopeDescribe",
-	"fact.Scope.SubsetOf":      "no caller; deleting it deletes TestScopeSubsetOf",
-	"fact.Speech":              "no caller; deleting it deletes TestSpeechCanonicalEqual",
-	"fact.Speech.Equal":        "no caller; deleting it deletes TestSpeechCanonicalEqual",
-	"fact.Speech.Len":          "no caller; deleting it deletes TestSpeechCanonicalEqual",
-	"relation.Relation.ToCSV":  "no caller; deleting it deletes TestCSVRoundTrip",
-	"stats.Pearson":            "no caller; deleting it deletes TestPearson",
-	"stats.StdDev":             "no caller; deleting it deletes part of TestMeanMedianStdDev",
 }
 
 // TestEveryInternalExportHasACaller type-checks every non-test package

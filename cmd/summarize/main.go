@@ -186,8 +186,8 @@ func main() {
 	fmt.Printf("stage times:     evaluate %v, solve %v, render %v, sink %v\n",
 		stats.Stages.Evaluate.Round(time.Millisecond), stats.Stages.Solve.Round(time.Millisecond),
 		stats.Stages.Render.Round(time.Millisecond), stats.Stages.Sink.Round(time.Millisecond))
-	fmt.Printf("work counters:   %d joined rows, %d facts evaluated, %d groups pruned, %d bounds computed, %d nodes expanded\n",
-		stats.JoinedRows, stats.FactsEvaluated, stats.GroupsPruned, stats.BoundsComputed, stats.NodesExpanded)
+	fmt.Printf("work counters:   %d joined rows, %d facts evaluated, %d groups pruned, %d bounds computed, %d nodes expanded, %d leaves settled\n",
+		stats.JoinedRows, stats.FactsEvaluated, stats.GroupsPruned, stats.BoundsComputed, stats.NodesExpanded, stats.LeavesSettled)
 	if stats.TimedOut > 0 {
 		fmt.Printf("timeouts:        %d problems fell back to greedy\n", stats.TimedOut)
 	}

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"strings"
 	"testing"
 
 	"cicero/internal/dataset"
@@ -78,25 +77,6 @@ func TestSamplingDeterministic(t *testing.T) {
 			a.Facts[i].Lo != b.Facts[i].Lo || a.Facts[i].Hi != b.Facts[i].Hi {
 			t.Fatal("sampling not deterministic for fixed seed")
 		}
-	}
-}
-
-func TestRenderRanges(t *testing.T) {
-	rel := dataset.Flights(500, 1)
-	d := rel.Schema().DimIndex("season")
-	code, _ := rel.Dim(d).Code("Winter")
-	facts := []RangeFact{
-		{Scope: fact.NewScope(nil, nil), Lo: 0.05, Hi: 0.10},
-		{Scope: fact.NewScope([]int{d}, []int32{code}), Lo: 0.08, Hi: 0.15},
-	}
-	got := RenderRanges(rel, "cancellation probability", facts)
-	for _, want := range []string{"between 0.05 and 0.1", "overall", "season Winter"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("render missing %q: %q", want, got)
-		}
-	}
-	if empty := RenderRanges(rel, "x", nil); !strings.Contains(empty, "No data") {
-		t.Errorf("empty render = %q", empty)
 	}
 }
 
@@ -236,17 +216,6 @@ func TestRedundancyScore(t *testing.T) {
 	}
 	if got := RedundancyScore(nil); got != 0 {
 		t.Errorf("empty = %v", got)
-	}
-}
-
-func TestNarrownessScore(t *testing.T) {
-	wide := fact.NewScope(nil, nil)
-	narrow := fact.NewScope([]int{0, 1}, []int32{0, 0})
-	if got := NarrownessScore([]fact.Fact{{Scope: wide}, {Scope: narrow}}); got != 1 {
-		t.Errorf("narrowness = %v, want 1", got)
-	}
-	if NarrownessScore(nil) != 0 {
-		t.Error("empty should be 0")
 	}
 }
 

@@ -214,17 +214,3 @@ func RedundancyScore(facts []fact.Fact) float64 {
 	}
 	return float64(redundant) / float64(len(facts)-1)
 }
-
-// NarrownessScore measures the average scope width of a speech's facts:
-// higher means more dimensions restricted per fact, i.e. narrower data
-// subsets.
-func NarrownessScore(facts []fact.Fact) float64 {
-	if len(facts) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, f := range facts {
-		sum += f.Scope.Len()
-	}
-	return float64(sum) / float64(len(facts))
-}

@@ -7,10 +7,8 @@ package baseline
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"time"
 
 	"cicero/internal/fact"
@@ -201,30 +199,4 @@ func sampleEstimate(view *relation.View, target int, scope fact.Scope, opts Samp
 	}
 	half = 2 * math.Sqrt(variance/float64(matched))
 	return mean, half, matched
-}
-
-// RenderRanges produces the baseline's speech text with range values.
-func RenderRanges(rel *relation.Relation, target string, facts []RangeFact) string {
-	if len(facts) == 0 {
-		return fmt.Sprintf("No data available on %s.", target)
-	}
-	var b strings.Builder
-	for i, f := range facts {
-		scope := "overall"
-		if f.Scope.Len() > 0 {
-			parts := make([]string, f.Scope.Len())
-			for j, d := range f.Scope.Dims {
-				parts[j] = fmt.Sprintf("%s %s",
-					strings.ReplaceAll(rel.Schema().Dimensions[d], "_", " "),
-					rel.Dim(d).Value(f.Scope.Codes[j]))
-			}
-			scope = "for " + strings.Join(parts, " and ")
-		}
-		if i == 0 {
-			fmt.Fprintf(&b, "The %s is between %.3g and %.3g %s.", target, f.Lo, f.Hi, scope)
-		} else {
-			fmt.Fprintf(&b, " It is between %.3g and %.3g %s.", f.Lo, f.Hi, scope)
-		}
-	}
-	return b.String()
 }

@@ -26,14 +26,6 @@ import (
 	"cicero/internal/relation"
 )
 
-// Named couples a generated relation with its Table I metadata.
-type Named struct {
-	Rel *relation.Relation
-	// ShortCode is the scenario prefix used in the paper's plots
-	// (F for flights, A for ACS, S for Stack Overflow, P for primaries).
-	ShortCode string
-}
-
 // DefaultRows holds the default row counts per data set, scaled down from
 // the paper's multi-hundred-MB originals to keep a full experimental
 // sweep in the minutes range while preserving relative sizes.
@@ -436,14 +428,4 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// All generates the four paper data sets in Table I order.
-func All(seed int64) []Named {
-	return []Named{
-		{Rel: ACS(DefaultRows["acs"], seed), ShortCode: "A"},
-		{Rel: StackOverflow(DefaultRows["stackoverflow"], seed), ShortCode: "S"},
-		{Rel: Flights(DefaultRows["flights"], seed), ShortCode: "F"},
-		{Rel: Primaries(DefaultRows["primaries"], seed), ShortCode: "P"},
-	}
 }

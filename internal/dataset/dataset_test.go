@@ -165,25 +165,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestAll(t *testing.T) {
-	all := All(1)
-	if len(all) != 4 {
-		t.Fatalf("All returned %d data sets", len(all))
-	}
-	codes := map[string]bool{}
-	for _, n := range all {
-		codes[n.ShortCode] = true
-		if n.Rel.NumRows() == 0 {
-			t.Errorf("%s is empty", n.Rel.Name())
-		}
-	}
-	for _, c := range []string{"A", "S", "F", "P"} {
-		if !codes[c] {
-			t.Errorf("missing scenario code %s", c)
-		}
-	}
-}
-
 func TestSeasonConsistency(t *testing.T) {
 	// month and season dimensions must agree for every flights row.
 	rel := Flights(5000, 3)

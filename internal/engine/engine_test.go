@@ -456,6 +456,7 @@ func TestSolveExactReportsSeedAndSearchWork(t *testing.T) {
 		want.BoundsComputed += seed.Stats.BoundsComputed
 		want.NodesExpanded += seed.Stats.NodesExpanded
 		want.SpeechesEvaluated += seed.Stats.SpeechesEvaluated
+		want.LeavesSettled += seed.Stats.LeavesSettled
 		want.DominatedSkipped += seed.Stats.DominatedSkipped
 		want.JoinedRows += seed.Stats.JoinedRows
 		got.Stats.Elapsed, want.Elapsed = 0, 0

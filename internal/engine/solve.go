@@ -83,6 +83,7 @@ func withSeedWork(search, seed summarize.RunStats) summarize.RunStats {
 	search.BoundsComputed += seed.BoundsComputed
 	search.NodesExpanded += seed.NodesExpanded
 	search.SpeechesEvaluated += seed.SpeechesEvaluated
+	search.LeavesSettled += seed.LeavesSettled
 	search.DominatedSkipped += seed.DominatedSkipped
 	search.JoinedRows += seed.JoinedRows
 	search.Elapsed += seed.Elapsed

@@ -70,14 +70,6 @@ func MeanPrior(v *relation.View, target int) ConstantPrior {
 	return ConstantPrior(v.Stats(target).Mean())
 }
 
-// PerRowPrior stores an explicit prior per relation row, used when the
-// greedy algorithm folds already-selected facts into the expectation
-// column, and in user-study simulations with heterogeneous subjects.
-type PerRowPrior []float64
-
-// At implements Prior.
-func (p PerRowPrior) At(row int32) float64 { return p[row] }
-
 // Expectation computes E(F, r): the value the user expects in the target
 // column of row r after hearing speech facts, under the given model. The
 // prior value is part of the candidate set for Closest and Farthest, per

@@ -75,30 +75,6 @@ func TestScopeMatches(t *testing.T) {
 	}
 }
 
-func TestScopeSubsetOf(t *testing.T) {
-	rel := buildFlights(t)
-	winter := mustFact(t, rel, 15, "season", "Winter").Scope
-	winterEast := mustFact(t, rel, 20, "season", "Winter", "region", "East").Scope
-	summerEast := mustFact(t, rel, 0, "season", "Summer", "region", "East").Scope
-	empty := NewScope(nil, nil)
-
-	if !winter.SubsetOf(winterEast) {
-		t.Error("winter ⊆ winter+east should hold")
-	}
-	if winterEast.SubsetOf(winter) {
-		t.Error("winter+east ⊄ winter")
-	}
-	if winter.SubsetOf(summerEast) {
-		t.Error("winter ⊄ summer+east (value conflict)")
-	}
-	if !empty.SubsetOf(winter) || !empty.SubsetOf(empty) {
-		t.Error("empty scope is subset of everything")
-	}
-	if !winter.SubsetOf(winter) {
-		t.Error("scope is subset of itself")
-	}
-}
-
 func TestScopeNormalization(t *testing.T) {
 	// Scopes built with dims in any order normalize identically.
 	a := NewScope([]int{1, 0}, []int32{5, 3})
@@ -115,17 +91,6 @@ func TestScopePanicsOnDuplicateDim(t *testing.T) {
 		}
 	}()
 	NewScope([]int{1, 1}, []int32{0, 1})
-}
-
-func TestScopeDescribe(t *testing.T) {
-	rel := buildFlights(t)
-	f := mustFact(t, rel, 15, "season", "Winter")
-	if got := f.Scope.Describe(rel); got != "season=Winter" {
-		t.Errorf("Describe = %q", got)
-	}
-	if got := NewScope(nil, nil).Describe(rel); got != "overall" {
-		t.Errorf("empty Describe = %q", got)
-	}
 }
 
 // TestExample4Utility reproduces Example 4 of the paper exactly: with a
@@ -243,13 +208,6 @@ func TestMeanPrior(t *testing.T) {
 	}
 }
 
-func TestPerRowPrior(t *testing.T) {
-	p := PerRowPrior{1, 2, 3}
-	if p.At(2) != 3 {
-		t.Errorf("At(2) = %v", p.At(2))
-	}
-}
-
 func TestGenerate(t *testing.T) {
 	rel := buildFlights(t)
 	facts := Generate(rel.FullView(), 0, GenerateOptions{MaxDims: 2})
@@ -326,25 +284,6 @@ func TestDimSubsets(t *testing.T) {
 	// maxSize beyond len yields the full power set.
 	if got := len(DimSubsets([]int{0, 1}, 5)); got != 4 {
 		t.Errorf("power set size = %d, want 4", got)
-	}
-}
-
-func TestSpeechCanonicalEqual(t *testing.T) {
-	rel := buildFlights(t)
-	a := Speech{Facts: []Fact{
-		mustFact(t, rel, 10, "season", "Winter"),
-		mustFact(t, rel, 20, "region", "South"),
-	}}
-	b := Speech{Facts: []Fact{
-		mustFact(t, rel, 20, "region", "South"),
-		mustFact(t, rel, 10, "season", "Winter"),
-	}}
-	if !a.Equal(b) {
-		t.Error("speeches with same facts in different order should be equal")
-	}
-	c := Speech{Facts: a.Facts[:1]}
-	if a.Equal(c) {
-		t.Error("speeches of different length should differ")
 	}
 }
 

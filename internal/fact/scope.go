@@ -78,21 +78,6 @@ func (s Scope) Matches(rel *relation.Relation, row int32) bool {
 	return true
 }
 
-// SubsetOf reports whether s restricts a subset of other's dimensions with
-// consistent values, i.e. every row within other's scope is within s's.
-func (s Scope) SubsetOf(other Scope) bool {
-	j := 0
-	for i, d := range s.Dims {
-		for j < len(other.Dims) && other.Dims[j] < d {
-			j++
-		}
-		if j >= len(other.Dims) || other.Dims[j] != d || other.Codes[j] != s.Codes[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical string key identifying the scope, used for
 // deduplication and map indexing.
 func (s Scope) Key() string {
@@ -118,18 +103,6 @@ func (s Scope) Equal(other Scope) bool {
 		}
 	}
 	return true
-}
-
-// Describe renders the scope as human-readable column=value pairs.
-func (s Scope) Describe(rel *relation.Relation) string {
-	if len(s.Dims) == 0 {
-		return "overall"
-	}
-	parts := make([]string, len(s.Dims))
-	for i, d := range s.Dims {
-		parts[i] = fmt.Sprintf("%s=%s", rel.Schema().Dimensions[d], rel.Dim(d).Value(s.Codes[i]))
-	}
-	return strings.Join(parts, ", ")
 }
 
 // Predicates converts the scope into relation predicates.

@@ -139,15 +139,17 @@ type Stats struct {
 	SumScaledUtility float64
 	// TimedOut counts problems where the exact algorithm hit its timeout.
 	TimedOut int
-	// JoinedRows, FactsEvaluated, GroupsPruned, BoundsComputed and
-	// NodesExpanded sum the kernel's work counters (summarize.RunStats)
-	// over the solved problems: the paper's processing-cost metric
-	// (Figures 3/4), which repeats exactly where the stage times do not.
+	// JoinedRows, FactsEvaluated, GroupsPruned, BoundsComputed,
+	// NodesExpanded and LeavesSettled sum the kernel's work counters
+	// (summarize.RunStats) over the solved problems: the paper's
+	// processing-cost metric (Figures 3/4), which repeats exactly where
+	// the stage times do not.
 	JoinedRows     int64
 	FactsEvaluated int
 	GroupsPruned   int
 	BoundsComputed int
 	NodesExpanded  int64
+	LeavesSettled  int64
 	// Elapsed is the wall-clock time of the run; PerQuery divides it by
 	// the number of problems solved.
 	Elapsed  time.Duration
@@ -410,6 +412,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 			stats.GroupsPruned += res.summary.Stats.GroupsPruned
 			stats.BoundsComputed += res.summary.Stats.BoundsComputed
 			stats.NodesExpanded += res.summary.Stats.NodesExpanded
+			stats.LeavesSettled += res.summary.Stats.LeavesSettled
 			stats.Stages.Sink += time.Since(sinkStart)
 			done++
 			report()

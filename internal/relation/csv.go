@@ -84,27 +84,3 @@ func FromCSVFile(name, path string, schema Schema) (*Relation, int, error) {
 	defer f.Close()
 	return FromCSV(name, f, schema)
 }
-
-// ToCSV writes the relation as CSV with a header row (dimensions first,
-// then targets), so generated data sets can be inspected or re-used.
-func (r *Relation) ToCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append(append([]string{}, r.schema.Dimensions...), r.schema.Targets...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	rec := make([]string, len(header))
-	for row := 0; row < r.rows; row++ {
-		for i, d := range r.dims {
-			rec[i] = d.Value(d.data[row])
-		}
-		for i, t := range r.targets {
-			rec[len(r.dims)+i] = strconv.FormatFloat(t.data[row], 'g', -1, 64)
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

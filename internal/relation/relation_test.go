@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -249,34 +248,6 @@ func TestSizeBytes(t *testing.T) {
 	// 2 dim cols * 16 rows * 4 bytes + 1 target * 16 * 8 = 256 plus dictionary strings.
 	if r.SizeBytes() < 256 {
 		t.Errorf("SizeBytes = %d, want >= 256", r.SizeBytes())
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	r := buildFlights(t)
-	var buf bytes.Buffer
-	if err := r.ToCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r2, skipped, err := FromCSV("flights", &buf, flightsSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 {
-		t.Errorf("skipped = %d, want 0", skipped)
-	}
-	if r2.NumRows() != r.NumRows() {
-		t.Fatalf("round trip rows = %d, want %d", r2.NumRows(), r.NumRows())
-	}
-	for i := 0; i < r.NumRows(); i++ {
-		if r.Target(0).At(i) != r2.Target(0).At(i) {
-			t.Fatalf("row %d target mismatch", i)
-		}
-		for d := 0; d < r.NumDims(); d++ {
-			if r.Dim(d).Value(r.Dim(d).CodeAt(i)) != r2.Dim(d).Value(r2.Dim(d).CodeAt(i)) {
-				t.Fatalf("row %d dim %d mismatch", i, d)
-			}
-		}
 	}
 }
 

@@ -58,37 +58,3 @@ func Median(xs []float64) float64 {
 	}
 	return (s[mid-1] + s[mid]) / 2
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Pearson returns the Pearson correlation coefficient of paired samples,
-// or 0 when either side has zero variance or lengths mismatch.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}

@@ -225,8 +225,7 @@ func (e *Evaluator) sameScopes(facts []fact.Fact) bool {
 		return false
 	}
 	for i := range facts {
-		a, b := &facts[i].Scope, &e.facts[i].Scope
-		if !slices.Equal(a.Dims, b.Dims) || !slices.Equal(a.Codes, b.Codes) {
+		if !facts[i].Scope.Equal(e.facts[i].Scope) {
 			return false
 		}
 	}

@@ -42,9 +42,18 @@ func Exact(e *Evaluator, opts Options) Summary {
 // a speech is scored read-only against that state — one pass over its
 // posting list and the problem's row-distance column, writing nothing —
 // instead of re-unioning the whole speech at every leaf. Nearly every
-// node the search expands is such a leaf. The JoinedRows counter still
-// charges each evaluated speech the full join size of the paper's SQL
-// formulation (see Evaluator).
+// node the search expands is such a leaf, and most leaves skip even that
+// pass: utility is submodular (Theorem 3), so U(S∪{f}) ≤ U(S) + U({f}),
+// and when that sum plus ExactSubmodularCtx's rounding slack is below
+// the best speech found so far, the leaf can neither become the best
+// speech nor raise b. Such a leaf is settled: counted as evaluate would
+// count it, without the scan (Stats.LeavesSettled). The comparison is
+// with the best speech, not with b: below the seed, a leaf between the
+// two still becomes the best speech. The enumeration, the bound
+// timeline and every counter are what scoring each leaf gives. The
+// JoinedRows counter still charges each evaluated speech, scored or
+// settled, the full join size of the paper's SQL formulation (see
+// Evaluator).
 //
 // The run is bounded two ways: opts.Timeout and the context's deadline
 // both become the enumeration deadline (whichever is earlier), returning
@@ -76,7 +85,10 @@ func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 // reaches opts.LowerBound. (When it does not, ExactCtx's fixed ε cut a
 // speech that ties the seed within rounding; both searches then fall
 // short of the seed, and engine.Solve answers with the seed's speech.)
-// NodesExpanded is never larger than ExactCtx's.
+// NodesExpanded is never larger than ExactCtx's. ExactCtx settles its
+// last-slot leaves by the same bound and slack, against its best speech;
+// here the bound also cuts inner nodes, so the leaves it would settle
+// are mostly never reached.
 func ExactSubmodularCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 	return exact(ctx, e, opts, true)
 }
@@ -214,6 +226,15 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 				// would make, minus the writes nothing would read.
 				if stop() {
 					return
+				}
+				if e.path.u+u+pathSlack < bestU {
+					// Settled by submodularity, U(S∪{f}) ≤ U(S) + U({f}):
+					// the speech scores below bestU ≤ b, so evaluate
+					// would only count it. Count it without the scan.
+					e.JoinedRows += e.path.post + int64(len(e.posting(int(fi))))
+					stats.SpeechesEvaluated++
+					stats.LeavesSettled++
+					continue
 				}
 				speechU, n := e.path.peek(e, fi)
 				if evaluate(speechU, e.path.post+int64(n)) {

@@ -2,6 +2,7 @@ package summarize_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"cicero/internal/dataset"
@@ -80,11 +81,45 @@ func BenchmarkExactSearch(b *testing.B) {
 	}{{"lemma1", summarize.ExactCtx}, {"submodular", summarize.ExactSubmodularCtx}} {
 		b.Run(search.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var nodes int64
+			var stats summarize.RunStats
 			for i := 0; i < b.N; i++ {
-				nodes = search.run(b.Context(), e, opts).Stats.NodesExpanded
+				stats = search.run(b.Context(), e, opts).Stats
 			}
-			b.ReportMetric(float64(nodes), "nodes/op")
+			b.ReportMetric(float64(stats.NodesExpanded), "nodes/op")
+			b.ReportMetric(float64(stats.LeavesSettled), "settled/op")
 		})
+	}
+}
+
+// TestExactLeavesSettled pins the exact searches' work on searchProblem.
+// Lemma 1's search settles all but 454 of its 624,002 speeches by the
+// submodular bound without scanning them; every other counter, and the
+// speech, are what scoring each leaf gave before the bound was applied.
+// The path-bound search already cuts those leaves as subtrees, so it
+// settles none.
+func TestExactLeavesSettled(t *testing.T) {
+	p, maxFactDims := searchProblem(t)
+	e := summarize.NewEvaluator(p.View, p.Target, p.GenerateFacts(maxFactDims), p.Prior)
+	opts := summarize.Options{MaxFacts: 4}
+	opts.LowerBound = summarize.Greedy(e, opts).Utility
+	for _, search := range []struct {
+		name string
+		run  func(context.Context, *summarize.Evaluator, summarize.Options) summarize.Summary
+		want summarize.RunStats
+	}{
+		{"lemma1", summarize.ExactCtx, summarize.RunStats{FactsEvaluated: 345, NodesExpanded: 627816,
+			SpeechesEvaluated: 624002, LeavesSettled: 623548, DominatedSkipped: 482, JoinedRows: 838252134}},
+		{"submodular", summarize.ExactSubmodularCtx, summarize.RunStats{FactsEvaluated: 345, NodesExpanded: 652,
+			SpeechesEvaluated: 598, DominatedSkipped: 34, JoinedRows: 880994}},
+	} {
+		s := search.run(t.Context(), e, opts)
+		got := s.Stats
+		got.Elapsed = 0
+		if got != search.want {
+			t.Errorf("%s: stats %+v, want %+v", search.name, got, search.want)
+		}
+		if !slices.Equal(s.FactIdx, []int32{0, 29, 26, 27}) || s.Utility != 2294.7459058042427 {
+			t.Errorf("%s: speech %v (%v), want [0 29 26 27] (2294.7459058042427)", search.name, s.FactIdx, s.Utility)
+		}
 	}
 }

@@ -71,9 +71,14 @@ type RunStats struct {
 	BoundsComputed int
 	// NodesExpanded counts partial speeches expanded (exact algorithm).
 	NodesExpanded int64
-	// SpeechesEvaluated counts full speeches whose exact utility was
-	// computed (exact algorithm).
+	// SpeechesEvaluated counts full speeches the exact algorithm scored,
+	// or settled below the incumbent by the submodular bound.
 	SpeechesEvaluated int64
+	// LeavesSettled counts the speeches of SpeechesEvaluated settled by
+	// the bound without a scan: the last fact's single-fact utility
+	// added to the partial speech's could not reach the best speech so
+	// far (exact algorithm).
+	LeavesSettled int64
 	// DominatedSkipped counts exact-search extensions skipped because an
 	// equal-signature (same posting list and value) fact was already on
 	// the search path, making the extension's marginal gain exactly zero.
