@@ -91,11 +91,20 @@ type Evaluator struct {
 	path pathState
 
 	// Dominance signatures for the exact search (see dominanceReps):
-	// domRep[fi] is the canonical representative of fi's duplicate class.
-	domRep   []int32
-	domCnt   []int32
-	domHash  map[uint64]int32
-	domBuilt bool
+	// domRep[fi] is the canonical representative of fi's duplicate class,
+	// and postHash[fi] the hash of fi's posting list, built once per
+	// layout.
+	domRep        []int32
+	domCnt        []int32
+	domHash       map[uint64]int32
+	domBuilt      bool
+	postHash      []uint64
+	postHashBuilt bool
+
+	// The exact search's settled-tail tables (see tailTables).
+	tailPost   []int64
+	classStart []int32
+	classPos   []int32
 
 	// Reusable build + solve scratch.
 	keys       relation.KeySpace // the group being slotted
@@ -151,27 +160,11 @@ func dimsSubset(a, b []int) bool {
 	return true
 }
 
-// growI32 returns a length-n slice, reusing s's backing array when it is
+// grow returns a length-n slice, reusing s's backing array when it is
 // large enough. Contents are unspecified.
-func growI32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growF64 is growI32 for float64 slices.
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInt is growI32 for int slices.
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -239,9 +232,9 @@ func (e *Evaluator) resetTarget(target int, prior fact.Prior) {
 	n := e.view.NumRows()
 	e.target = target
 	e.prior = prior
-	e.truth = growF64(e.truth, n)
-	e.priorDev = growF64(e.priorDev, n)
-	e.curDev = growF64(e.curDev, n)
+	e.truth = grow(e.truth, n)
+	e.priorDev = grow(e.priorDev, n)
+	e.curDev = grow(e.curDev, n)
 	truth, priorDev := e.truth, e.priorDev
 	data := e.view.Rel.Target(target).Data()
 	sum := 0.0
@@ -302,8 +295,10 @@ func (e *Evaluator) buildGroupsAndPostings() {
 	n := e.view.NumRows()
 	nf := len(e.facts)
 
+	e.postHashBuilt = false
+
 	// 1) Assign facts to groups by their restricted dimension set.
-	e.factGroup = growI32(e.factGroup, nf)
+	e.factGroup = grow(e.factGroup, nf)
 	e.groups = e.groups[:0]
 	for fi := range e.facts {
 		e.factGroup[fi] = e.groupOf(e.facts[fi].Scope.Dims)
@@ -311,7 +306,7 @@ func (e *Evaluator) buildGroupsAndPostings() {
 	ng := len(e.groups)
 
 	// 2) Per-group fact lists in CSR form over one backing array.
-	e.gfStart = growI32(e.gfStart, ng+1)
+	e.gfStart = grow(e.gfStart, ng+1)
 	gf := e.gfStart
 	for i := range gf {
 		gf[i] = 0
@@ -322,8 +317,8 @@ func (e *Evaluator) buildGroupsAndPostings() {
 	for g := 0; g < ng; g++ {
 		gf[g+1] += gf[g]
 	}
-	e.groupFacts = growI32(e.groupFacts, nf)
-	e.fillCursor = growI32(e.fillCursor, ng)
+	e.groupFacts = grow(e.groupFacts, nf)
+	e.fillCursor = grow(e.fillCursor, ng)
 	copy(e.fillCursor, gf[:ng])
 	for fi := 0; fi < nf; fi++ {
 		g := e.factGroup[fi]
@@ -336,7 +331,7 @@ func (e *Evaluator) buildGroupsAndPostings() {
 
 	// 3) One keyed pass per group resolves rows to slots, counting each
 	// fact's posting size along the way.
-	e.postStart = growInt(e.postStart, nf+1)
+	e.postStart = grow(e.postStart, nf+1)
 	ps := e.postStart
 	for i := range ps {
 		ps[i] = 0
@@ -347,7 +342,7 @@ func (e *Evaluator) buildGroupsAndPostings() {
 			boundGroups++
 		}
 	}
-	e.rowSlots = growI32(e.rowSlots, boundGroups*n)
+	e.rowSlots = grow(e.rowSlots, boundGroups*n)
 	e.slotFact = e.slotFact[:0]
 	maxSlots := 0
 	off := 0
@@ -381,15 +376,15 @@ func (e *Evaluator) buildGroupsAndPostings() {
 		}
 		off += n
 	}
-	e.boundSums = growF64(e.boundSums, maxSlots)
+	e.boundSums = grow(e.boundSums, maxSlots)
 
 	// 4) Prefix offsets, then one slot-driven fill pass per group writes
 	// the join output into the single CSR backing array.
 	for fi := 0; fi < nf; fi++ {
 		ps[fi+1] += ps[fi]
 	}
-	e.postRows = growI32(e.postRows, ps[nf])
-	e.postFill = growInt(e.postFill, nf)
+	e.postRows = grow(e.postRows, ps[nf])
+	e.postFill = grow(e.postFill, nf)
 	copy(e.postFill, ps[:nf])
 	for g := range e.groups {
 		grp := &e.groups[g]
@@ -464,7 +459,7 @@ func (e *Evaluator) slotRowsSorted(grp *FactGroup, rs []int32) {
 			e.slotFact[grp.slotBase+slot] = fi
 		}
 	}
-	e.comboBuf = growI32(e.comboBuf, len(grp.Dims))
+	e.comboBuf = grow(e.comboBuf, len(grp.Dims))
 	for i := range rs {
 		row := int(e.view.Row(i))
 		for j, d := range grp.Dims {
@@ -521,8 +516,8 @@ func (e *Evaluator) PriorError() float64 { return e.priorSum }
 // non-negative sum leaves its bits unchanged, so the results are the
 // branchy versions' to the bit (for finite target values).
 func (e *Evaluator) singleFactUtilities() []float64 {
-	e.utilsBuf = growF64(e.utilsBuf, len(e.facts))
-	e.postDist = growF64(e.postDist, len(e.postRows))
+	e.utilsBuf = grow(e.utilsBuf, len(e.facts))
+	e.postDist = grow(e.postDist, len(e.postRows))
 	truth, priorDev := e.truth, e.priorDev
 	for fi := range e.facts {
 		v := e.facts[fi].Value
@@ -558,7 +553,7 @@ type pathState struct {
 // and the running utility at zero.
 func (p *pathState) begin(e *Evaluator) {
 	n := e.view.NumRows()
-	p.dev = growF64(p.dev, n)
+	p.dev = grow(p.dev, n)
 	copy(p.dev, e.priorDev[:n])
 	p.undoRow = p.undoRow[:0]
 	p.undoVal = p.undoVal[:0]
@@ -656,30 +651,36 @@ func (p *pathState) pop(mark int, savedU float64, savedPost int64) {
 // the exact search skips a fact whenever its representative class is
 // already on the search path (dominance pruning). The classes are
 // built lazily once per problem and reused by every exact search of
-// it; hash collisions degrade to self-representation, which only
+// it. A fact's signature hash is its posting list's hash, computed once
+// per layout and shared by every target, with the value's bits mixed
+// in; hash collisions degrade to self-representation, which only
 // forfeits pruning, never correctness.
 func (e *Evaluator) dominanceReps() []int32 {
 	if e.domBuilt {
 		return e.domRep
 	}
 	nf := len(e.facts)
-	e.domRep = growI32(e.domRep, nf)
+	if !e.postHashBuilt {
+		e.postHash = grow(e.postHash, nf)
+		for fi := 0; fi < nf; fi++ {
+			h := uint64(fnvBasis)
+			for _, r := range e.posting(fi) {
+				h = (h ^ uint64(uint32(r))) * fnvPrime // a row per FNV-1a round
+			}
+			e.postHash[fi] = h
+		}
+		e.postHashBuilt = true
+	}
+	e.domRep = grow(e.domRep, nf)
 	if e.domHash == nil {
 		e.domHash = make(map[uint64]int32)
 	} else {
 		clear(e.domHash)
 	}
 	for fi := 0; fi < nf; fi++ {
-		h := uint64(14695981039346656037) // FNV-1a offset basis
-		mix := func(x uint64) {
-			for s := 0; s < 64; s += 8 {
-				h ^= (x >> uint(s)) & 0xff
-				h *= 1099511628211
-			}
-		}
-		mix(math.Float64bits(e.facts[fi].Value))
-		for _, r := range e.posting(fi) {
-			mix(uint64(uint32(r)))
+		h, v := e.postHash[fi], math.Float64bits(e.facts[fi].Value)
+		for s := 0; s < 64; s += 8 {
+			h = (h ^ (v>>s)&0xff) * fnvPrime
 		}
 		rep, ok := e.domHash[h]
 		if ok && e.sameSignature(int(rep), fi) {
@@ -694,6 +695,12 @@ func (e *Evaluator) dominanceReps() []int32 {
 	e.domBuilt = true
 	return e.domRep
 }
+
+// The FNV-1a offset basis and prime of dominanceReps's hashes.
+const (
+	fnvBasis = 14695981039346656037
+	fnvPrime = 1099511628211
+)
 
 // sameSignature reports whether facts a and b have bitwise-identical
 // values and posting lists.
@@ -711,6 +718,36 @@ func (e *Evaluator) sameSignature(a, b int) bool {
 		}
 	}
 	return true
+}
+
+// tailTables fills the exact search's settled-tail tables for its order
+// and the dominance classes dom: tailPost[k] is the summed posting length
+// of order[:k], and classPos[classStart[c]:classStart[c+1]] lists the
+// positions in order of class c's facts, ascending.
+func (e *Evaluator) tailTables(order, dom []int32) (tailPost []int64, classStart, classPos []int32) {
+	nf := len(order)
+	e.tailPost = grow(e.tailPost, nf+1)
+	e.classStart = grow(e.classStart, nf+1)
+	e.classPos = grow(e.classPos, nf)
+	tailPost, classStart, classPos = e.tailPost, e.classStart, e.classPos
+	clear(classStart)
+	tailPost[0] = 0
+	for k, fi := range order {
+		tailPost[k+1] = tailPost[k] + int64(e.postStart[fi+1]-e.postStart[fi])
+		classStart[dom[fi]+1]++
+	}
+	for c := range nf {
+		classStart[c+1] += classStart[c]
+	}
+	for k, fi := range order {
+		c := dom[fi]
+		classPos[classStart[c]] = int32(k)
+		classStart[c]++
+	}
+	// The fill advanced each class's start to the next class's.
+	copy(classStart[1:], classStart[:nf])
+	classStart[0] = 0
+	return tailPost, classStart, classPos
 }
 
 // domCntScratch returns the cleared per-class on-path counter used by
@@ -854,7 +891,7 @@ func (s *utilOrderSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[
 // fact indices in canonical decreasing-utility order, the order used by
 // the exact algorithm's permutation pruning.
 func (e *Evaluator) orderedFactsByUtility(utils []float64) []int32 {
-	e.orderBuf = growI32(e.orderBuf, len(utils))
+	e.orderBuf = grow(e.orderBuf, len(utils))
 	for i := range e.orderBuf {
 		e.orderBuf[i] = int32(i)
 	}

@@ -2,6 +2,8 @@ package summarize
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"time"
 )
 
@@ -49,7 +51,12 @@ func Exact(e *Evaluator, opts Options) Summary {
 // speech nor raise b. Such a leaf is settled: counted as evaluate would
 // count it, without the scan (Stats.LeavesSettled). The comparison is
 // with the best speech, not with b: below the seed, a leaf between the
-// two still becomes the best speech. The enumeration, the bound
+// two still becomes the best speech. Once a leaf settles, so does every
+// later candidate of its loop up to rule 2's cut — utilities fall along
+// the order and settling moves neither bound — so the loop's tail is
+// settled at once: its leaves and dominated skips are counted in one
+// step, from per-search prefix sums of posting lengths and per-class
+// position lists, and the loop ends. The enumeration, the bound
 // timeline and every counter are what scoring each leaf gives. The
 // JoinedRows counter still charges each evaluated speech, scored or
 // settled, the full join size of the paper's SQL formulation (see
@@ -58,8 +65,11 @@ func Exact(e *Evaluator, opts Options) Summary {
 // The run is bounded two ways: opts.Timeout and the context's deadline
 // both become the enumeration deadline (whichever is earlier), returning
 // the best speech found so far with Stats.TimedOut set; cancelling ctx
-// aborts the enumeration within ctxCheckEvery nodes and returns the best
-// speech so far with Stats.Cancelled set.
+// aborts the enumeration and returns the best speech so far with
+// Stats.Cancelled set. Both are polled each time the node count reaches
+// a multiple of ctxCheckEvery: at the next node, or right after the
+// settled tail that passed it, in which case the stopped run has counted
+// that whole tail.
 func ExactCtx(ctx context.Context, e *Evaluator, opts Options) Summary {
 	return exact(ctx, e, opts, false)
 }
@@ -130,6 +140,7 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 	// dominance-free counterpart.
 	dom := e.dominanceReps()
 	domCnt := e.domCntScratch()
+	tailPost, classStart, classPos := e.tailTables(order, dom)
 
 	e.path.begin(e)
 	chosen := make([]int32, 0, m)
@@ -149,17 +160,21 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 		return false
 	}
 
-	// stop polls the deadline and the context, every ctxCheckEvery
-	// nodes, and records why the search must end. Deadline before
+	// stop polls the deadline and the context at the first call at or
+	// past each multiple of ctxCheckEvery nodes — a settled tail adds
+	// its nodes at once, so the count can pass a multiple between calls
+	// — and records why the search must end. Deadline before
 	// cancellation: an expired ctx deadline makes ctx.Err() non-nil at
 	// the same instant, and it must count as a timeout (best-so-far
 	// kept), not a cancellation.
 	timedOut := false
 	cancelled := false
+	nextPoll := int64(0)
 	stop := func() bool {
-		if stats.NodesExpanded%ctxCheckEvery != 0 {
+		if stats.NodesExpanded < nextPoll {
 			return false
 		}
+		nextPoll = stats.NodesExpanded - stats.NodesExpanded%ctxCheckEvery + ctxCheckEvery
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			timedOut = true
 			return true
@@ -230,11 +245,35 @@ func exact(ctx context.Context, e *Evaluator, opts Options, pathBound bool) Summ
 				if e.path.u+u+pathSlack < bestU {
 					// Settled by submodularity, U(S∪{f}) ≤ U(S) + U({f}):
 					// the speech scores below bestU ≤ b, so evaluate
-					// would only count it. Count it without the scan.
-					e.JoinedRows += e.path.post + int64(len(e.posting(int(fi))))
-					stats.SpeechesEvaluated++
-					stats.LeavesSettled++
-					continue
+					// would only count it. So would every later candidate
+					// up to rule 2's cut at end: utilities fall along
+					// order, rounded addition is monotone, and settling
+					// moves neither bestU nor b. Each is a settled leaf
+					// or, when its class is on the path, a dominated
+					// skip; count them all without a scan, a leaf's join
+					// size being path.post plus its posting length.
+					end := i + 1 + sort.Search(len(order)-i-1, func(k int) bool {
+						return base+utils[order[i+1+k]] < b-pruneEps
+					})
+					joined := tailPost[end] - tailPost[i]
+					dominated := int64(0)
+					for _, c := range chosen {
+						pos := classPos[classStart[dom[c]]:classStart[dom[c]+1]]
+						from, _ := slices.BinarySearch(pos, int32(i))
+						to, _ := slices.BinarySearch(pos, int32(end))
+						dominated += int64(to - from)
+						joined -= int64(to-from) * int64(len(e.posting(int(c))))
+					}
+					cnt := int64(end-i) - dominated
+					stats.NodesExpanded += cnt - 1 // fi's was counted above
+					stats.SpeechesEvaluated += cnt
+					stats.LeavesSettled += cnt
+					stats.DominatedSkipped += dominated
+					e.JoinedRows += cnt*e.path.post + joined
+					if stop() {
+						return
+					}
+					break
 				}
 				speechU, n := e.path.peek(e, fi)
 				if evaluate(speechU, e.path.post+int64(n)) {

@@ -123,3 +123,39 @@ func TestExactLeavesSettled(t *testing.T) {
 		}
 	}
 }
+
+// pollCountingCtx counts the polls a search makes of it: Err is what the
+// search calls when it polls, and its non-nil Done makes the search
+// poll at all.
+type pollCountingCtx struct {
+	context.Context
+	polls int64
+}
+
+func (c *pollCountingCtx) Err() error {
+	c.polls++
+	return c.Context.Err()
+}
+
+// TestExactPollsEveryCheckInterval holds the exact searches to their
+// poll interval on searchProblem: Lemma 1's
+// search counts a settled loop tail's nodes in one step, and the
+// deadline and cancellation checks must still run at least once per
+// CtxCheckEvery nodes expanded.
+func TestExactPollsEveryCheckInterval(t *testing.T) {
+	p, maxFactDims := searchProblem(t)
+	e := summarize.NewEvaluator(p.View, p.Target, p.GenerateFacts(maxFactDims), p.Prior)
+	opts := summarize.Options{MaxFacts: 4}
+	opts.LowerBound = summarize.Greedy(e, opts).Utility
+	for _, search := range []struct {
+		name string
+		run  func(context.Context, *summarize.Evaluator, summarize.Options) summarize.Summary
+	}{{"lemma1", summarize.ExactCtx}, {"submodular", summarize.ExactSubmodularCtx}} {
+		ctx := &pollCountingCtx{Context: t.Context()}
+		nodes := search.run(ctx, e, opts).Stats.NodesExpanded
+		t.Logf("%s: %d polls for %d nodes", search.name, ctx.polls, nodes)
+		if want := nodes / summarize.CtxCheckEvery; ctx.polls < want {
+			t.Errorf("%s: %d polls for %d nodes, want at least %d", search.name, ctx.polls, nodes, want)
+		}
+	}
+}

@@ -44,14 +44,27 @@ func leafBoundGap(t *testing.T, name string, rng *rand.Rand, e *Evaluator, paths
 	return worst
 }
 
+// tailKinds counts the settled tails of last-slot loops — the run from
+// a loop's first settled leaf to its end, which the search counts in one
+// step — by how they end and what they hold.
+type tailKinds struct {
+	rule2     int64 // ended by rule 2's cut
+	orderEnd  int64 // ran to the end of the order
+	dominated int64 // held a dominated skip
+}
+
 // replayLeafSettling replays exact's enumeration of e — its order, its
 // rule 2 and dominance cuts, its bound timeline and tie-break — scoring
-// every leaf with peek, as the search did before settling leaves. At
-// each leaf the search settles, the leaf's score must lie strictly below
-// the bestU it was settled against. The replay's speech and counters
-// must then be the search's, bit for bit, which shows it made the
-// search's decisions. It returns the number of leaves settled.
-func replayLeafSettling(t *testing.T, name string, e *Evaluator, opts Options, pathBound bool) int64 {
+// every leaf with peek, as the search did before settling leaves, one
+// leaf at a time. At each leaf the search settles, the leaf's score must
+// lie strictly below the bestU it was settled against, and once a
+// last-slot loop has settled a leaf, every later leaf of that loop must
+// settle too, which is what lets the search count the rest of the loop
+// at once. The replay's speech and counters must then be the search's,
+// bit for bit, which shows it made the search's decisions and counted
+// each tail as its leaves and skips one by one. It returns the number of
+// leaves settled and adds the tails it met to tails.
+func replayLeafSettling(t *testing.T, name string, e *Evaluator, opts Options, pathBound bool, tails *tailKinds) int64 {
 	t.Helper()
 	opts = opts.withDefaults()
 	joined := e.JoinedRows
@@ -87,20 +100,28 @@ func replayLeafSettling(t *testing.T, name string, e *Evaluator, opts Options, p
 		if pathBound {
 			base = min(sumU, p.u+slack)
 		}
+		inTail, tailDominated, cut := false, false, false
 		for i := pos; i < len(order); i++ {
 			fi, u := order[i], utils[order[i]]
 			if base+float64(remaining)*u < b-pruneEps {
+				cut = true
 				break
 			}
 			if domCnt[dom[fi]] > 0 {
 				got.DominatedSkipped++
+				tailDominated = tailDominated || inTail
 				continue
 			}
 			got.NodesExpanded++
 			extended = true
 			if remaining == 1 {
 				speechU, n := p.peek(e, fi)
-				if p.u+u+slack < bestU {
+				settles := p.u+u+slack < bestU
+				if inTail && !settles {
+					t.Fatalf("%s: leaf %v+%d follows a settled leaf but does not settle at bestU %v", name, chosen, fi, bestU)
+				}
+				if settles {
+					inTail = true
 					got.LeavesSettled++
 					if !(speechU < bestU) {
 						t.Fatalf("%s: leaf %v+%d settled at bestU %v scores %v", name, chosen, fi, bestU, speechU)
@@ -117,6 +138,16 @@ func replayLeafSettling(t *testing.T, name string, e *Evaluator, opts Options, p
 			p.pop(mark, savedU, savedPost)
 			domCnt[dom[fi]]--
 			chosen = chosen[:len(chosen)-1]
+		}
+		if inTail {
+			if cut {
+				tails.rule2++
+			} else {
+				tails.orderEnd++
+			}
+			if tailDominated {
+				tails.dominated++
+			}
 		}
 		if !extended && len(chosen) > 0 {
 			score(p.u, p.post, chosen)
@@ -162,15 +193,18 @@ func scaledRelation(rng *rand.Rand, rows int, scale float64) *relation.Relation 
 // scaled to about 10^8 like housing's populations. On the full views,
 // the tie-heavy evaluators and the scaled target it also replays both
 // exact searches, greedy-seeded and cold, and checks every settled leaf
-// against the incumbent it was settled below.
+// against the incumbent it was settled below. The replays must meet
+// every kind of settled tail: one cut by rule 2, one running to the end
+// of the order, and one holding a dominated fact.
 func TestLeafBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	settled := int64(0)
+	var tails tailKinds
 	replay := func(name string, e *Evaluator, maxFacts int) {
 		seed := Greedy(e, Options{MaxFacts: maxFacts}).Utility
 		for _, lb := range []float64{0, seed} {
 			for _, pathBound := range []bool{false, true} {
-				settled += replayLeafSettling(t, name, e, Options{MaxFacts: maxFacts, LowerBound: lb}, pathBound)
+				settled += replayLeafSettling(t, name, e, Options{MaxFacts: maxFacts, LowerBound: lb}, pathBound, &tails)
 			}
 		}
 	}
@@ -205,8 +239,12 @@ func TestLeafBoundSound(t *testing.T) {
 	e := newEval(t, scaledRelation(rng, 1500, 1e7), 2)
 	t.Logf("scaled target (prior error %.3g): largest gap %.3g of the slack", e.PriorError(), leafBoundGap(t, "scaled", rng, e, 40))
 	replay("scaled", e, 4)
-	t.Logf("%d leaves settled across the replays", settled)
+	t.Logf("%d leaves settled across the replays; settled tails: %d cut by rule 2, %d to the order's end, %d holding a dominated fact",
+		settled, tails.rule2, tails.orderEnd, tails.dominated)
 	if settled == 0 {
 		t.Error("no replayed search settled a leaf")
+	}
+	if tails.rule2 == 0 || tails.orderEnd == 0 || tails.dominated == 0 {
+		t.Errorf("the replays miss a kind of settled tail: %+v", tails)
 	}
 }
