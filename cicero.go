@@ -22,8 +22,8 @@
 //     generate → evaluate → solve → render → sink stages with bounded
 //     memory and per-stage metrics; runs are cancellable down to the
 //     algorithms' inner loops and resumable from a checkpoint, and the
-//     solver is chosen by name among the paper's algorithms (E, E-P,
-//     G-B, G-P, G-O) and the sampling baseline;
+//     solver is one of the paper's algorithms (E, E-P, G-B, G-P, G-O),
+//     by name;
 //   - a voice front-end: a sample-trained text-to-query extractor and a
 //     request classifier;
 //   - a unified serving layer: the Answerer front door classifies any
@@ -204,8 +204,7 @@ func DefaultConfig(rel *Relation) Config {
 // streams problems through generate → evaluate → solve → render → sink
 // stages with bounded memory, honors context cancellation down to the
 // algorithms' inner loops, resumes interrupted batches from a
-// checkpoint, and runs any solver by name — the paper's algorithms and
-// the sampling baseline alike.
+// checkpoint, and solves with one of the paper's algorithms, by name.
 type (
 	// PipelineOptions configures a pre-processing run.
 	PipelineOptions = pipeline.Options

@@ -51,7 +51,7 @@ func main() {
 		dataName   = flag.String("data", "flights", "built-in data set: "+strings.Join(dataset.Names(), ", "))
 		csvPath    = flag.String("csv", "", "CSV file to summarize instead of a built-in data set")
 		configPath = flag.String("config", "", "JSON configuration file (required with -csv)")
-		solver     = flag.String("solver", "", "registered solver: "+strings.Join(pipeline.Solvers(), ", "))
+		solver     = flag.String("solver", string(engine.AlgGreedyOpt), "solver, one of the paper's algorithms: "+fmt.Sprint(engine.Algorithms()))
 		maxLen     = flag.Int("maxlen", 2, "maximal query length (predicates)")
 		maxFacts   = flag.Int("facts", 3, "facts per speech")
 		prior      = flag.String("prior", "", "error prior: zero or global-mean (default: config)")
@@ -90,20 +90,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "summarize: unknown -prior %q (want zero or global-mean)\n", *prior)
 		os.Exit(1)
 	}
-	solverName := *solver
-	if solverName == "" {
-		solverName = string(engine.AlgGreedyOpt)
-	}
-
 	if *deltaFile != "" || *deltaSynth > 0 {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		popts := pipeline.Options{
-			Solver:  solverName,
+			Solver:  *solver,
 			Workers: *workers,
 			Solve:   summarize.Options{Timeout: *timeout},
 		}
-		runDelta(ctx, rel, cfg, solverName, *seed, popts, deltaFlags{
+		runDelta(ctx, rel, cfg, *solver, *seed, popts, deltaFlags{
 			opsFile:  *deltaFile,
 			synth:    *deltaSynth,
 			basePath: *deltaBase,
@@ -128,7 +123,7 @@ func main() {
 	defer stop()
 
 	opts := pipeline.Options{
-		Solver:  solverName,
+		Solver:  *solver,
 		Workers: *workers,
 		Solve:   summarize.Options{Timeout: *timeout},
 		Progress: func(p pipeline.Progress) {
@@ -155,7 +150,7 @@ func main() {
 		opts.Checkpoint = ckpt
 	}
 
-	store, stats, err := runBatch(ctx, rel, cfg, opts, *snapOut, pipeline.Fingerprint(*seed, cfg, solverName))
+	store, stats, err := runBatch(ctx, rel, cfg, opts, *snapOut, pipeline.Fingerprint(*seed, cfg, *solver))
 	fmt.Fprintln(os.Stderr)
 	if err != nil {
 		if ctx.Err() != nil && ckpt != nil {
@@ -178,7 +173,7 @@ func main() {
 
 	fmt.Printf("data set:        %s (%d rows, %d dims, %d targets)\n",
 		rel.Name(), rel.NumRows(), rel.NumDims(), rel.NumTargets())
-	fmt.Printf("solver:          %s\n", solverName)
+	fmt.Printf("solver:          %s\n", *solver)
 	fmt.Printf("speeches:        %d (%d resumed)\n", stats.Speeches, stats.Resumed)
 	fmt.Printf("total time:      %v\n", stats.Elapsed.Round(time.Millisecond))
 	fmt.Printf("per query:       %v\n", stats.PerQuery.Round(time.Microsecond))

@@ -6,7 +6,6 @@
 package baseline
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"time"
@@ -75,23 +74,15 @@ type SamplingResult struct {
 	SampledRows int
 }
 
-// SamplingAnswer runs the sampling vocalizer without cancellation
-// support; see SamplingAnswerCtx.
-func SamplingAnswer(view *relation.View, target int, freeDims []int, opts SamplingOptions) SamplingResult {
-	return SamplingAnswerCtx(context.Background(), view, target, freeDims, opts)
-}
-
-// SamplingAnswerCtx emulates the run-time behaviour of the prior
+// SamplingAnswer emulates the run-time behaviour of the prior
 // data-vocalization work: for each of MaxFacts sentence slots it
 // estimates, via repeated sampling, which candidate scope reduces the
 // listener's error most, and emits the estimated average as a confidence
 // range. All estimation happens at query time — there is no
 // pre-processing — which is exactly the latency trade-off Figure 10
-// measures. Cancelling ctx stops the estimation between candidate
-// evaluations, returning the sentences selected so far.
-func SamplingAnswerCtx(ctx context.Context, view *relation.View, target int, freeDims []int, opts SamplingOptions) SamplingResult {
+// measures.
+func SamplingAnswer(view *relation.View, target int, freeDims []int, opts SamplingOptions) SamplingResult {
 	opts = opts.withDefaults()
-	watchCtx := ctx.Done() != nil
 	rng := rand.New(rand.NewSource(opts.Seed))
 	start := time.Now()
 	var res SamplingResult
@@ -129,13 +120,6 @@ func SamplingAnswerCtx(ctx context.Context, view *relation.View, target int, fre
 		var bestRange RangeFact
 		bestScore := -1.0
 		for ci, c := range candidates {
-			if watchCtx && ctx.Err() != nil {
-				res.Total = time.Since(start)
-				if res.Latency == 0 {
-					res.Latency = res.Total
-				}
-				return res
-			}
 			if chosen[c.scope.Key()] {
 				continue
 			}

@@ -38,7 +38,7 @@ func Algorithms() []Algorithm {
 // aborts the inner enumeration loops, returning the best speech found so
 // far with Stats.Cancelled set. For E and E-P the stats add the greedy
 // seed's work to the exact search's, whichever speech is returned. This
-// is the single solving core behind the pipeline's solver registry.
+// is the pipeline's one solving core.
 func Solve(ctx context.Context, alg Algorithm, e *summarize.Evaluator, opts summarize.Options) summarize.Summary {
 	switch alg {
 	case AlgExact, AlgExactPruned:

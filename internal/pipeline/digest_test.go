@@ -219,26 +219,3 @@ func TestStoreDigestScheduling(t *testing.T) {
 		}
 	}
 }
-
-// TestSamplingDigest pins the sampling baseline's store, the one solver
-// that reads the per-problem seed (problemSeed): a SHA-256 over every
-// speech of a 1,500-row flights batch, at one worker and at four, equal
-// to the digest recorded at fe3cd3a. The seed is a hash of the problem's
-// canonical key, so the store must not depend on which worker solved
-// which problem.
-func TestSamplingDigest(t *testing.T) {
-	const want = "5cebfb1174837b86e30196e572f30ed645187306343d86ed68e1253db79df9b5"
-	dc := digestConfig{"sampling", func() *relation.Relation { return dataset.Flights(1500, 1) }, 2, 3, SamplingSolverName, engine.PriorGlobalMean}
-	workerCounts := []int{1, 4}
-	if raceEnabled {
-		// Each batch samples 10⁸ rows; under the race detector one batch,
-		// the concurrent one, is enough.
-		workerCounts = []int{4}
-	}
-	for _, workers := range workerCounts {
-		got, _ := digestOf(t, dc, workers)
-		if got.SHA256 != want || got.Speeches != 1584 {
-			t.Errorf("workers=%d: sampling store digest %s over %d speeches, want %s over 1584", workers, got.SHA256, got.Speeches, want)
-		}
-	}
-}

@@ -14,20 +14,17 @@
 // driven by a context.Context: cancellation propagates into the solver
 // inner loops (summarize.ExactCtx/GreedyCtx), so an interrupted batch
 // returns within one problem's solve time; combined with a Checkpoint it
-// resumes from the last completed problem. Solvers are pluggable behind
-// a registry that holds the paper's optimizing algorithms (E, E-P, G-B,
-// G-P, G-O) and the evaluation's sampling baseline.
+// resumes from the last completed problem. The solver is one of the
+// paper's algorithms (E, E-P, G-B, G-P, G-O), by name.
 //
-// Run and RunProblems are the only batch drivers; the registry's
-// optimizing solvers call the per-problem core in package engine
-// (engine.Solve).
+// Run and RunProblems are the only batch drivers; every solve calls the
+// per-problem core in package engine (engine.Solve).
 package pipeline
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"time"
@@ -40,7 +37,7 @@ import (
 
 // Options configures a pipeline run.
 type Options struct {
-	// Solver names the registered solver to use (default "G-O").
+	// Solver names one of engine.Algorithms() (default "G-O").
 	Solver string
 	// Workers bounds concurrent solve stages (default 1). Problems are
 	// independent, so the solve stage parallelizes embarrassingly; the
@@ -58,6 +55,10 @@ type Options struct {
 	// problem (solved, failed, or skipped). Calls come from the single
 	// sink goroutine, so counts are monotonically non-decreasing.
 	Progress func(Progress)
+
+	// beforeSolve, set only by this package's tests, runs before every
+	// solve; an error it returns is the problem's.
+	beforeSolve func(ctx context.Context, q engine.Query) error
 }
 
 // Fingerprint renders the canonical build-provenance tag for a
@@ -72,13 +73,12 @@ type Options struct {
 // rebuild; a false match would silently serve a stale store, so the
 // tag errs on the side of including knobs.
 func Fingerprint(dataSeed int64, cfg engine.Config, solverName string) string {
-	if solverName == "" {
-		solverName = string(engine.AlgGreedyOpt)
-	}
+	// An unknown name is tagged as given; a run with it fails.
+	alg, _ := algorithm(solverName)
 	return fmt.Sprintf("seed=%d maxlen=%d facts=%d factdims=%d minrows=%d prior=%s targets=%s dims=%s factdimcols=%s solver=%s",
 		dataSeed, cfg.MaxQueryLen, cfg.MaxFacts, cfg.MaxFactDims, cfg.MinSubsetRows, cfg.Prior,
 		strings.Join(cfg.Targets, ","), strings.Join(cfg.Dimensions, ","),
-		strings.Join(cfg.FactDimensions, ","), solverName)
+		strings.Join(cfg.FactDimensions, ","), alg)
 }
 
 // FingerprintDelta renders the build-provenance tag for a store
@@ -263,7 +263,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	if workers < 1 {
 		workers = 1
 	}
-	solver, baseOpts, solverName, err := solverSetup(cfg, opts)
+	ps, err := newProblemSolver(rel, cfg, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -273,7 +273,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 		err := opts.Checkpoint.bind(CheckpointMeta{
 			Dataset:        rel.Name(),
 			Rows:           rel.NumRows(),
-			Solver:         solverName,
+			Solver:         string(ps.alg),
 			Targets:        strings.Join(cfg.Targets, ","),
 			Dimensions:     strings.Join(cfg.Dimensions, ","),
 			FactDimensions: strings.Join(cfg.FactDimensions, ","),
@@ -322,7 +322,7 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 		go func() {
 			defer func() { workersDone <- struct{}{} }()
 			for j := range jobs {
-				solveJob(runCtx, rel, cfg, solver, baseOpts, opts, j, func(res result) { results <- res })
+				ps.solveJob(runCtx, j, func(res result) { results <- res })
 			}
 		}()
 	}
@@ -374,13 +374,6 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 			cancel()
 			done++
 			report()
-		case res.summary.Stats.Cancelled:
-			// A solver that swallowed the cancellation and returned its
-			// aborted partial summary with a nil error (easy to write by
-			// wrapping engine.Solve without re-checking ctx) must not
-			// have that near-empty speech stored and checkpointed as
-			// done forever; treat it like a cancelled in-flight solve.
-			continue
 		default:
 			sinkStart := time.Now()
 			sp := &engine.StoredSpeech{
@@ -443,38 +436,20 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	return store.Freeze(), stats, nil
 }
 
-// solverSetup resolves the named solver and derives the per-problem
-// kernel options the way run hands them to every solve worker: the
-// configuration's fact budget overrides the caller's. Factored out so the
-// delta path's one-problem re-solves (ProblemSolver) can never drift from
-// the batch pipeline.
-func solverSetup(cfg engine.Config, opts Options) (Solver, summarize.Options, string, error) {
-	solverName := opts.Solver
-	if solverName == "" {
-		solverName = string(engine.AlgGreedyOpt)
-	}
-	solver, ok := LookupSolver(solverName)
-	if !ok {
-		return nil, summarize.Options{}, "", fmt.Errorf("pipeline: unknown solver %q (registered: %v)", solverName, Solvers())
-	}
-	baseOpts := opts.Solve
-	baseOpts.MaxFacts = cfg.MaxFacts
-	return solver, baseOpts, solverName, nil
-}
-
 // ProblemSolver re-solves individual problems with exactly the
 // semantics a full Run over the same Options would apply: the same
-// registered solver, the same derived kernel options, the same
-// deterministic per-problem seed, and the same template rendering. It
-// is the solving core of the incremental path (internal/delta), where
-// the bit-identical-to-rebuild guarantee rests on this equivalence.
-// Safe for concurrent use; each Solve acquires a pooled evaluator.
+// algorithm, the same derived kernel options and the same template
+// rendering. It is the solving core of the incremental path
+// (internal/delta), where the bit-identical-to-rebuild guarantee rests
+// on this equivalence, and Run's workers run it too. Safe for concurrent
+// use; each Solve acquires a pooled evaluator.
 type ProblemSolver struct {
-	rel      *relation.Relation
-	cfg      engine.Config
-	solver   Solver
-	baseOpts summarize.Options
-	opts     Options
+	rel *relation.Relation
+	cfg engine.Config
+	alg engine.Algorithm
+	// kernel is opts.Solve with the configuration's fact budget.
+	kernel summarize.Options
+	opts   Options
 }
 
 // NewProblemSolver validates the configuration and binds the solver and
@@ -484,31 +459,30 @@ func NewProblemSolver(rel *relation.Relation, cfg engine.Config, opts Options) (
 	if err := cfg.Validate(rel); err != nil {
 		return nil, err
 	}
-	solver, baseOpts, _, err := solverSetup(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
 	opts.Checkpoint = nil
 	opts.Progress = nil
-	return &ProblemSolver{rel: rel, cfg: cfg, solver: solver, baseOpts: baseOpts, opts: opts}, nil
+	return newProblemSolver(rel, cfg, opts)
+}
+
+// newProblemSolver resolves the named algorithm and derives the kernel
+// options: the configuration's fact budget overrides the caller's.
+func newProblemSolver(rel *relation.Relation, cfg engine.Config, opts Options) (*ProblemSolver, error) {
+	alg, ok := algorithm(opts.Solver)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: unknown solver %q (want one of %v)", opts.Solver, engine.Algorithms())
+	}
+	kernel := opts.Solve
+	kernel.MaxFacts = cfg.MaxFacts
+	return &ProblemSolver{rel: rel, cfg: cfg, alg: alg, kernel: kernel, opts: opts}, nil
 }
 
 // Solve runs evaluate → solve → render for one problem and returns the
 // stored speech a full pipeline run would have produced for it.
 func (ps *ProblemSolver) Solve(ctx context.Context, p engine.Problem) (*engine.StoredSpeech, error) {
 	var res result
-	solveJob(ctx, ps.rel, ps.cfg, ps.solver, ps.baseOpts, ps.opts,
-		job{seqs: []int{0}, problems: []engine.Problem{p}}, func(r result) { res = r })
+	ps.solveJob(ctx, job{seqs: []int{0}, problems: []engine.Problem{p}}, func(r result) { res = r })
 	if res.err != nil {
 		return nil, res.err
-	}
-	if res.summary.Stats.Cancelled {
-		// Mirror run's sink: an aborted partial summary must not be
-		// published as if it were the problem's answer.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
 	}
 	return &engine.StoredSpeech{
 		Query:      res.problem.Query,
@@ -526,11 +500,11 @@ func (ps *ProblemSolver) Solve(ctx context.Context, p engine.Problem) (*engine.S
 // pass per fact group for all their targets — and one pooled evaluator,
 // built for the first and retargeted to each following problem, so the
 // rows are slotted and the postings laid out once per subset.
-func solveJob(ctx context.Context, rel *relation.Relation, cfg engine.Config, solver Solver, baseOpts summarize.Options, opts Options, j job, emit func(result)) {
+func (ps *ProblemSolver) solveJob(ctx context.Context, j job, emit func(result)) {
 	var todo []result
 	for k, p := range j.problems {
 		res := result{seq: j.seqs[k], problem: p, key: p.Query.Canonical().Key()}
-		if opts.Checkpoint != nil && opts.Checkpoint.Done(res.key) {
+		if ps.opts.Checkpoint != nil && ps.opts.Checkpoint.Done(res.key) {
 			res.skipped = true
 			emit(res)
 			continue
@@ -554,7 +528,7 @@ func solveJob(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 	}
 	first := &todo[0].problem
 	factSets := fact.GenerateTargets(first.View, targets, fact.GenerateOptions{
-		MaxDims:  cfg.MaxFactDims,
+		MaxDims:  ps.cfg.MaxFactDims,
 		FreeDims: first.FreeDims,
 	})
 	generate := time.Since(t0)
@@ -585,28 +559,19 @@ func solveJob(ctx context.Context, rel *relation.Relation, cfg engine.Config, so
 			e.Retarget(p.Target, facts, p.Prior)
 		}
 		t2 := time.Now()
-		res.summary, res.err = solver.Solve(ctx, e, SolveOptions{
-			Options:  baseOpts,
-			Query:    p.Query,
-			FreeDims: p.FreeDims,
-			Seed:     problemSeed(res.key),
-		})
+		if ps.opts.beforeSolve != nil {
+			res.err = ps.opts.beforeSolve(ctx, p.Query)
+		}
+		if res.err == nil {
+			res.summary, res.err = solve(ctx, ps.alg, e, ps.kernel)
+		}
 		t3 := time.Now()
 		res.evalTime += t2.Sub(t1)
 		res.solveTime = t3.Sub(t2)
 		if res.err == nil {
-			res.text = opts.Template.Render(rel, p.Query, res.summary.Facts)
+			res.text = ps.opts.Template.Render(ps.rel, p.Query, res.summary.Facts)
 			res.renderTime = time.Since(t3)
 		}
 		emit(res)
 	}
-}
-
-// problemSeed derives a deterministic per-problem seed from the problem's
-// canonical key, so randomized solvers are reproducible independent of
-// worker scheduling.
-func problemSeed(key string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int64(h.Sum64())
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,47 +85,65 @@ func TestRunMatchesSequentialLoop(t *testing.T) {
 	}
 }
 
-// TestSolverRegistryRunsAllFamilies runs the same workload through every
-// built-in solver — the paper's optimizing algorithms and the sampling
-// baseline — via the registry.
-func TestSolverRegistryRunsAllFamilies(t *testing.T) {
+// TestRunsEveryAlgorithm runs the same workload through every one of
+// the paper's algorithms, and refuses a name that is none of them with
+// an error that lists them.
+func TestRunsEveryAlgorithm(t *testing.T) {
 	rel := dataset.Flights(1500, 1)
 	cfg := flightsConfig(rel)
 
-	for _, name := range []string{"E", "G-B", "G-P", "G-O", SamplingSolverName} {
-		if _, ok := LookupSolver(name); !ok {
-			t.Fatalf("solver %q not registered (have %v)", name, Solvers())
-		}
+	for _, alg := range engine.Algorithms() {
 		store, stats, err := Run(context.Background(), rel, cfg, Options{
-			Solver: name, Workers: 2,
+			Solver: string(alg), Workers: 2,
 			Solve: summarize.Options{Timeout: 2 * time.Second},
 		})
 		if err != nil {
-			t.Fatalf("solver %s: %v", name, err)
+			t.Fatalf("solver %s: %v", alg, err)
 		}
 		if store.Len() == 0 || stats.Problems == 0 {
-			t.Fatalf("solver %s produced an empty store", name)
+			t.Fatalf("solver %s produced an empty store", alg)
 		}
-		if name != SamplingSolverName && stats.AvgScaledUtility() <= 0 {
-			t.Errorf("solver %s: avg scaled utility %v", name, stats.AvgScaledUtility())
+		if stats.AvgScaledUtility() <= 0 {
+			t.Errorf("solver %s: avg scaled utility %v", alg, stats.AvgScaledUtility())
 		}
 	}
 
+	for _, name := range []string{"sampling", "G0"} {
+		_, _, err := Run(context.Background(), rel, cfg, Options{Solver: name})
+		if err == nil {
+			t.Fatalf("solver %q: Run succeeded, want it refused", name)
+		}
+		for _, alg := range engine.Algorithms() {
+			if !strings.Contains(err.Error(), string(alg)) {
+				t.Errorf("solver %q: error %q does not list %s", name, err, alg)
+			}
+		}
+	}
 }
 
-// errInduced is the error failingSolver wraps.
+// errInduced is the error failOnPredicates wraps.
 var errInduced = errors.New("induced failure")
 
-// failingSolver errors on every problem whose query has predicates,
-// succeeding only on the overall query.
-type failingSolver struct{ fail func(q engine.Query) bool }
-
-func (s failingSolver) Name() string { return "failing-test-solver" }
-func (s failingSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts SolveOptions) (summarize.Summary, error) {
-	if s.fail(opts.Query) {
-		return summarize.Summary{}, fmt.Errorf("%s: %w", opts.Query.Key(), errInduced)
+// failOnPredicates is a beforeSolve hook that fails every problem whose
+// query has predicates, letting only the overall query be solved.
+func failOnPredicates(ctx context.Context, q engine.Query) error {
+	if len(q.Predicates) > 0 {
+		return fmt.Errorf("%s: %w", q.Key(), errInduced)
 	}
-	return engine.Solve(ctx, engine.AlgGreedyOpt, e, opts.Options), nil
+	return nil
+}
+
+// delaySolves returns a beforeSolve hook that delays each solve so a
+// mid-batch cancel reliably lands while problems are in flight.
+func delaySolves(delay time.Duration) func(context.Context, engine.Query) error {
+	return func(ctx context.Context, q engine.Query) error {
+		select {
+		case <-time.After(delay):
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // TestFailuresExceedWorkersNoDeadlock is the pipeline half of the
@@ -135,7 +154,6 @@ func (s failingSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts S
 func TestFailuresExceedWorkersNoDeadlock(t *testing.T) {
 	rel := dataset.Flights(1500, 1)
 	cfg := flightsConfig(rel)
-	Register(failingSolver{fail: func(q engine.Query) bool { return len(q.Predicates) > 0 }})
 
 	type outcome struct {
 		store    *engine.Store
@@ -147,7 +165,7 @@ func TestFailuresExceedWorkersNoDeadlock(t *testing.T) {
 	go func() {
 		var progress []Progress
 		store, stats, err := Run(context.Background(), rel, cfg, Options{
-			Solver: "failing-test-solver", Workers: 2,
+			Solver: "G-O", Workers: 2, beforeSolve: failOnPredicates,
 			Progress: func(p Progress) { progress = append(progress, p) },
 		})
 		ch <- outcome{store, stats, err, progress}
@@ -175,20 +193,6 @@ func TestFailuresExceedWorkersNoDeadlock(t *testing.T) {
 	}
 }
 
-// slowSolver delays each solve so a mid-batch cancel reliably lands
-// while problems are in flight.
-type slowSolver struct{ delay time.Duration }
-
-func (s slowSolver) Name() string { return "slow-test-solver" }
-func (s slowSolver) Solve(ctx context.Context, e *summarize.Evaluator, opts SolveOptions) (summarize.Summary, error) {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-		return summarize.Summary{}, ctx.Err()
-	}
-	return engine.Solve(ctx, engine.AlgGreedyOpt, e, opts.Options), nil
-}
-
 // TestCancelLeavesResumableCheckpoint is the acceptance scenario: cancel
 // a batch mid-flight, then resume it from the checkpoint and end with
 // exactly the store an uninterrupted run produces.
@@ -207,7 +211,6 @@ func TestCancelLeavesResumableCheckpoint(t *testing.T) {
 		t.Fatalf("workload too small for a meaningful cancel test: %d problems", totalProblems)
 	}
 
-	Register(slowSolver{delay: 30 * time.Millisecond})
 	ckpt, err := OpenCheckpoint(path, rel)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +218,8 @@ func TestCancelLeavesResumableCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	store, stats, err := Run(ctx, rel, cfg, Options{
-		Solver: "slow-test-solver", Workers: 2, Template: tmpl, Checkpoint: ckpt,
+		Solver: "G-O", Workers: 2, Template: tmpl, Checkpoint: ckpt,
+		beforeSolve: delaySolves(30 * time.Millisecond),
 		Progress: func(p Progress) {
 			if p.Solved >= 3 {
 				once.Do(cancel)
@@ -252,7 +256,8 @@ func TestCancelLeavesResumableCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint holds %d records, cancelled run completed %d", ckpt2.Len(), stats.Problems)
 	}
 	store2, stats2, err := Run(context.Background(), rel, cfg, Options{
-		Solver: "slow-test-solver", Workers: 2, Template: tmpl, Checkpoint: ckpt2,
+		Solver: "G-O", Workers: 2, Template: tmpl, Checkpoint: ckpt2,
+		beforeSolve: delaySolves(30 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +287,6 @@ func TestCancelReturnsPromptly(t *testing.T) {
 	rel := dataset.Flights(2000, 1)
 	cfg := flightsConfig(rel)
 	solveTime := 50 * time.Millisecond
-	Register(slowSolver{delay: solveTime})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -291,7 +295,7 @@ func TestCancelReturnsPromptly(t *testing.T) {
 	start := time.Now()
 	go func() {
 		_, _, err := Run(ctx, rel, cfg, Options{
-			Solver: "slow-test-solver", Workers: 2,
+			Solver: "G-O", Workers: 2, beforeSolve: delaySolves(solveTime),
 			Progress: func(p Progress) { startOnce.Do(func() { close(started) }) },
 		})
 		done <- err
@@ -310,6 +314,54 @@ func TestCancelReturnsPromptly(t *testing.T) {
 		_ = start
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not return after cancel")
+	}
+}
+
+// TestCancelledSolveIsDiscarded cancels the run from inside a problem's
+// solve, just before the algorithm runs: the algorithm then returns an
+// aborted partial speech, which neither Run nor ProblemSolver may take
+// for the problem's answer — Run records nothing in the checkpoint, and
+// ProblemSolver returns no speech.
+func TestCancelledSolveIsDiscarded(t *testing.T) {
+	rel := dataset.Flights(1000, 1)
+	cfg := flightsConfig(rel)
+	cancelNow := func(cancel context.CancelFunc) func(context.Context, engine.Query) error {
+		return func(context.Context, engine.Query) error {
+			cancel()
+			return nil
+		}
+	}
+
+	ckpt, err := OpenCheckpoint(filepath.Join(t.TempDir(), "cancelled.ckpt"), rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, stats, err := Run(ctx, rel, cfg, Options{Solver: "G-O", Checkpoint: ckpt, beforeSolve: cancelNow(cancel)})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+	if stats.Problems != 0 || ckpt.Len() != 0 {
+		t.Errorf("Run counted %d problems and checkpointed %d, want none", stats.Problems, ckpt.Len())
+	}
+
+	var p engine.Problem
+	if err := engine.EachProblem(rel, cfg, func(q engine.Problem) error {
+		p = q
+		return engine.ErrStopEnumeration
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	ps, err := NewProblemSolver(rel, cfg, Options{Solver: "G-O", beforeSolve: cancelNow(cancel2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp, err := ps.Solve(ctx2, p); sp != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("ProblemSolver.Solve returned (%v, %v), want (nil, context.Canceled)", sp, err)
 	}
 }
 
@@ -520,7 +572,7 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 	// Different solver: refused.
 	c2 := reopen()
 	if _, _, err := Run(context.Background(), rel, cfg, Options{
-		Solver: SamplingSolverName, Checkpoint: c2,
+		Solver: "G-B", Checkpoint: c2,
 	}); err == nil {
 		t.Error("resume with a different solver must be refused")
 	}

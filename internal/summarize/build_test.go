@@ -18,12 +18,12 @@ import (
 // of current deviations (bit for bit — both sides add in position order).
 func checkBuild(t *testing.T, name string, e *Evaluator) {
 	t.Helper()
-	rel := e.View().Rel
+	rel := e.view.Rel
 	n := e.NumRows()
 	for fi, f := range e.Facts() {
 		var want []int32
 		for i := 0; i < n; i++ {
-			if f.Scope.Matches(rel, e.View().Row(i)) {
+			if f.Scope.Matches(rel, e.view.Row(i)) {
 				want = append(want, int32(i))
 			}
 		}
@@ -41,7 +41,7 @@ func checkBuild(t *testing.T, name string, e *Evaluator) {
 		for i := 0; i < n; i++ {
 			key := ""
 			for _, d := range g.Dims {
-				key += strconv.Itoa(int(rel.Dim(d).CodeAt(int(e.View().Row(i))))) + ","
+				key += strconv.Itoa(int(rel.Dim(d).CodeAt(int(e.view.Row(i))))) + ","
 			}
 			sums[key] += e.curDev[i]
 		}

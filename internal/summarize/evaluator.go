@@ -201,7 +201,7 @@ func (e *Evaluator) Reset(view *relation.View, target int, facts []fact.Fact, pr
 // greedy state and the fact values, while the groups, row slots and
 // postings stay. Otherwise it is a full Reset over the same view. Either
 // way the evaluator is indistinguishable from
-// NewEvaluator(e.View(), target, facts, prior).
+// NewEvaluator(e.view, target, facts, prior).
 func (e *Evaluator) Retarget(target int, facts []fact.Fact, prior fact.Prior) {
 	if !e.sameScopes(facts) {
 		e.Reset(e.view, target, facts, prior)
@@ -477,18 +477,6 @@ func (e *Evaluator) posting(fi int) []int32 {
 
 // NumRows returns the number of rows in the problem's view.
 func (e *Evaluator) NumRows() int { return e.view.NumRows() }
-
-// View returns the data subset the problem summarizes. Solvers that do
-// not run over the candidate-fact join (e.g. the sampling and ML
-// baselines behind the pipeline's solver registry) read the raw rows
-// through it.
-func (e *Evaluator) View() *relation.View { return e.view }
-
-// Target returns the target column index of the problem instance.
-func (e *Evaluator) Target() int { return e.target }
-
-// Prior returns the prior expectation model of the problem instance.
-func (e *Evaluator) Prior() fact.Prior { return e.prior }
 
 // NumFacts returns the number of candidate facts.
 func (e *Evaluator) NumFacts() int { return len(e.facts) }

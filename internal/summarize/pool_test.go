@@ -61,7 +61,7 @@ func TestResetMatchesFresh(t *testing.T) {
 				sc = scenarios[len(scenarios)-1-i]
 			}
 			fresh := parityEval(sc)
-			reused.Reset(fresh.View(), fresh.Target(), fresh.Facts(), fresh.Prior())
+			reused.Reset(fresh.view, fresh.target, fresh.Facts(), fresh.prior)
 			if reused.JoinedRows != fresh.JoinedRows {
 				t.Errorf("%s: build JoinedRows %d != %d", sc.Name, reused.JoinedRows, fresh.JoinedRows)
 			}
@@ -164,7 +164,7 @@ func TestAcquireReleaseMatchesFresh(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for i, sc := range scenarios {
 					fresh := parityEval(sc)
-					e := AcquireEvaluator(fresh.View(), fresh.Target(), fresh.Facts(), fresh.Prior())
+					e := AcquireEvaluator(fresh.view, fresh.target, fresh.Facts(), fresh.prior)
 					got := solveAll(e, sc.MaxFacts)
 					ReleaseEvaluator(e)
 					for j := range want[i] {
