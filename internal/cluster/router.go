@@ -84,8 +84,6 @@ type Options struct {
 	// are then shed with 503 and a retry hint.
 	MaxInFlight  int
 	QueueTimeout time.Duration
-	// MaxBodyBytes bounds the accepted request body (default 1 MiB).
-	MaxBodyBytes int64
 	// StaleEntries bounds the last-good-answer cache (default 4096);
 	// negative disables stale serving.
 	StaleEntries int
@@ -126,9 +124,6 @@ func (o Options) withDefaults(nodes int) Options {
 	if o.QueueTimeout <= 0 {
 		o.QueueTimeout = 100 * time.Millisecond
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
 	if o.StaleEntries == 0 {
 		o.StaleEntries = 4096
 	}
@@ -137,6 +132,9 @@ func (o Options) withDefaults(nodes int) Options {
 	}
 	return o
 }
+
+// maxBodyBytes bounds an answer request body, as a node does.
+const maxBodyBytes = 1 << 20
 
 // maxReplyBytes bounds a relayed node response; a response this large
 // is treated like a corrupt one (failover, then 503).
@@ -467,20 +465,19 @@ func (r *Router) handleAnswer(w http.ResponseWriter, req *http.Request) {
 	if !httpserve.AllowMethod(w, req, http.MethodPost) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.opts.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		httpserve.WriteBodyError(w, err)
 		return
 	}
-	// Best-effort single-text extraction: the stale cache only covers
-	// single-answer requests (a batch is not one answer to remember),
-	// and never a dialogue turn — its answer depends on the session's
-	// context, which a text-only key would hand to any other caller.
-	// staleKey stays empty when stale serving is disabled.
+	// Best-effort text extraction: the stale cache never covers a
+	// dialogue turn — its answer depends on the session's context, which
+	// a text-only key would hand to any other caller. staleKey stays
+	// empty when stale serving is disabled.
 	var parsed httpserve.AnswerRequest
 	staleKey := ""
 	if r.stale != nil && json.Unmarshal(body, &parsed) == nil &&
-		parsed.Text != "" && len(parsed.Texts) == 0 && parsed.Session == "" {
+		parsed.Text != "" && parsed.Session == "" {
 		staleKey = dataset + "\x00" + httpserve.CacheKey(parsed.Text)
 	}
 

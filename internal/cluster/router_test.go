@@ -18,7 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"cicero/internal/engine"
 	"cicero/internal/httpserve"
+	"cicero/internal/serve"
 )
 
 // fakeNode is a stand-in cmd/serve backend: answers every dataset,
@@ -341,13 +343,90 @@ func TestRouterRejectsUnknownDatasetAndMethod(t *testing.T) {
 
 func TestRouterRejectsOversizedBody(t *testing.T) {
 	nodes := []*fakeNode{newFakeNode(t, "a")}
-	r, _, _ := newTestRouter(t, nodes, []string{"flights"}, Options{MaxBodyBytes: 64})
-	big := fmt.Sprintf(`{"text":%q}`, strings.Repeat("x", 256))
+	r, _, _ := newTestRouter(t, nodes, []string{"flights"}, Options{})
+	// Just over the 1 MiB bound once the JSON framing is added.
+	big := `{"text":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	req := httptest.NewRequest(http.MethodPost, "/v1/flights/answer", strings.NewReader(big))
 	w := httptest.NewRecorder()
 	r.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d, want 413", w.Code)
+	}
+	if hits := nodes[0].hits.Load(); hits != 0 {
+		t.Fatalf("oversized body reached the node %d times", hits)
+	}
+}
+
+// echoBackend is the smallest httpserve.Backend: every text answers
+// itself.
+type echoBackend struct{ store *engine.Store }
+
+func (b echoBackend) Answer(text string) serve.Answer {
+	return serve.Answer{Text: text, Answered: true}
+}
+func (b echoBackend) Store() engine.StoreView              { return b.store }
+func (b echoBackend) StoreGen() (engine.StoreView, uint64) { return b.store, 0 }
+
+// newServingNode runs a real httpserve tier as a node, so its request
+// validation is the production one; hits counts answer requests.
+func newServingNode(t *testing.T, id string) *fakeNode {
+	t.Helper()
+	n := &fakeNode{id: id}
+	h := httpserve.NewWithBackend(echoBackend{engine.NewStore()}, httpserve.Options{}).Handler()
+	n.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if strings.HasSuffix(req.URL.Path, "/answer") {
+			n.hits.Add(1)
+		}
+		h.ServeHTTP(w, req)
+	}))
+	t.Cleanup(n.srv.Close)
+	return n
+}
+
+// TestRouterRelaysBatchBodyRejection: a node answers one utterance per
+// request, so a {"texts": [...]} body is a client error. The router
+// relays the node's 400 from the first attempt: a client error is a
+// coherent answer, not a replica failure, so nothing fails over or
+// retries and both replicas stay up.
+func TestRouterRelaysBatchBodyRejection(t *testing.T) {
+	nodes := []*fakeNode{newServingNode(t, "a"), newServingNode(t, "b")}
+	ds := httpserve.DefaultDataset
+	r, _, _ := newTestRouter(t, nodes, []string{ds}, Options{})
+	if w := postAnswer(t, r.Handler(), ds, "help"); w.Code != http.StatusOK {
+		t.Fatalf("single text: status %d: %s", w.Code, w.Body.String())
+	}
+	sent := int64(1)
+	for _, path := range []string{"/v1/answer", "/v1/" + ds + "/answer"} {
+		for _, body := range []string{
+			`{"texts":["help","cancellations on UA"]}`,
+			`{"texts":["help","what about UA"],"session":"alice"}`,
+		} {
+			w := httptest.NewRecorder()
+			r.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			sent++
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400", path, body, w.Code)
+			}
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil || m["error"] == nil {
+				t.Fatalf("%s %s: not the uniform error body: %s", path, body, w.Body.String())
+			}
+			if got := w.Header().Get("X-Cicero-Attempts"); got != "1" {
+				t.Fatalf("%s %s: X-Cicero-Attempts = %q, want 1", path, body, got)
+			}
+		}
+	}
+	if hits := nodes[0].hits.Load() + nodes[1].hits.Load(); hits != sent {
+		t.Fatalf("nodes saw %d answer requests for %d sent", hits, sent)
+	}
+	st := r.Stats()
+	if st.Retries != 0 || st.Failovers != 0 || st.Failed != 0 {
+		t.Fatalf("retries %d, failovers %d, failed %d; want none", st.Retries, st.Failovers, st.Failed)
+	}
+	for id, ns := range st.Nodes {
+		if ns.Failure != 0 || ns.Replicas[ds] != "up" {
+			t.Fatalf("node %s: %d failures, replica %q; want 0 and up", id, ns.Failure, ns.Replicas[ds])
+		}
 	}
 }
 

@@ -75,9 +75,9 @@ func cloneSpeech(sp *engine.StoredSpeech) *engine.StoredSpeech {
 
 // Apply re-summarizes a relation incrementally: it plans the dirty set
 // from the changed row images, re-solves only the dirty problems (on
-// the pooled evaluators, with the same per-problem seeds and solver
-// options the full pipeline uses), deep-copies every clean speech from
-// the base store, and freezes the patched store. base must have been
+// the pooled evaluators, with the same solver and options the full
+// pipeline uses), deep-copies every clean speech from the base store,
+// and freezes the patched store. base must have been
 // built from baseRel under the same cfg and opts a full pipeline.Run
 // over nextRel would use; the patched store is then bit-identical —
 // same speeches, utilities, and texts — to that full rebuild.

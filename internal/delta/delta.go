@@ -13,15 +13,14 @@
 // clean exactly when no changed row image (the row as it was before the
 // op, and as it is after) matches its query predicates on any affected
 // target — such a problem's data subset is the same row multiset in the
-// same order, so the deterministic solve (per-problem seed keyed on the
-// canonical query, order-stable fact enumeration, order-stable kernel
-// sums) reproduces the retained speech bit for bit. Second, the planner
-// verifies the preconditions that argument needs and degrades honestly
-// to a full re-solve when they fail: a dictionary whose code assignment
-// drifted (an old value's code changed under the rebuilt rows) dirties
-// everything, and under the global-mean prior a target whose full-table
-// mean moved dirties every problem of that target, because the prior is
-// an input to every one of them.
+// same order, so the deterministic solve (order-stable fact enumeration,
+// order-stable kernel sums) reproduces the retained speech bit for bit.
+// Second, the planner verifies the preconditions that argument needs
+// and degrades honestly to a full re-solve when they fail: a dictionary
+// whose code assignment drifted (an old value's code changed under the
+// rebuilt rows) dirties everything, and under the global-mean prior a
+// target whose full-table mean moved dirties every problem of that
+// target, because the prior is an input to every one of them.
 //
 // A published delta can be made durable as a snapshot patch artifact
 // (internal/snapshot.Patch): the base snapshot's fingerprint plus the

@@ -90,7 +90,11 @@ func Replay(base engine.StoreView, baseRel *relation.Relation, p *snapshot.Patch
 		store.Add(cloneSpeech(sp))
 	}
 	for i := range p.Upserts {
-		store.Add(p.Upserts[i].Restore(next))
+		sp, err := p.Upserts[i].Restore(next)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: upsert %d: %v", snapshot.ErrCorrupt, i, err)
+		}
+		store.Add(sp)
 	}
 	store.Freeze()
 	return store, next, nil

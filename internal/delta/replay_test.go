@@ -1,7 +1,9 @@
 package delta
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -78,5 +80,44 @@ func TestReplayRefusesWrongDataset(t *testing.T) {
 	_, _, err := Replay(store, rel, &snapshot.Patch{Dataset: "flights"})
 	if err == nil {
 		t.Fatal("replaying a flights patch onto acs must fail")
+	}
+}
+
+// TestReplayRejectsMalformedFact: a checksummed patch whose upsert
+// carries a fact no writer produces — a column without its value, or a
+// column named twice — is corrupt input. Replay must say so with an
+// ErrCorrupt error, not panic, so the base stays servable.
+func TestReplayRejectsMalformedFact(t *testing.T) {
+	rel := dataset.Flights(200, 1)
+	base := engine.NewStore()
+	base.Freeze()
+	for _, c := range []struct {
+		name string
+		fact engine.PersistedFact
+	}{
+		{"column without value", engine.PersistedFact{Columns: []string{"airline"}, Value: 1}},
+		{"column twice", engine.PersistedFact{Columns: []string{"airline", "airline"}, Values: []string{"AA", "UA"}, Value: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := snapshot.WritePatch(&buf, &snapshot.Patch{
+				Dataset: rel.Name(),
+				Upserts: []engine.PersistedSpeech{{
+					Query: engine.Query{Target: "cancelled"},
+					Facts: []engine.PersistedFact{c.fact},
+					Text:  "t",
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := snapshot.ReadPatch(&buf)
+			if err == nil {
+				_, _, err = Replay(base, rel, p)
+			}
+			if !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("malformed upsert: error %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

@@ -142,7 +142,11 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 	loaded := NewStore()
 	for _, ps := range dump.Speeches {
-		loaded.Add(ps.Restore(rel))
+		sp, err := ps.Restore(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded.Add(sp)
 	}
 	if loaded.Len() != store.Len() {
 		t.Fatalf("loaded %d speeches, want %d", loaded.Len(), store.Len())
@@ -177,7 +181,10 @@ func TestRestoreDropsUnresolvableFacts(t *testing.T) {
 	if err := json.Unmarshal([]byte(in), &ps); err != nil {
 		t.Fatal(err)
 	}
-	sp := ps.Restore(rel)
+	sp, err := ps.Restore(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sp.Text != "t" || sp.Query.Target != "delay" {
 		t.Fatalf("restored speech = %+v", sp)
 	}

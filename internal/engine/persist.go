@@ -2,8 +2,10 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"cicero/internal/fact"
 	"cicero/internal/relation"
@@ -67,8 +69,10 @@ func (sp *StoredSpeech) Persist(rel *relation.Relation) PersistedSpeech {
 // Restore converts the serialized speech back, re-resolving scope names
 // against the relation's current dictionaries. Facts whose columns or
 // values no longer appear in the data are dropped from the speech (the
-// speech text is kept verbatim).
-func (ps PersistedSpeech) Restore(rel *relation.Relation) *StoredSpeech {
+// speech text is kept verbatim). A fact whose values do not pair up
+// with its columns, or that names a column twice, is malformed input
+// and fails the restore.
+func (ps PersistedSpeech) Restore(rel *relation.Relation) (*StoredSpeech, error) {
 	sp := &StoredSpeech{
 		Query:      ps.Query,
 		Utility:    ps.Utility,
@@ -76,32 +80,31 @@ func (ps PersistedSpeech) Restore(rel *relation.Relation) *StoredSpeech {
 		Text:       ps.Text,
 	}
 	for _, pf := range ps.Facts {
+		if len(pf.Values) != len(pf.Columns) {
+			return nil, fmt.Errorf("engine: persisted fact has %d columns and %d values", len(pf.Columns), len(pf.Values))
+		}
 		var dims []int
 		var codes []int32
-		ok := true
 		for i, col := range pf.Columns {
-			d := rel.Schema().DimIndex(col)
-			if d < 0 {
-				ok = false
-				break
+			if slices.Contains(pf.Columns[:i], col) {
+				return nil, fmt.Errorf("engine: persisted fact names column %q twice", col)
 			}
-			code, found := rel.Dim(d).Code(pf.Values[i])
-			if !found {
-				ok = false
-				break
+			if d := rel.Schema().DimIndex(col); d >= 0 {
+				if code, found := rel.Dim(d).Code(pf.Values[i]); found {
+					dims = append(dims, d)
+					codes = append(codes, code)
+				}
 			}
-			dims = append(dims, d)
-			codes = append(codes, code)
 		}
-		if !ok {
-			continue
+		if len(dims) < len(pf.Columns) {
+			continue // a column or value no longer in the data
 		}
 		sp.Facts = append(sp.Facts, fact.Fact{
 			Scope: fact.NewScope(dims, codes),
 			Value: pf.Value,
 		})
 	}
-	return sp
+	return sp, nil
 }
 
 // Save dumps the store as JSON for inspection. rel resolves scope codes

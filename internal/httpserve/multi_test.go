@@ -120,19 +120,6 @@ func TestMultiDatasetAnswerRoutes(t *testing.T) {
 			t.Errorf("%s status = %d, want 404", path, rec.Code)
 		}
 	}
-
-	// Batch requests hit the addressed dataset.
-	rec = postTo(t, h, "/v1/acs/answer", `{"texts": ["hearing impairment for Adults", "help"]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("acs batch status = %d", rec.Code)
-	}
-	var batch BatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Answers) != 2 || !strings.Contains(batch.Answers[0].Text, "hearing") {
-		t.Fatalf("acs batch = %+v", batch.Answers)
-	}
 }
 
 func TestMultiNoDefaultDataset(t *testing.T) {

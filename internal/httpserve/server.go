@@ -32,7 +32,7 @@
 //
 // Routes:
 //
-//	POST /v1/answer             {"text": "..."} or {"texts": [...]} (default dataset)
+//	POST /v1/answer             {"text": "..."}, optionally with "session" (default dataset)
 //	GET  /v1/healthz            liveness + aggregate store size
 //	GET  /v1/stats              metrics snapshot (incl. per-dataset)
 //	GET  /v1/datasets           mounted datasets with residency + size
@@ -167,16 +167,16 @@ type Options struct {
 	// QueueTimeout is how long an admitted request waits for an
 	// in-flight slot before being shed with 503 (default 100ms).
 	QueueTimeout time.Duration
-	// MaxBatch bounds the texts accepted by one batch request
-	// (default 256).
-	MaxBatch int
-	// MaxBodyBytes bounds the request body (default 1 MiB).
-	MaxBodyBytes int64
-	// SessionEntries bounds the number of live dialogue sessions across
-	// all datasets (default 4096, LRU-evicted). Negative disables
-	// dialogue sessions; session requests are then served statelessly.
-	SessionEntries int
 }
+
+const (
+	// maxBodyBytes bounds an answer request body: it arrives from
+	// outside the program.
+	maxBodyBytes = 1 << 20
+	// sessionEntries bounds the live dialogue sessions across all
+	// datasets (LRU-evicted).
+	sessionEntries = 4096
+)
 
 func (o Options) withDefaults() Options {
 	if o.CacheEntries == 0 {
@@ -187,15 +187,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueTimeout <= 0 {
 		o.QueueTimeout = 100 * time.Millisecond
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
-	if o.SessionEntries == 0 {
-		o.SessionEntries = 4096
 	}
 	return o
 }
@@ -221,13 +212,12 @@ type Server struct {
 	registry *serve.Registry // nil iff built with NewWithBackend
 	opts     Options
 	cache    *answerCache // nil when caching is disabled
-	// sessions is the dialogue table, an exact LRU keyed by sessionKey
-	// (nil when dialogue sessions are disabled). Session ids arrive from
-	// untrusted request bodies, so it must not grow with the id space:
-	// the least recently used dialogue is dropped at capacity, and its
-	// next follow-up simply fails to resolve. A publish keeps dialogues
-	// alive — the context owns its strings and outlives store
-	// generations.
+	// sessions is the dialogue table, an exact LRU keyed by sessionKey.
+	// Session ids arrive from untrusted request bodies, so it must not
+	// grow with the id space: the least recently used dialogue is
+	// dropped at capacity, and its next follow-up simply fails to
+	// resolve. A publish keeps dialogues alive — the context owns its
+	// strings and outlives store generations.
 	sessions *lru.Cache[*sessionSlot]
 	flights  *flightGroup
 	gate     *Gate // admission: bounds concurrent kernel executions
@@ -278,12 +268,13 @@ func NewWithBackend(b Backend, opts Options) *Server {
 func newServer(tenants tenantSet, defName string, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		tenants: tenants,
-		defName: defName,
-		opts:    opts,
-		flights: newFlightGroup(),
-		gate:    NewGate(opts.MaxInFlight, opts.QueueTimeout),
-		started: time.Now(),
+		tenants:  tenants,
+		defName:  defName,
+		opts:     opts,
+		sessions: lru.New[*sessionSlot](sessionEntries, 1),
+		flights:  newFlightGroup(),
+		gate:     NewGate(opts.MaxInFlight, opts.QueueTimeout),
+		started:  time.Now(),
 
 		mAnswer:  newRouteMetrics(),
 		mHealthz: newRouteMetrics(),
@@ -292,9 +283,6 @@ func newServer(tenants tenantSet, defName string, opts Options) *Server {
 	}
 	if opts.CacheEntries > 0 {
 		s.cache = &answerCache{lru: lru.New[cacheEntry](opts.CacheEntries, cacheShards)}
-	}
-	if opts.SessionEntries > 0 {
-		s.sessions = lru.New[*sessionSlot](opts.SessionEntries, 1)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/answer", s.handleAnswer)
@@ -516,13 +504,12 @@ func (s *Server) Stats() StatsSnapshot {
 
 // Wire types of POST /v1/answer.
 
-// AnswerRequest is the request body: exactly one of Text or Texts.
-// Session optionally names a dialogue: requests sharing a session id
-// resolve follow-ups against each other's context (single text only).
+// AnswerRequest is the request body: one utterance in Text. Session
+// optionally names a dialogue: requests sharing a session id resolve
+// follow-ups against each other's context.
 type AnswerRequest struct {
-	Text    string   `json:"text,omitempty"`
-	Texts   []string `json:"texts,omitempty"`
-	Session string   `json:"session,omitempty"`
+	Text    string `json:"text,omitempty"`
+	Session string `json:"session,omitempty"`
 }
 
 // AnswerResponse is one served answer on the wire.
@@ -536,11 +523,6 @@ type AnswerResponse struct {
 	Exact     bool          `json:"exact,omitempty"`
 	LatencyNS time.Duration `json:"latency_ns"`
 	Query     *engine.Query `json:"query,omitempty"`
-}
-
-// BatchResponse answers a Texts request, in input order.
-type BatchResponse struct {
-	Answers []AnswerResponse `json:"answers"`
 }
 
 func toResponse(r Result) AnswerResponse {
@@ -593,103 +575,30 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnswerRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		WriteBodyError(w, err)
 		return
 	}
-	switch {
-	case req.Text != "" && len(req.Texts) > 0:
-		WriteError(w, http.StatusBadRequest, `"text" and "texts" are mutually exclusive`)
-		return
-	case req.Text == "" && len(req.Texts) == 0:
-		WriteError(w, http.StatusBadRequest, `one of "text" or "texts" is required`)
-		return
-	case len(req.Texts) > s.opts.MaxBatch:
-		WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(req.Texts), s.opts.MaxBatch))
-		return
-	case req.Session != "" && len(req.Texts) > 0:
-		WriteError(w, http.StatusBadRequest,
-			`"session" requires a single "text": a dialogue is inherently ordered`)
+	if req.Text == "" {
+		WriteError(w, http.StatusBadRequest, `"text" is required`)
 		return
 	}
 
-	if req.Text != "" {
-		var res Result
-		var err error
-		if req.Session != "" {
-			res, err = s.AnswerSession(r.Context(), dataset, req.Session, req.Text)
-		} else {
-			res, err = s.AnswerDataset(r.Context(), dataset, req.Text)
-		}
-		if err != nil {
-			WriteError(w, StatusFor(err), err.Error())
-			return
-		}
-		failed = false
-		WriteJSON(w, http.StatusOK, toResponse(res))
-		return
+	var res Result
+	var err error
+	if req.Session != "" {
+		res, err = s.AnswerSession(r.Context(), dataset, req.Session, req.Text)
+	} else {
+		res, err = s.AnswerDataset(r.Context(), dataset, req.Text)
 	}
-
-	resp, err := s.answerBatch(r.Context(), dataset, req.Texts)
 	if err != nil {
 		WriteError(w, StatusFor(err), err.Error())
 		return
 	}
 	failed = false
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// batchWorkers bounds concurrent items within one batch request.
-const batchWorkers = 8
-
-// answerBatch serves a batch against one dataset with bounded
-// intra-request concurrency. The first serving error fails the whole
-// batch: partial results would force clients to re-send anyway, and
-// admission pressure applies to every item equally.
-func (s *Server) answerBatch(ctx context.Context, dataset string, texts []string) (BatchResponse, error) {
-	resp := BatchResponse{Answers: make([]AnswerResponse, len(texts))}
-	workers := min(batchWorkers, len(texts))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make(chan int)
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				res, err := s.AnswerDataset(ctx, dataset, texts[i])
-				if err != nil {
-					errs <- err
-					cancel()
-					return
-				}
-				resp.Answers[i] = toResponse(res)
-			}
-			errs <- nil
-		}()
-	}
-feed:
-	for i := range texts {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return BatchResponse{}, firstErr
-	}
-	return resp, nil
+	WriteJSON(w, http.StatusOK, toResponse(res))
 }
 
 // HealthResponse is the GET /v1/healthz payload. Speeches aggregates

@@ -1,7 +1,6 @@
 package httpserve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -115,37 +114,8 @@ func TestAnswerSingleHTTP(t *testing.T) {
 	}
 }
 
-func TestAnswerBatchHTTP(t *testing.T) {
-	s, _, _ := newTestServer(t, Options{})
-	texts := []string{
-		"cancellations in Winter",
-		"help",
-		"which airline has the fewest cancellations",
-		"play some music",
-	}
-	body, _ := json.Marshal(AnswerRequest{Texts: texts})
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/answer", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
-	}
-	var resp BatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Answers) != len(texts) {
-		t.Fatalf("answers = %d, want %d", len(resp.Answers), len(texts))
-	}
-	wantKinds := []string{"summary", "help", "extremum", "unknown"}
-	for i, want := range wantKinds {
-		if resp.Answers[i].Kind != want {
-			t.Errorf("answers[%d].Kind = %q (%q), want %q", i, resp.Answers[i].Kind, texts[i], want)
-		}
-	}
-}
-
 func TestAnswerValidation(t *testing.T) {
-	s, _, _ := newTestServer(t, Options{MaxBatch: 2, MaxBodyBytes: 512})
+	s, _, _ := newTestServer(t, Options{})
 	h := s.Handler()
 
 	t.Run("method not allowed", func(t *testing.T) {
@@ -155,6 +125,8 @@ func TestAnswerValidation(t *testing.T) {
 			t.Errorf("status = %d, want 405", rec.Code)
 		}
 	})
+	// Just over the 1 MiB bound once the JSON framing is added.
+	oversized := `{"text": "` + strings.Repeat("x", maxBodyBytes) + `"}`
 	cases := []struct {
 		name, body string
 		status     int
@@ -162,18 +134,25 @@ func TestAnswerValidation(t *testing.T) {
 		{"bad json", `{"text": `, http.StatusBadRequest},
 		{"unknown field", `{"texty": "hi"}`, http.StatusBadRequest},
 		{"neither", `{}`, http.StatusBadRequest},
-		{"both", `{"text": "a", "texts": ["b"]}`, http.StatusBadRequest},
-		{"batch too large", `{"texts": ["a", "b", "c"]}`, http.StatusBadRequest},
-		{"body too large", `{"text": "` + strings.Repeat("x", 2048) + `"}`, http.StatusRequestEntityTooLarge},
+		{"session without text", `{"session": "alice"}`, http.StatusBadRequest},
+		// One utterance per request: a batch body is an unknown field.
+		{"texts", `{"texts": ["a", "b"]}`, http.StatusBadRequest},
+		{"texts with text", `{"text": "a", "texts": ["b"]}`, http.StatusBadRequest},
+		{"texts with session", `{"texts": ["a", "b"], "session": "alice"}`, http.StatusBadRequest},
+		{"body too large", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rec, m := postAnswer(t, h, c.body)
-			if rec.Code != c.status {
-				t.Errorf("status = %d, want %d (body %s)", rec.Code, c.status, rec.Body)
-			}
-			if _, ok := m["error"]; !ok {
-				t.Errorf("error body missing: %s", rec.Body)
+			for _, path := range []string{"/v1/answer", "/v1/" + DefaultDataset + "/answer"} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(c.body)))
+				if rec.Code != c.status {
+					t.Errorf("%s: status = %d, want %d (body %s)", path, rec.Code, c.status, rec.Body)
+				}
+				var m map[string]json.RawMessage
+				if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || m["error"] == nil {
+					t.Errorf("%s: error body missing: %s", path, rec.Body)
+				}
 			}
 		})
 	}

@@ -53,21 +53,13 @@ func (s *Server) AnswerSession(ctx context.Context, dataset, session, text strin
 	if err != nil {
 		return Result{}, err
 	}
-	// No dialogue support on this backend, or sessions disabled: slot
-	// stays nil and the request is served statelessly.
-	var slot *sessionSlot
-	cb, ok := b.(contextBackend)
-	if ok && s.sessions != nil {
-		slot = s.sessions.GetOrCreate(sessionKey(dataset, session), func() *sessionSlot { return new(sessionSlot) })
-	}
 	if err := s.gate.Acquire(ctx); err != nil {
 		return Result{}, err
 	}
 	defer s.gate.Release()
 	var ans serve.Answer
-	if slot == nil {
-		ans = b.Answer(text)
-	} else {
+	if cb, ok := b.(contextBackend); ok {
+		slot := s.sessions.GetOrCreate(sessionKey(dataset, session), func() *sessionSlot { return new(sessionSlot) })
 		prev := slot.Load()
 		var next *serve.QueryContext
 		ans, next = cb.AnswerContext(text, prev)
@@ -76,6 +68,9 @@ func (s *Server) AnswerSession(ctx context.Context, dataset, session, text strin
 			// observes either the old or the new context, never a mix.
 			slot.Store(next)
 		}
+	} else {
+		// No dialogue support on this backend: served statelessly.
+		ans = b.Answer(text)
 	}
 	ans.Latency = time.Since(start)
 	return Result{Answer: ans}, nil

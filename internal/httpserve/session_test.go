@@ -201,18 +201,8 @@ func TestDialogueSessionOverHTTP(t *testing.T) {
 	}
 }
 
-func TestSessionBatchRejected(t *testing.T) {
-	s := newDialogueServer(t, Options{})
-	rec := postTo(t, s.Handler(), "/v1/housing/answer",
-		`{"texts":["rent in Boston","what about Miami"],"session":"alice"}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("batch+session status = %d, want 400", rec.Code)
-	}
-}
-
-// TestSessionStatelessFallback: a backend without AnswerContext (or a
-// server with sessions disabled) serves session requests statelessly
-// rather than failing them.
+// TestSessionStatelessFallback: a backend without AnswerContext serves
+// session requests statelessly rather than failing them.
 func TestSessionStatelessFallback(t *testing.T) {
 	b := &blockingBackend{store: engine.NewStore(),
 		entered: make(chan string, 1), release: make(chan struct{}, 1)}
@@ -228,15 +218,6 @@ func TestSessionStatelessFallback(t *testing.T) {
 	}
 	if s.sessions.Len() != 0 {
 		t.Errorf("stateless fallback created a session")
-	}
-
-	disabled := newDialogueServer(t, Options{SessionEntries: -1})
-	res, err = disabled.AnswerSession(t.Context(), "housing", "alice", "what about Texas")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kind != serve.FollowUp || res.Answered {
-		t.Errorf("sessions-disabled follow-up = %+v, want the stateless apology", res)
 	}
 }
 

@@ -132,8 +132,12 @@ func (c *Checkpoint) load(data []byte) error {
 		if rec.Key == "" || c.done[rec.Key] {
 			continue
 		}
+		sp, err := rec.Speech.Restore(c.rel)
+		if err != nil {
+			return fmt.Errorf("checkpoint %s: corrupt record: %w", c.path, err)
+		}
 		c.done[rec.Key] = true
-		c.resumed = append(c.resumed, rec.Speech.Restore(c.rel))
+		c.resumed = append(c.resumed, sp)
 	}
 	return nil
 }

@@ -663,3 +663,30 @@ func TestCheckpointIgnoresTornTail(t *testing.T) {
 		t.Errorf("loaded %d records after recovery+append, want 2", again.Len())
 	}
 }
+
+// TestCheckpointRejectsMalformedFact: a checkpoint is a file on disk,
+// and a record whose fact no writer produces — a column without its
+// value, or a column named twice — must fail the load as a corrupt
+// record rather than panic.
+func TestCheckpointRejectsMalformedFact(t *testing.T) {
+	rel := dataset.Flights(200, 1)
+	for _, c := range []struct{ name, fact string }{
+		{"column without value", `{"columns":["airline"],"value":1}`},
+		{"column twice", `{"columns":["airline","airline"],"values":["AA","UA"],"value":1}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "malformed.ckpt")
+			line := `{"key":"k","speech":{"query":{"target":"cancelled"},"facts":[` + c.fact + `],"text":"t"}}` + "\n"
+			if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ckpt, err := OpenCheckpoint(path, rel)
+			if err == nil {
+				ckpt.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "corrupt record") {
+				t.Fatalf("malformed record: error %v, want a corrupt record", err)
+			}
+		})
+	}
+}

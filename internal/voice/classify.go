@@ -52,7 +52,8 @@ func RequestTypes() []RequestType {
 }
 
 // QueryKind classifies data-access queries by intent (Figure 9b), plus
-// the extended shapes of ROADMAP item 5.
+// two shapes beyond the paper's: ranked top-k lists and trends over a
+// time window.
 type QueryKind int
 
 const (

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the slot grammar behind the extended query
-// shapes (ROADMAP item 5): spoken numbers ("500 thousand", "10
+// shapes: spoken numbers ("500 thousand", "10
 // percent"), numeric entity constraints ("cities with population over
 // 500k"), top-k counts ("the three cities"), calendar periods and time
 // windows ("since January 2023", "over the last six months"), and the
