@@ -74,18 +74,20 @@ func cloneSpeech(sp *engine.StoredSpeech) *engine.StoredSpeech {
 }
 
 // Apply re-summarizes a relation incrementally: it plans the dirty set
-// from the changed row images, re-solves only the dirty problems (on
-// the pooled evaluators, with the same solver and options the full
-// pipeline uses), deep-copies every clean speech from the base store,
-// and freezes the patched store. base must have been
-// built from baseRel under the same cfg and opts a full pipeline.Run
-// over nextRel would use; the patched store is then bit-identical —
-// same speeches, utilities, and texts — to that full rebuild.
+// from the changed row images, deep-copies every clean speech from the
+// base store, re-solves only the dirty problems, and freezes the patched
+// store. base must have been built from baseRel under the same cfg and
+// opts a full pipeline.Run over nextRel would use; the patched store is
+// then bit-identical — same speeches, utilities, and texts — to that
+// full rebuild.
 //
-// The dirty problems are solved sequentially in enumeration order.
-// Parallelism would buy little (a healthy delta dirties a few problems)
-// and sequential solving keeps evaluator-pool pressure flat while the
-// old generation keeps serving.
+// The dirty problems are solved by one pipeline.RunProblems call: on
+// opts.Workers, with each data subset's dirty problems under every
+// target sharing one fact enumeration and one evaluator layout, as in a
+// rebuild. A whole target dirtied by a moved global mean therefore costs
+// about what rebuilding that target costs. Upserts list the solved
+// speeches in enumeration order and RemovedKeys the dropped base keys in
+// the base store's key order, so equal inputs write equal patches.
 func Apply(ctx context.Context, base engine.StoreView, baseRel, nextRel *relation.Relation, cfg engine.Config, opts pipeline.Options, images []RowImage) (*Result, error) {
 	// Validate resolves empty target/dimension lists in place; the plan
 	// and the enumeration below must see the same resolved lists.
@@ -94,14 +96,12 @@ func Apply(ctx context.Context, base engine.StoreView, baseRel, nextRel *relatio
 	}
 	plan := PlanDirty(baseRel, nextRel, cfg, images)
 
-	ps, err := pipeline.NewProblemSolver(nextRel, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-
+	baseKeys := make([]string, 0, base.Len())
 	baseByKey := make(map[string]*engine.StoredSpeech, base.Len())
 	for _, sp := range base.Speeches() {
-		baseByKey[sp.Query.Key()] = sp
+		key := sp.Query.Key()
+		baseKeys = append(baseKeys, key)
+		baseByKey[key] = sp
 	}
 
 	res := &Result{
@@ -112,44 +112,46 @@ func Apply(ctx context.Context, base engine.StoreView, baseRel, nextRel *relatio
 	// Lazy enumeration: clean problems are retained by query key alone,
 	// so only the dirty sliver pays the per-problem selection scan —
 	// this is what keeps a small delta's publish cost proportional to
-	// the dirty set, not to the problem space.
-	carried := make(map[string]bool, len(baseByKey))
-	err = engine.EachProblemLazy(nextRel, cfg, func(lp engine.LazyProblem) error {
+	// the dirty set, not to the problem space. A base key left in
+	// baseByKey after the walk has no speech in the patched store.
+	var solve []engine.Problem
+	err := engine.EachProblemLazy(nextRel, cfg, func(lp engine.LazyProblem) error {
 		res.TotalProblems++
 		key := lp.Query.Key()
-		dirty := plan.IsDirty(lp.Query.Target, key)
-		if dirty {
+		if plan.IsDirty(lp.Query.Target, key) {
 			res.DirtyProblems++
+		} else if sp, ok := baseByKey[key]; ok {
+			res.Store.Add(cloneSpeech(sp))
+			delete(baseByKey, key)
+			res.Retained++
+			return nil
 		}
-		if !dirty {
-			if sp, ok := baseByKey[key]; ok {
-				res.Store.Add(cloneSpeech(sp))
-				carried[key] = true
-				res.Retained++
-				return nil
-			}
-			// Clean but absent from the base (e.g. the subset only now
-			// cleared MinSubsetRows): solve it as a fallback.
-		}
-		sp, serr := ps.Solve(ctx, lp.Materialize())
-		if serr != nil {
-			return serr
-		}
-		res.Store.Add(sp)
-		// An upsert replaces any base speech under the same key, so the
-		// key is accounted for — RemovedKeys lists only base speeches
-		// with no problem left in the new space.
-		carried[key] = true
-		res.Solved++
-		res.Upserts = append(res.Upserts, sp.Persist(nextRel))
+		// Dirty, or clean but absent from the base (e.g. the subset only
+		// now cleared MinSubsetRows): re-solve it.
+		solve = append(solve, lp.Materialize())
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	for key := range baseByKey {
-		if !carried[key] {
+	opts.Checkpoint, opts.Progress = nil, nil
+	solved, _, err := pipeline.RunProblems(ctx, nextRel, cfg, solve, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range solve {
+		sp, _ := solved.Exact(p.Query)
+		res.Store.Add(sp)
+		// An upsert replaces any base speech under the same key, so the
+		// key is accounted for.
+		delete(baseByKey, p.Query.Key())
+		res.Solved++
+		res.Upserts = append(res.Upserts, sp.Persist(nextRel))
+	}
+
+	for _, key := range baseKeys {
+		if _, ok := baseByKey[key]; ok {
 			res.RemovedKeys = append(res.RemovedKeys, key)
 			res.Removed++
 		}

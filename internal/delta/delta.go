@@ -2,12 +2,12 @@
 // the dataset: it ingests row-level deltas (insert / update / delete
 // against a named dataset), maps the changed row images through the
 // query/fact-scope structure to the set of dirty problems, re-solves
-// only those on the pooled evaluators via the pipeline's one-problem
-// solver, and assembles a patched store that is bit-identical to a
-// from-scratch rebuild over the same post-delta rows — ready to publish,
-// together with those rows, as one generation through the serving
-// layer's one zero-downtime primitive (SwapData on the Answerer, the
-// Registry, or httpserve's SwapDataFor).
+// only those as one batch on the pipeline's workers
+// (pipeline.RunProblems), and assembles a patched store that is
+// bit-identical to a from-scratch rebuild over the same post-delta rows
+// — ready to publish, together with those rows, as one generation
+// through the serving layer's one zero-downtime primitive (SwapData on
+// the Answerer, the Registry, or httpserve's SwapDataFor).
 //
 // The correctness argument rests on two invariants. First, a problem is
 // clean exactly when no changed row image (the row as it was before the

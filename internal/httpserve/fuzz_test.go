@@ -20,7 +20,9 @@ func decodeStrict(body []byte, v any) error {
 
 // FuzzAnswerBody posts arbitrary bytes to the answer route. Every reply
 // is either a 200 carrying an AnswerResponse or a 400/413 carrying the
-// uniform error body, and no request panics the handler.
+// uniform error body, and no request panics the handler. A 200 answers
+// only a body json.Unmarshal takes for one AnswerRequest, as the router
+// decodes it.
 func FuzzAnswerBody(f *testing.F) {
 	fl, _ := newFlightsAnswerer(f, "cancellation probability")
 	reg := serve.NewRegistry()
@@ -42,6 +44,9 @@ func FuzzAnswerBody(f *testing.F) {
 		`[]`,
 		`{"text": `,
 		`{"text": 7}`,
+		`{"text": "help"} garbage`,
+		`{"text": "help"}{"texts": ["a"]}`,
+		"{\"text\": \"help\"}\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -54,6 +59,10 @@ func FuzzAnswerBody(f *testing.F) {
 			var resp AnswerResponse
 			if err := decodeStrict(rec.Body.Bytes(), &resp); err != nil || resp.Text == "" {
 				t.Fatalf("200 without an answer (%v): %s", err, rec.Body)
+			}
+			var req AnswerRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("200 for body %q, which json.Unmarshal rejects: %v", body, err)
 			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			var resp errorResponse

@@ -44,7 +44,9 @@ package httpserve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -578,6 +580,15 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		WriteBodyError(w, err)
+		return
+	}
+	// One object and nothing after it but whitespace, as json.Unmarshal
+	// (and so the router) accepts.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the JSON object")
+		}
 		WriteBodyError(w, err)
 		return
 	}

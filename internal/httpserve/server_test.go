@@ -140,6 +140,10 @@ func TestAnswerValidation(t *testing.T) {
 		{"texts with text", `{"text": "a", "texts": ["b"]}`, http.StatusBadRequest},
 		{"texts with session", `{"texts": ["a", "b"], "session": "alice"}`, http.StatusBadRequest},
 		{"body too large", oversized, http.StatusRequestEntityTooLarge},
+		// One object per body: json.Unmarshal, and so the router, rejects
+		// anything after it.
+		{"trailing garbage", `{"text": "help"} garbage`, http.StatusBadRequest},
+		{"second object", `{"text": "help"}{"texts": ["a"]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -156,6 +160,17 @@ func TestAnswerValidation(t *testing.T) {
 			}
 		})
 	}
+	// Whitespace after the object, such as json.Encoder's newline, is
+	// not data.
+	t.Run("trailing whitespace", func(t *testing.T) {
+		for _, path := range []string{"/v1/answer", "/v1/" + DefaultDataset + "/answer"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader("{\"text\": \"help\"} \r\n\t\n")))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s: status = %d, want 200 (body %s)", path, rec.Code, rec.Body)
+			}
+		}
+	})
 }
 
 func TestHealthz(t *testing.T) {

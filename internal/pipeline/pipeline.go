@@ -194,31 +194,37 @@ func Run(ctx context.Context, rel *relation.Relation, cfg engine.Config, opts Op
 }
 
 // RunProblems pre-processes an explicit problem list (the experiment
-// harness subsamples large workloads this way) through the same staged
-// pipeline as Run. Consecutive problems over the same data subset (one
-// View and FreeDims) form one work item, as Run's subsets do.
+// harness subsamples large workloads this way, and delta.Apply hands it
+// a publish's dirty set) through the same staged pipeline as Run. Every
+// problem over the same data subset (one View and FreeDims), wherever it
+// stands in the list, joins one work item, as Run's subsets do; the work
+// items go in order of their first problem.
 func RunProblems(ctx context.Context, rel *relation.Relation, cfg engine.Config, problems []engine.Problem, opts Options) (*engine.Store, Stats, error) {
 	if err := cfg.Validate(rel); err != nil {
 		return nil, Stats{}, err
 	}
 	source := func(yield func(job) error) error {
-		for start := 0; start < len(problems); {
-			end := start + 1
-			for end < len(problems) && problems[end].View == problems[start].View &&
-				slices.Equal(problems[end].FreeDims, problems[start].FreeDims) {
-				end++
+		var jobs []job
+		byView := make(map[*relation.View][]int) // indices into jobs
+	group:
+		for seq, p := range problems {
+			for _, k := range byView[p.View] {
+				if slices.Equal(jobs[k].problems[0].FreeDims, p.FreeDims) {
+					jobs[k].seqs = append(jobs[k].seqs, seq)
+					jobs[k].problems = append(jobs[k].problems, p)
+					continue group
+				}
 			}
-			seqs := make([]int, end-start)
-			for i := range seqs {
-				seqs[i] = start + i
-			}
-			if err := yield(job{seqs: seqs, problems: problems[start:end]}); err != nil {
+			byView[p.View] = append(byView[p.View], len(jobs))
+			jobs = append(jobs, job{seqs: []int{seq}, problems: []engine.Problem{p}})
+		}
+		for _, j := range jobs {
+			if err := yield(j); err != nil {
 				if errors.Is(err, engine.ErrStopEnumeration) {
 					return nil
 				}
 				return err
 			}
-			start = end
 		}
 		return nil
 	}
@@ -436,14 +442,11 @@ func run(ctx context.Context, rel *relation.Relation, cfg engine.Config, source 
 	return store.Freeze(), stats, nil
 }
 
-// ProblemSolver re-solves individual problems with exactly the
-// semantics a full Run over the same Options would apply: the same
-// algorithm, the same derived kernel options and the same template
-// rendering. It is the solving core of the incremental path
-// (internal/delta), where the bit-identical-to-rebuild guarantee rests
-// on this equivalence, and Run's workers run it too. Safe for concurrent
-// use; each Solve acquires a pooled evaluator.
-type ProblemSolver struct {
+// problemSolver is a run's worker state: the named algorithm, the
+// kernel options derived from the configuration, and the template every
+// problem's speech is rendered with. Safe for concurrent use; each job
+// acquires a pooled evaluator.
+type problemSolver struct {
 	rel *relation.Relation
 	cfg engine.Config
 	alg engine.Algorithm
@@ -452,45 +455,16 @@ type ProblemSolver struct {
 	opts   Options
 }
 
-// NewProblemSolver validates the configuration and binds the solver and
-// options for one-problem re-solves. Checkpoint and Progress hooks are
-// ignored: a ProblemSolver solves what it is handed.
-func NewProblemSolver(rel *relation.Relation, cfg engine.Config, opts Options) (*ProblemSolver, error) {
-	if err := cfg.Validate(rel); err != nil {
-		return nil, err
-	}
-	opts.Checkpoint = nil
-	opts.Progress = nil
-	return newProblemSolver(rel, cfg, opts)
-}
-
 // newProblemSolver resolves the named algorithm and derives the kernel
 // options: the configuration's fact budget overrides the caller's.
-func newProblemSolver(rel *relation.Relation, cfg engine.Config, opts Options) (*ProblemSolver, error) {
+func newProblemSolver(rel *relation.Relation, cfg engine.Config, opts Options) (*problemSolver, error) {
 	alg, ok := algorithm(opts.Solver)
 	if !ok {
 		return nil, fmt.Errorf("pipeline: unknown solver %q (want one of %v)", opts.Solver, engine.Algorithms())
 	}
 	kernel := opts.Solve
 	kernel.MaxFacts = cfg.MaxFacts
-	return &ProblemSolver{rel: rel, cfg: cfg, alg: alg, kernel: kernel, opts: opts}, nil
-}
-
-// Solve runs evaluate → solve → render for one problem and returns the
-// stored speech a full pipeline run would have produced for it.
-func (ps *ProblemSolver) Solve(ctx context.Context, p engine.Problem) (*engine.StoredSpeech, error) {
-	var res result
-	ps.solveJob(ctx, job{seqs: []int{0}, problems: []engine.Problem{p}}, func(r result) { res = r })
-	if res.err != nil {
-		return nil, res.err
-	}
-	return &engine.StoredSpeech{
-		Query:      res.problem.Query,
-		Facts:      res.summary.Facts,
-		Utility:    res.summary.Utility,
-		PriorError: res.summary.PriorError,
-		Text:       res.text,
-	}, nil
+	return &problemSolver{rel: rel, cfg: cfg, alg: alg, kernel: kernel, opts: opts}, nil
 }
 
 // solveJob runs stages 2–4 for the problems of one data subset and hands
@@ -500,7 +474,7 @@ func (ps *ProblemSolver) Solve(ctx context.Context, p engine.Problem) (*engine.S
 // pass per fact group for all their targets — and one pooled evaluator,
 // built for the first and retargeted to each following problem, so the
 // rows are slotted and the postings laid out once per subset.
-func (ps *ProblemSolver) solveJob(ctx context.Context, j job, emit func(result)) {
+func (ps *problemSolver) solveJob(ctx context.Context, j job, emit func(result)) {
 	var todo []result
 	for k, p := range j.problems {
 		res := result{seq: j.seqs[k], problem: p, key: p.Query.Canonical().Key()}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -319,9 +320,9 @@ func TestCancelReturnsPromptly(t *testing.T) {
 
 // TestCancelledSolveIsDiscarded cancels the run from inside a problem's
 // solve, just before the algorithm runs: the algorithm then returns an
-// aborted partial speech, which neither Run nor ProblemSolver may take
+// aborted partial speech, which neither Run nor RunProblems may take
 // for the problem's answer — Run records nothing in the checkpoint, and
-// ProblemSolver returns no speech.
+// RunProblems returns no store.
 func TestCancelledSolveIsDiscarded(t *testing.T) {
 	rel := dataset.Flights(1000, 1)
 	cfg := flightsConfig(rel)
@@ -356,12 +357,63 @@ func TestCancelledSolveIsDiscarded(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	ps, err := NewProblemSolver(rel, cfg, Options{Solver: "G-O", beforeSolve: cancelNow(cancel2)})
+	store, _, err := RunProblems(ctx2, rel, cfg, []engine.Problem{p}, Options{Solver: "G-O", beforeSolve: cancelNow(cancel2)})
+	if store != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("RunProblems returned (%v, %v), want (nil, context.Canceled)", store, err)
+	}
+}
+
+// TestRunProblemsGroupsBySubset hands RunProblems the enumeration in
+// target-major order, where a data subset's problems stand a whole
+// target apart: each subset must still be one work item, its problems
+// solved back to back at one worker as Run solves them, and the store
+// and work counters must be Run's.
+func TestRunProblemsGroupsBySubset(t *testing.T) {
+	rel := dataset.Flights(2000, 1)
+	cfg := flightsConfig(rel)
+	cfg.Targets = nil // both targets
+	problems, err := engine.Problems(rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp, err := ps.Solve(ctx2, p); sp != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("ProblemSolver.Solve returned (%v, %v), want (nil, context.Canceled)", sp, err)
+	var want []string
+	if err := engine.EachSubset(rel, cfg, func(s engine.Subset) error {
+		for _, p := range s.Problems {
+			want = append(want, p.Query.Key())
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var solved []string
+	record := func(_ context.Context, q engine.Query) error {
+		solved = append(solved, q.Key())
+		return nil
+	}
+	got, gotStats, err := RunProblems(context.Background(), rel, cfg, problems, Options{Solver: "G-O", Workers: 1, beforeSolve: record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(solved, want) {
+		t.Fatalf("solve order is not subset by subset:\n got  %v\n want %v", solved, want)
+	}
+	full, fullStats, err := Run(context.Background(), rel, cfg, Options{Solver: "G-O", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.Speeches(), full.Speeches()
+	if len(g) != len(w) {
+		t.Fatalf("RunProblems stored %d speeches, Run %d", len(g), len(w))
+	}
+	for i := range w {
+		if g[i].Query.Key() != w[i].Query.Key() || g[i].Text != w[i].Text || g[i].Utility != w[i].Utility {
+			t.Fatalf("speech %d differs: %q vs %q", i, g[i].Text, w[i].Text)
+		}
+	}
+	if gotStats.TotalFacts != fullStats.TotalFacts || gotStats.FactsEvaluated != fullStats.FactsEvaluated ||
+		gotStats.JoinedRows != fullStats.JoinedRows ||
+		math.Float64bits(gotStats.SumScaledUtility) != math.Float64bits(fullStats.SumScaledUtility) {
+		t.Errorf("RunProblems counted %+v, Run %+v", gotStats, fullStats)
 	}
 }
 
