@@ -38,8 +38,8 @@
 //     pointer, so a freshly pre-processed store is published with zero
 //     downtime (SwapData), and Session adds per-user conversational
 //     state;
-//   - a networked serving tier: an HTTP API (POST /v1/answer single and
-//     batch, GET /v1/healthz, GET /v1/stats) layered over the Answerer
+//   - a networked serving tier: an HTTP API (POST /v1/answer with one
+//     utterance, GET /v1/healthz, GET /v1/stats) layered over the Answerer
 //     with a sharded LRU answer cache keyed by canonicalized request
 //     text (entries are tagged with the store generation they were
 //     computed against, so a hot swap invalidates them automatically),
@@ -49,8 +49,8 @@
 //     outside by the benchmark under bench/, which replays the seeded
 //     workloads GenerateLoad synthesizes);
 //   - multi-dataset tenancy with persistent snapshots: a Registry hosts
-//     the Answerers of N named datasets behind one daemon — lazy
-//     loading, per-dataset hot swap, per-dataset HTTP routes
+//     the built Answerers of N named datasets behind one daemon —
+//     per-dataset hot swap, per-dataset HTTP routes
 //     (/v1/{dataset}/answer, /v1/datasets) with dataset-scoped caching
 //     — and the binary snapshot format (versioned, checksummed,
 //     name-resolved; see internal/snapshot/FORMAT.md) turns a
@@ -324,9 +324,9 @@ func NewAnswerer(rel *Relation, store StoreView, ex *VoiceExtractor, opts ServeO
 	return serve.New(rel, store, ex, opts)
 }
 
-// Multi-dataset tenancy: one Registry hosts the Answerers of N named
-// datasets with lazy loading and per-dataset hot swap, so a single
-// daemon serves every scenario at once.
+// Multi-dataset tenancy: one Registry hosts the built Answerers of N
+// named datasets with per-dataset hot swap, so a single daemon serves
+// every scenario at once.
 
 // Registry hosts named dataset Answerers behind one serving surface.
 type Registry = serve.Registry

@@ -3,8 +3,8 @@
 // disability statistics — are pre-processed through the streaming
 // pipeline and mounted behind one dataset registry, served over HTTP
 // through the caching, deduplicating serving tier. The ACS store is
-// persisted as a binary snapshot and mounted through a lazy
-// snapshot-loading tenant, demonstrating the millisecond cold start a
+// persisted as a binary snapshot and mounted by mapping it back before
+// the server starts, demonstrating the millisecond cold start a
 // restarted daemon gets. Zipf-skewed mixed workloads then hammer both
 // datasets concurrently while the flights store is re-summarized with
 // wider query coverage and hot-swapped in — the run asserts that not a
@@ -118,7 +118,7 @@ func main() {
 	flightsTmpl := engine.Template{TargetPhrase: "cancellation probability", Percent: true}
 
 	// ── Pre-processing: flights eagerly; ACS once, then persisted as a
-	// snapshot so it can mount through a lazy cold-starting loader.
+	// snapshot so it can mount from the mapped artifact.
 	flightsStore := preprocess(ctx, flightsRel, []string{"cancelled"}, 1, flightsTmpl)
 	acsStore := preprocess(ctx, acsRel, []string{"visual"}, 1,
 		engine.Template{TargetPhrase: "visual impairment rate"})
@@ -138,24 +138,22 @@ func main() {
 	}
 	fmt.Printf("acs snapshot: %d bytes, %d speeches — the deployable artifact\n\n", info.Size, info.Speeches)
 
-	// ── The dataset registry: flights mounted eagerly, ACS through a
-	// lazy loader that cold-starts from the snapshot on first use.
+	// ── The dataset registry: flights from its heap store, ACS
+	// cold-started from the mapped snapshot, both before serving begins.
 	flightsSamples := voice.DefaultSamples("flights")
 	reg := cicero.NewRegistry()
 	if err := reg.Add("flights", serve.New(flightsRel, flightsStore,
 		cicero.NewVoiceExtractor(flightsRel, flightsSamples, 2), serve.Options{})); err != nil {
 		panic(err)
 	}
-	if err := reg.Register("acs", func(context.Context) (*serve.Answerer, error) {
-		start := time.Now()
-		store, err := cicero.MapSnapshot(acsSnap, acsRel)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("acs cold start from snapshot: %d speeches in %v\n", store.Len(), time.Since(start).Round(time.Microsecond))
-		ex := cicero.NewVoiceExtractor(acsRel, voice.DefaultSamples("acs"), 2)
-		return serve.New(acsRel, store, ex, serve.Options{}), nil
-	}); err != nil {
+	start := time.Now()
+	acsMapped, err := cicero.MapSnapshot(acsSnap, acsRel)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("acs cold start from snapshot: %d speeches in %v\n", acsMapped.Len(), time.Since(start).Round(time.Microsecond))
+	if err := reg.Add("acs", serve.New(acsRel, acsMapped,
+		cicero.NewVoiceExtractor(acsRel, voice.DefaultSamples("acs"), 2), serve.Options{})); err != nil {
 		panic(err)
 	}
 
@@ -174,8 +172,8 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("serving on %s (POST /v1/{dataset}/answer, GET /v1/datasets)\n\n", base)
 
-	// ── One spoken exchange per dataset; the ACS one triggers the lazy
-	// snapshot load.
+	// ── One spoken exchange per dataset; the ACS one is answered from
+	// the mapped snapshot.
 	for _, q := range []struct{ ds, text string }{
 		{"flights", "cancellations in Winter?"},
 		{"acs", "visual impairment for Elders"},
@@ -234,7 +232,7 @@ func main() {
 
 	// ── The serving tier's own view of the deployment.
 	for _, d := range srv.Datasets() {
-		fmt.Printf("dataset %-8s loaded=%v speeches=%d default=%v\n", d.Name, d.Loaded, d.Speeches, d.Default)
+		fmt.Printf("dataset %-8s speeches=%d default=%v\n", d.Name, d.Speeches, d.Default)
 	}
 	snap := srv.Stats()
 	fmt.Printf("server stats: %d answers (p99 %v), cache hit rate %.1f%%, %d deduped, %d swaps\n",

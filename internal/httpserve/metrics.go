@@ -63,13 +63,11 @@ type AdmissionSnapshot struct {
 }
 
 // StoreSnapshot reports the live speech stores in aggregate: Speeches
-// sums the stores of the Loaded (resident) datasets out of Datasets
-// mounted; Swaps is the sum of the mounted datasets' generation numbers
-// — every publish since boot, with a dataset not loaded yet counting 0.
+// sums the stores of the Datasets mounted; Swaps is the sum of their
+// generation numbers — every publish since boot.
 type StoreSnapshot struct {
 	Speeches int    `json:"speeches"`
 	Datasets int    `json:"datasets,omitempty"`
-	Loaded   int    `json:"loaded,omitempty"`
 	Swaps    uint64 `json:"swaps"`
 }
 
@@ -78,20 +76,17 @@ type DatasetInfo struct {
 	Name string `json:"name"`
 	// Default marks the dataset the legacy /v1/answer route serves.
 	Default bool `json:"default,omitempty"`
-	// Loaded reports residency; a lazy dataset loads on first answer.
-	Loaded bool `json:"loaded"`
-	// Speeches is the live store size (0 when not loaded).
+	// Speeches is the live store size.
 	Speeches int `json:"speeches"`
 }
 
 // DatasetSnapshot is one dataset's metrics at a point in time (the
 // GET /v1/{dataset}/stats payload). CellSets and CellBytes report the
 // live generation's group-by cells, which the run-time shapes build on
-// first use (0 when not loaded, or after a publish until asked again).
+// first use (0 after a publish until asked again).
 type DatasetSnapshot struct {
 	Name      string        `json:"name"`
 	Default   bool          `json:"default,omitempty"`
-	Loaded    bool          `json:"loaded"`
 	Speeches  int           `json:"speeches"`
 	Swaps     uint64        `json:"swaps"`
 	CellSets  int           `json:"cell_sets"`

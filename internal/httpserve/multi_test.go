@@ -1,13 +1,13 @@
 package httpserve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"cicero/internal/dataset"
@@ -157,53 +157,23 @@ func TestMultiDatasetsListing(t *testing.T) {
 	for _, d := range listing.Datasets {
 		byName[d.Name] = d
 	}
-	if !byName["acs"].Loaded || !byName["flights"].Loaded {
-		t.Fatalf("listing residency wrong: %+v", byName)
-	}
 	if !byName["flights"].Default || byName["acs"].Default {
 		t.Fatalf("default flag wrong: %+v", byName)
 	}
 	if byName["acs"].Speeches == 0 || byName["flights"].Speeches == 0 {
-		t.Fatalf("loaded datasets report zero speeches: %+v", byName)
+		t.Fatalf("mounted datasets report zero speeches: %+v", byName)
 	}
+	assertNoLoadedKey(t, rec.Body.Bytes())
 }
 
-func TestMultiLazyLoad(t *testing.T) {
-	reg := serve.NewRegistry()
-	var loads atomic.Int32
-	if err := reg.Register("acs", func(context.Context) (*serve.Answerer, error) {
-		loads.Add(1)
-		return newACSAnswerer(t), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s := NewMulti(reg, "acs", Options{})
-	h := s.Handler()
-
-	// Listings and stats must not trigger the load.
-	getFrom(t, h, "/v1/datasets")
-	getFrom(t, h, "/v1/acs/stats")
-	getFrom(t, h, "/v1/acs/healthz")
-	getFrom(t, h, "/v1/healthz")
-	if loads.Load() != 0 {
-		t.Fatalf("read-only routes loaded the dataset %d times", loads.Load())
-	}
-
-	rec := postTo(t, h, "/v1/acs/answer", `{"text": "hearing impairment for Elders"}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("answer status = %d", rec.Code)
-	}
-	if loads.Load() != 1 {
-		t.Fatalf("first answer ran the loader %d times, want 1", loads.Load())
-	}
-
-	var snap DatasetSnapshot
-	rec = getFrom(t, h, "/v1/acs/stats")
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Loaded || snap.Speeches == 0 || snap.Answers.Requests == 0 {
-		t.Fatalf("post-load stats = %+v", snap)
+// assertNoLoadedKey fails if the JSON payload carries a "loaded" key:
+// every mounted dataset is built, so residency is not reported. The
+// listing, stats and healthz payloads hold no free text the key could
+// hide in.
+func assertNoLoadedKey(t *testing.T, body []byte) {
+	t.Helper()
+	if bytes.Contains(body, []byte(`"loaded"`)) {
+		t.Fatalf("payload carries a \"loaded\" key: %s", body)
 	}
 }
 
@@ -318,14 +288,14 @@ func TestPublishThroughEveryEntryPoint(t *testing.T) {
 		publish func(s *Server, reg *serve.Registry, rel *relation.Relation, next engine.StoreView) error
 	}{
 		{"Answerer.SwapData", func(_ *Server, reg *serve.Registry, rel *relation.Relation, next engine.StoreView) error {
-			a, err := reg.Get(ctx, "flights")
+			a, err := reg.Get("flights")
 			if err == nil {
 				a.SwapData(rel, next)
 			}
 			return err
 		}},
 		{"Registry.SwapData", func(_ *Server, reg *serve.Registry, rel *relation.Relation, next engine.StoreView) error {
-			_, err := reg.SwapData(ctx, "flights", rel, next)
+			_, err := reg.SwapData("flights", rel, next)
 			return err
 		}},
 		{"Server.SwapDataFor", func(s *Server, _ *serve.Registry, rel *relation.Relation, next engine.StoreView) error {
@@ -393,7 +363,7 @@ func TestPublishThroughEveryEntryPoint(t *testing.T) {
 	}
 }
 
-// TestMultiHealthzAggregates checks the global healthz sums loaded
+// TestMultiHealthzAggregates checks the global healthz sums the mounted
 // stores and the per-dataset healthz reports one store.
 func TestMultiHealthzAggregates(t *testing.T) {
 	s, reg := newMultiServer(t, Options{})
@@ -407,18 +377,30 @@ func TestMultiHealthzAggregates(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Datasets != 2 || health.Loaded != 2 || health.Speeches == 0 {
-		t.Fatalf("healthz = %+v", health)
+	acs, err := reg.Get("acs")
+	if err != nil {
+		t.Fatal(err)
 	}
+	flights, err := reg.Get("flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := acs.Store().Len() + flights.Store().Len(); health.Datasets != 2 || health.Speeches != want {
+		t.Fatalf("healthz = %+v, want 2 datasets and %d speeches", health, want)
+	}
+	assertNoLoadedKey(t, rec.Body.Bytes())
 
-	acsStore, _ := reg.Peek("acs")
 	var one HealthResponse
 	rec = getFrom(t, h, "/v1/acs/healthz")
 	if err := json.Unmarshal(rec.Body.Bytes(), &one); err != nil {
 		t.Fatal(err)
 	}
-	if one.Speeches != acsStore.Store().Len() {
-		t.Fatalf("per-dataset healthz speeches = %d, want %d", one.Speeches, acsStore.Store().Len())
+	if one.Speeches != acs.Store().Len() {
+		t.Fatalf("per-dataset healthz speeches = %d, want %d", one.Speeches, acs.Store().Len())
+	}
+	assertNoLoadedKey(t, rec.Body.Bytes())
+	for _, path := range []string{"/v1/acs/stats", "/v1/stats"} {
+		assertNoLoadedKey(t, getFrom(t, h, path).Body.Bytes())
 	}
 
 	// Global stats carry the per-dataset map.

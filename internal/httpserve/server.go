@@ -35,7 +35,7 @@
 //	POST /v1/answer             {"text": "..."}, optionally with "session" (default dataset)
 //	GET  /v1/healthz            liveness + aggregate store size
 //	GET  /v1/stats              metrics snapshot (incl. per-dataset)
-//	GET  /v1/datasets           mounted datasets with residency + size
+//	GET  /v1/datasets           mounted datasets with their store sizes
 //	POST /v1/{dataset}/answer   answer against one named dataset
 //	GET  /v1/{dataset}/stats    one dataset's serving metrics
 //	GET  /v1/{dataset}/healthz  one dataset's liveness + store size
@@ -84,21 +84,13 @@ type Backend interface {
 const DefaultDataset = "default"
 
 // tenantSet abstracts how the server resolves dataset names to
-// backends: a fixed single backend, or a serve.Registry with lazy
-// loading.
+// backends: a fixed single backend, or a serve.Registry.
 type tenantSet interface {
 	// names lists the mounted dataset names, sorted.
 	names() []string
-	// has reports whether the dataset is mounted, without loading it.
-	has(name string) bool
-	// get resolves a dataset to its backend, loading it if necessary;
-	// unknown names fail with serve.ErrUnknownDataset.
-	get(ctx context.Context, name string) (Backend, error)
-	// peek returns the backend only if it is currently resident.
-	peek(name string) (Backend, bool)
-	// generation returns the dataset's generation number without
-	// loading it (0 for unknown names).
-	generation(name string) uint64
+	// get resolves a dataset to its backend; unknown names fail with
+	// serve.ErrUnknownDataset.
+	get(name string) (Backend, error)
 }
 
 // singleSet mounts one fixed backend under one name.
@@ -109,28 +101,11 @@ type singleSet struct {
 
 func (s singleSet) names() []string { return []string{s.name} }
 
-func (s singleSet) has(name string) bool { return name == s.name }
-
-func (s singleSet) get(_ context.Context, name string) (Backend, error) {
+func (s singleSet) get(name string) (Backend, error) {
 	if name != s.name {
 		return nil, fmt.Errorf("%w: %q", serve.ErrUnknownDataset, name)
 	}
 	return s.b, nil
-}
-
-func (s singleSet) peek(name string) (Backend, bool) {
-	if name != s.name {
-		return nil, false
-	}
-	return s.b, true
-}
-
-func (s singleSet) generation(name string) uint64 {
-	if name != s.name {
-		return 0
-	}
-	_, gen := s.b.StoreGen()
-	return gen
 }
 
 // registrySet mounts every dataset of a serve.Registry.
@@ -138,25 +113,13 @@ type registrySet struct{ reg *serve.Registry }
 
 func (r registrySet) names() []string { return r.reg.Names() }
 
-func (r registrySet) has(name string) bool { return r.reg.Has(name) }
-
-func (r registrySet) get(ctx context.Context, name string) (Backend, error) {
-	a, err := r.reg.Get(ctx, name)
+func (r registrySet) get(name string) (Backend, error) {
+	a, err := r.reg.Get(name)
 	if err != nil {
 		return nil, err
 	}
 	return a, nil
 }
-
-func (r registrySet) peek(name string) (Backend, bool) {
-	a, ok := r.reg.Peek(name)
-	if !ok {
-		return nil, false
-	}
-	return a, true
-}
-
-func (r registrySet) generation(name string) uint64 { return r.reg.Generation(name) }
 
 // Options tunes the HTTP serving tier. The zero value gives production
 // defaults.
@@ -249,10 +212,10 @@ func New(a *serve.Answerer, opts Options) *Server {
 }
 
 // NewMulti builds the HTTP tier over a dataset registry: every
-// registered dataset is served under /v1/{dataset}/answer, with lazy
-// loading and per-dataset publish. defaultDataset names the tenant
-// the legacy /v1/answer route resolves to; empty means the legacy
-// route answers 404 and clients must address datasets explicitly.
+// registered dataset is served under /v1/{dataset}/answer, with
+// per-dataset publish. defaultDataset names the tenant the legacy
+// /v1/answer route resolves to; empty means the legacy route answers
+// 404 and clients must address datasets explicitly.
 func NewMulti(reg *serve.Registry, defaultDataset string, opts Options) *Server {
 	s := newServer(registrySet{reg: reg}, defaultDataset, opts)
 	s.registry = reg
@@ -339,14 +302,14 @@ func tenantKey(dataset, text string) string {
 }
 
 // AnswerDataset serves one request against one named dataset through
-// the full tier — tenant resolution (lazily loading the dataset if
-// needed), cache, singleflight, then admission-controlled kernel
-// execution. It is the in-process entry point the HTTP handler wraps;
-// Latency is always the true serving time of this call, not a cached
-// value. Unknown datasets fail with serve.ErrUnknownDataset.
+// the full tier — tenant resolution, cache, singleflight, then
+// admission-controlled kernel execution. It is the in-process entry
+// point the HTTP handler wraps; Latency is always the true serving time
+// of this call, not a cached value. Unknown datasets fail with
+// serve.ErrUnknownDataset.
 func (s *Server) AnswerDataset(ctx context.Context, dataset, text string) (Result, error) {
 	start := time.Now()
-	b, err := s.tenants.get(ctx, dataset)
+	b, err := s.tenants.get(dataset)
 	if err != nil {
 		return Result{}, err
 	}
@@ -389,18 +352,19 @@ func (s *Server) AnswerDataset(ctx context.Context, dataset, text string) (Resul
 }
 
 // SwapDataFor publishes a new generation — next, and the relation it
-// was summarized from — for one named dataset, loading it first if
-// necessary, and frees exactly that dataset's cache entries (they
-// would self-invalidate by store identity anyway; purging frees their
-// memory now, and other datasets keep their cache). This is the
-// HTTP-tier publish seam for periodic re-summarization and the
-// incremental ingestion path (internal/delta) alike. Requires a
-// registry server (New or NewMulti).
-func (s *Server) SwapDataFor(ctx context.Context, dataset string, rel *relation.Relation, next engine.StoreView) (engine.StoreView, error) {
+// was summarized from — for one named dataset and frees exactly that
+// dataset's cache entries (they would self-invalidate by store identity
+// anyway; purging frees their memory now, and other datasets keep their
+// cache). This is the HTTP-tier publish seam for periodic
+// re-summarization and the incremental ingestion path (internal/delta)
+// alike. Requires a registry server (New or NewMulti). A publish never
+// waits, so ctx is unused; it stays in the signature the publishers
+// call with.
+func (s *Server) SwapDataFor(_ context.Context, dataset string, rel *relation.Relation, next engine.StoreView) (engine.StoreView, error) {
 	if s.registry == nil {
 		panic("httpserve: SwapDataFor requires a registry server (New or NewMulti)")
 	}
-	old, err := s.registry.SwapData(ctx, dataset, rel, next)
+	old, err := s.registry.SwapData(dataset, rel, next)
 	if err != nil {
 		return nil, err
 	}
@@ -410,18 +374,17 @@ func (s *Server) SwapDataFor(ctx context.Context, dataset string, rel *relation.
 	return old, nil
 }
 
-// Datasets lists the mounted datasets with residency and live store
-// size (the GET /v1/datasets payload).
+// Datasets lists the mounted datasets with their live store sizes (the
+// GET /v1/datasets payload).
 func (s *Server) Datasets() []DatasetInfo {
 	names := s.tenants.names()
 	out := make([]DatasetInfo, 0, len(names))
 	for _, name := range names {
-		info := DatasetInfo{Name: name, Default: name == s.defName}
-		if b, ok := s.tenants.peek(name); ok {
-			info.Loaded = true
-			info.Speeches = b.Store().Len()
+		b, err := s.tenants.get(name)
+		if err != nil {
+			continue
 		}
-		out = append(out, info)
+		out = append(out, DatasetInfo{Name: name, Default: name == s.defName, Speeches: b.Store().Len()})
 	}
 	return out
 }
@@ -430,21 +393,20 @@ func (s *Server) Datasets() []DatasetInfo {
 // GET /v1/{dataset}/stats payload). Unknown datasets fail with
 // serve.ErrUnknownDataset.
 func (s *Server) DatasetStats(dataset string) (DatasetSnapshot, error) {
-	if !s.tenants.has(dataset) {
-		return DatasetSnapshot{}, fmt.Errorf("%w: %q", serve.ErrUnknownDataset, dataset)
+	b, err := s.tenants.get(dataset)
+	if err != nil {
+		return DatasetSnapshot{}, err
 	}
+	store, gen := b.StoreGen()
 	snap := DatasetSnapshot{
-		Name:    dataset,
-		Default: dataset == s.defName,
-		Answers: s.dataset(dataset).snapshot(),
-		Swaps:   s.tenants.generation(dataset),
+		Name:     dataset,
+		Default:  dataset == s.defName,
+		Speeches: store.Len(),
+		Swaps:    gen,
+		Answers:  s.dataset(dataset).snapshot(),
 	}
-	if b, ok := s.tenants.peek(dataset); ok {
-		snap.Loaded = true
-		snap.Speeches = b.Store().Len()
-		if cb, ok := b.(cellBackend); ok {
-			snap.CellSets, snap.CellBytes = cb.CellStats()
-		}
+	if cb, ok := b.(cellBackend); ok {
+		snap.CellSets, snap.CellBytes = cb.CellStats()
 	}
 	return snap, nil
 }
@@ -455,17 +417,18 @@ type cellBackend interface {
 	CellStats() (sets, bytes int)
 }
 
-// storeSnapshot aggregates the mounted datasets; lazy tenants are never
-// loaded just to be counted.
+// storeSnapshot aggregates the mounted datasets' live stores.
 func (s *Server) storeSnapshot() StoreSnapshot {
 	names := s.tenants.names()
 	snap := StoreSnapshot{Datasets: len(names)}
 	for _, name := range names {
-		snap.Swaps += s.tenants.generation(name)
-		if b, ok := s.tenants.peek(name); ok {
-			snap.Speeches += b.Store().Len()
-			snap.Loaded++
+		b, err := s.tenants.get(name)
+		if err != nil {
+			continue
 		}
+		store, gen := b.StoreGen()
+		snap.Speeches += store.Len()
+		snap.Swaps += gen
 	}
 	return snap
 }
@@ -567,7 +530,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !s.tenants.has(dataset) {
+	if _, err := s.tenants.get(dataset); err != nil {
 		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", dataset))
 		return
 	}
@@ -613,12 +576,11 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 }
 
 // HealthResponse is the GET /v1/healthz payload. Speeches aggregates
-// the stores of the currently loaded datasets.
+// the stores of the mounted datasets.
 type HealthResponse struct {
 	Status   string        `json:"status"`
 	Speeches int           `json:"speeches"`
 	Datasets int           `json:"datasets,omitempty"`
-	Loaded   int           `json:"loaded,omitempty"`
 	Swaps    uint64        `json:"swaps"`
 	UptimeNS time.Duration `json:"uptime_ns"`
 }
@@ -649,29 +611,24 @@ func (s *Server) healthz(*http.Request) (any, error) {
 		Status:   "ok",
 		Speeches: store.Speeches,
 		Datasets: store.Datasets,
-		Loaded:   store.Loaded,
 		Swaps:    store.Swaps,
 		UptimeNS: time.Since(s.started),
 	}, nil
 }
 
 // datasetHealthz reports one dataset's liveness: its store size when
-// mounted (loading is not triggered), 404 otherwise.
+// mounted, 404 otherwise.
 func (s *Server) datasetHealthz(r *http.Request) (any, error) {
 	snap, err := s.DatasetStats(r.PathValue("dataset"))
 	if err != nil {
 		return nil, err
 	}
-	resp := HealthResponse{
+	return HealthResponse{
 		Status:   "ok",
 		Speeches: snap.Speeches,
 		Swaps:    snap.Swaps,
 		UptimeNS: time.Since(s.started),
-	}
-	if snap.Loaded {
-		resp.Loaded = 1
-	}
-	return resp, nil
+	}, nil
 }
 
 // DatasetsResponse is the GET /v1/datasets payload.

@@ -49,7 +49,7 @@ func sessionKey(dataset, session string) string {
 // gives up.
 func (s *Server) AnswerSession(ctx context.Context, dataset, session, text string) (Result, error) {
 	start := time.Now()
-	b, err := s.tenants.get(ctx, dataset)
+	b, err := s.tenants.get(dataset)
 	if err != nil {
 		return Result{}, err
 	}

@@ -121,7 +121,7 @@ func TestCellStatsOverHTTP(t *testing.T) {
 	if snap := stats(); snap.CellSets != 4 || snap.CellBytes == 0 {
 		t.Fatalf("cells after four distinct lists: %d sets, %d bytes", snap.CellSets, snap.CellBytes)
 	}
-	a, err := s.registry.Get(context.Background(), "housing")
+	a, err := s.registry.Get("housing")
 	if err != nil {
 		t.Fatal(err)
 	}

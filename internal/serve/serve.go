@@ -21,8 +21,8 @@
 // request) lives in Session.
 //
 // One daemon serves many scenarios through the Registry: it hosts the
-// Answerers of N named datasets with lazy loading (typically from an
-// internal/snapshot artifact) and per-dataset publish, so
+// Answerers of N named datasets, each mounted built (typically over a
+// mapped internal/snapshot artifact), with per-dataset publish, so
 // re-summarizing one dataset never disturbs the others.
 package serve
 
@@ -199,12 +199,6 @@ func (a *Answerer) Store() engine.StoreView {
 func (a *Answerer) StoreGen() (engine.StoreView, uint64) {
 	g := a.live.Load()
 	return g.store, g.gen
-}
-
-// Generation returns the number of the live generation: how many
-// publishes this dataset has seen.
-func (a *Answerer) Generation() uint64 {
-	return a.live.Load().gen
 }
 
 // CellStats reports the live generation's group-by cells: how many
